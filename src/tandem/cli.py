@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import config as worldcfg
@@ -41,20 +40,6 @@ from .store import Store
 
 ENV_STORE = "TANDEM_STORE"
 DEFAULT_STORE = "tandem_store"
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    """Settings of one simulation campaign."""
-
-    plans: int
-    seed: int
-    config_path: str | None
-    store_root: Path
-
-    def __post_init__(self) -> None:
-        if self.plans < 1:
-            raise ValueError(f"plan count must be at least 1, got {self.plans}")
 
 
 def _seed(text: str) -> int:
@@ -86,19 +71,18 @@ def _catalog_docs(cfg: worldcfg.WorldConfig) -> list[dict]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = worldcfg.load_world_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
-    campaign = CampaignConfig(
-        plans=args.plans, seed=seed, config_path=args.config, store_root=_store_root(args)
-    )
+    if args.plans < 1:
+        raise ValueError(f"plan count must be at least 1, got {args.plans}")
     domain = worldcfg.build_domain(cfg)
-    store = Store(campaign.store_root)
+    store = Store(_store_root(args))
     store.upsert_many("task_properties", _catalog_docs(cfg))
 
     makespans = []
-    for k in range(campaign.plans):
-        plan = random_plan(domain, seed=[campaign.seed, k, 0])
+    for k in range(args.plans):
+        plan = random_plan(domain, seed=[seed, k, 0])
         program = program_from_plan(domain, plan)
         plan_id = f"plan-{k:04d}"
-        trace = simulate_plan(program, cfg, seed=[campaign.seed, k, 1], plan_id=plan_id)
+        trace = simulate_plan(program, cfg, seed=[seed, k, 1], plan_id=plan_id)
         store.record_trace(trace)
         makespan = max(rec.interval.end for rec in trace.records)
         makespans.append(makespan)
@@ -114,7 +98,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         print(f"{plan_id}: makespan {makespan:.3f} s")
     print(
-        f"simulated {campaign.plans} plans (seed {campaign.seed}) into {campaign.store_root}; "
+        f"simulated {args.plans} plans (seed {seed}) into {store.root}; "
         f"makespan min {min(makespans):.3f} / max {max(makespans):.3f} s"
     )
     return 0

@@ -17,7 +17,7 @@ class MissingDuration(TandemError):
     def __init__(self, task_id: str, agent: object | None = None):
         self.task_id = task_id
         self.agent = agent
-        where = f" for agent {agent}" if agent is not None else ""
+        where = f" for agent {getattr(agent, 'value', agent)}" if agent is not None else ""
         super().__init__(f"no duration statistics for task {task_id!r}{where}")
 
 
@@ -81,6 +81,15 @@ class UnknownPlan(TandemError):
 
 class IoFailure(TandemError):
     """A store read or write failed at the filesystem level."""
+
+
+class CorruptStore(TandemError):
+    """A stored line is not valid JSON or is not a document with a string id."""
+
+    def __init__(self, path: object, line: int, reason: str):
+        self.path = path
+        self.line = line
+        super().__init__(f"{path}:{line}: {reason}")
 
 
 class EmptyStore(TandemError):

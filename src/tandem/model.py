@@ -12,9 +12,11 @@ The empty time interval is represented as ``None``.
 
 from __future__ import annotations
 
+# collections.abc generics, unlike typing's, are not cached process-wide, so the
+# aliases below do not keep an earlier import of this module alive.
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
 
 from .errors import MissingDuration, ZeroDurationTask
 

@@ -390,7 +390,9 @@ def optimize_plan(
     budget it is enumerated exhaustively; otherwise `budget` seeded random
     plans are evaluated.  Ties break on the lexicographic assignment vector,
     then the orderings, so the result is independent of evaluation order.
-    Candidates whose fixed point fails to converge are skipped.
+    Candidates whose fixed point fails to converge, or that put a task on an
+    agent without duration statistics, are skipped; MissingDuration is raised
+    only when no candidate could be evaluated and one of them lacked them.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -416,16 +418,23 @@ def optimize_plan(
     best_cost = math.inf
     best_key: tuple | None = None
     skipped = 0
+    missing: MissingDuration | None = None
     for plan in candidates:
         try:
             cost = predict_makespan(domain, plan, stats, synergy)
         except NonConvergence:
             skipped += 1
             continue
+        except MissingDuration as exc:
+            skipped += 1
+            missing = missing or exc
+            continue
         key = _plan_key(domain, plan)
         if cost < best_cost or (cost == best_cost and (best_key is None or key < best_key)):
             best, best_cost, best_key = plan, cost, key
     if best is None:
+        if missing is not None:
+            raise missing
         raise NonConvergence(
             f"all {skipped} evaluated candidates failed to converge; "
             "check the synergy estimates for pathological values"

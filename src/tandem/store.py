@@ -4,9 +4,20 @@ Five collections, one newline-delimited JSON file each: task_properties
 (symbolic task definitions), task_results (measured executions), task_duration
 (expected durations), task_synergy (one document per coefficient), and plans.
 Documents are keyed by their "id" field; an upsert replaces in place so
-insertion order is stable, and every write lands via write-temp-then-rename,
-so a reader never sees a half-written document.  Concurrent writers must be
-serialized by the caller.
+insertion order is stable.  Every upsert is durable when it returns and takes
+one of two paths, chosen by its input:
+
+- a batch of ids that are all new is appended: only the new lines are encoded
+  and written, then flushed and fsynced;
+- a batch that replaces an existing id rewrites the whole file to a temp file,
+  fsyncs it and renames it over the original.
+
+Appends are taken only while the file is exactly as this store last read or
+wrote it and ends in a newline; anything else is rewritten.  An unterminated
+final line that does not parse is a torn append (a crash, or a writer still at
+work): reads skip it and the next upsert's rewrite drops it, so a reader never
+sees a half-written document.  Concurrent writers must be serialized by the
+caller.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ import os
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import IoFailure, SchemaViolation, UnknownCollection, UnknownPlan
+from .errors import CorruptStore, IoFailure, SchemaViolation, UnknownCollection, UnknownPlan
 from .estimator import ExecutionRecord, ExecutionTrace
 from .model import AgentId, TimeInterval
 
@@ -88,6 +99,30 @@ def validate_document(collection: str, doc: Mapping) -> None:
             raise SchemaViolation(collection, field, f"has invalid type {type(value).__name__}")
 
 
+def _whole_lines(data: bytes) -> bytes:
+    """A collection file's bytes without a torn append, if it ends in one.
+
+    A torn append is an unterminated final line that does not parse.
+    """
+    end = data.rfind(b"\n") + 1
+    tail = data[end:]
+    if tail.strip():
+        try:
+            json.loads(tail.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            return data[:end]
+    return data
+
+
+def _file_size(path: Path) -> int:
+    try:
+        return path.stat().st_size
+    except FileNotFoundError:
+        return 0
+    except OSError as exc:
+        raise IoFailure(f"cannot stat {path}: {exc}") from exc
+
+
 class Store:
     """Document store rooted at a directory, one JSONL file per collection."""
 
@@ -98,6 +133,10 @@ class Store:
         except OSError as exc:
             raise IoFailure(f"cannot create store root {self.root}: {exc}") from exc
         self._cache: dict[str, tuple[list[str], dict[str, dict]]] = {}
+        # File size at which a collection may be appended to: its size as this
+        # store last read or wrote it, or None if that content did not end in
+        # a newline.
+        self._append_at: dict[str, int | None] = {}
 
     def path(self, collection: str) -> Path:
         if collection not in COLLECTIONS:
@@ -108,56 +147,98 @@ class Store:
         if collection in self._cache:
             return self._cache[collection]
         path = self.path(collection)
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            data = b""
+        except OSError as exc:
+            raise IoFailure(f"cannot read {path}: {exc}") from exc
+        whole = _whole_lines(data)
+        try:
+            text = whole.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptStore(path, whole.count(b"\n", 0, exc.start) + 1, "invalid UTF-8") from exc
         order: list[str] = []
         docs: dict[str, dict] = {}
-        if path.exists():
+        for lineno, line in enumerate(text.split("\n"), 1):
+            if not line.strip():
+                continue
             try:
-                text = path.read_text(encoding="utf-8")
-            except OSError as exc:
-                raise IoFailure(f"cannot read {path}: {exc}") from exc
-            for line in text.splitlines():
-                if not line.strip():
-                    continue
                 doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorruptStore(path, lineno, f"bad JSON: {exc.msg} (column {exc.colno})") from exc
+            try:
                 doc_id = doc["id"]
-                if doc_id not in docs:
-                    order.append(doc_id)
-                docs[doc_id] = doc
+            except (KeyError, TypeError):
+                doc_id = None
+            if not isinstance(doc_id, str):
+                raise CorruptStore(path, lineno, "document has no string 'id'")
+            if doc_id not in docs:
+                order.append(doc_id)
+            docs[doc_id] = doc
         self._cache[collection] = (order, docs)
+        self._append_at[collection] = len(data) if data.endswith(b"\n") or not data else None
         return order, docs
 
-    def _flush(self, collection: str) -> None:
+    def _append(self, collection: str, batch: Mapping[str, dict]) -> None:
         order, docs = self._cache[collection]
         path = self.path(collection)
-        tmp = path.with_name(path.name + ".tmp")
+        data = "".join(_dumps(doc) + "\n" for doc in batch.values()).encode("utf-8")
         try:
-            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-                for doc_id in order:
-                    fh.write(_dumps(docs[doc_id]))
-                    fh.write("\n")
+            with open(path, "ab") as fh:
+                fh.write(data)
+                fh.flush()
+                os.fsync(fh.fileno())
+        except OSError as exc:
+            del self._cache[collection]  # reread whatever landed
+            raise IoFailure(f"cannot append to {path}: {exc}") from exc
+        order.extend(batch)
+        docs.update(batch)
+        self._append_at[collection] += len(data)
+
+    def _rewrite(self, collection: str, batch: Mapping[str, dict]) -> None:
+        order, docs = self._cache[collection]
+        for doc_id, doc in batch.items():
+            if doc_id not in docs:
+                order.append(doc_id)
+            docs[doc_id] = doc
+        path = self.path(collection)
+        tmp = path.with_name(path.name + ".tmp")
+        data = "".join(_dumps(docs[doc_id]) + "\n" for doc_id in order).encode("utf-8")
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(data)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
         except OSError as exc:
+            del self._cache[collection]  # the batch is not on disk
             raise IoFailure(f"cannot write {path}: {exc}") from exc
+        self._append_at[collection] = len(data)
 
     def upsert(self, collection: str, doc: Mapping) -> str:
         """Insert or replace a document by id; durable when this returns."""
         return self.upsert_many(collection, [doc])[0]
 
     def upsert_many(self, collection: str, documents: Iterable[Mapping]) -> list[str]:
-        """Upsert a batch atomically (one rewrite), preserving insertion order."""
-        order, docs = self._load(collection)
+        """Upsert a batch, preserving insertion order; durable when this returns.
+
+        A batch of new ids is appended; one that replaces an id, or meets a
+        file that changed since this store last touched it, is one atomic
+        rewrite.
+        """
+        _, docs = self._load(collection)
+        batch: dict[str, dict] = {}
         ids = []
         for doc in documents:
             validate_document(collection, doc)
-            doc = dict(doc)
-            doc_id = doc["id"]
-            if doc_id not in docs:
-                order.append(doc_id)
-            docs[doc_id] = doc
-            ids.append(doc_id)
-        self._flush(collection)
+            batch[doc["id"]] = dict(doc)
+            ids.append(doc["id"])
+        path = self.path(collection)
+        if batch.keys().isdisjoint(docs) and self._append_at[collection] == _file_size(path):
+            self._append(collection, batch)
+        else:
+            self._rewrite(collection, batch)
         return ids
 
     def query(self, collection: str, filter: Mapping | None = None) -> list[dict]:

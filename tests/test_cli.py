@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import filecmp
 
+import pytest
+
+import tandem.store as store_mod
 from tandem import cli
+from tandem.config import load_world_config
 from tandem.store import COLLECTIONS, Store
 
 
@@ -48,6 +52,26 @@ class TestSimulate:
         config.write_text("zones:\n  speed_factors: {red: 0.4}\n")
         assert _run("simulate", "--store", tmp_path / "s", "--config", config) == 1
         assert "red" in capsys.readouterr().err
+
+    def test_zero_plans_is_rejected(self, tmp_path, capsys):
+        assert _run("simulate", "--store", tmp_path / "s", "--plans", 0) == 1
+        assert "plan count must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("plans", [1, 4])
+    def test_encodes_each_document_once(self, tmp_path, monkeypatch, plans):
+        encoded = 0
+        dumps = store_mod._dumps
+
+        def counting_dumps(doc):
+            nonlocal encoded
+            encoded += 1
+            return dumps(doc)
+
+        monkeypatch.setattr(store_mod, "_dumps", counting_dumps)
+        assert _run("simulate", "--store", tmp_path / "s", "--plans", plans, "--seed", 2) == 0
+        catalog = len(load_world_config().tasks)
+        assert encoded == (24 + 1) * plans + catalog
 
 
 class TestEstimate:
@@ -103,6 +127,29 @@ class TestEstimate:
         assert all(doc["sample_count"] == 0 for doc in human_rows)
 
 
+class TestCorruptStore:
+    def _store_with_line(self, tmp_path, line):
+        store_dir = tmp_path / "s"
+        assert _run("simulate", "--store", store_dir, "--plans", 1, "--seed", 4) == 0
+        path = store_dir / "task_results.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines.insert(5, line + "\n")
+        path.write_text("".join(lines))
+        return store_dir, path
+
+    def test_document_without_id(self, tmp_path, capsys):
+        store_dir, path = self._store_with_line(tmp_path, '{"task_id":"x"}')
+        assert _run("estimate", "--store", store_dir) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:6:" in err
+        assert "id" in err
+
+    def test_truncated_line(self, tmp_path, capsys):
+        store_dir, path = self._store_with_line(tmp_path, '{"agent":"human","end":8.2')
+        assert _run("estimate", "--store", store_dir) == 1
+        assert f"{path}:6: bad JSON" in capsys.readouterr().err
+
+
 class TestPlanCommand:
     def test_requires_estimates(self, tmp_path, capsys):
         assert _run("plan", "--store", tmp_path / "s") == 1
@@ -116,6 +163,22 @@ class TestPlanCommand:
         assert doc["kind"] == "optimized"
         assert doc["makespan"] > 0
         assert len(doc["assignment"]) == 24
+
+    def test_skips_pairs_never_observed(self, tmp_path):
+        # Both place_blue_r instances go to the human in this one-plan campaign,
+        # so the robot has no place_blue_r statistics.
+        config = tmp_path / "world.yaml"
+        config.write_text("tasks:\n  place_blue_r: {agent: [human, robot]}\n")
+        store_dir = tmp_path / "s"
+        simulate = ("simulate", "--store", store_dir, "--config", config, "--plans", 1, "--seed", 11)
+        assert _run(*simulate) == 0
+        robot_place = {"task_id": "place_blue_r", "agent": "robot"}
+        assert not Store(store_dir).query("task_results", robot_place)
+        assert _run("estimate", "--store", store_dir) == 0
+        assert _run("plan", "--store", store_dir, "--config", config, "--budget", 50) == 0
+        doc = Store(store_dir).get("plans", "optimized")
+        robot_lane = doc["order"]["robot"]
+        assert not [uid for uid in robot_lane if uid.startswith("place_blue_r")]
 
 
 class TestReportCommand:

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import importlib
 import math
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -261,3 +265,21 @@ def test_sequential_counterpart_overlaps_sum_to_at_most_one():
             t = end
         total = math.fsum(overlap_ratio(own, other) for other in others)
         assert total <= 1.0 + 1e-12
+
+
+def test_reimport_releases_the_previous_copy():
+    def package_modules():
+        return {n: m for n, m in sys.modules.items() if n == "tandem" or n.startswith("tandem.")}
+
+    saved = package_modules()
+    try:
+        for name in saved:
+            del sys.modules[name]
+        importlib.import_module("tandem.cli")
+        fresh = weakref.ref(sys.modules["tandem.model"].DurationStats)
+    finally:
+        for name in package_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)
+    gc.collect()
+    assert fresh() is None

@@ -168,6 +168,13 @@ class TestPredictMakespan:
         with pytest.raises(MissingDuration):
             predict_makespan(domain, plan, {}, SynergyMatrix.neutral())
 
+    def test_missing_duration_names_the_agent_value(self):
+        domain = PlanningDomain((TaskInstance("a", "t", frozenset({R})),), ())
+        plan = CandidatePlan(assignment={"a": R}, order={H: (), R: ("a",)})
+        with pytest.raises(MissingDuration) as err:
+            predict_makespan(domain, plan, {}, SynergyMatrix.neutral())
+        assert str(err.value) == "no duration statistics for task 't' for agent robot"
+
     def test_cross_agent_precedence_adds_wait(self):
         domain = PlanningDomain(
             (
@@ -331,6 +338,22 @@ class TestOptimizePlan:
         domain = PlanningDomain((TaskInstance("a", "t", frozenset()),), ())
         with pytest.raises(InfeasibleDomain):
             optimize_plan(domain, {}, SynergyMatrix.neutral(), budget=5)
+
+    def test_skips_candidates_without_durations(self):
+        domain = _pair_domain(2)
+        stats = _uniform_stats(domain)
+        del stats[("pick1", R)]
+        for budget in (4, 50_000):  # random search, then exhaustive
+            plan = optimize_plan(domain, stats, SynergyMatrix.neutral(), budget=budget, seed=3)
+            assert plan.assignment["pick1"] is H
+            assert plan.predicted_makespan is not None
+
+    def test_missing_duration_when_no_candidate_has_durations(self):
+        domain = _pair_domain(1, eligible=frozenset({R}))
+        stats = _uniform_stats(domain)
+        del stats[("place0", R)]
+        with pytest.raises(MissingDuration, match="'place0' for agent robot"):
+            optimize_plan(domain, stats, SynergyMatrix.neutral(), budget=5)
 
     def test_empty_domain(self):
         plan = optimize_plan(PlanningDomain((), ()), {}, SynergyMatrix.neutral(), budget=5)

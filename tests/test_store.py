@@ -6,10 +6,11 @@ import json
 
 import pytest
 
-from tandem.errors import SchemaViolation, UnknownCollection, UnknownPlan
+import tandem.store as store_mod
+from tandem.errors import CorruptStore, IoFailure, SchemaViolation, UnknownCollection, UnknownPlan
 from tandem.estimator import ExecutionRecord, ExecutionTrace
 from tandem.model import AgentId, TimeInterval
-from tandem.store import Store, validate_document
+from tandem.store import Store, _dumps, validate_document
 
 H, R = AgentId.HUMAN, AgentId.ROBOT
 
@@ -100,14 +101,150 @@ class TestFileFormat:
         assert all(json.loads(line)["id"] for line in lines)
 
     def test_rewrite_is_byte_stable(self, tmp_path):
-        store = Store(tmp_path)
-        docs = [_duration_doc("a"), _duration_doc("b")]
-        store.upsert_many("task_duration", docs)
-        before = (tmp_path / "task_duration.jsonl").read_bytes()
-        reread = Store(tmp_path).query("task_duration")
+        docs = [_duration_doc("a"), _duration_doc("b"), _duration_doc("c")]
+        clean = tmp_path / "batch"
+        Store(clean).upsert_many("task_duration", docs)  # one append
+        before = (clean / "task_duration.jsonl").read_bytes()
+
+        one_at_a_time = Store(tmp_path / "single")
+        for doc in docs:
+            one_at_a_time.upsert("task_duration", doc)  # three appends
+        assert (tmp_path / "single" / "task_duration.jsonl").read_bytes() == before
+
+        reread = Store(clean).query("task_duration")
         Store(tmp_path / "copy").upsert_many("task_duration", reread)
-        after = (tmp_path / "copy" / "task_duration.jsonl").read_bytes()
-        assert before == after
+        assert (tmp_path / "copy" / "task_duration.jsonl").read_bytes() == before
+        Store(clean).upsert_many("task_duration", reread)  # every id exists: a rewrite
+        assert (clean / "task_duration.jsonl").read_bytes() == before
+
+    def test_replacing_batch_with_new_ids_matches_a_clean_write(self, tmp_path):
+        store = Store(tmp_path / "s")
+        store.upsert_many("task_duration", [_duration_doc("a"), _duration_doc("b")])
+        store.upsert_many(
+            "task_duration", [_duration_doc("c"), _duration_doc("a", mean=9.0), _duration_doc("c")]
+        )
+        Store(tmp_path / "clean").upsert_many(
+            "task_duration", [_duration_doc("a", mean=9.0), _duration_doc("b"), _duration_doc("c")]
+        )
+        assert (tmp_path / "s" / "task_duration.jsonl").read_bytes() == (
+            tmp_path / "clean" / "task_duration.jsonl"
+        ).read_bytes()
+
+    def test_append_encodes_only_new_documents(self, tmp_path, monkeypatch):
+        store = Store(tmp_path)
+        store.upsert_many("task_duration", [_duration_doc("a"), _duration_doc("b")])
+        encoded = []
+
+        def recording_dumps(doc):
+            encoded.append(doc["id"])
+            return _dumps(doc)
+
+        monkeypatch.setattr(store_mod, "_dumps", recording_dumps)
+        store.upsert_many("task_duration", [_duration_doc("c")])
+        assert encoded == ["c:human"]
+        store.upsert("task_duration", _duration_doc("a", mean=9.0))
+        assert encoded == ["c:human", "a:human", "b:human", "c:human"]
+
+    def test_invalid_batch_changes_nothing(self, tmp_path):
+        store = Store(tmp_path)
+        store.upsert("task_duration", _duration_doc("a"))
+        bad = _duration_doc("c")
+        del bad["mean"]
+        with pytest.raises(SchemaViolation):
+            store.upsert_many("task_duration", [_duration_doc("b"), bad])
+        assert store.count("task_duration") == 1
+        assert Store(tmp_path).count("task_duration") == 1
+
+    @pytest.mark.parametrize("new_id", [True, False], ids=["append", "rewrite"])
+    def test_failed_write_leaves_reads_matching_the_file(self, tmp_path, monkeypatch, new_id):
+        store = Store(tmp_path)
+        store.upsert("task_duration", _duration_doc("a"))
+
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store_mod.os, "fsync", failing_fsync)
+        with pytest.raises(IoFailure):
+            store.upsert("task_duration", _duration_doc("b" if new_id else "a", mean=9.0))
+        monkeypatch.undo()
+        assert store.query("task_duration") == Store(tmp_path).query("task_duration")
+
+
+class TestTornTail:
+    """A crash mid-append leaves an unterminated final line."""
+
+    def _torn(self, tmp_path):
+        store = Store(tmp_path / "s")
+        store.record_trace(_small_trace("p1"))
+        path = tmp_path / "s" / "task_results.jsonl"
+        line = path.read_bytes().splitlines(keepends=True)[0].replace(b"p1", b"p2")
+        with open(path, "ab") as fh:
+            fh.write(line[: len(line) // 2])
+        return store
+
+    def _clean(self, tmp_path):
+        clean = Store(tmp_path / "clean")
+        clean.record_trace(_small_trace("p1"))
+        clean.record_trace(_small_trace("p3"))
+        return (tmp_path / "clean" / "task_results.jsonl").read_bytes()
+
+    def test_reads_skip_the_torn_line(self, tmp_path):
+        self._torn(tmp_path)
+        (trace,) = Store(tmp_path / "s").export_traces()
+        assert trace == _small_trace("p1")
+
+    @pytest.mark.parametrize("reopen", [True, False], ids=["fresh_store", "same_store"])
+    def test_next_upsert_rewrites_it_away(self, tmp_path, reopen):
+        store = self._torn(tmp_path)
+        if reopen:
+            store = Store(tmp_path / "s")
+        store.record_trace(_small_trace("p3"))
+        assert (tmp_path / "s" / "task_results.jsonl").read_bytes() == self._clean(tmp_path)
+        assert sorted(p.name for p in (tmp_path / "s").iterdir()) == ["task_results.jsonl"]
+
+    def test_complete_final_line_without_newline_is_kept(self, tmp_path):
+        store = Store(tmp_path / "s")
+        store.record_trace(_small_trace("p1"))
+        path = tmp_path / "s" / "task_results.jsonl"
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        store = Store(tmp_path / "s")
+        assert store.count("task_results") == 3
+        store.record_trace(_small_trace("p3"))
+        assert path.read_bytes() == self._clean(tmp_path)
+
+
+class TestReadErrors:
+    def _write(self, tmp_path, *lines):
+        path = tmp_path / "task_results.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        return path
+
+    def test_bad_json_names_file_and_line(self, tmp_path):
+        good = _dumps({"id": "a"})
+        path = self._write(tmp_path, good, "", good[:-3], good)
+        with pytest.raises(CorruptStore) as err:
+            Store(tmp_path).query("task_results")
+        assert (err.value.path, err.value.line) == (path, 3)
+        assert str(err.value).startswith(f"{path}:3: bad JSON")
+
+    @pytest.mark.parametrize("line", ['{"task_id":"x"}', '{"id":7}', "[1, 2]"])
+    def test_missing_id_names_file_and_line(self, tmp_path, line):
+        path = self._write(tmp_path, _dumps({"id": "a"}), line)
+        with pytest.raises(CorruptStore) as err:
+            Store(tmp_path).count("task_results")
+        assert str(err.value) == f"{path}:2: document has no string 'id'"
+
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "plans.jsonl"
+        path.write_bytes(b'{"id":"a"}\n{"id":"\xff"}\n')
+        with pytest.raises(CorruptStore) as err:
+            Store(tmp_path).count("plans")
+        assert str(err.value) == f"{path}:2: invalid UTF-8"
+
+    def test_line_separator_inside_a_string_round_trips(self, tmp_path):
+        doc = {**_duration_doc(), "id": "a\u2028b\x85c"}
+        Store(tmp_path).upsert("task_duration", doc)
+        assert Store(tmp_path).query("task_duration") == [doc]
 
 
 def _small_trace(plan_id="p1"):
