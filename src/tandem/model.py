@@ -14,7 +14,7 @@ from __future__ import annotations
 
 # collections.abc generics, unlike typing's, are not cached process-wide, so the
 # aliases below do not keep an earlier import of this module alive.
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -251,6 +251,54 @@ def nominal_agent_plan_duration(
     return total
 
 
+def coupled_durations(
+    means: Sequence[float],
+    rows: Sequence[Sequence[float]],
+    own_start: Sequence[float],
+    own_end: Sequence[float],
+    other_start: Sequence[float],
+    other_end: Sequence[float],
+    sorted_lanes: bool = True,
+) -> list[float]:
+    """Synergy-scaled durations of one agent's tasks against the counterpart's.
+
+    Task i runs over [own_start[i], own_end[i]] with expected duration
+    means[i]; counterpart task j runs over [other_start[j], other_end[j]].
+    Task i costs means[i] * (1 + sum_j (s_ij - 1) * delta_ij), where delta_ij
+    is the fraction of task i during which task j runs and s_ij = rows[i][j].
+    Terms are added in counterpart order.
+
+    When both lanes are sorted by start, a two-pointer sweep visits, for each
+    task, only the counterpart tasks that can overlap it: those ending at or
+    before its start are never needed again, and the scan stops at the first
+    one starting at or after its end.  With `sorted_lanes` false every pair
+    is tested, for the same result.
+    """
+    out = []
+    m = len(other_start)
+    j = 0
+    for mean, row, own_s, own_e in zip(means, rows, own_start, own_end):
+        while j < m and other_end[j] <= own_s and sorted_lanes:
+            j += 1
+        own_len = own_e - own_s
+        coupled = 0.0
+        covered = 0.0
+        for k in range(j, m):
+            other_s = other_start[k]
+            if other_s >= own_e and sorted_lanes:
+                break
+            other_e = other_end[k]
+            lo = own_s if own_s > other_s else other_s
+            hi = own_e if own_e < other_e else other_e
+            if hi <= lo:
+                continue
+            delta = (hi - lo) / own_len
+            coupled += row[k] * delta
+            covered += delta
+        out.append(mean * (1.0 + (coupled - covered)))
+    return out
+
+
 def synergy_agent_plan_duration(
     schedule: PlanSchedule,
     stats: StatsMap,
@@ -262,23 +310,34 @@ def synergy_agent_plan_duration(
     Each scheduled task contributes mean * (sum_j s_ij * delta_ij + residual)
     where delta_ij is the overlap ratio against counterpart task j and the
     residual fraction (no concurrent counterpart work) carries coefficient 1.
+    Raises ZeroDurationTask for a zero-length task when the counterpart has
+    any work.
     """
+    own = schedule.for_agent(agent)
     counterpart = schedule.for_agent(agent.counterpart)
-    total = 0.0
-    for task in schedule.for_agent(agent):
+    means = []
+    rows = []
+    for task in own:
         key = (task.task_id, agent)
         if key not in stats:
             raise MissingDuration(task.task_id, agent)
-        coupled = 0.0
-        covered = 0.0
-        for other in counterpart:
-            delta = overlap_ratio(task.interval, other.interval)
-            if delta == 0.0:
-                continue
-            entry = synergy.get(agent, task.task_id, other.task_id)
-            coupled += entry.coefficient * delta
-            covered += delta
-        total += stats[key].mean * (1.0 + (coupled - covered))
+        if counterpart and task.interval.duration <= 0.0:
+            raise ZeroDurationTask(f"task interval {task.interval} has zero duration")
+        means.append(stats[key].mean)
+        rows.append(
+            [synergy.get(agent, task.task_id, other.task_id).coefficient for other in counterpart]
+        )
+    durations = coupled_durations(
+        means,
+        rows,
+        [task.interval.start for task in own],
+        [task.interval.end for task in own],
+        [task.interval.start for task in counterpart],
+        [task.interval.end for task in counterpart],
+    )
+    total = 0.0
+    for duration in durations:
+        total += duration
     return total
 
 

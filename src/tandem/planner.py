@@ -6,12 +6,20 @@ are an agent assignment plus per-agent task orderings.  The predicted cost of
 a plan is computed by serial dispatch: each agent runs its tasks back-to-back,
 waiting only for unmet precedence, while task durations and overlap fractions
 are iterated to a fixed point under the synergy coupling.
+
+The dispatch order depends only on the orderings and the precedence, so it
+is computed once per plan, together with the well-formedness and deadlock
+checks.  Each round then replays it in one linear pass, and a two-pointer
+sweep over the two start-sorted lanes (``model.coupled_durations``) rescales
+the durations.  The result equals, bit for bit, an all-pairs O(n_h * n_r)
+scan of the same formula; the tests keep that scan as their reference.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import logging
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Sequence
@@ -25,14 +33,18 @@ from .errors import (
     NonConvergence,
 )
 from .model import (
+    NEUTRAL_SYNERGY,
     AgentId,
     PlanSchedule,
     ScheduledTask,
     StatsMap,
     SynergyMatrix,
     TimeInterval,
+    coupled_durations,
     plan_cost,
 )
+
+logger = logging.getLogger(__name__)
 
 # Fixed-point iteration controls for the coupled-duration schedule.
 MAKESPAN_TOL = 1e-6
@@ -86,11 +98,18 @@ class PlanningDomain:
         return seen != len(self.instances)
 
     def instance(self, uid: str) -> TaskInstance:
-        return self._by_uid[uid]
+        return self.instances[self._position[uid]]
 
     @functools.cached_property
-    def _by_uid(self) -> dict[str, TaskInstance]:
-        return {inst.uid: inst for inst in self.instances}
+    def _position(self) -> dict[str, int]:
+        return {inst.uid: i for i, inst in enumerate(self.instances)}
+
+    @functools.cached_property
+    def _prereq_positions(self) -> tuple[tuple[int, ...], ...]:
+        prereq = self.prerequisites()
+        return tuple(
+            tuple(self._position[u] for u in prereq[inst.uid]) for inst in self.instances
+        )
 
     def prerequisites(self) -> dict[str, tuple[str, ...]]:
         prereq: dict[str, list[str]] = {inst.uid: [] for inst in self.instances}
@@ -200,40 +219,116 @@ def random_plan(domain: PlanningDomain, seed) -> CandidatePlan:
     return CandidatePlan(assignment=assignment, order=order)
 
 
-def _serial_schedule(
-    lanes: Sequence[Sequence[str]],
-    prereq: Mapping[str, tuple[str, ...]],
-    durations: Mapping[str, float],
-) -> dict[str, tuple[float, float]]:
-    """Dispatch each lane's tasks back-to-back from t=0, as (start, end) pairs.
+def _fixed_point(
+    domain: PlanningDomain,
+    plan: CandidatePlan,
+    stats: StatsMap,
+    synergy: SynergyMatrix,
+) -> tuple[list[int], list[tuple[int, int, tuple[int, ...]]], list[float], list[float], float]:
+    """Coupled-duration fixed point of a plan, over lane-major task slots.
 
-    A task whose precedence prerequisite runs on the other agent starts no
-    earlier than that prerequisite's end (the only inserted idle time).
+    Slot k < len(human lane) is the human lane's k-th task; the robot lane
+    follows.  Returns (domain position of each slot, dispatch steps, starts,
+    ends, plan cost).  Each dispatch step is (slot, slot of the previous task
+    in its lane or the sentinel len(slots), slots of its prerequisites); the
+    order depends only on the lanes and the precedence, so it is found once
+    and every round replays it.
     """
-    index = [0, 0]
-    free_at = [0.0, 0.0]
-    intervals: dict[str, tuple[float, float]] = {}
-    remaining = sum(len(lane) for lane in lanes)
-    while remaining:
-        progressed = False
-        for li, lane in enumerate(lanes):
-            while index[li] < len(lane):
-                uid = lane[index[li]]
-                deps = prereq.get(uid, ())
-                if any(d not in intervals for d in deps):
-                    break
-                start = free_at[li]
-                for d in deps:
-                    start = max(start, intervals[d][1])
-                end = start + durations[uid]
-                intervals[uid] = (start, end)
-                free_at[li] = end
-                index[li] += 1
-                remaining -= 1
-                progressed = True
-        if not progressed:
+    position = domain._position
+    lanes = (plan.order.get(AgentId.HUMAN, ()), plan.order.get(AgentId.ROBOT, ()))
+    n = len(domain.instances)
+    slot_of = [-1] * n
+    at: list[int] = []
+    for agent, lane in zip((AgentId.HUMAN, AgentId.ROBOT), lanes):
+        for uid in lane:
+            pos = position.get(uid)
+            if pos is None:
+                raise InvalidProgram(f"{uid!r} in the {agent.value} ordering is not a domain task")
+            if slot_of[pos] >= 0:
+                raise InvalidProgram(f"{uid!r} appears more than once in the orderings")
+            if plan.assignment.get(uid) is not agent:
+                raise InvalidProgram(f"{uid!r} ordered under {agent.value} but assigned elsewhere")
+            slot_of[pos] = len(at)
+            at.append(pos)
+    if len(at) != n:
+        missing = next(inst.uid for inst, slot in zip(domain.instances, slot_of) if slot < 0)
+        raise InvalidProgram(f"{missing!r} appears in no ordering")
+    if not n:
+        return at, [], [], [], 0.0
+
+    means = [0.0] * n
+    for pos, inst in enumerate(domain.instances):
+        agent = plan.assignment[inst.uid]
+        key = (inst.spec_id, agent)
+        if key not in stats:
+            raise MissingDuration(inst.spec_id, agent)
+        means[slot_of[pos]] = stats[key].mean
+
+    n_human = len(lanes[0])
+    prereq = domain._prereq_positions
+    deps = [tuple(slot_of[p] for p in prereq[pos]) for pos in at]
+    done = [False] * n
+    lane_start, lane_end = (0, n_human), (n_human, n)
+    cursor = list(lane_start)
+    steps: list[tuple[int, int, tuple[int, ...]]] = []
+    while len(steps) < n:
+        dispatched = len(steps)
+        for li in (0, 1):
+            k = cursor[li]
+            while k < lane_end[li] and all(map(done.__getitem__, deps[k])):
+                steps.append((k, k - 1 if k > lane_start[li] else n, deps[k]))
+                done[k] = True
+                k += 1
+            cursor[li] = k
+        if len(steps) == dispatched:
             raise InvalidProgram("cross-agent precedence deadlock in plan orderings")
-    return intervals
+
+    # Coefficient rows against the counterpart lane, one per own spec.
+    specs = [domain.instances[pos].spec_id for pos in at]
+    rows: list[list[float]] = []
+    for agent, own, other in (
+        (AgentId.HUMAN, specs[:n_human], specs[n_human:]),
+        (AgentId.ROBOT, specs[n_human:], specs[:n_human]),
+    ):
+        entries = synergy.entries.get(agent, {})
+        by_spec: dict[str, list[float]] = {}
+        for spec in own:
+            if spec not in by_spec:
+                by_spec[spec] = [entries.get((spec, o), NEUTRAL_SYNERGY).coefficient for o in other]
+            rows.append(by_spec[spec])
+    human_rows, robot_rows = rows[:n_human], rows[n_human:]
+    human_means, robot_means = means[:n_human], means[n_human:]
+
+    durations = means
+    starts = [0.0] * n
+    ends = [0.0] * (n + 1)  # ends[n] stays 0.0: when a lane's first task may start
+    previous = None
+    for _ in range(MAX_FIXED_POINT_ITERATIONS):
+        for k, prev, before in steps:
+            start = ends[prev]
+            for d in before:
+                if ends[d] > start:
+                    start = ends[d]
+            starts[k] = start
+            ends[k] = start + durations[k]
+        human_start, robot_start = starts[:n_human], starts[n_human:]
+        human_end, robot_end = ends[:n_human], ends[n_human:n]
+        makespan = max(ends[:n])
+        if previous is not None and abs(makespan - previous) < MAKESPAN_TOL:
+            cost = plan_cost(max([0.0, *human_end]), max([0.0, *robot_end]))
+            return at, steps, starts, ends, cost
+        previous = makespan
+        # A lane stays sorted by start unless a coupled duration went negative,
+        # which takes a coefficient far below the estimator's floor.
+        in_order = min(durations) >= 0.0
+        durations = coupled_durations(
+            human_means, human_rows, human_start, human_end, robot_start, robot_end, in_order
+        ) + coupled_durations(
+            robot_means, robot_rows, robot_start, robot_end, human_start, human_end, in_order
+        )
+    raise NonConvergence(
+        f"makespan did not settle within {MAX_FIXED_POINT_ITERATIONS} iterations"
+    )
 
 
 def predicted_schedule(
@@ -246,77 +341,18 @@ def predicted_schedule(
 
     Durations start at each task's expected value; the schedule they induce
     determines overlap fractions, which rescale the durations, until the
-    makespan moves by less than MAKESPAN_TOL between rounds.
+    makespan moves by less than MAKESPAN_TOL between rounds.  Raises
+    InvalidProgram unless every instance appears exactly once, in the
+    ordering of its assigned agent, and the orderings do not deadlock.
     """
-    if not domain.instances:
-        return PlanSchedule(), 0.0
-    spec_of = {inst.uid: inst.spec_id for inst in domain.instances}
-    means: dict[str, float] = {}
-    for inst in domain.instances:
-        agent = plan.assignment[inst.uid]
-        key = (inst.spec_id, agent)
-        if key not in stats:
-            raise MissingDuration(inst.spec_id, agent)
-        means[inst.uid] = stats[key].mean
-
-    lanes = (plan.order.get(AgentId.HUMAN, ()), plan.order.get(AgentId.ROBOT, ()))
-    prereq = domain.prerequisites()
-    # Coefficients resolved per instance pair once; (own uid, counterpart uid).
-    coeff: dict[str, list[tuple[str, float]]] = {}
-    for agent, own_lane, other_lane in (
-        (AgentId.HUMAN, lanes[0], lanes[1]),
-        (AgentId.ROBOT, lanes[1], lanes[0]),
-    ):
-        for uid in own_lane:
-            coeff[uid] = [
-                (other, synergy.get(agent, spec_of[uid], spec_of[other]).coefficient)
-                for other in other_lane
-            ]
-
-    durations = dict(means)
-    previous = None
-    for _ in range(MAX_FIXED_POINT_ITERATIONS):
-        intervals = _serial_schedule(lanes, prereq, durations)
-        makespan = max(end for _, end in intervals.values())
-        if previous is not None and abs(makespan - previous) < MAKESPAN_TOL:
-            schedule = PlanSchedule.from_tasks(
-                ScheduledTask(spec_of[uid], plan.assignment[uid], TimeInterval(s, e))
-                for uid, (s, e) in intervals.items()
-            )
-            finish = [0.0, 0.0]
-            for li, lane in enumerate(lanes):
-                for uid in lane:
-                    finish[li] = max(finish[li], intervals[uid][1])
-            return schedule, plan_cost(finish[0], finish[1])
-        previous = makespan
-        durations = _coupled_durations(means, intervals, coeff)
-    raise NonConvergence(
-        f"makespan did not settle within {MAX_FIXED_POINT_ITERATIONS} iterations"
-    )
-
-
-def _coupled_durations(
-    means: Mapping[str, float],
-    intervals: Mapping[str, tuple[float, float]],
-    coeff: Mapping[str, Sequence[tuple[str, float]]],
-) -> dict[str, float]:
-    durations: dict[str, float] = {}
-    for uid, pairs in coeff.items():
-        own_start, own_end = intervals[uid]
-        own_len = own_end - own_start
-        coupled = 0.0
-        covered = 0.0
-        for other_uid, s in pairs:
-            other_start, other_end = intervals[other_uid]
-            lo = own_start if own_start > other_start else other_start
-            hi = own_end if own_end < other_end else other_end
-            if hi <= lo:
-                continue
-            delta = (hi - lo) / own_len
-            coupled += s * delta
-            covered += delta
-        durations[uid] = means[uid] * (1.0 + (coupled - covered))
-    return durations
+    at, steps, starts, ends, cost = _fixed_point(domain, plan, stats, synergy)
+    tasks = []
+    for k, _, _ in steps:
+        inst = domain.instances[at[k]]
+        tasks.append(
+            ScheduledTask(inst.spec_id, plan.assignment[inst.uid], TimeInterval(starts[k], ends[k]))
+        )
+    return PlanSchedule.from_tasks(tasks), cost
 
 
 def predict_makespan(
@@ -325,9 +361,11 @@ def predict_makespan(
     stats: StatsMap,
     synergy: SynergyMatrix,
 ) -> float:
-    """Predicted plan cost: the slower agent's finish time at the fixed point."""
-    _, makespan = predicted_schedule(domain, plan, stats, synergy)
-    return makespan
+    """Predicted plan cost: the slower agent's finish time at the fixed point.
+
+    Same value as predicted_schedule(...)[1], without building the schedule.
+    """
+    return _fixed_point(domain, plan, stats, synergy)[-1]
 
 
 def _all_linearizations(domain: PlanningDomain) -> Iterator[tuple[str, ...]]:
@@ -391,8 +429,9 @@ def optimize_plan(
     plans are evaluated.  Ties break on the lexicographic assignment vector,
     then the orderings, so the result is independent of evaluation order.
     Candidates whose fixed point fails to converge, or that put a task on an
-    agent without duration statistics, are skipped; MissingDuration is raised
-    only when no candidate could be evaluated and one of them lacked them.
+    agent without duration statistics, are skipped with one logged warning
+    that counts both; MissingDuration is raised only when no candidate could
+    be evaluated and one of them lacked them.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -417,21 +456,30 @@ def optimize_plan(
     best: CandidatePlan | None = None
     best_cost = math.inf
     best_key: tuple | None = None
-    skipped = 0
+    evaluated = 0
+    non_converged = 0
+    lacking = 0
     missing: MissingDuration | None = None
     for plan in candidates:
+        evaluated += 1
         try:
             cost = predict_makespan(domain, plan, stats, synergy)
         except NonConvergence:
-            skipped += 1
+            non_converged += 1
             continue
         except MissingDuration as exc:
-            skipped += 1
+            lacking += 1
             missing = missing or exc
             continue
         key = _plan_key(domain, plan)
         if cost < best_cost or (cost == best_cost and (best_key is None or key < best_key)):
             best, best_cost, best_key = plan, cost, key
+    skipped = non_converged + lacking
+    if skipped:
+        logger.warning(
+            "skipped %d of %d candidates: %d did not converge, %d lack duration statistics",
+            skipped, evaluated, non_converged, lacking,
+        )
     if best is None:
         if missing is not None:
             raise missing

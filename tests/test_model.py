@@ -178,6 +178,17 @@ class TestSynergyDuration:
         with pytest.raises(MissingDuration):
             synergy_agent_plan_duration(schedule, {}, SynergyMatrix.neutral(), R)
 
+    def test_zero_length_task_raises_only_against_counterpart_work(self):
+        stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 5)])
+        alone = _schedule(ScheduledTask("r1", R, TimeInterval(3, 3)))
+        assert synergy_agent_plan_duration(alone, stats, SynergyMatrix.neutral(), R) == 10.0
+        shared = _schedule(
+            ScheduledTask("r1", R, TimeInterval(3, 3)),
+            ScheduledTask("h1", H, TimeInterval(20, 30)),
+        )
+        with pytest.raises(ZeroDurationTask, match="zero duration"):
+            synergy_agent_plan_duration(shared, stats, SynergyMatrix.neutral(), R)
+
 
 class TestPlanCost:
     def test_max(self):

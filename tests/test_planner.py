@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 
+import numpy as np
 import pytest
 
 import tandem.planner as planner_mod
 from tandem.config import build_domain
-from tandem.errors import InfeasibleDomain, MissingDuration, NonConvergence
+from tandem.errors import InfeasibleDomain, InvalidProgram, MissingDuration, NonConvergence
 from tandem.model import (
     AgentId,
     DurationStats,
     SynergyEntry,
     SynergyMatrix,
+    plan_cost,
     stats_table,
 )
 from tandem.planner import (
@@ -200,6 +203,28 @@ class TestPredictMakespan:
         with pytest.raises(NonConvergence):
             predict_makespan(domain, plan, stats, SynergyMatrix.neutral())
 
+    @pytest.mark.parametrize(
+        "robot_lane, human_lane, message",
+        [
+            (("a",), (), "'b' appears in no ordering"),
+            (("a", "b", "a"), (), "'a' appears more than once"),
+            (("a", "b"), ("b",), "'b' ordered under human but assigned elsewhere"),
+            (("a", "b", "c"), (), "'c' in the robot ordering is not a domain task"),
+        ],
+        ids=["left_out", "listed_twice", "in_the_other_lane", "unknown"],
+    )
+    def test_rejects_malformed_orderings(self, robot_lane, human_lane, message):
+        domain = PlanningDomain(
+            (TaskInstance("a", "t", BOTH), TaskInstance("b", "t", BOTH)), ()
+        )
+        stats = _uniform_stats(domain, mean=10.0)
+        plan = CandidatePlan(
+            assignment={"a": R, "b": R, "c": R}, order={H: human_lane, R: robot_lane}
+        )
+        for predict in (predict_makespan, predicted_schedule):
+            with pytest.raises(InvalidProgram, match=message):
+                predict(domain, plan, stats, SynergyMatrix.neutral())
+
     def test_relabeling_tasks_does_not_change_the_cost(self):
         def build(prefix):
             instances = (
@@ -222,6 +247,196 @@ class TestPredictMakespan:
             predict_makespan(*build(prefix), stats, synergy) for prefix in ("", "zz_", "m")
         ]
         assert costs[0] == costs[1] == costs[2]
+
+
+def _serial_schedule(lanes, prereq, durations):
+    """Reference dispatch: rediscovers the order in every round."""
+    index = [0, 0]
+    free_at = [0.0, 0.0]
+    intervals = {}
+    remaining = sum(len(lane) for lane in lanes)
+    while remaining:
+        progressed = False
+        for li, lane in enumerate(lanes):
+            while index[li] < len(lane):
+                uid = lane[index[li]]
+                deps = prereq.get(uid, ())
+                if any(d not in intervals for d in deps):
+                    break
+                start = free_at[li]
+                for d in deps:
+                    start = max(start, intervals[d][1])
+                end = start + durations[uid]
+                intervals[uid] = (start, end)
+                free_at[li] = end
+                index[li] += 1
+                remaining -= 1
+                progressed = True
+        if not progressed:
+            raise InvalidProgram("cross-agent precedence deadlock in plan orderings")
+    return intervals
+
+
+def _coupled_durations(means, intervals, coeff):
+    """Reference coupled cost: every task against every counterpart task."""
+    durations = {}
+    for uid, pairs in coeff.items():
+        own_start, own_end = intervals[uid]
+        own_len = own_end - own_start
+        coupled = 0.0
+        covered = 0.0
+        for other_uid, s in pairs:
+            other_start, other_end = intervals[other_uid]
+            lo = own_start if own_start > other_start else other_start
+            hi = own_end if own_end < other_end else other_end
+            if hi <= lo:
+                continue
+            delta = (hi - lo) / own_len
+            coupled += s * delta
+            covered += delta
+        durations[uid] = means[uid] * (1.0 + (coupled - covered))
+    return durations
+
+
+def _reference_makespan(domain, plan, stats, synergy):
+    """The all-pairs O(n_h * n_r) fixed point that predict_makespan must equal bit for bit."""
+    spec_of = {inst.uid: inst.spec_id for inst in domain.instances}
+    means = {
+        inst.uid: stats[(inst.spec_id, plan.assignment[inst.uid])].mean
+        for inst in domain.instances
+    }
+    lanes = (plan.order.get(H, ()), plan.order.get(R, ()))
+    prereq = domain.prerequisites()
+    coeff = {}
+    for agent, own_lane, other_lane in ((H, lanes[0], lanes[1]), (R, lanes[1], lanes[0])):
+        for uid in own_lane:
+            coeff[uid] = [
+                (other, synergy.get(agent, spec_of[uid], spec_of[other]).coefficient)
+                for other in other_lane
+            ]
+    durations = dict(means)
+    previous = None
+    for _ in range(planner_mod.MAX_FIXED_POINT_ITERATIONS):
+        intervals = _serial_schedule(lanes, prereq, durations)
+        makespan = max(end for _, end in intervals.values())
+        if previous is not None and abs(makespan - previous) < planner_mod.MAKESPAN_TOL:
+            finish = [0.0, 0.0]
+            for li, lane in enumerate(lanes):
+                for uid in lane:
+                    finish[li] = max(finish[li], intervals[uid][1])
+            return plan_cost(finish[0], finish[1])
+        previous = makespan
+        durations = _coupled_durations(means, intervals, coeff)
+    raise NonConvergence("reference did not settle")
+
+
+def _random_problem(rng, coefficients=(0.3, 3.0)):
+    """Pick/place pairs and free tasks over a few specs, eligible to one or both agents.
+
+    Half the specs get whole-second means, so many intervals touch end to start.
+    """
+    n_specs = int(rng.integers(1, 6))
+    eligibility = (frozenset({H}), frozenset({R}), BOTH)
+
+    def instance(uid):
+        spec = f"s{int(rng.integers(n_specs))}"
+        return TaskInstance(uid, spec, eligibility[int(rng.integers(3))])
+
+    instances, precedence = [], []
+    for k in range(int(rng.integers(1, 7))):
+        instances += [instance(f"pick{k}"), instance(f"place{k}")]
+        precedence.append((f"pick{k}", f"place{k}"))
+    instances += [instance(f"free{k}") for k in range(int(rng.integers(0, 4)))]
+    stats = {}
+    for k in range(n_specs):
+        for agent in AgentId:
+            mean = float(rng.integers(1, 6)) if k % 2 else float(rng.uniform(0.5, 20.0))
+            stats[(f"s{k}", agent)] = DurationStats(f"s{k}", agent, mean, 0.0, 3)
+    low, high = coefficients
+    entries = {
+        agent: {
+            (f"s{i}", f"s{j}"): SynergyEntry(float(np.exp(rng.uniform(np.log(low), np.log(high)))))
+            for i in range(n_specs)
+            for j in range(n_specs)
+            if rng.random() < 0.7
+        }
+        for agent in AgentId
+    }
+    return PlanningDomain(tuple(instances), tuple(precedence)), stats, SynergyMatrix(entries)
+
+
+def _outcome(predict, *args):
+    try:
+        return predict(*args)
+    except NonConvergence:
+        return "NonConvergence"
+
+
+class TestKernelMatchesReference:
+    def test_bit_identical_to_all_pairs_fixed_point(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        outcomes = set()
+        for i in range(400):
+            domain, stats, synergy = _random_problem(rng)
+            plan = random_plan(domain, seed=i)
+            # A low round cap on every fourth plan makes NonConvergence
+            # common, and both must stop after the same round.
+            cap = int(rng.integers(2, 12)) if i % 4 == 0 else 100
+            monkeypatch.setattr(planner_mod, "MAX_FIXED_POINT_ITERATIONS", cap)
+            args = (domain, plan, stats, synergy)
+            want = _outcome(_reference_makespan, *args)
+            assert _outcome(predict_makespan, *args) == want
+            outcomes.add(type(want))
+            if want != "NonConvergence":
+                assert predicted_schedule(*args)[1] == want
+        assert outcomes == {float, str}  # both converged and non-convergent plans were checked
+
+    def test_every_round_matches_all_pairs_when_a_duration_turns_negative(self, monkeypatch):
+        # A coefficient near 1e-300 on a fully covered task makes its coupled
+        # duration a few ulps below zero, so its lane is no longer sorted by
+        # start.  Each round must still equal the all-pairs scan.
+        domain = PlanningDomain(
+            tuple(
+                TaskInstance(uid, "s0", BOTH)
+                for k in range(4)
+                for uid in (f"pick{k}", f"place{k}")
+            ),
+            tuple((f"pick{k}", f"place{k}") for k in range(4)),
+        )
+        plan = CandidatePlan(
+            assignment={"pick0": H, "place0": R, "pick1": H, "place1": R,
+                        "pick2": R, "place2": R, "pick3": H, "place3": R},
+            order={H: ("pick3", "pick1", "pick0"),
+                   R: ("place3", "pick2", "place2", "place1", "place0")},
+        )
+        stats = stats_table([
+            DurationStats("s0", H, 12.331150886924659, 0.0, 3),
+            DurationStats("s0", R, 18.85424340189191, 0.0, 3),
+        ])
+        synergy = SynergyMatrix({
+            H: {("s0", "s0"): SynergyEntry(0.7963305550166291)},
+            R: {("s0", "s0"): SynergyEntry(1.7086756255118798e-300)},
+        })
+        sweep = planner_mod.coupled_durations
+        unsorted_rounds = []
+
+        def checked(means, rows, own_start, own_end, other_start, other_end, sorted_lanes):
+            own = [("own", i) for i in range(len(means))]
+            other = [("other", j) for j in range(len(other_start))]
+            intervals = dict(zip(own, zip(own_start, own_end)))
+            intervals.update(zip(other, zip(other_start, other_end)))
+            coeff = {uid: list(zip(other, row)) for uid, row in zip(own, rows)}
+            want = _coupled_durations(dict(zip(own, means)), intervals, coeff)
+            got = sweep(means, rows, own_start, own_end, other_start, other_end, sorted_lanes)
+            assert got == [want[uid] for uid in own]
+            unsorted_rounds.append(not sorted_lanes)
+            return got
+
+        monkeypatch.setattr(planner_mod, "coupled_durations", checked)
+        assert _outcome(predict_makespan, domain, plan, stats, synergy) == _outcome(
+            _reference_makespan, domain, plan, stats, synergy
+        )
+        assert any(unsorted_rounds)
 
 
 def _brute_force_optimum(domain, stats, synergy):
@@ -358,3 +573,38 @@ class TestOptimizePlan:
     def test_empty_domain(self):
         plan = optimize_plan(PlanningDomain((), ()), {}, SynergyMatrix.neutral(), budget=5)
         assert plan.predicted_makespan == 0.0
+
+    def test_warns_once_with_skip_counts(self, monkeypatch, caplog):
+        domain = _pair_domain(2)
+        stats = _uniform_stats(domain)
+        del stats[("pick1", R)]
+        predict = planner_mod.predict_makespan
+        calls = []
+
+        def every_third_fails(*args):
+            calls.append(1)
+            if len(calls) % 3 == 0:
+                raise NonConvergence("forced")
+            return predict(*args)
+
+        monkeypatch.setattr(planner_mod, "predict_makespan", every_third_fails)
+        with caplog.at_level(logging.WARNING, logger="tandem.planner"):
+            optimize_plan(domain, stats, SynergyMatrix.neutral(), budget=30, seed=3)
+        lacking = sum(
+            random_plan(domain, seed=[3, i]).assignment["pick1"] is R
+            for i in range(30)
+            if (i + 1) % 3
+        )
+        assert lacking > 0
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.getMessage() == (
+            f"skipped {10 + lacking} of 30 candidates: "
+            f"10 did not converge, {lacking} lack duration statistics"
+        )
+
+    def test_no_warning_when_nothing_is_skipped(self, caplog):
+        domain = _pair_domain(2)
+        with caplog.at_level(logging.WARNING, logger="tandem.planner"):
+            optimize_plan(domain, _uniform_stats(domain), SynergyMatrix.neutral(), budget=30)
+        assert caplog.records == []
