@@ -20,6 +20,7 @@ from .estimator import (
     estimate_synergy_matrix,
     expected_duration,
     filter_outliers,
+    group_executions,
     solve_synergy,
 )
 from .model import (
@@ -91,6 +92,7 @@ __all__ = [
     "estimate_synergy_matrix",
     "expected_duration",
     "filter_outliers",
+    "group_executions",
     "interval_duration",
     "interval_intersection",
     "load_world_config",

@@ -7,6 +7,10 @@ A campaign run composes the whole pipeline against one store directory::
     tandem plan     --store runs/demo --budget 2000
     tandem report   --store runs/demo --out runs/demo/report
 
+``estimate`` reads the traces once, groups the successful executions by
+(task type, agent) and filters each group's outliers once; the kept
+executions give both the duration statistics and the synergy regressions.
+
 Every command is deterministic given its flags, config, and seed.  The store
 root defaults to the TANDEM_STORE environment variable, then ./tandem_store.
 """
@@ -22,9 +26,12 @@ from . import config as worldcfg
 from . import report as reporting
 from .errors import EmptyStore, MissingEstimates, TandemError
 from .estimator import (
+    ExecutionTrace,
+    Executions,
     estimate_synergy_matrix,
     expected_duration,
     filter_outliers,
+    group_executions,
 )
 from .model import (
     AgentId,
@@ -104,23 +111,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _duration_stats(store: Store, strategy: str) -> list[DurationStats]:
-    """Per (task type, agent) stats over successful executions, outliers removed."""
-    samples: dict[tuple[str, AgentId], list[float]] = {}
-    for trace in store.export_traces():
-        for rec in trace.records:
-            if not rec.success:
-                continue
-            samples.setdefault((rec.task_id, rec.agent), []).append(
-                interval_duration(rec.interval)
-            )
+def _kept_executions(
+    traces: list[ExecutionTrace], strategy: str
+) -> tuple[dict[tuple[str, AgentId], Executions], list[DurationStats]]:
+    """Executions left after one outlier filter per (task type, agent), and their stats.
+
+    The default strategy "none" keeps every execution: slow executions ARE
+    the coupling signal, and on low-noise data a Tukey fence tends to sit
+    right on the uncoupled mode and discard exactly the concurrent slowdowns.
+    """
+    kept: dict[tuple[str, AgentId], Executions] = {}
     stats = []
-    for (task_id, agent), values in samples.items():
+    for (task_id, agent), executions in group_executions(traces).items():
+        values = [interval_duration(rec.interval) for _, rec in executions]
         report = filter_outliers(values, strategy)
-        kept = [values[i] for i in report.kept]
-        mean, std, count = expected_duration(kept)
+        kept[(task_id, agent)] = [executions[i] for i in report.kept]
+        mean, std, count = expected_duration([values[i] for i in report.kept])
         stats.append(DurationStats(task_id=task_id, agent=agent, mean=mean, std=std, count=count))
-    return stats
+    return kept, stats
 
 
 def _task_lists(store: Store) -> tuple[list[str], list[str]]:
@@ -142,7 +150,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise EmptyStore(f"no task results in {store.root}; run `tandem simulate` first")
     human_ids, robot_ids = _task_lists(store)
 
-    stats = _duration_stats(store, args.outliers)
+    executions, stats = _kept_executions(store.export_traces(), args.outliers)
     store.upsert_many(
         "task_duration",
         [
@@ -158,10 +166,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         ],
     )
 
-    traces = store.export_traces()
-    matrix = estimate_synergy_matrix(
-        traces, stats_table(stats), human_ids, robot_ids, outlier_strategy=args.outliers
-    )
+    matrix = estimate_synergy_matrix(executions, stats_table(stats), human_ids, robot_ids)
     synergy_docs = []
     for agent, own_ids, other_ids in (
         (AgentId.ROBOT, robot_ids, human_ids),

@@ -8,7 +8,7 @@ class TandemError(Exception):
 
 
 class ZeroDurationTask(TandemError):
-    """A measured task interval has zero length where a positive one is required."""
+    """A task interval has zero or negative length where a positive one is required."""
 
 
 class MissingDuration(TandemError):

@@ -1,21 +1,24 @@
 """Estimation of task duration statistics and synergy coefficients from traces.
 
-For every task type executed by an agent, the measured durations of its past
-executions form the samples of a least-squares regression: the regressors are
-the overlap fractions against each of the other agent's task types (scaled by
-the task's expected duration) and the response is the measured duration minus
-the idle term, i.e. the part of the task window with no concurrent counterpart
-work valued at the nominal rate.  Solving the normal equations per task yields
-one row of the synergy matrix; a coefficient above 1 marks a pair of tasks
-that slow each other down when run concurrently.
+One scan over the traces groups the successful executions by (task type,
+agent), and the caller filters each group's outliers once; the kept
+executions feed both the duration statistics and the regressions.  For every
+task type executed by an agent, the measured durations of its kept executions
+form the samples of a least-squares regression: the regressors are the
+overlap fractions against each of the other agent's task types in the same
+run (scaled by the task's expected duration) and the response is the measured
+duration minus the idle term, i.e. the part of the task window with no
+concurrent counterpart work valued at the nominal rate.  Solving the normal
+equations per task yields one row of the synergy matrix; a coefficient above
+1 marks a pair of tasks that slow each other down when run concurrently.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -68,8 +71,7 @@ class ExecutionRecord:
 class ExecutionTrace:
     """All execution records of one plan run, both agents.
 
-    Records of the same agent must not overlap; idle segments are the gaps
-    between an agent's consecutive task intervals.
+    Records of the same agent must not overlap.
     """
 
     plan_id: str
@@ -91,24 +93,20 @@ class ExecutionTrace:
         lane.sort(key=lambda r: (r.interval.start, r.interval.end))
         return tuple(lane)
 
-    def idle_segments(self, agent: AgentId) -> tuple[TimeInterval, ...]:
-        """Gaps between the agent's consecutive task intervals."""
-        lane = self.for_agent(agent)
-        gaps = []
-        for prev, cur in zip(lane, lane[1:]):
-            if cur.interval.start - prev.interval.end > TIME_EPS:
-                gaps.append(TimeInterval(prev.interval.end, cur.interval.start))
-        return tuple(gaps)
+
+# Successful executions of one (task type, agent), each with its own run.  A
+# collections.abc alias: typing's would keep this module alive after a re-import.
+Executions = Sequence[tuple[ExecutionTrace, ExecutionRecord]]
 
 
 @dataclass(frozen=True)
 class RegressionProblem:
     """Per-task regression: response and design matrix over counterpart types.
 
-    Row k corresponds to the k-th execution of the own task (traces scanned in
-    order, records in trace order).  Column j corresponds to
-    ``column_labels[j]``; its entries are the expected own duration times the
-    overlap fraction against all instances of that counterpart type.
+    Row k corresponds to the k-th given execution of the own task.  Column j
+    corresponds to ``column_labels[j]``; its entries are the expected own
+    duration times the overlap fraction against all instances of that
+    counterpart type in the execution's run.
     """
 
     own_task_id: str
@@ -160,28 +158,6 @@ def expected_duration(samples: Sequence[float]) -> tuple[float, float, int]:
     return mean, math.sqrt(var), n
 
 
-def _iqr_filter(samples: Sequence[float]) -> tuple[list[int], list[int], dict[str, float]]:
-    q1, q3 = np.percentile(np.asarray(samples, dtype=float), [25.0, 75.0])
-    iqr = q3 - q1
-    lo = q1 - 1.5 * iqr
-    hi = q3 + 1.5 * iqr
-    kept, removed = [], []
-    for i, x in enumerate(samples):
-        (removed if (x < lo or x > hi) else kept).append(i)
-    return kept, removed, {"q1": float(q1), "q3": float(q3), "low": float(lo), "high": float(hi)}
-
-
-def _no_filter(samples: Sequence[float]) -> tuple[list[int], list[int], dict[str, float]]:
-    return list(range(len(samples))), [], {}
-
-
-# Pluggable filter strategies; each maps samples to (kept, removed, params).
-OUTLIER_STRATEGIES = {
-    "iqr": _iqr_filter,
-    "none": _no_filter,
-}
-
-
 def filter_outliers(samples: Sequence[float], strategy: str = "iqr") -> OutlierReport:
     """Partition sample indices into kept and removed under the named strategy.
 
@@ -191,28 +167,48 @@ def filter_outliers(samples: Sequence[float], strategy: str = "iqr") -> OutlierR
     """
     if len(samples) == 0:
         raise EmptySampleSet("cannot filter zero samples")
-    try:
-        fn = OUTLIER_STRATEGIES[strategy.lower()]
-    except KeyError:
-        raise ValueError(f"unknown outlier strategy {strategy!r}") from None
-    kept, removed, params = fn(samples)
-    return OutlierReport(tuple(kept), tuple(removed), strategy.lower(), params)
+    name = strategy.lower()
+    if name == "none":
+        return OutlierReport(tuple(range(len(samples))), (), name, {})
+    if name != "iqr":
+        raise ValueError(f"unknown outlier strategy {strategy!r}")
+    q1, q3 = np.percentile(np.asarray(samples, dtype=float), [25.0, 75.0])
+    iqr = q3 - q1
+    lo = q1 - 1.5 * iqr
+    hi = q3 + 1.5 * iqr
+    kept, removed = [], []
+    for i, x in enumerate(samples):
+        (removed if (x < lo or x > hi) else kept).append(i)
+    params = {"q1": float(q1), "q3": float(q3), "low": float(lo), "high": float(hi)}
+    return OutlierReport(tuple(kept), tuple(removed), name, params)
 
 
-def _own_executions(
-    traces: Sequence[ExecutionTrace], task_id: str, agent: AgentId
-) -> list[tuple[ExecutionTrace, ExecutionRecord]]:
-    """All successful executions of (task_id, agent), in trace then record order."""
-    out = []
+def group_executions(
+    traces: Sequence[ExecutionTrace],
+) -> dict[tuple[str, AgentId], list[tuple[ExecutionTrace, ExecutionRecord]]]:
+    """Successful executions by (task type, agent), in one scan of the traces.
+
+    Groups come in order of first appearance; a group keeps trace then record
+    order.  A record of non-positive duration can be neither a duration sample
+    nor a regression row: it is skipped, and one warning counts the skips.
+    """
+    groups: dict[tuple[str, AgentId], list[tuple[ExecutionTrace, ExecutionRecord]]] = {}
+    skipped = 0
     for trace in traces:
         for rec in trace.records:
-            if rec.task_id == task_id and rec.agent is agent and rec.success:
-                out.append((trace, rec))
-    return out
+            if not rec.success:
+                continue
+            if interval_duration(rec.interval) <= 0.0:
+                skipped += 1
+                continue
+            groups.setdefault((rec.task_id, rec.agent), []).append((trace, rec))
+    if skipped:
+        logger.warning("skipped %d successful records of non-positive duration", skipped)
+    return groups
 
 
 def build_regression(
-    traces: Sequence[ExecutionTrace],
+    executions: Executions,
     own_task_id: str,
     own_agent: AgentId,
     stats: StatsMap,
@@ -220,12 +216,12 @@ def build_regression(
 ) -> RegressionProblem:
     """Assemble the regression problem for one own task against counterpart types.
 
-    One row per successful execution of the own task (traces scanned in order,
-    records in trace order).  Design entry (k, j) is the expected own duration
-    times the overlap fraction of execution k against every instance of
-    counterpart type j in the same run; multiple instances of one type sum
-    into the same column.  The response is the measured duration minus the
-    idle term: the uncovered fraction of the task valued at the expected rate.
+    One row per given execution of the own task, in the given order.  Design
+    entry (k, j) is the expected own duration times the overlap fraction of
+    execution k against every instance of counterpart type j in execution k's
+    own run; multiple instances of one type sum into the same column.  The
+    response is the measured duration minus the idle term: the uncovered
+    fraction of the task valued at the expected rate.
     """
     key = (own_task_id, own_agent)
     if key not in stats:
@@ -237,7 +233,7 @@ def build_regression(
 
     rows: list[list[float]] = []
     response: list[float] = []
-    for trace, rec in _own_executions(traces, own_task_id, own_agent):
+    for trace, rec in executions:
         deltas = [0.0] * m
         for other in trace.records:
             if other.agent is not counterpart_agent or not other.success:
@@ -309,24 +305,19 @@ def solve_synergy(problem: RegressionProblem) -> SynergyFit:
 
 
 def estimate_synergy_matrix(
-    traces: Sequence[ExecutionTrace],
+    executions: Mapping[tuple[str, AgentId], Executions],
     stats: StatsMap,
     human_task_ids: Sequence[str],
     robot_task_ids: Sequence[str],
-    outlier_strategy: str = "none",
 ) -> SynergyMatrix:
-    """Estimate both agents' synergy matrices from a trace set.
+    """Estimate both agents' synergy matrices from grouped executions.
 
-    Per own task: its measured durations are outlier-filtered, the surviving
-    executions form the regression rows, and the solved coefficients fill one
-    matrix row.  A task with no statistics or no usable executions keeps the
-    neutral defaults for its whole row (sample_count 0 marks the entries as
-    unobserved); estimation never aborts because of a single task.
-
-    Filtering defaults to off: slow executions ARE the coupling signal, and
-    on low-noise data a Tukey fence tends to sit right on the uncoupled mode
-    and discard exactly the concurrent-slowdown samples.  Pass "iqr" to trim
-    genuinely noisy duration measurements.
+    ``executions`` maps (task type, agent) to the executions that survived
+    outlier filtering (see ``group_executions``).  Per own task they form the
+    regression rows, and the solved coefficients fill one matrix row.  A task
+    with no statistics or no executions keeps the neutral defaults for its
+    whole row (sample_count 0 marks the entries as unobserved); estimation
+    never aborts because of a single task.
     """
     entries: dict[AgentId, dict[tuple[str, str], SynergyEntry]] = {
         AgentId.HUMAN: {},
@@ -338,39 +329,28 @@ def estimate_synergy_matrix(
     )
     for own_agent, own_ids, counterpart_ids in sides:
         for own_id in own_ids:
-            row = _estimate_row(traces, own_id, own_agent, stats, counterpart_ids, outlier_strategy)
+            kept = executions.get((own_id, own_agent), ())
+            row = _estimate_row(kept, own_id, own_agent, stats, counterpart_ids)
             for counterpart_id, entry in zip(counterpart_ids, row):
                 entries[own_agent][(own_id, counterpart_id)] = entry
     return SynergyMatrix(entries)
 
 
 def _estimate_row(
-    traces: Sequence[ExecutionTrace],
+    executions: Executions,
     own_id: str,
     own_agent: AgentId,
     stats: StatsMap,
     counterpart_ids: Sequence[str],
-    outlier_strategy: str,
 ) -> list[SynergyEntry]:
-    neutral_row = [SynergyEntry() for _ in counterpart_ids]
-    executions = _own_executions(traces, own_id, own_agent)
     if not executions or (own_id, own_agent) not in stats:
         if not executions:
             logger.warning("no executions of %s/%s; keeping neutral row", own_id, own_agent.value)
         else:
             logger.warning("no statistics for %s/%s; keeping neutral row", own_id, own_agent.value)
-        return neutral_row
+        return [SynergyEntry() for _ in counterpart_ids]
 
-    durations = [interval_duration(rec.interval) for _, rec in executions]
-    report = filter_outliers(durations, outlier_strategy)
-    filtered = _drop_executions(traces, executions, set(report.kept))
-
-    try:
-        problem = build_regression(filtered, own_id, own_agent, stats, counterpart_ids)
-    except NoSamples:
-        logger.warning("all executions of %s/%s filtered out; keeping neutral row", own_id, own_agent.value)
-        return neutral_row
-    fit = solve_synergy(problem)
+    fit = solve_synergy(build_regression(executions, own_id, own_agent, stats, counterpart_ids))
     row = []
     for j in range(len(counterpart_ids)):
         if fit.sample_counts[j] == 0:
@@ -384,33 +364,3 @@ def _estimate_row(
                 )
             )
     return row
-
-
-def _drop_executions(
-    traces: Sequence[ExecutionTrace],
-    executions: Sequence[tuple[ExecutionTrace, ExecutionRecord]],
-    kept: set[int],
-) -> Sequence[ExecutionTrace]:
-    """Remove outlier executions as regression samples.
-
-    The dropped records are marked failed in rebuilt traces, which excludes
-    them as own-task rows while the rest of the run stays intact.  They only
-    appear in the regression of their own task, so no counterpart overlap of
-    another task is affected.
-    """
-    dropped = {id(rec) for k, (_, rec) in enumerate(executions) if k not in kept}
-    if not dropped:
-        return traces
-    rebuilt = []
-    for trace in traces:
-        if any(id(rec) in dropped for rec in trace.records):
-            records = tuple(
-                rec
-                if id(rec) not in dropped
-                else ExecutionRecord(rec.plan_id, rec.task_id, rec.agent, rec.interval, success=False)
-                for rec in trace.records
-            )
-            rebuilt.append(ExecutionTrace(trace.plan_id, records))
-        else:
-            rebuilt.append(trace)
-    return rebuilt

@@ -9,10 +9,11 @@ are iterated to a fixed point under the synergy coupling.
 
 The dispatch order depends only on the orderings and the precedence, so it
 is computed once per plan, together with the well-formedness and deadlock
-checks.  Each round then replays it in one linear pass, and a two-pointer
-sweep over the two start-sorted lanes (``model.coupled_durations``) rescales
-the durations.  The result equals, bit for bit, an all-pairs O(n_h * n_r)
-scan of the same formula; the tests keep that scan as their reference.
+checks that ``validate_plan`` runs.  Each round then replays it in one
+linear pass, and a two-pointer sweep over the two start-sorted lanes
+(``model.coupled_durations``) rescales the durations.  The result equals,
+bit for bit, an all-pairs O(n_h * n_r) scan of the same formula; the tests
+keep that scan as their reference.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
     InvalidProgram,
     MissingDuration,
     NonConvergence,
+    ZeroDurationTask,
 )
 from .model import (
     NEUTRAL_SYNERGY,
@@ -105,6 +107,10 @@ class PlanningDomain:
         return {inst.uid: i for i, inst in enumerate(self.instances)}
 
     @functools.cached_property
+    def _eligible_by_value(self) -> tuple[tuple[AgentId, ...], ...]:
+        return tuple(tuple(sorted(inst.eligible, key=lambda a: a.value)) for inst in self.instances)
+
+    @functools.cached_property
     def _prereq_positions(self) -> tuple[tuple[int, ...], ...]:
         prereq = self.prerequisites()
         return tuple(
@@ -128,33 +134,15 @@ class CandidatePlan:
 
 
 def validate_plan(domain: PlanningDomain, plan: CandidatePlan) -> None:
-    """Independent well-formedness check used by the planner's own tests.
+    """Raise InvalidProgram unless the plan is well formed.
 
-    Verifies that every instance is assigned to exactly one eligible agent,
-    appears exactly once in that agent's ordering, and that every same-agent
-    precedence pair is ordered correctly.
+    This is the check every prediction runs first: each instance is assigned
+    to an eligible agent and listed once, in that agent's ordering; the
+    assignment names no other task; and the orderings do not deadlock, which
+    also rejects a same-lane ordering that puts a task before its
+    prerequisite.
     """
-    uids = {inst.uid for inst in domain.instances}
-    if set(plan.assignment) != uids:
-        raise InvalidProgram("assignment does not cover the domain's instances exactly")
-    for inst in domain.instances:
-        agent = plan.assignment[inst.uid]
-        if agent not in inst.eligible:
-            raise InvalidProgram(f"{inst.uid!r} assigned to ineligible agent {agent.value}")
-    placed = []
-    for agent in AgentId:
-        lane = plan.order.get(agent, ())
-        for uid in lane:
-            if plan.assignment.get(uid) is not agent:
-                raise InvalidProgram(f"{uid!r} ordered under {agent.value} but assigned elsewhere")
-        placed.extend(lane)
-    if sorted(placed) != sorted(uids):
-        raise InvalidProgram("orderings do not cover the assignment exactly")
-    position = {uid: i for agent in AgentId for i, uid in enumerate(plan.order.get(agent, ()))}
-    for before, after in domain.precedence:
-        if plan.assignment[before] is plan.assignment[after]:
-            if position[before] > position[after]:
-                raise InvalidProgram(f"{after!r} ordered before its prerequisite {before!r}")
+    _dispatch_order(domain, plan)
 
 
 def _pairs_are_disjoint(precedence: Sequence[tuple[str, str]]) -> bool:
@@ -209,8 +197,7 @@ def random_plan(domain: PlanningDomain, seed) -> CandidatePlan:
             raise InfeasibleDomain(f"task {inst.uid!r} has no eligible agent")
     rng = np.random.default_rng(seed)
     assignment: dict[str, AgentId] = {}
-    for inst in domain.instances:
-        choices = sorted(inst.eligible, key=lambda a: a.value)
+    for inst, choices in zip(domain.instances, domain._eligible_by_value):
         assignment[inst.uid] = choices[int(rng.integers(len(choices)))]
     linear = _random_linearization(domain, rng)
     order = {
@@ -219,20 +206,17 @@ def random_plan(domain: PlanningDomain, seed) -> CandidatePlan:
     return CandidatePlan(assignment=assignment, order=order)
 
 
-def _fixed_point(
-    domain: PlanningDomain,
-    plan: CandidatePlan,
-    stats: StatsMap,
-    synergy: SynergyMatrix,
-) -> tuple[list[int], list[tuple[int, int, tuple[int, ...]]], list[float], list[float], float]:
-    """Coupled-duration fixed point of a plan, over lane-major task slots.
+def _dispatch_order(
+    domain: PlanningDomain, plan: CandidatePlan
+) -> tuple[list[int], list[int], int, list[tuple[int, int, tuple[int, ...]]]]:
+    """Lane-major task slots of a plan and the order they dispatch in.
 
-    Slot k < len(human lane) is the human lane's k-th task; the robot lane
-    follows.  Returns (domain position of each slot, dispatch steps, starts,
-    ends, plan cost).  Each dispatch step is (slot, slot of the previous task
+    Slot k < n_human is the human lane's k-th task; the robot lane follows.
+    Returns (domain position of each slot, slot of each domain position,
+    n_human, dispatch steps).  Each step is (slot, slot of the previous task
     in its lane or the sentinel len(slots), slots of its prerequisites); the
-    order depends only on the lanes and the precedence, so it is found once
-    and every round replays it.
+    order depends only on the lanes and the precedence.  Raises
+    InvalidProgram for any plan that validate_plan rejects.
     """
     position = domain._position
     lanes = (plan.order.get(AgentId.HUMAN, ()), plan.order.get(AgentId.ROBOT, ()))
@@ -248,21 +232,17 @@ def _fixed_point(
                 raise InvalidProgram(f"{uid!r} appears more than once in the orderings")
             if plan.assignment.get(uid) is not agent:
                 raise InvalidProgram(f"{uid!r} ordered under {agent.value} but assigned elsewhere")
+            if agent not in domain.instances[pos].eligible:
+                raise InvalidProgram(f"{uid!r} assigned to ineligible agent {agent.value}")
             slot_of[pos] = len(at)
             at.append(pos)
     if len(at) != n:
         missing = next(inst.uid for inst, slot in zip(domain.instances, slot_of) if slot < 0)
         raise InvalidProgram(f"{missing!r} appears in no ordering")
-    if not n:
-        return at, [], [], [], 0.0
-
-    means = [0.0] * n
-    for pos, inst in enumerate(domain.instances):
-        agent = plan.assignment[inst.uid]
-        key = (inst.spec_id, agent)
-        if key not in stats:
-            raise MissingDuration(inst.spec_id, agent)
-        means[slot_of[pos]] = stats[key].mean
+    # Every instance is assigned to the agent of its lane by now, so any
+    # further key names a task outside the domain.
+    if len(plan.assignment) != n:
+        raise InvalidProgram("assignment does not cover the domain's instances exactly")
 
     n_human = len(lanes[0])
     prereq = domain._prereq_positions
@@ -282,6 +262,33 @@ def _fixed_point(
             cursor[li] = k
         if len(steps) == dispatched:
             raise InvalidProgram("cross-agent precedence deadlock in plan orderings")
+    return at, slot_of, n_human, steps
+
+
+def _fixed_point(
+    domain: PlanningDomain,
+    plan: CandidatePlan,
+    stats: StatsMap,
+    synergy: SynergyMatrix,
+) -> tuple[list[int], list[tuple[int, int, tuple[int, ...]]], list[float], list[float], float]:
+    """Coupled-duration fixed point of a plan, over lane-major task slots.
+
+    Returns (domain position of each slot, dispatch steps, starts, ends, plan
+    cost), with slots and steps as in _dispatch_order; the dispatch order is
+    found once and every round replays it.
+    """
+    at, slot_of, n_human, steps = _dispatch_order(domain, plan)
+    n = len(at)
+    if not n:
+        return at, [], [], [], 0.0
+
+    means = [0.0] * n
+    for pos, inst in enumerate(domain.instances):
+        agent = plan.assignment[inst.uid]
+        key = (inst.spec_id, agent)
+        if key not in stats:
+            raise MissingDuration(inst.spec_id, agent)
+        means[slot_of[pos]] = stats[key].mean
 
     # Coefficient rows against the counterpart lane, one per own spec.
     specs = [domain.instances[pos].spec_id for pos in at]
@@ -342,13 +349,18 @@ def predicted_schedule(
     Durations start at each task's expected value; the schedule they induce
     determines overlap fractions, which rescale the durations, until the
     makespan moves by less than MAKESPAN_TOL between rounds.  Raises
-    InvalidProgram unless every instance appears exactly once, in the
-    ordering of its assigned agent, and the orderings do not deadlock.
+    InvalidProgram for a plan that validate_plan rejects, and
+    ZeroDurationTask when a coupled duration ends up negative, which takes a
+    coefficient far below the estimator's floor on a fully covered task.
     """
     at, steps, starts, ends, cost = _fixed_point(domain, plan, stats, synergy)
     tasks = []
     for k, _, _ in steps:
         inst = domain.instances[at[k]]
+        if ends[k] < starts[k]:
+            raise ZeroDurationTask(
+                f"coupled duration of {inst.uid!r} is negative: {ends[k] - starts[k]!r} s"
+            )
         tasks.append(
             ScheduledTask(inst.spec_id, plan.assignment[inst.uid], TimeInterval(starts[k], ends[k]))
         )
@@ -398,9 +410,8 @@ def _count_linearizations(domain: PlanningDomain, limit: int) -> int | None:
 
 
 def _enumerate_plans(domain: PlanningDomain) -> Iterator[CandidatePlan]:
-    eligible_lists = [sorted(inst.eligible, key=lambda a: a.value) for inst in domain.instances]
     uids = [inst.uid for inst in domain.instances]
-    for combo in itertools.product(*eligible_lists):
+    for combo in itertools.product(*domain._eligible_by_value):
         assignment = dict(zip(uids, combo))
         for linear in _all_linearizations(domain):
             order = {

@@ -22,6 +22,7 @@ from tandem.estimator import (
     RegressionProblem,
     build_regression,
     filter_outliers,
+    group_executions,
     solve_synergy,
 )
 from tandem.model import (
@@ -93,7 +94,8 @@ def test_criterion_2_noise_free_synergy_recovery():
         traces.append(ExecutionTrace(f"p{k}", tuple(records)))
 
     stats = stats_table([DurationStats("own", R, d_hat, 0.0, 40)])
-    problem = build_regression(traces, "own", R, stats, [f"h{j}" for j in range(4)])
+    executions = group_executions(traces)[("own", R)]
+    problem = build_regression(executions, "own", R, stats, [f"h{j}" for j in range(4)])
     fit = solve_synergy(problem)
     assert np.all(np.abs(fit.coefficients - s_true) <= 1e-9), fit.coefficients
     print("\nACCEPTANCE 2 (noise-free recovery of 0.8/1.0/1.5/2.0 within 1e-9): PASS")

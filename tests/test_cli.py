@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import filecmp
+import json
+import logging
 
 import pytest
 
@@ -125,6 +127,30 @@ class TestEstimate:
         assert human_rows, "human rows must exist even without human records"
         assert all(doc["coefficient"] == 1.0 for doc in human_rows)
         assert all(doc["sample_count"] == 0 for doc in human_rows)
+
+
+    def test_zero_length_record_is_skipped_with_a_warning(self, tmp_path, caplog):
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        for store_dir in (good, bad):
+            assert _run("simulate", "--store", store_dir, "--plans", 3, "--seed", 4) == 0
+        path = bad / "task_results.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        doc = json.loads(lines[7])
+        doc["end"] = doc["start"]
+        lines[7] = json.dumps(doc) + "\n"
+        path.write_text("".join(lines))
+
+        assert _run("estimate", "--store", good) == 0
+        with caplog.at_level(logging.WARNING, logger="tandem.estimator"):
+            assert _run("estimate", "--store", bad) == 0
+        assert "skipped 1 successful records of non-positive duration" in caplog.messages
+        before = {d["id"]: d for d in Store(good).query("task_duration")}
+        after = {d["id"]: d for d in Store(bad).query("task_duration")}
+        edited = f"{doc['task_id']}:{doc['agent']}"
+        assert after.keys() == before.keys()
+        assert after[edited]["count"] == before[edited]["count"] - 1
+        del before[edited], after[edited]
+        assert after == before
 
 
 class TestCorruptStore:

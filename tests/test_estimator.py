@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tandem import cli
+from tandem.config import build_domain, load_world_config
 from tandem.errors import (
     EmptyProblem,
     EmptySampleSet,
@@ -15,6 +18,7 @@ from tandem.errors import (
     NoSamples,
 )
 from tandem.estimator import (
+    COEFFICIENT_FLOOR,
     ExecutionRecord,
     ExecutionTrace,
     RegressionProblem,
@@ -22,9 +26,21 @@ from tandem.estimator import (
     estimate_synergy_matrix,
     expected_duration,
     filter_outliers,
+    group_executions,
     solve_synergy,
 )
-from tandem.model import AgentId, DurationStats, TimeInterval, stats_table
+from tandem.model import (
+    AgentId,
+    DurationStats,
+    SynergyEntry,
+    SynergyMatrix,
+    TimeInterval,
+    interval_duration,
+    overlap_ratio,
+    stats_table,
+)
+from tandem.planner import random_plan
+from tandem.simulator import program_from_plan, simulate_plan
 
 H, R = AgentId.HUMAN, AgentId.ROBOT
 
@@ -99,6 +115,11 @@ def _rec(plan_id, task_id, agent, start, end, success=True):
     return ExecutionRecord(plan_id, task_id, agent, TimeInterval(start, end), success)
 
 
+def _rows(traces, task_id, agent):
+    """Successful executions of one task type, as `tandem estimate` groups them."""
+    return group_executions(traces).get((task_id, agent), [])
+
+
 class TestTraceTypes:
     def test_successful_record_needs_interval(self):
         with pytest.raises(ValueError):
@@ -112,23 +133,13 @@ class TestTraceTypes:
         with pytest.raises(ValueError):
             _trace("p", _rec("p", "a", R, 0, 6), _rec("p", "b", R, 5, 9))
 
-    def test_idle_segments(self):
-        trace = _trace(
-            "p",
-            _rec("p", "a", R, 0, 4),
-            _rec("p", "b", R, 6, 9),
-            _rec("p", "c", H, 1, 2),
-        )
-        assert trace.idle_segments(R) == (TimeInterval(4, 6),)
-        assert trace.idle_segments(H) == ()
-
 
 class TestBuildRegression:
     def test_single_trace_row(self):
         # own robot task measured [0, 14]; human task h1 covers [0, 8].
         trace = _trace("p", _rec("p", "r1", R, 0, 14), _rec("p", "h1", H, 0, 8))
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 4)])
-        problem = build_regression([trace], "r1", R, stats, ["h1"])
+        problem = build_regression(_rows([trace], "r1", R), "r1", R, stats, ["h1"])
         delta = 8.0 / 14.0
         assert problem.design.shape == (1, 1)
         assert problem.design[0, 0] == pytest.approx(10.0 * delta, rel=1e-12)
@@ -138,7 +149,7 @@ class TestBuildRegression:
     def test_row_without_overlap(self):
         trace = _trace("p", _rec("p", "r1", R, 0, 9), _rec("p", "h1", H, 20, 25))
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 4)])
-        problem = build_regression([trace], "r1", R, stats, ["h1"])
+        problem = build_regression(_rows([trace], "r1", R), "r1", R, stats, ["h1"])
         assert problem.design[0, 0] == 0.0
         assert problem.response[0] == pytest.approx(9.0 - 10.0)
 
@@ -150,7 +161,7 @@ class TestBuildRegression:
             _rec("p", "h1", H, 5, 9),
         )
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 4)])
-        problem = build_regression([trace], "r1", R, stats, ["h1"])
+        problem = build_regression(_rows([trace], "r1", R), "r1", R, stats, ["h1"])
         assert problem.design[0, 0] == pytest.approx(10.0 * (0.3 + 0.4), rel=1e-12)
 
     def test_failed_records_are_skipped(self):
@@ -161,26 +172,26 @@ class TestBuildRegression:
             _rec("p", "h1", H, 0, 10),
         )
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 4)])
-        problem = build_regression([trace], "r1", R, stats, ["h1"])
+        problem = build_regression(_rows([trace], "r1", R), "r1", R, stats, ["h1"])
         assert problem.n_samples == 1
 
     def test_design_rows_are_bounded_by_expected_duration(self):
         traces = _synthetic_traces([1.3, 0.7, 1.9], d_hat=12.0, n_rows=20, seed=17)
         stats = stats_table([DurationStats("r1", R, 12.0, 0.0, 20)])
-        problem = build_regression(traces, "r1", R, stats, ["h0", "h1", "h2"])
+        problem = build_regression(_rows(traces, "r1", R), "r1", R, stats, ["h0", "h1", "h2"])
         assert np.all(problem.design >= 0.0)
         assert np.all(problem.design.sum(axis=1) <= 12.0 + 1e-9)
 
     def test_missing_stats(self):
         trace = _trace("p", _rec("p", "r1", R, 0, 10))
         with pytest.raises(MissingDuration):
-            build_regression([trace], "r1", R, {}, ["h1"])
+            build_regression(_rows([trace], "r1", R), "r1", R, {}, ["h1"])
 
     def test_no_samples(self):
         trace = _trace("p", _rec("p", "other", R, 0, 10))
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 4)])
         with pytest.raises(NoSamples):
-            build_regression([trace], "r1", R, stats, ["h1"])
+            build_regression(_rows([trace], "r1", R), "r1", R, stats, ["h1"])
 
 
 def _problem(X, y, labels=None):
@@ -266,7 +277,7 @@ class TestEstimateSynergyMatrix:
         s_true = [2.0, 0.5, 1.0]
         traces = _synthetic_traces(s_true)
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, len(traces))])
-        matrix = estimate_synergy_matrix(traces, stats, ["h0", "h1", "h2"], ["r1"])
+        matrix = estimate_synergy_matrix(group_executions(traces), stats, ["h0", "h1", "h2"], ["r1"])
         for j, expected in enumerate(s_true):
             entry = matrix.get(R, "r1", f"h{j}")
             assert entry.coefficient == pytest.approx(expected, abs=1e-9)
@@ -279,7 +290,7 @@ class TestEstimateSynergyMatrix:
         stats = stats_table(
             [DurationStats("r1", R, 10.0, 0.0, 1), DurationStats("h1", H, 8.0, 0.0, 1)]
         )
-        matrix = estimate_synergy_matrix(traces, stats, ["h1"], ["r1"])
+        matrix = estimate_synergy_matrix(group_executions(traces), stats, ["h1"], ["r1"])
         for agent, own, other in ((R, "r1", "h1"), (H, "h1", "r1")):
             entry = matrix.get(agent, own, other)
             assert entry.coefficient == 1.0
@@ -292,21 +303,21 @@ class TestEstimateSynergyMatrix:
         stats = stats_table(
             [DurationStats("r1", R, 10.0, 0.0, 1), DurationStats("h1", H, 4.0, 0.0, 1)]
         )
-        matrix = estimate_synergy_matrix(traces, stats, ["h1"], ["r1"])
+        matrix = estimate_synergy_matrix(group_executions(traces), stats, ["h1"], ["r1"])
         assert matrix.get(R, "r1", "h1").sample_count == 1
         assert matrix.get(H, "h1", "r1").sample_count == 1
 
     def test_missing_side_defaults_without_aborting(self):
         traces = [_trace("p", _rec("p", "r1", R, 0, 10))]
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 1)])
-        matrix = estimate_synergy_matrix(traces, stats, ["h1"], ["r1"])
+        matrix = estimate_synergy_matrix(group_executions(traces), stats, ["h1"], ["r1"])
         assert matrix.get(H, "h1", "r1").sample_count == 0
 
     def test_deterministic(self):
         traces = _synthetic_traces([1.4, 0.9], seed=7)
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, len(traces))])
-        first = estimate_synergy_matrix(traces, stats, ["h0", "h1"], ["r1"])
-        second = estimate_synergy_matrix(traces, stats, ["h0", "h1"], ["r1"])
+        first = estimate_synergy_matrix(group_executions(traces), stats, ["h0", "h1"], ["r1"])
+        second = estimate_synergy_matrix(group_executions(traces), stats, ["h0", "h1"], ["r1"])
         assert first == second
 
     def test_iqr_strategy_drops_planted_outlier_rows(self):
@@ -314,6 +325,137 @@ class TestEstimateSynergyMatrix:
         # One corrupted run: duration far outside anything the model produces.
         traces.append(_trace("bad", _rec("bad", "r1", R, 0.0, 500.0)))
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 31)])
-        clean = estimate_synergy_matrix(traces, stats, ["h0", "h1"], ["r1"], outlier_strategy="iqr")
+        kept, _ = cli._kept_executions(traces, "iqr")
+        clean = estimate_synergy_matrix(kept, stats, ["h0", "h1"], ["r1"])
         for j in range(2):
             assert clean.get(R, "r1", f"h{j}").coefficient == pytest.approx(1.0, abs=1e-6)
+
+
+# The filter-twice estimate path that the single group-and-filter pass
+# replaced: durations filtered per task type for the statistics, then again
+# for each regression, with the dropped executions marked failed in rebuilt
+# traces that the regression rescans.  Kept as the reference the single pass
+# must equal.
+
+
+def _reference_duration_stats(traces, strategy):
+    samples = {}
+    for trace in traces:
+        for rec in trace.records:
+            if not rec.success:
+                continue
+            samples.setdefault((rec.task_id, rec.agent), []).append(
+                interval_duration(rec.interval)
+            )
+    stats = []
+    for (task_id, agent), values in samples.items():
+        report = filter_outliers(values, strategy)
+        kept = [values[i] for i in report.kept]
+        mean, std, count = expected_duration(kept)
+        stats.append(DurationStats(task_id=task_id, agent=agent, mean=mean, std=std, count=count))
+    return stats
+
+
+def _reference_own_executions(traces, task_id, agent):
+    return [
+        (trace, rec)
+        for trace in traces
+        for rec in trace.records
+        if rec.task_id == task_id and rec.agent is agent and rec.success
+    ]
+
+
+def _reference_build_regression(traces, own_task_id, own_agent, stats, counterpart_tasks):
+    d_hat = stats[(own_task_id, own_agent)].mean
+    columns = {task_id: j for j, task_id in enumerate(counterpart_tasks)}
+    m = len(counterpart_tasks)
+    rows, response = [], []
+    for trace, rec in _reference_own_executions(traces, own_task_id, own_agent):
+        deltas = [0.0] * m
+        for other in trace.records:
+            if other.agent is not own_agent.counterpart or not other.success:
+                continue
+            j = columns.get(other.task_id)
+            if j is not None:
+                deltas[j] += overlap_ratio(rec.interval, other.interval)
+        covered = math.fsum(deltas)
+        rows.append([d_hat * d for d in deltas])
+        response.append(interval_duration(rec.interval) - d_hat * (1.0 - covered))
+    return RegressionProblem(
+        own_task_id,
+        own_agent,
+        np.asarray(response, dtype=float),
+        np.asarray(rows, dtype=float).reshape(len(rows), m),
+        tuple(counterpart_tasks),
+    )
+
+
+def _reference_drop_executions(traces, executions, kept):
+    dropped = {id(rec) for k, (_, rec) in enumerate(executions) if k not in kept}
+    rebuilt = []
+    for trace in traces:
+        records = tuple(
+            rec
+            if id(rec) not in dropped
+            else ExecutionRecord(rec.plan_id, rec.task_id, rec.agent, rec.interval, success=False)
+            for rec in trace.records
+        )
+        rebuilt.append(ExecutionTrace(trace.plan_id, records))
+    return rebuilt
+
+
+def _reference_synergy_matrix(traces, stats, human_ids, robot_ids, strategy):
+    entries = {H: {}, R: {}}
+    for own_agent, own_ids, counterpart_ids in ((R, robot_ids, human_ids), (H, human_ids, robot_ids)):
+        for own_id in own_ids:
+            row = [SynergyEntry() for _ in counterpart_ids]
+            executions = _reference_own_executions(traces, own_id, own_agent)
+            if executions and (own_id, own_agent) in stats:
+                durations = [interval_duration(rec.interval) for _, rec in executions]
+                kept = set(filter_outliers(durations, strategy).kept)
+                filtered = _reference_drop_executions(traces, executions, kept)
+                fit = solve_synergy(
+                    _reference_build_regression(filtered, own_id, own_agent, stats, counterpart_ids)
+                )
+                for j, count in enumerate(fit.sample_counts):
+                    if count:
+                        coefficient = max(float(fit.coefficients[j]), COEFFICIENT_FLOOR)
+                        row[j] = SynergyEntry(coefficient, float(fit.std_errors[j]), count)
+            entries[own_agent].update(zip(((own_id, c) for c in counterpart_ids), row))
+    return SynergyMatrix(entries)
+
+
+def _campaign(cfg, seed, n_plans):
+    domain = build_domain(cfg)
+    traces = []
+    for k in range(n_plans):
+        program = program_from_plan(domain, random_plan(domain, seed=[seed, k, 0]))
+        traces.append(simulate_plan(program, cfg, seed=[seed, k, 1], plan_id=f"plan-{k:04d}"))
+    return traces
+
+
+FLEXIBLE_WORKCELL = Path(__file__).resolve().parents[1] / "perfbench" / "flexible.yaml"
+
+
+class TestSinglePassMatchesFilterTwice:
+    @pytest.mark.parametrize("config_path", [None, FLEXIBLE_WORKCELL], ids=["default", "flexible"])
+    def test_same_stats_and_matrix(self, config_path):
+        cfg = load_world_config(config_path)
+        human = [t.spec.id for t in cfg.tasks.values() if H in t.spec.eligible_agents]
+        robot = [t.spec.id for t in cfg.tasks.values() if R in t.spec.eligible_agents]
+        for seed in (3, 11):
+            traces = _campaign(cfg, seed, 40)
+            # One corrupted run: far outside anything the simulator produces.
+            traces.append(_trace("bad", _rec("bad", robot[0], R, 0.0, 500.0)))
+            counts = {}
+            for strategy in ("none", "iqr"):
+                kept, stats = cli._kept_executions(traces, strategy)
+                want = _reference_duration_stats(traces, strategy)
+                assert stats == want
+                assert estimate_synergy_matrix(
+                    kept, stats_table(stats), human, robot
+                ) == _reference_synergy_matrix(traces, stats_table(want), human, robot, strategy)
+                counts[strategy] = {(s.task_id, s.agent): s.count for s in stats}
+            # The fence drops the planted run and the strategies differ.
+            assert traces[-1].records[0] not in [rec for _, rec in kept[(robot[0], R)]]
+            assert counts["iqr"] != counts["none"]

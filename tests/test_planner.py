@@ -11,7 +11,13 @@ import pytest
 
 import tandem.planner as planner_mod
 from tandem.config import build_domain
-from tandem.errors import InfeasibleDomain, InvalidProgram, MissingDuration, NonConvergence
+from tandem.errors import (
+    InfeasibleDomain,
+    InvalidProgram,
+    MissingDuration,
+    NonConvergence,
+    ZeroDurationTask,
+)
 from tandem.model import (
     AgentId,
     DurationStats,
@@ -116,6 +122,14 @@ class TestRandomPlan:
             random_plan(domain, 0)
 
 
+# validate_plan and both predictions run the same plan check.
+_PLAN_CHECKS = (
+    predict_makespan,
+    predicted_schedule,
+    lambda domain, plan, *_: validate_plan(domain, plan),
+)
+
+
 class TestPredictMakespan:
     def test_neutral_synergy_equals_max_of_nominal_sums(self, default_config):
         domain = build_domain(default_config)
@@ -210,8 +224,9 @@ class TestPredictMakespan:
             (("a", "b", "a"), (), "'a' appears more than once"),
             (("a", "b"), ("b",), "'b' ordered under human but assigned elsewhere"),
             (("a", "b", "c"), (), "'c' in the robot ordering is not a domain task"),
+            (("a", "b"), (), "assignment does not cover the domain's instances exactly"),
         ],
-        ids=["left_out", "listed_twice", "in_the_other_lane", "unknown"],
+        ids=["left_out", "listed_twice", "in_the_other_lane", "unknown", "assigns_unknown"],
     )
     def test_rejects_malformed_orderings(self, robot_lane, human_lane, message):
         domain = PlanningDomain(
@@ -221,9 +236,50 @@ class TestPredictMakespan:
         plan = CandidatePlan(
             assignment={"a": R, "b": R, "c": R}, order={H: human_lane, R: robot_lane}
         )
-        for predict in (predict_makespan, predicted_schedule):
+        for check in _PLAN_CHECKS:
             with pytest.raises(InvalidProgram, match=message):
-                predict(domain, plan, stats, SynergyMatrix.neutral())
+                check(domain, plan, stats, SynergyMatrix.neutral())
+
+    def test_rejects_ineligible_agent(self):
+        domain = PlanningDomain(
+            (TaskInstance("a", "t", frozenset({H})), TaskInstance("b", "t", BOTH)), ()
+        )
+        stats = _uniform_stats(domain, mean=10.0)
+        plan = CandidatePlan(assignment={"a": R, "b": R}, order={H: (), R: ("a", "b")})
+        for check in _PLAN_CHECKS:
+            with pytest.raises(InvalidProgram, match="'a' assigned to ineligible agent robot"):
+                check(domain, plan, stats, SynergyMatrix.neutral())
+
+    def test_rejects_same_lane_precedence_violation(self):
+        domain = _pair_domain(1)
+        plan = CandidatePlan(
+            assignment={"pick0": R, "place0": R}, order={H: (), R: ("place0", "pick0")}
+        )
+        for check in _PLAN_CHECKS:
+            with pytest.raises(InvalidProgram, match="deadlock"):
+                check(domain, plan, _uniform_stats(domain), SynergyMatrix.neutral())
+
+    def test_negative_coupled_duration_is_a_named_error(self):
+        # Coefficients near 1e-300 make r1, fully covered by the human lane,
+        # end a few ulps before it starts.  predict_makespan still returns the cost.
+        specs = {"h0": (H, 7.96072922314247), "h1": (H, 0.8927963795993927),
+                 "r0": (R, 8.928528723728457), "r1": (R, 8.292914557371365)}
+        domain = PlanningDomain(
+            tuple(TaskInstance(uid, uid, frozenset({agent})) for uid, (agent, _) in specs.items())
+        )
+        stats = stats_table(
+            DurationStats(uid, agent, mean, 0.0, 3) for uid, (agent, mean) in specs.items()
+        )
+        synergy = SynergyMatrix(
+            {R: {(r, h): SynergyEntry(1e-300) for r in ("r0", "r1") for h in ("h0", "h1")}}
+        )
+        plan = CandidatePlan(
+            assignment={uid: agent for uid, (agent, _) in specs.items()},
+            order={H: ("h0", "h1"), R: ("r0", "r1")},
+        )
+        assert predict_makespan(domain, plan, stats, synergy) > 0.0
+        with pytest.raises(ZeroDurationTask, match="coupled duration of 'r1' is negative"):
+            predicted_schedule(domain, plan, stats, synergy)
 
     def test_relabeling_tasks_does_not_change_the_cost(self):
         def build(prefix):
