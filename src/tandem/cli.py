@@ -36,12 +36,13 @@ from .estimator import (
 from .model import (
     AgentId,
     DurationStats,
+    StatsMap,
     SynergyEntry,
     SynergyMatrix,
     interval_duration,
     stats_table,
 )
-from .planner import optimize_plan, random_plan
+from .planner import CandidatePlan, optimize_plan, random_plan
 from .simulator import program_from_plan, simulate_plan
 from .store import Store
 
@@ -75,6 +76,16 @@ def _catalog_docs(cfg: worldcfg.WorldConfig) -> list[dict]:
     ]
 
 
+def _plan_doc(plan_id: str, plan: CandidatePlan, makespan: float, kind: str) -> dict:
+    return {
+        "id": plan_id,
+        "assignment": {uid: agent.value for uid, agent in plan.assignment.items()},
+        "order": {agent.value: list(plan.order[agent]) for agent in AgentId},
+        "makespan": makespan,
+        "kind": kind,
+    }
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = worldcfg.load_world_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
@@ -93,16 +104,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         store.record_trace(trace)
         makespan = max(rec.interval.end for rec in trace.records)
         makespans.append(makespan)
-        store.upsert(
-            "plans",
-            {
-                "id": plan_id,
-                "assignment": {uid: agent.value for uid, agent in plan.assignment.items()},
-                "order": {agent.value: list(plan.order[agent]) for agent in AgentId},
-                "makespan": makespan,
-                "kind": "simulated",
-            },
-        )
+        store.upsert("plans", _plan_doc(plan_id, plan, makespan, "simulated"))
         print(f"{plan_id}: makespan {makespan:.3f} s")
     print(
         f"simulated {args.plans} plans (seed {seed}) into {store.root}; "
@@ -194,7 +196,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_estimates(store: Store) -> tuple[dict, SynergyMatrix]:
+def _load_estimates(store: Store) -> tuple[list[dict], list[dict], StatsMap, SynergyMatrix]:
+    """The stored duration and synergy documents, and the estimates they hold."""
     duration_docs = store.query("task_duration")
     synergy_docs = store.query("task_synergy")
     if not duration_docs or not synergy_docs:
@@ -218,27 +221,18 @@ def _load_estimates(store: Store) -> tuple[dict, SynergyMatrix]:
             std_error=float(doc["std_error"]),
             sample_count=int(doc["sample_count"]),
         )
-    return stats, SynergyMatrix(entries)
+    return duration_docs, synergy_docs, stats, SynergyMatrix(entries)
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
     store = Store(_store_root(args))
-    stats, synergy = _load_estimates(store)
+    _, _, stats, synergy = _load_estimates(store)
     cfg = worldcfg.load_world_config(args.config)
     domain = worldcfg.build_domain(cfg)
     seed = cfg.seed if args.seed is None else args.seed
 
     plan = optimize_plan(domain, stats, synergy, budget=args.budget, seed=seed)
-    store.upsert(
-        "plans",
-        {
-            "id": "optimized",
-            "assignment": {uid: agent.value for uid, agent in plan.assignment.items()},
-            "order": {agent.value: list(plan.order[agent]) for agent in AgentId},
-            "makespan": plan.predicted_makespan,
-            "kind": "optimized",
-        },
-    )
+    store.upsert("plans", _plan_doc("optimized", plan, plan.predicted_makespan, "optimized"))
     print(f"best plan (budget {args.budget}, seed {seed}): "
           f"predicted makespan {plan.predicted_makespan:.3f} s")
     for agent in AgentId:
@@ -249,14 +243,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     store = Store(_store_root(args))
-    duration_docs = store.query("task_duration")
-    synergy_docs = store.query("task_synergy")
-    if not duration_docs or not synergy_docs:
-        raise MissingEstimates(
-            f"store {store.root} lacks estimates to report; run `tandem estimate`"
-        )
+    duration_docs, synergy_docs, _, matrix = _load_estimates(store)
     human_ids, robot_ids = _task_lists(store)
-    _, matrix = _load_estimates(store)
 
     heatmaps = []
     for agent, own_ids, other_ids in (

@@ -136,11 +136,11 @@ class CandidatePlan:
 def validate_plan(domain: PlanningDomain, plan: CandidatePlan) -> None:
     """Raise InvalidProgram unless the plan is well formed.
 
-    This is the check every prediction runs first: each instance is assigned
-    to an eligible agent and listed once, in that agent's ordering; the
-    assignment names no other task; and the orderings do not deadlock, which
-    also rejects a same-lane ordering that puts a task before its
-    prerequisite.
+    This is the check every prediction and ``simulator.program_from_plan``
+    run first: each instance is assigned to an eligible agent and listed
+    once, in that agent's ordering; the assignment names no other task; and
+    the orderings do not deadlock, which also rejects a same-lane ordering
+    that puts a task before its prerequisite.
     """
     _dispatch_order(domain, plan)
 

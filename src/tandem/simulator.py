@@ -7,12 +7,16 @@ order.  A robot task is a fixed amount of work (its base duration in
 work-seconds) consumed at the current speed factor: stopped while the human
 is in the red zone, half speed in orange, nominal otherwise.  Identical
 (program, config, seed) triples produce bit-identical traces.
+
+``program_from_plan`` runs the planner's plan check (``planner._dispatch_order``)
+and builds the program from what it returns, so the simulator executes exactly
+the plans the planner prices; ``simulate_plan`` checks only the world config's
+catalog: each task type is in it and its lane's agent may execute it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -20,7 +24,7 @@ from .config import WorldConfig, ZoneExposureProfile
 from .errors import InvalidProgram
 from .estimator import ExecutionRecord, ExecutionTrace
 from .model import AgentId, TimeInterval
-from .planner import CandidatePlan, PlanningDomain, TaskInstance
+from .planner import CandidatePlan, PlanningDomain, TaskInstance, _dispatch_order
 
 # Residual work below this threshold counts as task completion (seconds of work).
 WORK_EPS = 1e-12
@@ -31,22 +35,27 @@ MIN_DURATION_FRACTION = 0.2
 
 @dataclass(frozen=True)
 class AgentProgram:
-    """Ordered task instances per agent, plus the precedence pairs they obey."""
+    """A checked plan as lane-major task slots: the human lane, then the robot lane.
 
-    sequences: Mapping[AgentId, tuple[TaskInstance, ...]]
-    precedence: tuple[tuple[str, str], ...] = ()
+    Slot k < n_human is the human's k-th task; ``prereqs[k]`` holds the slots
+    that must finish before slot k starts.
+    """
 
-    def lane(self, agent: AgentId) -> tuple[TaskInstance, ...]:
-        return self.sequences.get(agent, ())
+    tasks: tuple[TaskInstance, ...]
+    n_human: int
+    prereqs: tuple[tuple[int, ...], ...]
 
 
 def program_from_plan(domain: PlanningDomain, plan: CandidatePlan) -> AgentProgram:
-    """Turn a candidate plan into the executable per-agent task sequences."""
-    by_uid = {inst.uid: inst for inst in domain.instances}
-    sequences = {
-        agent: tuple(by_uid[uid] for uid in plan.order.get(agent, ())) for agent in AgentId
-    }
-    return AgentProgram(sequences=sequences, precedence=domain.precedence)
+    """The executable program of a plan, after the planner's plan check.
+
+    Raises InvalidProgram for any plan that ``planner.validate_plan`` rejects.
+    """
+    at, _, n_human, steps = _dispatch_order(domain, plan)
+    prereqs: list[tuple[int, ...]] = [()] * len(at)
+    for k, _, before in steps:
+        prereqs[k] = before
+    return AgentProgram(tuple(domain.instances[pos] for pos in at), n_human, tuple(prereqs))
 
 
 def robot_speed_factor(human_zone: str | None, config: WorldConfig) -> float:
@@ -103,34 +112,6 @@ class _RobotTask:
         self.work_left = work
 
 
-def _validate_program(program: AgentProgram, config: WorldConfig) -> None:
-    seen: set[str] = set()
-    position: dict[str, tuple[AgentId, int]] = {}
-    for agent in AgentId:
-        for i, inst in enumerate(program.lane(agent)):
-            if inst.uid in seen:
-                raise InvalidProgram(f"task {inst.uid!r} appears more than once")
-            seen.add(inst.uid)
-            position[inst.uid] = (agent, i)
-            if inst.spec_id not in config.tasks:
-                raise InvalidProgram(f"task type {inst.spec_id!r} is not in the catalog")
-            if agent not in config.tasks[inst.spec_id].spec.eligible_agents:
-                raise InvalidProgram(
-                    f"task {inst.uid!r} ({inst.spec_id}) is not executable by {agent.value}"
-                )
-    for before, after in program.precedence:
-        if before not in position or after not in position:
-            raise InvalidProgram(
-                f"precedence pair ({before!r}, {after!r}) references an unscheduled task"
-            )
-        agent_b, idx_b = position[before]
-        agent_a, idx_a = position[after]
-        if agent_b is agent_a and idx_b > idx_a:
-            raise InvalidProgram(
-                f"{after!r} is ordered before its prerequisite {before!r} on {agent_b.value}"
-            )
-
-
 def simulate_plan(
     program: AgentProgram,
     config: WorldConfig,
@@ -143,31 +124,36 @@ def simulate_plan(
     always consume exactly their base duration in work-seconds, so all robot
     variability comes from the safety-zone couplings.
     """
-    _validate_program(program, config)
+    tasks, n_human, prereqs = program.tasks, program.n_human, program.prereqs
+    n = len(tasks)
+    # program_from_plan ran the plan check; what is left needs the catalog.
+    for agent, lane in ((AgentId.HUMAN, tasks[:n_human]), (AgentId.ROBOT, tasks[n_human:])):
+        for inst in lane:
+            task_cfg = config.tasks.get(inst.spec_id)
+            if task_cfg is None:
+                raise InvalidProgram(f"task type {inst.spec_id!r} is not in the catalog")
+            if agent not in task_cfg.spec.eligible_agents:
+                raise InvalidProgram(
+                    f"task {inst.uid!r} ({inst.spec_id}) is not executable by {agent.value}"
+                )
     rng = np.random.default_rng(seed)
 
-    queues = {agent: program.lane(agent) for agent in AgentId}
-    index = {agent: 0 for agent in AgentId}
-    done: set[str] = set()
-    prereq: dict[str, list[str]] = {}
-    for before, after in program.precedence:
-        prereq.setdefault(after, []).append(before)
+    done = [False] * n
+    cursor = {AgentId.HUMAN: 0, AgentId.ROBOT: n_human}
+    lane_end = {AgentId.HUMAN: n_human, AgentId.ROBOT: n}
 
     human: _HumanTask | None = None
     robot: _RobotTask | None = None
     completed: list[tuple[TaskInstance, AgentId, float, float]] = []
     t = 0.0
-    total = sum(len(q) for q in queues.values())
 
     def ready(agent: AgentId) -> TaskInstance | None:
-        if index[agent] >= len(queues[agent]):
-            return None
-        nxt = queues[agent][index[agent]]
-        if all(dep in done for dep in prereq.get(nxt.uid, ())):
-            return nxt
+        k = cursor[agent]
+        if k < lane_end[agent] and all(done[d] for d in prereqs[k]):
+            return tasks[k]
         return None
 
-    while len(completed) < total:
+    while len(completed) < n:
         if human is None:
             nxt = ready(AgentId.HUMAN)
             if nxt is not None:
@@ -197,13 +183,13 @@ def simulate_plan(
 
         if robot is not None and robot.work_left <= WORK_EPS:
             completed.append((robot.instance, AgentId.ROBOT, robot.start, t))
-            done.add(robot.instance.uid)
-            index[AgentId.ROBOT] += 1
+            done[cursor[AgentId.ROBOT]] = True
+            cursor[AgentId.ROBOT] += 1
             robot = None
         if human is not None and t >= human.end:
             completed.append((human.instance, AgentId.HUMAN, human.start, t))
-            done.add(human.instance.uid)
-            index[AgentId.HUMAN] += 1
+            done[cursor[AgentId.HUMAN]] = True
+            cursor[AgentId.HUMAN] += 1
             human = None
 
     records = tuple(

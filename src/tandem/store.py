@@ -123,6 +123,21 @@ def _file_size(path: Path) -> int:
         raise IoFailure(f"cannot stat {path}: {exc}") from exc
 
 
+def _line_of(path: Path, doc_id: str) -> int | None:
+    """Line of the document a read of `path` keeps for `doc_id`: the last one with that id.
+
+    For error messages only: it reads and parses the whole file again.
+    """
+    found = None
+    for lineno, line in enumerate(path.read_bytes().split(b"\n"), 1):
+        try:
+            if json.loads(line).get("id") == doc_id:
+                found = lineno
+        except ValueError:  # a blank line or a torn tail
+            continue
+    return found
+
+
 class Store:
     """Document store rooted at a directory, one JSONL file per collection."""
 
@@ -299,17 +314,23 @@ class Store:
             docs = by_plan[pid]
             if not docs:
                 raise UnknownPlan(pid)
-            records = tuple(
-                ExecutionRecord(
-                    plan_id=doc["plan_id"],
-                    task_id=doc["task_id"],
-                    agent=AgentId(doc["agent"]),
-                    interval=None
-                    if doc["start"] is None
-                    else TimeInterval(float(doc["start"]), float(doc["end"])),
-                    success=doc["success"],
-                )
-                for doc in docs
-            )
-            traces.append(ExecutionTrace(plan_id=pid, records=records))
+            records = []
+            for doc in docs:
+                try:
+                    records.append(
+                        ExecutionRecord(
+                            plan_id=doc["plan_id"],
+                            task_id=doc["task_id"],
+                            agent=AgentId(doc["agent"]),
+                            interval=None
+                            if doc["start"] is None
+                            else TimeInterval(float(doc["start"]), float(doc["end"])),
+                            success=doc["success"],
+                        )
+                    )
+                except (KeyError, TypeError, ValueError) as exc:
+                    path = self.path("task_results")
+                    line = _line_of(path, doc["id"])
+                    raise CorruptStore(path, line, f"record {doc['id']}: {exc}") from exc
+            traces.append(ExecutionTrace(plan_id=pid, records=tuple(records)))
         return traces

@@ -5,6 +5,7 @@ from __future__ import annotations
 import filecmp
 import json
 import logging
+import re
 
 import pytest
 
@@ -174,6 +175,30 @@ class TestCorruptStore:
         store_dir, path = self._store_with_line(tmp_path, '{"agent":"human","end":8.2')
         assert _run("estimate", "--store", store_dir) == 1
         assert f"{path}:6: bad JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda doc: doc.update(end=doc["start"] - 1.0), "interval end .* precedes start"),
+            (lambda doc: doc.update(end=None), "float"),
+            (lambda doc: doc.update(agent="ghost"), "'ghost' is not a valid AgentId"),
+            (lambda doc: doc.pop("task_id"), "'task_id'"),
+        ],
+        ids=["end_before_start", "end_missing", "unknown_agent", "no_task_id"],
+    )
+    def test_unreadable_record(self, tmp_path, capsys, edit, reason):
+        store_dir = tmp_path / "s"
+        assert _run("simulate", "--store", store_dir, "--plans", 2, "--seed", 4) == 0
+        path = store_dir / "task_results.jsonl"
+        docs = [json.loads(line) for line in path.read_text().splitlines()]
+        # The second plan's first record that starts after t=1.
+        k = next(k for k, doc in enumerate(docs) if k >= 24 and doc["start"] >= 1.0)
+        edit(docs[k])
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        assert _run("estimate", "--store", store_dir) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{k + 1}: record {docs[k]['id']}: ")
+        assert re.search(reason, err)
 
 
 class TestPlanCommand:

@@ -36,6 +36,7 @@ from tandem.planner import (
     random_plan,
     validate_plan,
 )
+from tandem.simulator import program_from_plan
 
 H, R = AgentId.HUMAN, AgentId.ROBOT
 BOTH = frozenset({H, R})
@@ -122,11 +123,12 @@ class TestRandomPlan:
             random_plan(domain, 0)
 
 
-# validate_plan and both predictions run the same plan check.
+# validate_plan, both predictions and the simulator's program run the same plan check.
 _PLAN_CHECKS = (
     predict_makespan,
     predicted_schedule,
     lambda domain, plan, *_: validate_plan(domain, plan),
+    lambda domain, plan, *_: program_from_plan(domain, plan),
 )
 
 

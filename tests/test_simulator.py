@@ -8,9 +8,10 @@ import pytest
 from tandem.config import make_world_config
 from tandem.errors import InvalidProgram
 from tandem.model import AgentId, TimeInterval
-from tandem.planner import TaskInstance
+from tandem.planner import CandidatePlan, PlanningDomain, TaskInstance
 from tandem.simulator import (
     AgentProgram,
+    program_from_plan,
     robot_speed_factor,
     sample_task_duration,
     simulate_plan,
@@ -49,13 +50,23 @@ def _inst(uid, spec_id, agent):
     return TaskInstance(uid, spec_id, frozenset({agent}))
 
 
+def _lanes_program(sequences, precedence=()):
+    """Program of the plan that runs `sequences`; each listed instance is a domain task."""
+    instances = {inst.uid: inst for lane in sequences.values() for inst in lane}
+    plan = CandidatePlan(
+        assignment={inst.uid: agent for agent, lane in sequences.items() for inst in lane},
+        order={agent: tuple(inst.uid for inst in lane) for agent, lane in sequences.items()},
+    )
+    return program_from_plan(PlanningDomain(tuple(instances.values()), tuple(precedence)), plan)
+
+
 def _program(human_specs=(), robot_specs=(), precedence=()):
-    return AgentProgram(
-        sequences={
+    return _lanes_program(
+        {
             H: tuple(_inst(f"h{i}", s, H) for i, s in enumerate(human_specs)),
             R: tuple(_inst(f"r{i}", s, R) for i, s in enumerate(robot_specs)),
         },
-        precedence=tuple(precedence),
+        precedence,
     )
 
 
@@ -128,7 +139,6 @@ class TestSimulatePlan:
     def test_same_seed_same_trace(self, default_config):
         from tandem.config import build_domain
         from tandem.planner import random_plan
-        from tandem.simulator import program_from_plan
 
         domain = build_domain(default_config)
         plan = random_plan(domain, seed=9)
@@ -142,7 +152,6 @@ class TestSimulatePlan:
     def test_lanes_keep_program_order_and_do_not_overlap(self, default_config):
         from tandem.config import build_domain
         from tandem.planner import random_plan
-        from tandem.simulator import program_from_plan
 
         domain = build_domain(default_config)
         for seed in range(5):
@@ -151,7 +160,7 @@ class TestSimulatePlan:
             trace = simulate_plan(program, default_config, seed=seed)
             for agent in (H, R):
                 lane = _by_agent(trace, agent)
-                expected = [inst.spec_id for inst in program.lane(agent)]
+                expected = [domain.instance(uid).spec_id for uid in plan.order[agent]]
                 assert [r.task_id for r in lane] == expected
                 for prev, cur in zip(lane, lane[1:]):
                     assert cur.interval.start >= prev.interval.end - 1e-9
@@ -159,7 +168,6 @@ class TestSimulatePlan:
     def test_free_world_keeps_robot_at_base(self, quiet_config):
         from tandem.config import build_domain, make_world_config
         from tandem.planner import random_plan
-        from tandem.simulator import program_from_plan
 
         free = {"red": 0.0, "orange": 0.0, "free": 1.0}
         cfg = make_world_config(
@@ -192,8 +200,8 @@ class TestSimulatePlan:
     def test_cross_agent_wait_inserts_idle(self):
         # The human's only task must wait for the robot's 10 s job.
         cfg = _workbench()
-        program = AgentProgram(
-            sequences={
+        program = _lanes_program(
+            {
                 H: (_inst("h0", "h_job", H),),
                 R: (_inst("r0", "r_job", R),),
             },
@@ -205,53 +213,57 @@ class TestSimulatePlan:
 
 
 class TestProgramValidation:
+    # The domain lets the agent run the task; only the workcell's catalog forbids it.
     def test_ineligible_agent(self):
         cfg = _workbench()
-        program = AgentProgram(sequences={H: (_inst("x", "r_job", H),), R: ()})
-        with pytest.raises(InvalidProgram):
+        program = _lanes_program({H: (_inst("x", "r_job", H),), R: ()})
+        with pytest.raises(InvalidProgram, match="'x' \\(r_job\\) is not executable by human"):
             simulate_plan(program, cfg, seed=0)
 
     def test_unknown_task_type(self):
         cfg = _workbench()
-        program = AgentProgram(sequences={H: (), R: (_inst("x", "mystery", R),)})
-        with pytest.raises(InvalidProgram):
+        program = _lanes_program({H: (), R: (_inst("x", "mystery", R),)})
+        with pytest.raises(InvalidProgram, match="'mystery' is not in the catalog"):
             simulate_plan(program, cfg, seed=0)
 
     def test_duplicate_uid(self):
-        cfg = _workbench()
-        program = AgentProgram(
-            sequences={H: (), R: (_inst("x", "r_job", R), _inst("x", "r_job", R))}
-        )
-        with pytest.raises(InvalidProgram):
-            simulate_plan(program, cfg, seed=0)
+        with pytest.raises(InvalidProgram, match="'x' appears more than once"):
+            _lanes_program({H: (), R: (_inst("x", "r_job", R), _inst("x", "r_job", R))})
 
     def test_same_agent_pair_out_of_order(self):
-        cfg = _workbench()
-        program = AgentProgram(
-            sequences={H: (), R: (_inst("b", "r_job", R), _inst("a", "r_job", R))},
-            precedence=(("a", "b"),),
-        )
-        with pytest.raises(InvalidProgram):
-            simulate_plan(program, cfg, seed=0)
+        with pytest.raises(InvalidProgram, match="deadlock"):
+            _lanes_program(
+                {H: (), R: (_inst("b", "r_job", R), _inst("a", "r_job", R))},
+                precedence=(("a", "b"),),
+            )
 
+    # A domain cannot name a uid it lacks, so the unscheduled prerequisite is a
+    # domain task left out of every lane.
     def test_precedence_on_unscheduled_task(self):
-        cfg = _workbench()
-        program = AgentProgram(
-            sequences={H: (), R: (_inst("a", "r_job", R),)},
-            precedence=(("ghost", "a"),),
+        domain = PlanningDomain(
+            (_inst("ghost", "r_job", R), _inst("a", "r_job", R)), (("ghost", "a"),)
         )
-        with pytest.raises(InvalidProgram):
-            simulate_plan(program, cfg, seed=0)
+        plan = CandidatePlan(assignment={"a": R}, order={H: (), R: ("a",)})
+        with pytest.raises(InvalidProgram, match="'ghost' appears in no ordering"):
+            program_from_plan(domain, plan)
 
     def test_cross_agent_deadlock_detected(self):
-        cfg = _workbench()
+        with pytest.raises(InvalidProgram, match="deadlock"):
+            _lanes_program(
+                {
+                    H: (_inst("h0", "h_job", H), _inst("h1", "h_job", H)),
+                    R: (_inst("r0", "r_job", R), _inst("r1", "r_job", R)),
+                },
+                # h0 waits on r1, r0 waits on h1: neither lane can start.
+                precedence=(("r1", "h0"), ("h1", "r0")),
+            )
+
+    def test_hand_built_program_deadlock_is_caught_by_the_event_loop(self):
+        # Slot 0 (human) waits on slot 1 (robot) and the reverse.
         program = AgentProgram(
-            sequences={
-                H: (_inst("h0", "h_job", H), _inst("h1", "h_job", H)),
-                R: (_inst("r0", "r_job", R), _inst("r1", "r_job", R)),
-            },
-            # h0 waits on r1, r0 waits on h1: neither lane can start.
-            precedence=(("r1", "h0"), ("h1", "r0")),
+            tasks=(_inst("h0", "h_job", H), _inst("r0", "r_job", R)),
+            n_human=1,
+            prereqs=((1,), (0,)),
         )
-        with pytest.raises(InvalidProgram):
-            simulate_plan(program, cfg, seed=0)
+        with pytest.raises(InvalidProgram, match="simulation deadlocked"):
+            simulate_plan(program, _workbench(), seed=0)
