@@ -20,11 +20,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import Any
 
 from . import config as worldcfg
 from . import report as reporting
-from .errors import EmptyStore, MissingEstimates, TandemError
+from .errors import CorruptStore, EmptyStore, MissingEstimates, TandemError
 from .estimator import (
     ExecutionTrace,
     Executions,
@@ -44,7 +46,7 @@ from .model import (
 )
 from .planner import CandidatePlan, optimize_plan, random_plan
 from .simulator import program_from_plan, simulate_plan
-from .store import Store
+from .store import Store, _line_of
 
 ENV_STORE = "TANDEM_STORE"
 DEFAULT_STORE = "tandem_store"
@@ -196,31 +198,70 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
+# JSON types a stored estimate field may have, by the Python type it is read as.
+_FIELD_TYPES = {str: (str,), float: (int, float), int: (int,)}
+
+
+def _field(doc: dict, name: str, kind: type) -> Any:
+    """``doc[name]`` as `kind`; ValueError when it is missing or of another JSON type."""
+    if name not in doc:
+        raise ValueError(f"no field {name!r}")
+    value = doc[name]
+    if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
+        raise ValueError(f"field {name!r} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _duration_from_doc(doc: dict) -> DurationStats:
+    return DurationStats(
+        task_id=_field(doc, "task_id", str),
+        agent=AgentId(_field(doc, "agent", str)),
+        mean=_field(doc, "mean", float),
+        std=_field(doc, "std", float),
+        count=_field(doc, "count", int),
+    )
+
+
+def _synergy_from_doc(doc: dict) -> tuple[AgentId, tuple[str, str], SynergyEntry]:
+    agent = AgentId(_field(doc, "agent", str))
+    key = (_field(doc, "task_id", str), _field(doc, "other_task_id", str))
+    entry = SynergyEntry(
+        coefficient=_field(doc, "coefficient", float),
+        std_error=_field(doc, "std_error", float),
+        sample_count=_field(doc, "sample_count", int),
+    )
+    return agent, key, entry
+
+
+def _read_docs(store: Store, collection: str, docs: list[dict], read: Callable) -> list:
+    """`read` applied to every document; one it cannot read is a CorruptStore."""
+    out = []
+    for doc in docs:
+        try:
+            out.append(read(doc))
+        except ValueError as exc:
+            path = store.path(collection)
+            line = _line_of(path, doc["id"])
+            raise CorruptStore(path, line, f"document {doc['id']}: {exc}") from exc
+    return out
+
+
 def _load_estimates(store: Store) -> tuple[list[dict], list[dict], StatsMap, SynergyMatrix]:
-    """The stored duration and synergy documents, and the estimates they hold."""
+    """The stored duration and synergy documents, and the estimates they hold.
+
+    A document with a missing field, a field of the wrong type, an unknown
+    agent or an invalid value raises CorruptStore naming its file and line.
+    """
     duration_docs = store.query("task_duration")
     synergy_docs = store.query("task_synergy")
     if not duration_docs or not synergy_docs:
         raise MissingEstimates(
             f"store {store.root} lacks duration or synergy estimates; run `tandem estimate`"
         )
-    stats = stats_table(
-        DurationStats(
-            task_id=doc["task_id"],
-            agent=AgentId(doc["agent"]),
-            mean=float(doc["mean"]),
-            std=float(doc["std"]),
-            count=int(doc["count"]),
-        )
-        for doc in duration_docs
-    )
+    stats = stats_table(_read_docs(store, "task_duration", duration_docs, _duration_from_doc))
     entries: dict[AgentId, dict[tuple[str, str], SynergyEntry]] = {a: {} for a in AgentId}
-    for doc in synergy_docs:
-        entries[AgentId(doc["agent"])][(doc["task_id"], doc["other_task_id"])] = SynergyEntry(
-            coefficient=float(doc["coefficient"]),
-            std_error=float(doc["std_error"]),
-            sample_count=int(doc["sample_count"]),
-        )
+    for agent, key, entry in _read_docs(store, "task_synergy", synergy_docs, _synergy_from_doc):
+        entries[agent][key] = entry
     return duration_docs, synergy_docs, stats, SynergyMatrix(entries)
 
 

@@ -11,6 +11,11 @@ duration minus the idle term, i.e. the part of the task window with no
 concurrent counterpart work valued at the nominal rate.  Solving the normal
 equations per task yields one row of the synergy matrix; a coefficient above
 1 marks a pair of tasks that slow each other down when run concurrently.
+
+The overlap fractions come from one sweep per trace (`model.overlap_pairs`)
+over its two start-sorted lanes, run the first time a regression reads the
+trace and kept on it; each regression row then adds its record's
+(counterpart task, fraction) pairs into the columns.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import logging
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +43,7 @@ from .model import (
     TimeInterval,
     TIME_EPS,
     interval_duration,
-    overlap_ratio,
+    overlap_pairs,
 )
 
 logger = logging.getLogger(__name__)
@@ -71,15 +77,16 @@ class ExecutionRecord:
 class ExecutionTrace:
     """All execution records of one plan run, both agents.
 
-    Records of the same agent must not overlap.
+    Records of the same agent must not overlap.  The start-sorted lanes, and
+    the overlaps of each successful record with the other agent's lane, are
+    computed once per trace and kept on it.
     """
 
     plan_id: str
     records: tuple[ExecutionRecord, ...]
 
     def __post_init__(self) -> None:
-        for agent in AgentId:
-            lane = self.for_agent(agent)
+        for agent, lane in self._lanes.items():
             for prev, cur in zip(lane, lane[1:]):
                 if cur.interval.start < prev.interval.end - TIME_EPS:
                     raise ValueError(
@@ -87,11 +94,48 @@ class ExecutionTrace:
                         f"{prev.task_id!r} and {cur.task_id!r}"
                     )
 
-    def for_agent(self, agent: AgentId) -> tuple[ExecutionRecord, ...]:
-        """Successful records of one agent, sorted by start time."""
-        lane = [r for r in self.records if r.agent is agent and r.success]
-        lane.sort(key=lambda r: (r.interval.start, r.interval.end))
-        return tuple(lane)
+    def __getstate__(self) -> dict:
+        # The overlap cache is keyed by record identity: a copy rebuilds it.
+        return {"plan_id": self.plan_id, "records": self.records}
+
+    @cached_property
+    def _lanes(self) -> dict[AgentId, tuple[ExecutionRecord, ...]]:
+        lanes: dict[AgentId, list[ExecutionRecord]] = {agent: [] for agent in AgentId}
+        for rec in self.records:
+            if rec.success:
+                lanes[rec.agent].append(rec)
+        for lane in lanes.values():
+            lane.sort(key=lambda r: (r.interval.start, r.interval.end))
+        return {agent: tuple(lane) for agent, lane in lanes.items()}
+
+    @cached_property
+    def _overlaps(self) -> dict[int, list[tuple[str, float]]]:
+        spans = {
+            agent: ([r.interval.start for r in lane], [r.interval.end for r in lane])
+            for agent, lane in self._lanes.items()
+        }
+        found = {}
+        for agent, own in self._lanes.items():
+            other = agent.counterpart
+            task_ids = [r.task_id for r in self._lanes[other]]
+            pairs = overlap_pairs(*spans[agent], *spans[other])
+            for rec, rec_pairs in zip(own, pairs):
+                found[id(rec)] = [(task_ids[k], delta) for k, delta in rec_pairs]
+        return found
+
+    def overlaps(self, record: ExecutionRecord) -> list[tuple[str, float]]:
+        """(counterpart task id, overlap fraction) for each counterpart record
+        that overlaps `record`, in start order.
+
+        `record` must be one of this trace's successful records, the object
+        itself.  The first call sweeps both lanes once (`model.overlap_pairs`).
+        """
+        try:
+            return self._overlaps[id(record)]
+        except KeyError:
+            raise ValueError(
+                f"{record.task_id!r} is not a successful record of plan {self.plan_id!r}"
+            ) from None
 
 
 # Successful executions of one (task type, agent), each with its own run.  A
@@ -219,7 +263,9 @@ def build_regression(
     One row per given execution of the own task, in the given order.  Design
     entry (k, j) is the expected own duration times the overlap fraction of
     execution k against every instance of counterpart type j in execution k's
-    own run; multiple instances of one type sum into the same column.  The
+    own run; multiple instances of one type sum into the same column, in
+    start order.  The fractions come from the run's one overlap sweep
+    (`ExecutionTrace.overlaps`).  The
     response is the measured duration minus the idle term: the uncovered
     fraction of the task valued at the expected rate.
     """
@@ -229,19 +275,15 @@ def build_regression(
     d_hat = stats[key].mean
     columns = {task_id: j for j, task_id in enumerate(counterpart_tasks)}
     m = len(counterpart_tasks)
-    counterpart_agent = own_agent.counterpart
 
     rows: list[list[float]] = []
     response: list[float] = []
     for trace, rec in executions:
         deltas = [0.0] * m
-        for other in trace.records:
-            if other.agent is not counterpart_agent or not other.success:
-                continue
-            j = columns.get(other.task_id)
-            if j is None:
-                continue
-            deltas[j] += overlap_ratio(rec.interval, other.interval)
+        for task_id, delta in trace.overlaps(rec):
+            j = columns.get(task_id)
+            if j is not None:
+                deltas[j] += delta
         covered = math.fsum(deltas)
         rows.append([d_hat * d for d in deltas])
         response.append(interval_duration(rec.interval) - d_hat * (1.0 - covered))
@@ -351,6 +393,13 @@ def _estimate_row(
         return [SynergyEntry() for _ in counterpart_ids]
 
     fit = solve_synergy(build_regression(executions, own_id, own_agent, stats, counterpart_ids))
+    if fit.damped_columns:
+        logger.warning(
+            "ill-conditioned regression for %s/%s; damped columns: %s",
+            own_id,
+            own_agent.value,
+            ", ".join(counterpart_ids[j] for j in fit.damped_columns),
+        )
     row = []
     for j in range(len(counterpart_ids)):
         if fit.sample_counts[j] == 0:

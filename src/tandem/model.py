@@ -202,10 +202,6 @@ class SynergyMatrix:
     def get(self, agent: AgentId, own_task: str, counterpart_task: str) -> SynergyEntry:
         return self.entries.get(agent, {}).get((own_task, counterpart_task), NEUTRAL_SYNERGY)
 
-    @classmethod
-    def neutral(cls) -> "SynergyMatrix":
-        return cls()
-
 
 @dataclass(frozen=True)
 class DurationStats:
@@ -272,7 +268,9 @@ def coupled_durations(
     task, only the counterpart tasks that can overlap it: those ending at or
     before its start are never needed again, and the scan stops at the first
     one starting at or after its end.  With `sorted_lanes` false every pair
-    is tested, for the same result.
+    is tested, for the same result.  `overlap_pairs` is the same window; it
+    returns the pairs instead of pricing them, and the loop stays inline
+    here because the planner runs it every fixed-point round.
     """
     out = []
     m = len(other_start)
@@ -296,6 +294,43 @@ def coupled_durations(
             coupled += row[k] * delta
             covered += delta
         out.append(mean * (1.0 + (coupled - covered)))
+    return out
+
+
+def overlap_pairs(
+    own_start: Sequence[float],
+    own_end: Sequence[float],
+    other_start: Sequence[float],
+    other_end: Sequence[float],
+) -> list[list[tuple[int, float]]]:
+    """Per own task, the counterpart tasks that overlap it, with their fractions.
+
+    Both lanes must be sorted by start.  Entry i lists (j, delta_ij) in
+    counterpart order for every counterpart task j that shares more than an
+    endpoint with own task i, where delta_ij = |i ∩ j| / |i|.  This is the
+    window of `coupled_durations`: counterpart tasks ending at or before a
+    task's start are dropped for good, and the scan stops at the first one
+    starting at or after its end.  A zero-length own task overlaps nothing.
+    """
+    out = []
+    m = len(other_start)
+    j = 0
+    for own_s, own_e in zip(own_start, own_end):
+        while j < m and other_end[j] <= own_s:
+            j += 1
+        own_len = own_e - own_s
+        pairs = []
+        for k in range(j, m):
+            other_s = other_start[k]
+            if other_s >= own_e:
+                break
+            other_e = other_end[k]
+            lo = own_s if own_s > other_s else other_s
+            hi = own_e if own_e < other_e else other_e
+            if hi <= lo:
+                continue
+            pairs.append((k, (hi - lo) / own_len))
+        out.append(pairs)
     return out
 
 

@@ -126,7 +126,7 @@ def test_criterion_3_ols_matches_pseudo_inverse_oracle():
 def test_criterion_4_cost_model_reduces_to_nominal_sums():
     """1000 randomized schedules with unit synergy match the nominal sums."""
     rng = np.random.default_rng(44)
-    neutral = SynergyMatrix.neutral()
+    neutral = SynergyMatrix()
     for _ in range(1000):
         stats = {}
         assignment = {}

@@ -200,6 +200,37 @@ class TestCorruptStore:
         assert err.startswith(f"error: {path}:{k + 1}: record {docs[k]['id']}: ")
         assert re.search(reason, err)
 
+    @pytest.mark.parametrize("command", ["plan", "report"])
+    @pytest.mark.parametrize(
+        "collection, edit, reason",
+        [
+            ("task_duration", lambda doc: doc.pop("mean"), "no field 'mean'"),
+            ("task_duration", lambda doc: doc.update(mean="fast"), "field 'mean' must be float, got 'fast'"),
+            ("task_duration", lambda doc: doc.update(count=True), "field 'count' must be int, got True"),
+            ("task_duration", lambda doc: doc.update(agent="drone"), "'drone' is not a valid AgentId"),
+            ("task_synergy", lambda doc: doc.pop("coefficient"), "no field 'coefficient'"),
+            ("task_synergy", lambda doc: doc.update(sample_count="3"), "field 'sample_count' must be int, got '3'"),
+            ("task_synergy", lambda doc: doc.update(agent="drone"), "'drone' is not a valid AgentId"),
+        ],
+        ids=[
+            "duration_no_mean", "duration_mean_text", "duration_count_bool", "duration_unknown_agent",
+            "synergy_no_coefficient", "synergy_count_text", "synergy_unknown_agent",
+        ],
+    )
+    def test_unreadable_estimate(self, tmp_path, capsys, command, collection, edit, reason):
+        store_dir = tmp_path / "s"
+        assert _run("simulate", "--store", store_dir, "--plans", 2, "--seed", 4) == 0
+        assert _run("estimate", "--store", store_dir) == 0
+        path = store_dir / f"{collection}.jsonl"
+        docs = [json.loads(line) for line in path.read_text().splitlines()]
+        edit(docs[2])
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        capsys.readouterr()
+        flags = {"plan": ("--budget", 5), "report": ("--out", tmp_path / "report")}[command]
+        assert _run(command, "--store", store_dir, *flags) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:3: document {docs[2]['id']}: {reason}\n"
+
 
 class TestPlanCommand:
     def test_requires_estimates(self, tmp_path, capsys):

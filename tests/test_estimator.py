@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import logging
 import math
 from pathlib import Path
 
@@ -43,6 +45,8 @@ from tandem.planner import random_plan
 from tandem.simulator import program_from_plan, simulate_plan
 
 H, R = AgentId.HUMAN, AgentId.ROBOT
+
+FLEXIBLE_WORKCELL = Path(__file__).resolve().parents[1] / "perfbench" / "flexible.yaml"
 
 
 class TestExpectedDuration:
@@ -133,6 +137,35 @@ class TestTraceTypes:
         with pytest.raises(ValueError):
             _trace("p", _rec("p", "a", R, 0, 6), _rec("p", "b", R, 5, 9))
 
+    def test_overlaps_in_start_order(self):
+        trace = _trace(
+            "p",
+            _rec("p", "h2", H, 6, 12),
+            _rec("p", "r1", R, 0, 10),
+            _rec("p", "h1", H, 10, 14, success=False),
+            _rec("p", "h0", H, 0, 2),
+            _rec("p", "h3", H, 2, 2),
+        )
+        r1 = trace.records[1]
+        assert trace.overlaps(r1) == [("h0", 0.2), ("h2", 0.4)]
+        assert trace.overlaps(trace.records[0]) == [("r1", 4.0 / 6.0)]
+        assert trace.overlaps(trace.records[4]) == []
+        with pytest.raises(ValueError, match="not a successful record"):
+            trace.overlaps(trace.records[2])
+        with pytest.raises(ValueError, match="not a successful record"):
+            trace.overlaps(_rec("p", "r1", R, 0, 10))
+
+    def test_copy_rebuilds_the_overlaps(self):
+        traces = _synthetic_traces([1.3, 0.7], n_rows=5, seed=2)
+        stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 5)])
+        for trace in traces:
+            trace.overlaps(trace.records[0])
+        copied = copy.deepcopy(traces)
+        want = build_regression(_rows(traces, "r1", R), "r1", R, stats, ["h0", "h1"])
+        got = build_regression(_rows(copied, "r1", R), "r1", R, stats, ["h0", "h1"])
+        assert np.array_equal(got.design, want.design)
+        assert np.array_equal(got.response, want.response)
+
 
 class TestBuildRegression:
     def test_single_trace_row(self):
@@ -192,6 +225,47 @@ class TestBuildRegression:
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 4)])
         with pytest.raises(NoSamples):
             build_regression(_rows([trace], "r1", R), "r1", R, stats, ["h1"])
+
+    def test_records_out_of_start_order(self):
+        # Three h1 instances stored last-first.  The reference sums a column in
+        # stored order, the sweep in start order: ((c + b) + a) against
+        # ((a + b) + c), which differ in the last bit here, so the two agree to
+        # rtol 1e-12, not bit for bit.  Stores written by `tandem simulate`
+        # keep each lane in start order, where they agree exactly.
+        spans = [(0.9, 1.8), (3.1, 3.5), (5.3, 5.9)]
+        trace = _trace(
+            "p",
+            _rec("p", "r1", R, 0, 7),
+            *(_rec("p", "h1", H, s, e) for s, e in reversed(spans)),
+        )
+        stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 1)])
+        problem = build_regression(_rows([trace], "r1", R), "r1", R, stats, ["h1"])
+        reference = _reference_build_regression([trace], "r1", R, stats, ["h1"])
+        in_start_order = 0.0
+        for s, e in spans:
+            in_start_order += (e - s) / 7.0
+        assert problem.design[0, 0] == 10.0 * in_start_order
+        assert problem.design[0, 0] != reference.design[0, 0]
+        np.testing.assert_allclose(problem.design, reference.design, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(problem.response, reference.response, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("config_path", [None, FLEXIBLE_WORKCELL], ids=["default", "flexible"])
+    def test_matches_reference_on_simulated_campaigns(self, config_path):
+        cfg = load_world_config(config_path)
+        human = [t.spec.id for t in cfg.tasks.values() if H in t.spec.eligible_agents]
+        robot = [t.spec.id for t in cfg.tasks.values() if R in t.spec.eligible_agents]
+        for seed in (3, 11):
+            traces = _campaign(cfg, seed, 30)
+            kept, stats = cli._kept_executions(traces, "none")
+            table = stats_table(stats)
+            for (task_id, agent), executions in kept.items():
+                counterpart = human if agent is R else robot
+                got = build_regression(executions, task_id, agent, table, counterpart)
+                want = _reference_build_regression(traces, task_id, agent, table, counterpart)
+                assert got.column_labels == want.column_labels
+                assert got.n_samples == want.n_samples > 0
+                assert np.array_equal(got.design, want.design)
+                assert np.array_equal(got.response, want.response)
 
 
 def _problem(X, y, labels=None):
@@ -320,6 +394,27 @@ class TestEstimateSynergyMatrix:
         second = estimate_synergy_matrix(group_executions(traces), stats, ["h0", "h1"], ["r1"])
         assert first == second
 
+    def test_damped_regression_is_logged(self, caplog):
+        # h0 and h1 always cover equal fractions of r1: collinear columns.
+        traces = []
+        for k, (cover, length) in enumerate([(2.0, 9.0), (3.0, 10.0), (1.5, 12.0), (4.0, 11.0)]):
+            traces.append(
+                _trace(
+                    f"p{k}",
+                    _rec(f"p{k}", "r1", R, 0.0, length),
+                    _rec(f"p{k}", "h0", H, 0.0, cover),
+                    _rec(f"p{k}", "h1", H, cover, 2.0 * cover),
+                )
+            )
+        well_posed = _synthetic_traces([1.4, 0.9], seed=7)
+        stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 4)])
+        with caplog.at_level(logging.WARNING, logger="tandem.estimator"):
+            estimate_synergy_matrix(group_executions(well_posed), stats, ["h0", "h1"], ["r1"])
+            assert not [m for m in caplog.messages if "damped" in m]
+            estimate_synergy_matrix(group_executions(traces), stats, ["h0", "h1"], ["r1"])
+        damped = [m for m in caplog.messages if "damped" in m]
+        assert damped == ["ill-conditioned regression for r1/robot; damped columns: h0, h1"]
+
     def test_iqr_strategy_drops_planted_outlier_rows(self):
         traces = _synthetic_traces([1.0, 1.0], d_hat=10.0, n_rows=30, seed=1)
         # One corrupted run: duration far outside anything the model produces.
@@ -432,9 +527,6 @@ def _campaign(cfg, seed, n_plans):
         program = program_from_plan(domain, random_plan(domain, seed=[seed, k, 0]))
         traces.append(simulate_plan(program, cfg, seed=[seed, k, 1], plan_id=f"plan-{k:04d}"))
     return traces
-
-
-FLEXIBLE_WORKCELL = Path(__file__).resolve().parents[1] / "perfbench" / "flexible.yaml"
 
 
 class TestSinglePassMatchesFilterTwice:

@@ -22,9 +22,11 @@ from tandem.model import (
     SynergyMatrix,
     TaskSpec,
     TimeInterval,
+    coupled_durations,
     interval_duration,
     interval_intersection,
     nominal_agent_plan_duration,
+    overlap_pairs,
     overlap_ratio,
     plan_cost,
     stats_table,
@@ -170,24 +172,24 @@ class TestSynergyDuration:
             [DurationStats("r1", R, 7.0, 0.0, 2), DurationStats("r2", R, 5.0, 0.0, 2)]
         )
         nominal = nominal_agent_plan_duration({"r1": R, "r2": R}, stats, R)
-        coupled = synergy_agent_plan_duration(schedule, stats, SynergyMatrix.neutral(), R)
+        coupled = synergy_agent_plan_duration(schedule, stats, SynergyMatrix(), R)
         assert coupled == nominal
 
     def test_missing_stats(self):
         schedule = _schedule(ScheduledTask("r1", R, TimeInterval(0, 10)))
         with pytest.raises(MissingDuration):
-            synergy_agent_plan_duration(schedule, {}, SynergyMatrix.neutral(), R)
+            synergy_agent_plan_duration(schedule, {}, SynergyMatrix(), R)
 
     def test_zero_length_task_raises_only_against_counterpart_work(self):
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 5)])
         alone = _schedule(ScheduledTask("r1", R, TimeInterval(3, 3)))
-        assert synergy_agent_plan_duration(alone, stats, SynergyMatrix.neutral(), R) == 10.0
+        assert synergy_agent_plan_duration(alone, stats, SynergyMatrix(), R) == 10.0
         shared = _schedule(
             ScheduledTask("r1", R, TimeInterval(3, 3)),
             ScheduledTask("h1", H, TimeInterval(20, 30)),
         )
         with pytest.raises(ZeroDurationTask, match="zero duration"):
-            synergy_agent_plan_duration(shared, stats, SynergyMatrix.neutral(), R)
+            synergy_agent_plan_duration(shared, stats, SynergyMatrix(), R)
 
 
 class TestPlanCost:
@@ -250,7 +252,7 @@ class TestValueTypes:
             SynergyEntry(coefficient=-1.0)
 
     def test_matrix_defaults_to_neutral(self):
-        matrix = SynergyMatrix.neutral()
+        matrix = SynergyMatrix()
         entry = matrix.get(R, "anything", "else")
         assert entry.coefficient == 1.0
         assert entry.sample_count == 0
@@ -276,6 +278,68 @@ def test_sequential_counterpart_overlaps_sum_to_at_most_one():
             t = end
         total = math.fsum(overlap_ratio(own, other) for other in others)
         assert total <= 1.0 + 1e-12
+
+
+def _random_lane(rng, n):
+    """Start-sorted tasks that never overlap one another.
+
+    Half the lanes sit on a half-second grid, so tasks touch their neighbours
+    and the other lane's endpoints; gaps and lengths of 0 give touching and
+    zero-length tasks.
+    """
+    grid = bool(rng.integers(2))
+    starts, ends = [], []
+    t = float(rng.integers(0, 4))
+    for _ in range(n):
+        if grid:
+            t += float(rng.choice([0.0, 0.0, 0.5, 1.0, 2.5]))
+            length = float(rng.choice([0.0, 0.5, 1.0, 3.0, 4.5]))
+        else:
+            t += float(rng.choice([0.0, rng.uniform(0.0, 3.0)]))
+            length = float(rng.choice([0.0, rng.uniform(0.1, 6.0)]))
+        starts.append(t)
+        t += length
+        ends.append(t)
+    return starts, ends
+
+
+def test_overlap_pairs_is_the_window_coupled_durations_prices():
+    """Both sweeps visit the same pairs with the same fractions, in the same order."""
+    import numpy as np
+
+    rng = np.random.default_rng(2024)
+    for _ in range(1000):
+        own_start, own_end = _random_lane(rng, int(rng.integers(0, 9)))
+        other_start, other_end = _random_lane(rng, int(rng.integers(0, 9)))
+        means = [float(x) for x in rng.uniform(1.0, 20.0, size=len(own_start))]
+        rows = [
+            [float(x) for x in rng.uniform(0.3, 3.0, size=len(other_start))]
+            for _ in own_start
+        ]
+        pairs = overlap_pairs(own_start, own_end, other_start, other_end)
+        priced = []
+        for mean, row, own_pairs in zip(means, rows, pairs):
+            coupled = 0.0
+            covered = 0.0
+            for k, delta in own_pairs:
+                coupled += row[k] * delta
+                covered += delta
+            priced.append(mean * (1.0 + (coupled - covered)))
+        for sorted_lanes in (True, False):
+            assert coupled_durations(
+                means, rows, own_start, own_end, other_start, other_end, sorted_lanes
+            ) == priced
+        # The pairs are exactly the positive overlap ratios of the interval algebra.
+        for i, own_pairs in enumerate(pairs):
+            if own_end[i] == own_start[i]:
+                assert own_pairs == []
+                continue
+            own = TimeInterval(own_start[i], own_end[i])
+            ratios = [
+                (k, overlap_ratio(own, TimeInterval(s, e)))
+                for k, (s, e) in enumerate(zip(other_start, other_end))
+            ]
+            assert own_pairs == [(k, r) for k, r in ratios if r > 0.0]
 
 
 def test_reimport_releases_the_previous_copy():

@@ -150,7 +150,7 @@ class TestPredictMakespan:
                 )
                 for agent in AgentId
             }
-            predicted = predict_makespan(domain, plan, stats, SynergyMatrix.neutral())
+            predicted = predict_makespan(domain, plan, stats, SynergyMatrix())
             assert predicted == pytest.approx(max(sums.values()), abs=1e-9)
 
     def test_coupled_task_reaches_fixed_point(self):
@@ -179,19 +179,19 @@ class TestPredictMakespan:
     def test_empty_plan(self):
         domain = PlanningDomain((), ())
         plan = CandidatePlan(assignment={}, order={H: (), R: ()})
-        assert predict_makespan(domain, plan, {}, SynergyMatrix.neutral()) == 0.0
+        assert predict_makespan(domain, plan, {}, SynergyMatrix()) == 0.0
 
     def test_missing_duration(self):
         domain = PlanningDomain((TaskInstance("a", "t", frozenset({R})),), ())
         plan = CandidatePlan(assignment={"a": R}, order={H: (), R: ("a",)})
         with pytest.raises(MissingDuration):
-            predict_makespan(domain, plan, {}, SynergyMatrix.neutral())
+            predict_makespan(domain, plan, {}, SynergyMatrix())
 
     def test_missing_duration_names_the_agent_value(self):
         domain = PlanningDomain((TaskInstance("a", "t", frozenset({R})),), ())
         plan = CandidatePlan(assignment={"a": R}, order={H: (), R: ("a",)})
         with pytest.raises(MissingDuration) as err:
-            predict_makespan(domain, plan, {}, SynergyMatrix.neutral())
+            predict_makespan(domain, plan, {}, SynergyMatrix())
         assert str(err.value) == "no duration statistics for task 't' for agent robot"
 
     def test_cross_agent_precedence_adds_wait(self):
@@ -209,7 +209,7 @@ class TestPredictMakespan:
         plan = CandidatePlan(
             assignment={"pick": R, "place": H}, order={H: ("place",), R: ("pick",)}
         )
-        assert predict_makespan(domain, plan, stats, SynergyMatrix.neutral()) == pytest.approx(14.0)
+        assert predict_makespan(domain, plan, stats, SynergyMatrix()) == pytest.approx(14.0)
 
     def test_nonconvergence_raises(self, monkeypatch):
         monkeypatch.setattr(planner_mod, "MAX_FIXED_POINT_ITERATIONS", 1)
@@ -217,7 +217,7 @@ class TestPredictMakespan:
         stats = _uniform_stats(domain)
         plan = random_plan(domain, 0)
         with pytest.raises(NonConvergence):
-            predict_makespan(domain, plan, stats, SynergyMatrix.neutral())
+            predict_makespan(domain, plan, stats, SynergyMatrix())
 
     @pytest.mark.parametrize(
         "robot_lane, human_lane, message",
@@ -240,7 +240,7 @@ class TestPredictMakespan:
         )
         for check in _PLAN_CHECKS:
             with pytest.raises(InvalidProgram, match=message):
-                check(domain, plan, stats, SynergyMatrix.neutral())
+                check(domain, plan, stats, SynergyMatrix())
 
     def test_rejects_ineligible_agent(self):
         domain = PlanningDomain(
@@ -250,7 +250,7 @@ class TestPredictMakespan:
         plan = CandidatePlan(assignment={"a": R, "b": R}, order={H: (), R: ("a", "b")})
         for check in _PLAN_CHECKS:
             with pytest.raises(InvalidProgram, match="'a' assigned to ineligible agent robot"):
-                check(domain, plan, stats, SynergyMatrix.neutral())
+                check(domain, plan, stats, SynergyMatrix())
 
     def test_rejects_same_lane_precedence_violation(self):
         domain = _pair_domain(1)
@@ -259,7 +259,7 @@ class TestPredictMakespan:
         )
         for check in _PLAN_CHECKS:
             with pytest.raises(InvalidProgram, match="deadlock"):
-                check(domain, plan, _uniform_stats(domain), SynergyMatrix.neutral())
+                check(domain, plan, _uniform_stats(domain), SynergyMatrix())
 
     def test_negative_coupled_duration_is_a_named_error(self):
         # Coefficients near 1e-300 make r1, fully covered by the human lane,
@@ -536,7 +536,7 @@ class TestOptimizePlan:
             (("a", "b"),),
         )
         stats = _uniform_stats(domain)
-        plan = optimize_plan(domain, stats, SynergyMatrix.neutral(), budget=10)
+        plan = optimize_plan(domain, stats, SynergyMatrix(), budget=10)
         assert plan.assignment == {"a": R, "b": H}
 
     def test_exhaustive_matches_brute_force(self):
@@ -555,7 +555,7 @@ class TestOptimizePlan:
     def test_budget_one_returns_a_valid_plan(self):
         domain = _pair_domain(3)
         stats = _uniform_stats(domain)
-        plan = optimize_plan(domain, stats, SynergyMatrix.neutral(), budget=1)
+        plan = optimize_plan(domain, stats, SynergyMatrix(), budget=1)
         validate_plan(domain, plan)
         assert plan.predicted_makespan is not None
 
@@ -599,25 +599,25 @@ class TestOptimizePlan:
     def test_deterministic_result(self):
         domain = _pair_domain(2)
         stats = _uniform_stats(domain)
-        first = optimize_plan(domain, stats, SynergyMatrix.neutral(), budget=100, seed=5)
-        second = optimize_plan(domain, stats, SynergyMatrix.neutral(), budget=100, seed=5)
+        first = optimize_plan(domain, stats, SynergyMatrix(), budget=100, seed=5)
+        second = optimize_plan(domain, stats, SynergyMatrix(), budget=100, seed=5)
         assert first == second
 
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
-            optimize_plan(_pair_domain(1), {}, SynergyMatrix.neutral(), budget=0)
+            optimize_plan(_pair_domain(1), {}, SynergyMatrix(), budget=0)
 
     def test_infeasible_domain(self):
         domain = PlanningDomain((TaskInstance("a", "t", frozenset()),), ())
         with pytest.raises(InfeasibleDomain):
-            optimize_plan(domain, {}, SynergyMatrix.neutral(), budget=5)
+            optimize_plan(domain, {}, SynergyMatrix(), budget=5)
 
     def test_skips_candidates_without_durations(self):
         domain = _pair_domain(2)
         stats = _uniform_stats(domain)
         del stats[("pick1", R)]
         for budget in (4, 50_000):  # random search, then exhaustive
-            plan = optimize_plan(domain, stats, SynergyMatrix.neutral(), budget=budget, seed=3)
+            plan = optimize_plan(domain, stats, SynergyMatrix(), budget=budget, seed=3)
             assert plan.assignment["pick1"] is H
             assert plan.predicted_makespan is not None
 
@@ -626,10 +626,10 @@ class TestOptimizePlan:
         stats = _uniform_stats(domain)
         del stats[("place0", R)]
         with pytest.raises(MissingDuration, match="'place0' for agent robot"):
-            optimize_plan(domain, stats, SynergyMatrix.neutral(), budget=5)
+            optimize_plan(domain, stats, SynergyMatrix(), budget=5)
 
     def test_empty_domain(self):
-        plan = optimize_plan(PlanningDomain((), ()), {}, SynergyMatrix.neutral(), budget=5)
+        plan = optimize_plan(PlanningDomain((), ()), {}, SynergyMatrix(), budget=5)
         assert plan.predicted_makespan == 0.0
 
     def test_warns_once_with_skip_counts(self, monkeypatch, caplog):
@@ -647,7 +647,7 @@ class TestOptimizePlan:
 
         monkeypatch.setattr(planner_mod, "predict_makespan", every_third_fails)
         with caplog.at_level(logging.WARNING, logger="tandem.planner"):
-            optimize_plan(domain, stats, SynergyMatrix.neutral(), budget=30, seed=3)
+            optimize_plan(domain, stats, SynergyMatrix(), budget=30, seed=3)
         lacking = sum(
             random_plan(domain, seed=[3, i]).assignment["pick1"] is R
             for i in range(30)
@@ -664,5 +664,5 @@ class TestOptimizePlan:
     def test_no_warning_when_nothing_is_skipped(self, caplog):
         domain = _pair_domain(2)
         with caplog.at_level(logging.WARNING, logger="tandem.planner"):
-            optimize_plan(domain, _uniform_stats(domain), SynergyMatrix.neutral(), budget=30)
+            optimize_plan(domain, _uniform_stats(domain), SynergyMatrix(), budget=30)
         assert caplog.records == []
