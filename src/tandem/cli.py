@@ -89,6 +89,15 @@ def _plan_doc(plan_id: str, plan: CandidatePlan, makespan: float, kind: str) -> 
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    """Simulate `--plans` random plans and store their records and plan documents.
+
+    The catalog, the campaign's task_results and its plans are each written
+    with one upsert, in that order, after every plan has been simulated: a
+    fresh store is appended to once per collection, and a rerun rewrites each
+    file once.  The campaign is durable as a unit when the command returns,
+    and a plan's line is printed only once it is on disk.  A run that dies
+    part-way leaves no plan documents; the same seed reproduces it.
+    """
     cfg = worldcfg.load_world_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
     if args.plans < 1:
@@ -97,17 +106,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     store = Store(_store_root(args))
     store.upsert_many("task_properties", _catalog_docs(cfg))
 
-    makespans = []
+    traces = []
+    plan_docs = []
     for k in range(args.plans):
         plan = random_plan(domain, seed=[seed, k, 0])
         program = program_from_plan(domain, plan)
         plan_id = f"plan-{k:04d}"
         trace = simulate_plan(program, cfg, seed=[seed, k, 1], plan_id=plan_id)
-        store.record_trace(trace)
+        traces.append(trace)
         makespan = max(rec.interval.end for rec in trace.records)
-        makespans.append(makespan)
-        store.upsert("plans", _plan_doc(plan_id, plan, makespan, "simulated"))
-        print(f"{plan_id}: makespan {makespan:.3f} s")
+        plan_docs.append(_plan_doc(plan_id, plan, makespan, "simulated"))
+    store.record_traces(traces)
+    store.upsert_many("plans", plan_docs)
+    for doc in plan_docs:
+        print(f"{doc['id']}: makespan {doc['makespan']:.3f} s")
+    makespans = [doc["makespan"] for doc in plan_docs]
     print(
         f"simulated {args.plans} plans (seed {seed}) into {store.root}; "
         f"makespan min {min(makespans):.3f} / max {max(makespans):.3f} s"
@@ -135,16 +148,27 @@ def _kept_executions(
     return kept, stats
 
 
+def _catalog_entry(doc: dict) -> tuple[str, list]:
+    return _field(doc, "id", str), _field(doc, "agents", list)
+
+
+def _result_entry(doc: dict) -> tuple[str, list]:
+    return _field(doc, "task_id", str), [_field(doc, "agent", str)]
+
+
 def _task_lists(store: Store) -> tuple[list[str], list[str]]:
-    """Human and robot task type lists, from the catalog or observed records."""
+    """Human and robot task type lists, from the catalog or observed records.
+
+    A document without the fields read, or with one of the wrong type, raises
+    CorruptStore naming its file and line.
+    """
     catalog = store.query("task_properties")
     if catalog:
-        human = [doc["id"] for doc in catalog if AgentId.HUMAN.value in doc["agents"]]
-        robot = [doc["id"] for doc in catalog if AgentId.ROBOT.value in doc["agents"]]
-        return human, robot
-    results = store.query("task_results")
-    human = list(dict.fromkeys(d["task_id"] for d in results if d["agent"] == "human"))
-    robot = list(dict.fromkeys(d["task_id"] for d in results if d["agent"] == "robot"))
+        entries = _read_docs(store, "task_properties", catalog, _catalog_entry)
+    else:
+        entries = _read_docs(store, "task_results", store.query("task_results"), _result_entry)
+    human = list(dict.fromkeys(t for t, agents in entries if AgentId.HUMAN.value in agents))
+    robot = list(dict.fromkeys(t for t, agents in entries if AgentId.ROBOT.value in agents))
     return human, robot
 
 
@@ -198,8 +222,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-# JSON types a stored estimate field may have, by the Python type it is read as.
-_FIELD_TYPES = {str: (str,), float: (int, float), int: (int,)}
+# JSON types a stored field may have, by the Python type it is read as.
+_FIELD_TYPES = {str: (str,), float: (int, float), int: (int,), list: (list,)}
 
 
 def _field(doc: dict, name: str, kind: type) -> Any:

@@ -198,7 +198,10 @@ def random_plan(domain: PlanningDomain, seed) -> CandidatePlan:
     rng = np.random.default_rng(seed)
     assignment: dict[str, AgentId] = {}
     for inst, choices in zip(domain.instances, domain._eligible_by_value):
-        assignment[inst.uid] = choices[int(rng.integers(len(choices)))]
+        if len(choices) == 1:  # rng.integers(1) is 0 and leaves the stream as it was
+            assignment[inst.uid] = choices[0]
+        else:
+            assignment[inst.uid] = choices[int(rng.integers(len(choices)))]
     linear = _random_linearization(domain, rng)
     order = {
         agent: tuple(uid for uid in linear if assignment[uid] is agent) for agent in AgentId
@@ -482,9 +485,15 @@ def optimize_plan(
             lacking += 1
             missing = missing or exc
             continue
-        key = _plan_key(domain, plan)
-        if cost < best_cost or (cost == best_cost and (best_key is None or key < best_key)):
-            best, best_cost, best_key = plan, cost, key
+        if cost < best_cost or (cost == best_cost and best is None):
+            best, best_cost, best_key = plan, cost, None
+        elif cost == best_cost:
+            # A tie: compare keys, the best plan's computed once per best.
+            if best_key is None:
+                best_key = _plan_key(domain, best)
+            key = _plan_key(domain, plan)
+            if key < best_key:
+                best, best_key = plan, key
     skipped = non_converged + lacking
     if skipped:
         logger.warning(

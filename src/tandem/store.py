@@ -18,6 +18,11 @@ final line that does not parse is a torn append (a crash, or a writer still at
 work): reads skip it and the next upsert's rewrite drops it, so a reader never
 sees a half-written document.  Concurrent writers must be serialized by the
 caller.
+
+Durability is per upsert, so a caller that batches sets its own unit:
+`record_traces` writes any number of traces as one upsert, and `tandem
+simulate` appends each collection once, so its campaign is durable as a unit
+when the command returns.
 """
 
 from __future__ import annotations
@@ -278,11 +283,11 @@ class Store:
 
     # -- execution trace bridge ------------------------------------------
 
-    def record_trace(self, trace: ExecutionTrace) -> None:
-        """Persist a trace's records, ids derived from the plan and position."""
-        docs = []
-        for k, rec in enumerate(trace.records):
-            docs.append(
+    def record_traces(self, traces: Iterable[ExecutionTrace]) -> None:
+        """Persist the traces' records as one upsert, ids derived from plan and position."""
+        self.upsert_many(
+            "task_results",
+            (
                 {
                     "id": f"{trace.plan_id}:{k:04d}",
                     "plan_id": rec.plan_id,
@@ -292,8 +297,10 @@ class Store:
                     "end": None if rec.interval is None else rec.interval.end,
                     "success": rec.success,
                 }
-            )
-        self.upsert_many("task_results", docs)
+                for trace in traces
+                for k, rec in enumerate(trace.records)
+            ),
+        )
 
     def export_traces(self, plan_ids: Sequence[str] | None = None) -> list[ExecutionTrace]:
         """Reconstruct execution traces from task_results, grouped by plan.

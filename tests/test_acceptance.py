@@ -393,8 +393,7 @@ def test_criterion_8_store_round_trips(campaign, tmp_path):
     store_dir, _ = campaign
     source = Store(store_dir)
     reimported = Store(tmp_path / "reimport")
-    for trace in source.export_traces():
-        reimported.record_trace(trace)
+    reimported.record_traces(source.export_traces())
     assert (
         (tmp_path / "reimport" / "task_results.jsonl").read_bytes()
         == (store_dir / "task_results.jsonl").read_bytes()

@@ -11,12 +11,58 @@ import pytest
 
 import tandem.store as store_mod
 from tandem import cli
-from tandem.config import load_world_config
+from tandem.config import build_domain, load_world_config
+from tandem.planner import random_plan
+from tandem.simulator import program_from_plan, simulate_plan
 from tandem.store import COLLECTIONS, Store
+
+# The default workcell with the blue task types eligible to both agents.
+FLEXIBLE = "tasks:\n" + "".join(
+    f"  {t}: {{agent: [human, robot]}}\n"
+    for t in ("pick_blue_h", "place_blue_h", "pick_blue_r", "place_blue_r")
+)
 
 
 def _run(*args):
     return cli.main([str(a) for a in args])
+
+
+def _simulate_per_plan(store_dir, plans, seed, config=None):
+    """`tandem simulate` as one upsert per plan and collection, each plan printed once stored."""
+    cfg = load_world_config(config)
+    domain = build_domain(cfg)
+    store = Store(store_dir)
+    store.upsert_many("task_properties", cli._catalog_docs(cfg))
+    makespans = []
+    for k in range(plans):
+        plan = random_plan(domain, seed=[seed, k, 0])
+        plan_id = f"plan-{k:04d}"
+        trace = simulate_plan(program_from_plan(domain, plan), cfg, seed=[seed, k, 1], plan_id=plan_id)
+        store.record_traces([trace])
+        makespan = max(rec.interval.end for rec in trace.records)
+        makespans.append(makespan)
+        store.upsert("plans", cli._plan_doc(plan_id, plan, makespan, "simulated"))
+        print(f"{plan_id}: makespan {makespan:.3f} s")
+    print(
+        f"simulated {plans} plans (seed {seed}) into {store.root}; "
+        f"makespan min {min(makespans):.3f} / max {max(makespans):.3f} s"
+    )
+
+
+def _count_fsyncs(monkeypatch):
+    calls = []
+    fsync = store_mod.os.fsync
+
+    def counting_fsync(fd):
+        calls.append(fd)
+        fsync(fd)
+
+    monkeypatch.setattr(store_mod.os, "fsync", counting_fsync)
+    return calls
+
+
+def _files(store_dir):
+    return {path.name: path.read_bytes() for path in store_dir.iterdir()}
 
 
 class TestSimulate:
@@ -60,6 +106,42 @@ class TestSimulate:
         assert _run("simulate", "--store", tmp_path / "s", "--plans", 0) == 1
         assert "plan count must be at least 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    @pytest.mark.parametrize("workcell", ["default", "flexible"])
+    def test_matches_a_per_plan_loop(self, tmp_path, monkeypatch, capsys, workcell, seed):
+        config = None
+        if workcell == "flexible":
+            config = tmp_path / "world.yaml"
+            config.write_text(FLEXIBLE)
+        flags = ("--config", config) if config else ()
+        batched, per_plan = tmp_path / "batched", tmp_path / "per_plan"
+        for cwd in (batched, per_plan):
+            cwd.mkdir()
+        # One relative store path, so the summary lines name the same store.
+        monkeypatch.chdir(per_plan)
+        _simulate_per_plan("s", 4, seed, config)
+        expected = capsys.readouterr().out
+        monkeypatch.chdir(batched)
+        assert _run("simulate", "--store", "s", "--plans", 4, "--seed", seed, *flags) == 0
+        assert capsys.readouterr().out == expected
+        assert _files(batched / "s") == _files(per_plan / "s")
+
+    def test_rerun_in_place_leaves_identical_bytes(self, tmp_path, monkeypatch):
+        store_dir = tmp_path / "s"
+        simulate = ("simulate", "--store", store_dir, "--plans", 3, "--seed", 5)
+        assert _run(*simulate) == 0
+        before = _files(store_dir)
+        fsyncs = _count_fsyncs(monkeypatch)
+        assert _run(*simulate) == 0
+        assert _files(store_dir) == before
+        assert len(fsyncs) == 3  # one rewrite per collection
+
+    @pytest.mark.parametrize("plans", [1, 5, 20])
+    def test_fsyncs_once_per_collection(self, tmp_path, monkeypatch, plans):
+        fsyncs = _count_fsyncs(monkeypatch)
+        assert _run("simulate", "--store", tmp_path / "s", "--plans", plans, "--seed", 2) == 0
+        assert len(fsyncs) == 3
 
     @pytest.mark.parametrize("plans", [1, 4])
     def test_encodes_each_document_once(self, tmp_path, monkeypatch, plans):
@@ -227,6 +309,34 @@ class TestCorruptStore:
         path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
         capsys.readouterr()
         flags = {"plan": ("--budget", 5), "report": ("--out", tmp_path / "report")}[command]
+        assert _run(command, "--store", store_dir, *flags) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:3: document {docs[2]['id']}: {reason}\n"
+
+
+    @pytest.mark.parametrize("command", ["estimate", "report"])
+    @pytest.mark.parametrize(
+        "collection, edit, reason",
+        [
+            ("task_properties", lambda doc: doc.pop("agents"), "no field 'agents'"),
+            ("task_properties", lambda doc: doc.update(agents="human"), "field 'agents' must be list, got 'human'"),
+            ("task_results", lambda doc: doc.pop("task_id"), "no field 'task_id'"),
+            ("task_results", lambda doc: doc.update(agent=7), "field 'agent' must be str, got 7"),
+        ],
+        ids=["catalog_no_agents", "catalog_agents_text", "record_no_task_id", "record_agent_number"],
+    )
+    def test_unreadable_task_list(self, tmp_path, capsys, command, collection, edit, reason):
+        store_dir = tmp_path / "s"
+        assert _run("simulate", "--store", store_dir, "--plans", 2, "--seed", 4) == 0
+        assert _run("estimate", "--store", store_dir) == 0
+        if collection == "task_results":
+            (store_dir / "task_properties.jsonl").unlink()  # the lists then come from the records
+        path = store_dir / f"{collection}.jsonl"
+        docs = [json.loads(line) for line in path.read_text().splitlines()]
+        edit(docs[2])
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        capsys.readouterr()
+        flags = {"estimate": (), "report": ("--out", tmp_path / "report")}[command]
         assert _run(command, "--store", store_dir, *flags) == 1
         err = capsys.readouterr().err
         assert err == f"error: {path}:3: document {docs[2]['id']}: {reason}\n"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tandem.planner as planner_mod
-from tandem.config import build_domain
+from tandem.config import build_domain, load_world_config, make_world_config
 from tandem.errors import (
     InfeasibleDomain,
     InvalidProgram,
@@ -121,6 +121,31 @@ class TestRandomPlan:
         domain = PlanningDomain((TaskInstance("a", "t", frozenset()),), ())
         with pytest.raises(InfeasibleDomain):
             random_plan(domain, 0)
+
+    def test_single_agent_tasks_take_no_draw(self):
+        flexible = make_world_config({"tasks": {t: {"agent": ["human", "robot"]} for t in _BLUE_TASKS}})
+        for domain in (build_domain(load_world_config()), build_domain(flexible)):
+            for seed in range(1000):
+                assert random_plan(domain, seed) == _drawing_random_plan(domain, seed)
+        rng = np.random.default_rng(7)
+        for seed in range(1000):
+            domain, _, _ = _random_problem(rng)
+            assert random_plan(domain, seed) == _drawing_random_plan(domain, seed)
+
+
+_BLUE_TASKS = ("pick_blue_h", "place_blue_h", "pick_blue_r", "place_blue_r")
+
+
+def _drawing_random_plan(domain, seed):
+    """random_plan with one draw per task, one eligible agent or more."""
+    rng = np.random.default_rng(seed)
+    assignment = {
+        inst.uid: choices[int(rng.integers(len(choices)))]
+        for inst, choices in zip(domain.instances, domain._eligible_by_value)
+    }
+    linear = planner_mod._random_linearization(domain, rng)
+    order = {agent: tuple(u for u in linear if assignment[u] is agent) for agent in AgentId}
+    return CandidatePlan(assignment=assignment, order=order)
 
 
 # validate_plan, both predictions and the simulator's program run the same plan check.
@@ -497,7 +522,7 @@ class TestKernelMatchesReference:
         assert any(unsorted_rounds)
 
 
-def _brute_force_optimum(domain, stats, synergy):
+def _brute_force_plans(domain):
     """Independent exhaustive enumeration of assignments and interleavings."""
     uids = [inst.uid for inst in domain.instances]
     prereq = {uid: set() for uid in uids}
@@ -512,7 +537,6 @@ def _brute_force_optimum(domain, stats, synergy):
             if uid not in done and prereq[uid] <= done:
                 yield from linearizations(done | {uid}, acc + [uid])
 
-    best = math.inf
     eligible = [sorted(inst.eligible, key=lambda a: a.value) for inst in domain.instances]
     for combo in itertools.product(*eligible):
         assignment = dict(zip(uids, combo))
@@ -521,9 +545,11 @@ def _brute_force_optimum(domain, stats, synergy):
                 agent: tuple(u for u in linear if assignment[u] is agent)
                 for agent in AgentId
             }
-            plan = CandidatePlan(assignment=assignment, order=order)
-            best = min(best, predict_makespan(domain, plan, stats, synergy))
-    return best
+            yield CandidatePlan(assignment=assignment, order=order)
+
+
+def _brute_force_optimum(domain, stats, synergy):
+    return min(predict_makespan(domain, plan, stats, synergy) for plan in _brute_force_plans(domain))
 
 
 class TestOptimizePlan:
@@ -595,6 +621,29 @@ class TestOptimizePlan:
             for i in range(1000)
         )
         assert best.predicted_makespan <= oracle + 1e-12
+
+    @pytest.mark.parametrize("budget", [1000, 30], ids=["exhaustive", "sampled"])
+    def test_ties_break_on_the_smallest_key(self, budget):
+        # Neutral synergy and one mean for every task: many candidates tie.
+        domain = _pair_domain(2)
+        stats = _uniform_stats(domain)
+        seed = 4
+        if budget >= 96:  # 16 assignments x 6 interleavings
+            candidates = list(_brute_force_plans(domain))
+        else:
+            candidates = [random_plan(domain, seed=[seed, i]) for i in range(budget)]
+        costs = [predict_makespan(domain, plan, stats, SynergyMatrix()) for plan in candidates]
+        tied = [plan for plan, cost in zip(candidates, costs) if cost == min(costs)]
+        assert len({str(plan) for plan in tied}) > 1
+
+        def key(plan):
+            assignment = tuple(plan.assignment[inst.uid].value for inst in domain.instances)
+            return assignment, tuple(plan.order[agent] for agent in AgentId)
+
+        expected = min(tied, key=key)
+        best = optimize_plan(domain, stats, SynergyMatrix(), budget=budget, seed=seed)
+        assert (best.assignment, best.order) == (expected.assignment, expected.order)
+        assert best.predicted_makespan == min(costs)
 
     def test_deterministic_result(self):
         domain = _pair_domain(2)

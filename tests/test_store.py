@@ -175,7 +175,7 @@ class TestTornTail:
 
     def _torn(self, tmp_path):
         store = Store(tmp_path / "s")
-        store.record_trace(_small_trace("p1"))
+        store.record_traces([_small_trace("p1")])
         path = tmp_path / "s" / "task_results.jsonl"
         line = path.read_bytes().splitlines(keepends=True)[0].replace(b"p1", b"p2")
         with open(path, "ab") as fh:
@@ -184,8 +184,7 @@ class TestTornTail:
 
     def _clean(self, tmp_path):
         clean = Store(tmp_path / "clean")
-        clean.record_trace(_small_trace("p1"))
-        clean.record_trace(_small_trace("p3"))
+        clean.record_traces([_small_trace("p1"), _small_trace("p3")])
         return (tmp_path / "clean" / "task_results.jsonl").read_bytes()
 
     def test_reads_skip_the_torn_line(self, tmp_path):
@@ -198,18 +197,18 @@ class TestTornTail:
         store = self._torn(tmp_path)
         if reopen:
             store = Store(tmp_path / "s")
-        store.record_trace(_small_trace("p3"))
+        store.record_traces([_small_trace("p3")])
         assert (tmp_path / "s" / "task_results.jsonl").read_bytes() == self._clean(tmp_path)
         assert sorted(p.name for p in (tmp_path / "s").iterdir()) == ["task_results.jsonl"]
 
     def test_complete_final_line_without_newline_is_kept(self, tmp_path):
         store = Store(tmp_path / "s")
-        store.record_trace(_small_trace("p1"))
+        store.record_traces([_small_trace("p1")])
         path = tmp_path / "s" / "task_results.jsonl"
         path.write_bytes(path.read_bytes().rstrip(b"\n"))
         store = Store(tmp_path / "s")
         assert store.count("task_results") == 3
-        store.record_trace(_small_trace("p3"))
+        store.record_traces([_small_trace("p3")])
         assert path.read_bytes() == self._clean(tmp_path)
 
 
@@ -262,39 +261,55 @@ class TestTraceBridge:
     def test_record_then_export_matches(self, tmp_path):
         store = Store(tmp_path)
         trace = _small_trace()
-        store.record_trace(trace)
+        store.record_traces([trace])
         (exported,) = store.export_traces(["p1"])
         assert exported == trace
 
     def test_export_selects_requested_plans(self, tmp_path):
         store = Store(tmp_path)
-        store.record_trace(_small_trace("p1"))
-        store.record_trace(_small_trace("p2"))
+        store.record_traces([_small_trace("p1"), _small_trace("p2")])
         (only,) = store.export_traces(["p2"])
         assert only.plan_id == "p2"
         assert [t.plan_id for t in store.export_traces()] == ["p1", "p2"]
 
     def test_unknown_plan(self, tmp_path):
         store = Store(tmp_path)
-        store.record_trace(_small_trace("p1"))
+        store.record_traces([_small_trace("p1")])
         with pytest.raises(UnknownPlan):
             store.export_traces(["p404"])
 
     def test_failed_record_flag_round_trips(self, tmp_path):
         store = Store(tmp_path)
-        store.record_trace(_small_trace())
+        store.record_traces([_small_trace()])
         (exported,) = store.export_traces(["p1"])
         failed = [r for r in exported.records if not r.success]
         assert len(failed) == 1
         assert failed[0].interval is None
 
+    def test_one_call_writes_what_one_call_per_trace_writes(self, tmp_path, monkeypatch):
+        traces = [_small_trace("p1"), _small_trace("p2"), _small_trace("p3")]
+        for trace in traces:
+            Store(tmp_path / "a").record_traces([trace])
+        fsyncs = []
+        fsync = store_mod.os.fsync
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            fsync(fd)
+
+        monkeypatch.setattr(store_mod.os, "fsync", counting_fsync)
+        Store(tmp_path / "b").record_traces(traces)
+        assert len(fsyncs) == 1
+        assert (
+            (tmp_path / "a" / "task_results.jsonl").read_bytes()
+            == (tmp_path / "b" / "task_results.jsonl").read_bytes()
+        )
+
     def test_reimport_reproduces_bytes(self, tmp_path):
         first = Store(tmp_path / "a")
-        first.record_trace(_small_trace("p1"))
-        first.record_trace(_small_trace("p2"))
+        first.record_traces([_small_trace("p1"), _small_trace("p2")])
         second = Store(tmp_path / "b")
-        for trace in first.export_traces():
-            second.record_trace(trace)
+        second.record_traces(first.export_traces())
         assert (
             (tmp_path / "a" / "task_results.jsonl").read_bytes()
             == (tmp_path / "b" / "task_results.jsonl").read_bytes()
