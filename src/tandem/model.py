@@ -247,53 +247,57 @@ def nominal_agent_plan_duration(
     return total
 
 
-def coupled_durations(
+def coupled_lane_durations(
     means: Sequence[float],
     rows: Sequence[Sequence[float]],
-    own_start: Sequence[float],
-    own_end: Sequence[float],
-    other_start: Sequence[float],
-    other_end: Sequence[float],
+    starts: Sequence[float],
+    ends: Sequence[float],
+    n_human: int,
     sorted_lanes: bool = True,
 ) -> list[float]:
-    """Synergy-scaled durations of one agent's tasks against the counterpart's.
+    """Synergy-scaled durations of both lanes' tasks, over slot-major lists.
 
-    Task i runs over [own_start[i], own_end[i]] with expected duration
-    means[i]; counterpart task j runs over [other_start[j], other_end[j]].
-    Task i costs means[i] * (1 + sum_j (s_ij - 1) * delta_ij), where delta_ij
-    is the fraction of task i during which task j runs and s_ij = rows[i][j].
-    Terms are added in counterpart order.
-
-    When both lanes are sorted by start, a two-pointer sweep visits, for each
-    task, only the counterpart tasks that can overlap it: those ending at or
-    before its start are never needed again, and the scan stops at the first
-    one starting at or after its end.  With `sorted_lanes` false every pair
-    is tested, for the same result.  `overlap_pairs` is the same window; it
-    returns the pairs instead of pricing them, and the loop stays inline
-    here because the planner runs it every fixed-point round.
+    Slots below n_human hold the human lane and the rest the robot lane; slot
+    i runs over [starts[i], ends[i]] with expected duration means[i], and
+    rows[i][j] is its coefficient against the other lane's j-th task.  Task i
+    costs means[i] * (1 + sum_j (rows[i][j] - 1) * delta_ij), where delta_ij
+    is the fraction of task i that the other lane's task j covers; terms are
+    added in the other lane's order.  One sweep over the human lane prices
+    each overlapping pair for both its tasks, within the window that
+    `overlap_pairs` describes.  With `sorted_lanes` false, for lanes no
+    longer sorted by start, every pair is tested.
     """
+    n = len(means)
     out = []
-    m = len(other_start)
-    j = 0
-    for mean, row, own_s, own_e in zip(means, rows, own_start, own_end):
-        while j < m and other_end[j] <= own_s and sorted_lanes:
+    coupled = [0.0] * n
+    covered = [0.0] * n
+    j = n_human
+    for i, own_s, own_e in zip(range(n_human), starts, ends):
+        while j < n and ends[j] <= own_s and sorted_lanes:
             j += 1
         own_len = own_e - own_s
-        coupled = 0.0
-        covered = 0.0
-        for k in range(j, m):
-            other_s = other_start[k]
+        row = rows[i]
+        own_coupled = 0.0
+        own_covered = 0.0
+        for k in range(j, n):
+            other_s = starts[k]
             if other_s >= own_e and sorted_lanes:
                 break
-            other_e = other_end[k]
+            other_e = ends[k]
             lo = own_s if own_s > other_s else other_s
             hi = own_e if own_e < other_e else other_e
             if hi <= lo:
                 continue
-            delta = (hi - lo) / own_len
-            coupled += row[k] * delta
-            covered += delta
-        out.append(mean * (1.0 + (coupled - covered)))
+            span = hi - lo
+            delta = span / own_len
+            own_coupled += row[k - n_human] * delta
+            own_covered += delta
+            delta = span / (other_e - other_s)
+            coupled[k] += rows[k][i] * delta
+            covered[k] += delta
+        out.append(means[i] * (1.0 + (own_coupled - own_covered)))
+    for k in range(n_human, n):
+        out.append(means[k] * (1.0 + (coupled[k] - covered[k])))
     return out
 
 
@@ -308,7 +312,7 @@ def overlap_pairs(
     Both lanes must be sorted by start.  Entry i lists (j, delta_ij) in
     counterpart order for every counterpart task j that shares more than an
     endpoint with own task i, where delta_ij = |i ∩ j| / |i|.  This is the
-    window of `coupled_durations`: counterpart tasks ending at or before a
+    window of `coupled_lane_durations`: counterpart tasks ending at or before a
     task's start are dropped for good, and the scan stops at the first one
     starting at or after its end.  A zero-length own task overlaps nothing.
     """
@@ -362,16 +366,19 @@ def synergy_agent_plan_duration(
         rows.append(
             [synergy.get(agent, task.task_id, other.task_id).coefficient for other in counterpart]
         )
-    durations = coupled_durations(
-        means,
-        rows,
-        [task.interval.start for task in own],
-        [task.interval.end for task in own],
-        [task.interval.start for task in counterpart],
-        [task.interval.end for task in counterpart],
-    )
+    # The counterpart's half is priced at placeholder means and rows, then dropped.
+    n_human = len(schedule.human)
+    pad_means, pad_rows = [0.0] * len(counterpart), [[1.0] * len(own)] * len(counterpart)
+    if agent is AgentId.HUMAN:
+        means, rows, own_slots = means + pad_means, rows + pad_rows, slice(n_human)
+    else:
+        means, rows, own_slots = pad_means + means, pad_rows + rows, slice(n_human, None)
+    tasks = schedule.human + schedule.robot
+    starts = [task.interval.start for task in tasks]
+    ends = [task.interval.end for task in tasks]
+    durations = coupled_lane_durations(means, rows, starts, ends, n_human)
     total = 0.0
-    for duration in durations:
+    for duration in durations[own_slots]:
         total += duration
     return total
 

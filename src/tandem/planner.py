@@ -10,10 +10,11 @@ are iterated to a fixed point under the synergy coupling.
 The dispatch order depends only on the orderings and the precedence, so it
 is computed once per plan, together with the well-formedness and deadlock
 checks that ``validate_plan`` runs.  Each round then replays it in one
-linear pass, and a two-pointer sweep over the two start-sorted lanes
-(``model.coupled_durations``) rescales the durations.  The result equals,
-bit for bit, an all-pairs O(n_h * n_r) scan of the same formula; the tests
-keep that scan as their reference.
+linear pass, and one two-pointer sweep over the start-sorted lanes
+(``model.coupled_lane_durations``) prices each overlapping human-robot pair
+once to rescale both lanes' durations.  The result equals, bit for bit, an
+all-pairs O(n_h * n_r) scan of the same formula; the tests keep that scan
+as their reference.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .model import (
     StatsMap,
     SynergyMatrix,
     TimeInterval,
-    coupled_durations,
+    coupled_lane_durations,
     plan_cost,
 )
 
@@ -107,6 +108,15 @@ class PlanningDomain:
         return {inst.uid: i for i, inst in enumerate(self.instances)}
 
     @functools.cached_property
+    def _uids(self) -> tuple[str, ...]:
+        return tuple(inst.uid for inst in self.instances)
+
+    @functools.cached_property
+    def _disjoint_precedence(self) -> bool:
+        uids = [uid for pair in self.precedence for uid in pair]
+        return len(set(uids)) == len(uids)
+
+    @functools.cached_property
     def _eligible_by_value(self) -> tuple[tuple[AgentId, ...], ...]:
         return tuple(tuple(sorted(inst.eligible, key=lambda a: a.value)) for inst in self.instances)
 
@@ -145,15 +155,6 @@ def validate_plan(domain: PlanningDomain, plan: CandidatePlan) -> None:
     _dispatch_order(domain, plan)
 
 
-def _pairs_are_disjoint(precedence: Sequence[tuple[str, str]]) -> bool:
-    seen: set[str] = set()
-    for before, after in precedence:
-        if before in seen or after in seen:
-            return False
-        seen.update((before, after))
-    return True
-
-
 def _random_linearization(domain: PlanningDomain, rng: np.random.Generator) -> list[str]:
     """Uniformly random topological order of the domain's instances.
 
@@ -162,8 +163,8 @@ def _random_linearization(domain: PlanningDomain, rng: np.random.Generator) -> l
     linearizations.  Other acyclic precedence falls back to repeatedly picking
     uniformly among the ready tasks.
     """
-    uids = [inst.uid for inst in domain.instances]
-    if _pairs_are_disjoint(domain.precedence):
+    uids = domain._uids
+    if domain._disjoint_precedence:
         order = [uids[i] for i in rng.permutation(len(uids))]
         position = {uid: i for i, uid in enumerate(order)}
         for before, after in domain.precedence:
@@ -192,16 +193,16 @@ def random_plan(domain: PlanningDomain, seed) -> CandidatePlan:
     Deterministic per seed.  Raises InfeasibleDomain when some task has no
     eligible agent.
     """
-    for inst in domain.instances:
-        if not inst.eligible:
-            raise InfeasibleDomain(f"task {inst.uid!r} has no eligible agent")
+    eligible = domain._eligible_by_value
+    if not all(eligible):
+        raise InfeasibleDomain(f"task {domain._uids[eligible.index(())]!r} has no eligible agent")
     rng = np.random.default_rng(seed)
     assignment: dict[str, AgentId] = {}
-    for inst, choices in zip(domain.instances, domain._eligible_by_value):
+    for uid, choices in zip(domain._uids, eligible):
         if len(choices) == 1:  # rng.integers(1) is 0 and leaves the stream as it was
-            assignment[inst.uid] = choices[0]
+            assignment[uid] = choices[0]
         else:
-            assignment[inst.uid] = choices[int(rng.integers(len(choices)))]
+            assignment[uid] = choices[int(rng.integers(len(choices)))]
     linear = _random_linearization(domain, rng)
     order = {
         agent: tuple(uid for uid in linear if assignment[uid] is agent) for agent in AgentId
@@ -306,8 +307,6 @@ def _fixed_point(
             if spec not in by_spec:
                 by_spec[spec] = [entries.get((spec, o), NEUTRAL_SYNERGY).coefficient for o in other]
             rows.append(by_spec[spec])
-    human_rows, robot_rows = rows[:n_human], rows[n_human:]
-    human_means, robot_means = means[:n_human], means[n_human:]
 
     durations = means
     starts = [0.0] * n
@@ -321,21 +320,15 @@ def _fixed_point(
                     start = ends[d]
             starts[k] = start
             ends[k] = start + durations[k]
-        human_start, robot_start = starts[:n_human], starts[n_human:]
-        human_end, robot_end = ends[:n_human], ends[n_human:n]
         makespan = max(ends[:n])
         if previous is not None and abs(makespan - previous) < MAKESPAN_TOL:
-            cost = plan_cost(max([0.0, *human_end]), max([0.0, *robot_end]))
+            cost = plan_cost(max([0.0, *ends[:n_human]]), max([0.0, *ends[n_human:n]]))
             return at, steps, starts, ends, cost
         previous = makespan
         # A lane stays sorted by start unless a coupled duration went negative,
         # which takes a coefficient far below the estimator's floor.
         in_order = min(durations) >= 0.0
-        durations = coupled_durations(
-            human_means, human_rows, human_start, human_end, robot_start, robot_end, in_order
-        ) + coupled_durations(
-            robot_means, robot_rows, robot_start, robot_end, human_start, human_end, in_order
-        )
+        durations = coupled_lane_durations(means, rows, starts, ends, n_human, in_order)
     raise NonConvergence(
         f"makespan did not settle within {MAX_FIXED_POINT_ITERATIONS} iterations"
     )
@@ -413,9 +406,8 @@ def _count_linearizations(domain: PlanningDomain, limit: int) -> int | None:
 
 
 def _enumerate_plans(domain: PlanningDomain) -> Iterator[CandidatePlan]:
-    uids = [inst.uid for inst in domain.instances]
     for combo in itertools.product(*domain._eligible_by_value):
-        assignment = dict(zip(uids, combo))
+        assignment = dict(zip(domain._uids, combo))
         for linear in _all_linearizations(domain):
             order = {
                 agent: tuple(u for u in linear if assignment[u] is agent) for agent in AgentId

@@ -148,10 +148,6 @@ class Store:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise IoFailure(f"cannot create store root {self.root}: {exc}") from exc
         self._cache: dict[str, tuple[list[str], dict[str, dict]]] = {}
         # File size at which a collection may be appended to: its size as this
         # store last read or wrote it, or None if that content did not end in
@@ -247,6 +243,11 @@ class Store:
         file that changed since this store last touched it, is one atomic
         rewrite.
         """
+        # The first write creates the root, so a read leaves no directory behind.
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoFailure(f"cannot create store root {self.root}: {exc}") from exc
         _, docs = self._load(collection)
         batch: dict[str, dict] = {}
         ids = []

@@ -409,6 +409,13 @@ class TestPipeline:
         assert _run("report", "--store", store_dir) == 0
         assert (store_dir / "report" / "synergy_robot.svg").exists()
 
+    @pytest.mark.parametrize("command", ["estimate", "plan", "report"])
+    def test_reading_a_missing_store_leaves_it_absent(self, tmp_path, capsys, command):
+        store_dir = tmp_path / "typo"
+        assert _run(command, "--store", store_dir) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not store_dir.exists()
+
     def test_store_root_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_STORE, str(tmp_path / "env_store"))
         assert _run("simulate", "--plans", 1) == 0

@@ -22,7 +22,7 @@ from tandem.model import (
     SynergyMatrix,
     TaskSpec,
     TimeInterval,
-    coupled_durations,
+    coupled_lane_durations,
     interval_duration,
     interval_intersection,
     nominal_agent_plan_duration,
@@ -303,11 +303,125 @@ def _random_lane(rng, n):
     return starts, ends
 
 
+def _coupled_durations(means, rows, own_start, own_end, other_start, other_end, sorted_lanes=True):
+    """Reference: the one-lane sweep, one agent's tasks against the counterpart's.
+
+    Task i costs means[i] * (1 + sum_j (s_ij - 1) * delta_ij) with
+    s_ij = rows[i][j], terms added in counterpart order; with `sorted_lanes`
+    false every pair is tested.  The two-lane kernel must equal this run once
+    per direction.
+    """
+    out = []
+    m = len(other_start)
+    j = 0
+    for mean, row, own_s, own_e in zip(means, rows, own_start, own_end):
+        while j < m and other_end[j] <= own_s and sorted_lanes:
+            j += 1
+        own_len = own_e - own_s
+        coupled = 0.0
+        covered = 0.0
+        for k in range(j, m):
+            other_s = other_start[k]
+            if other_s >= own_e and sorted_lanes:
+                break
+            other_e = other_end[k]
+            lo = own_s if own_s > other_s else other_s
+            hi = own_e if own_e < other_e else other_e
+            if hi <= lo:
+                continue
+            delta = (hi - lo) / own_len
+            coupled += row[k] * delta
+            covered += delta
+        out.append(mean * (1.0 + (coupled - covered)))
+    return out
+
+
+def _random_rows(rng, n_rows, n_cols):
+    return [[float(x) for x in rng.uniform(0.3, 3.0, size=n_cols)] for _ in range(n_rows)]
+
+
+def _shrinking_lane(rng, n):
+    """A lane as the fixed point dispatches it once a coupled duration went negative.
+
+    Each task starts where the previous one ended, so a negative-length task
+    leaves the lane out of start order.
+    """
+    starts, ends = [], []
+    t = float(rng.uniform(0.0, 4.0))
+    for _ in range(n):
+        t += float(rng.choice([0.0, 0.0, 1.5]))
+        starts.append(t)
+        t += float(rng.choice([-1e-12, -2.0, 0.0, 1.0, rng.uniform(0.1, 6.0)]))
+        ends.append(t)
+    return starts, ends
+
+
+def test_two_lane_kernel_equals_the_one_lane_sweep_each_way():
+    import numpy as np
+
+    rng = np.random.default_rng(8)
+    seen = set()
+    for case in range(1500):
+        n_human, n_robot = (int(x) for x in rng.integers(0, 9, size=2))
+        if case % 10 == 0:
+            n_human = 0
+        elif case % 10 == 1:
+            n_robot = 0
+        shrinking = case % 3 == 2
+        lane = _shrinking_lane if shrinking else _random_lane
+        human_start, human_end = lane(rng, n_human)
+        robot_start, robot_end = lane(rng, n_robot)
+        human_means = [float(x) for x in rng.uniform(1.0, 20.0, size=n_human)]
+        robot_means = [float(x) for x in rng.uniform(1.0, 20.0, size=n_robot)]
+        human_rows = _random_rows(rng, n_human, n_robot)
+        robot_rows = _random_rows(rng, n_robot, n_human)
+        starts, ends = human_start + robot_start, human_end + robot_end
+        for sorted_lanes in (False,) if shrinking else (True, False):
+            want = _coupled_durations(
+                human_means, human_rows, human_start, human_end, robot_start, robot_end, sorted_lanes
+            ) + _coupled_durations(
+                robot_means, robot_rows, robot_start, robot_end, human_start, human_end, sorted_lanes
+            )
+            got = coupled_lane_durations(
+                human_means + robot_means, human_rows + robot_rows, starts, ends, n_human, sorted_lanes
+            )
+            assert got == want
+        lengths = [e - s for s, e in zip(starts, ends)]
+        seen.update(
+            name
+            for name, hit in (
+                ("no human task", n_human == 0 < n_robot),
+                ("no robot task", n_robot == 0 < n_human),
+                ("negative length", min(lengths, default=0.0) < 0.0),
+                ("zero length", 0.0 in lengths),
+                ("touching", bool({*human_start, *human_end} & {*robot_start, *robot_end})),
+            )
+            if hit
+        )
+    assert seen == {"no human task", "no robot task", "negative length", "zero length", "touching"}
+
+
+def _price(means, rows, pairs):
+    """The coupled-cost formula summed over a task's overlap pairs."""
+    priced = []
+    for mean, row, own_pairs in zip(means, rows, pairs):
+        coupled = 0.0
+        covered = 0.0
+        for k, delta in own_pairs:
+            coupled += row[k] * delta
+            covered += delta
+        priced.append(mean * (1.0 + (coupled - covered)))
+    return priced
+
+
 def test_overlap_pairs_is_the_window_coupled_durations_prices():
     """Both sweeps visit the same pairs with the same fractions, in the same order."""
     import numpy as np
 
     rng = np.random.default_rng(2024)
+    # The counterpart lane's means and rows come from a stream of their own,
+    # so the lanes are the ones drawn before the kernel priced both of them.
+    other_rng = np.random.default_rng(2025)
     for _ in range(1000):
         own_start, own_end = _random_lane(rng, int(rng.integers(0, 9)))
         other_start, other_end = _random_lane(rng, int(rng.integers(0, 9)))
@@ -316,18 +430,19 @@ def test_overlap_pairs_is_the_window_coupled_durations_prices():
             [float(x) for x in rng.uniform(0.3, 3.0, size=len(other_start))]
             for _ in own_start
         ]
+        other_means = [float(x) for x in other_rng.uniform(1.0, 20.0, size=len(other_start))]
+        other_rows = _random_rows(other_rng, len(other_start), len(own_start))
         pairs = overlap_pairs(own_start, own_end, other_start, other_end)
-        priced = []
-        for mean, row, own_pairs in zip(means, rows, pairs):
-            coupled = 0.0
-            covered = 0.0
-            for k, delta in own_pairs:
-                coupled += row[k] * delta
-                covered += delta
-            priced.append(mean * (1.0 + (coupled - covered)))
+        back = overlap_pairs(other_start, other_end, own_start, own_end)
+        priced = _price(means, rows, pairs) + _price(other_means, other_rows, back)
         for sorted_lanes in (True, False):
-            assert coupled_durations(
-                means, rows, own_start, own_end, other_start, other_end, sorted_lanes
+            assert coupled_lane_durations(
+                means + other_means,
+                rows + other_rows,
+                own_start + other_start,
+                own_end + other_end,
+                len(own_start),
+                sorted_lanes,
             ) == priced
         # The pairs are exactly the positive overlap ratios of the interval algebra.
         for i, own_pairs in enumerate(pairs):

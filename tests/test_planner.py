@@ -122,6 +122,29 @@ class TestRandomPlan:
         with pytest.raises(InfeasibleDomain):
             random_plan(domain, 0)
 
+    def test_infeasible_domain_names_the_first_such_task(self):
+        domain = PlanningDomain(
+            tuple(TaskInstance(uid, "t", eligible) for uid, eligible in
+                  (("a", BOTH), ("b", frozenset()), ("c", frozenset()))),
+            (),
+        )
+        with pytest.raises(InfeasibleDomain, match="^task 'b' has no eligible agent$"):
+            random_plan(domain, 0)
+
+    def test_shared_precedence_tasks_keep_every_pair_in_order(self):
+        # "b" is in two pairs, so the disjoint-pair shuffle does not apply.
+        domain = PlanningDomain(
+            tuple(TaskInstance(uid, "t", frozenset({R})) for uid in "abcde"),
+            (("a", "b"), ("b", "c"), ("d", "b")),
+        )
+        orders = set()
+        for seed in range(200):
+            order = random_plan(domain, seed).order[R]
+            for before, after in domain.precedence:
+                assert order.index(before) < order.index(after)
+            orders.add(order)
+        assert len(orders) == 10  # a and d in either order, then b, then c; e anywhere
+
     def test_single_agent_tasks_take_no_draw(self):
         flexible = make_world_config({"tasks": {t: {"agent": ["human", "robot"]} for t in _BLUE_TASKS}})
         for domain in (build_domain(load_world_config()), build_domain(flexible)):
@@ -500,22 +523,21 @@ class TestKernelMatchesReference:
             H: {("s0", "s0"): SynergyEntry(0.7963305550166291)},
             R: {("s0", "s0"): SynergyEntry(1.7086756255118798e-300)},
         })
-        sweep = planner_mod.coupled_durations
+        sweep = planner_mod.coupled_lane_durations
         unsorted_rounds = []
 
-        def checked(means, rows, own_start, own_end, other_start, other_end, sorted_lanes):
-            own = [("own", i) for i in range(len(means))]
-            other = [("other", j) for j in range(len(other_start))]
-            intervals = dict(zip(own, zip(own_start, own_end)))
-            intervals.update(zip(other, zip(other_start, other_end)))
-            coeff = {uid: list(zip(other, row)) for uid, row in zip(own, rows)}
-            want = _coupled_durations(dict(zip(own, means)), intervals, coeff)
-            got = sweep(means, rows, own_start, own_end, other_start, other_end, sorted_lanes)
-            assert got == [want[uid] for uid in own]
+        def checked(means, rows, starts, ends, n_human, sorted_lanes):
+            slots = range(len(means))
+            human, robot = slots[:n_human], slots[n_human:]
+            intervals = {k: (starts[k], ends[k]) for k in slots}
+            coeff = {k: list(zip(robot if k in human else human, rows[k])) for k in slots}
+            want = _coupled_durations(dict(zip(slots, means)), intervals, coeff)
+            got = sweep(means, rows, starts, ends, n_human, sorted_lanes)
+            assert got == [want[k] for k in slots]
             unsorted_rounds.append(not sorted_lanes)
             return got
 
-        monkeypatch.setattr(planner_mod, "coupled_durations", checked)
+        monkeypatch.setattr(planner_mod, "coupled_lane_durations", checked)
         assert _outcome(predict_makespan, domain, plan, stats, synergy) == _outcome(
             _reference_makespan, domain, plan, stats, synergy
         )

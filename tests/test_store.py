@@ -43,6 +43,21 @@ class TestUpsertAndQuery:
         assert [d["task_id"] for d in docs] == ["a", "b"]
         assert docs[0]["mean"] == 9.0
 
+    def test_root_is_created_by_the_first_write(self, tmp_path):
+        root = tmp_path / "a" / "b"
+        store = Store(root)
+        assert store.query("task_duration") == [] and store.count("plans") == 0
+        assert not (tmp_path / "a").exists()
+        store.upsert("task_duration", _duration_doc())
+        assert Store(root).query("task_duration") == [_duration_doc()]
+
+    def test_root_that_cannot_be_created(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        root = tmp_path / "file" / "s"
+        with pytest.raises(IoFailure) as err:
+            Store(root).upsert("task_duration", _duration_doc())
+        assert str(err.value).startswith(f"cannot create store root {root}: ")
+
     def test_missing_field_names_it(self, tmp_path):
         doc = _duration_doc()
         del doc["mean"]
