@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import logging
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -737,3 +740,61 @@ class TestOptimizePlan:
         with caplog.at_level(logging.WARNING, logger="tandem.planner"):
             optimize_plan(domain, _uniform_stats(domain), SynergyMatrix(), budget=30)
         assert caplog.records == []
+
+
+FLEXIBLE_WORKCELL = Path(__file__).resolve().parents[1] / "perfbench" / "flexible.yaml"
+
+# SHA-256 of the 400 outcomes below, recorded while the sweep restarted its
+# robot-lane scan for every human task.
+GOLDEN_PREDICTIONS_SHA256 = "146f2e8f8dfd286b2c72b1ef7629f000aa57f98b548357984cb14b09e3431081"
+
+
+def _stdlib_candidate(domain, rng):
+    """A valid plan drawn with random.Random: an eligible agent each, then a ready task at a time."""
+    assignment = {
+        inst.uid: rng.choice(sorted(inst.eligible, key=lambda a: a.value))
+        for inst in domain.instances
+    }
+    prereq = {uid: set(before) for uid, before in domain.prerequisites().items()}
+    remaining, done, linear = sorted(prereq), set(), []
+    while remaining:
+        pick = rng.choice([uid for uid in remaining if prereq[uid] <= done])
+        remaining.remove(pick)
+        done.add(pick)
+        linear.append(pick)
+    order = {agent: tuple(uid for uid in linear if assignment[uid] is agent) for agent in AgentId}
+    return CandidatePlan(assignment=assignment, order=order)
+
+
+def test_predictions_match_the_recorded_golden_hash():
+    """200 random candidates per workcell, priced under synthetic estimates from random.Random.
+
+    The hash covers float.hex of every converged makespan and "NC" for each
+    candidate that did not converge, so any change of a single bit shows.
+    """
+    rng = random.Random(20240917)
+    digest = hashlib.sha256()
+    outcomes = []
+    for config in (load_world_config(), load_world_config(FLEXIBLE_WORKCELL)):
+        domain = build_domain(config)
+        specs = sorted({inst.spec_id for inst in domain.instances})
+        stats = {
+            (spec, agent): DurationStats(spec, agent, rng.uniform(2.0, 15.0), 0.0, 5)
+            for spec in specs
+            for agent in AgentId
+        }
+        synergy = SynergyMatrix({
+            agent: {
+                (own, other): SynergyEntry(rng.uniform(0.2, 3.0))
+                for own in specs
+                for other in specs
+                if rng.random() < 0.8
+            }
+            for agent in AgentId
+        })
+        for _ in range(200):
+            outcome = _outcome(predict_makespan, domain, _stdlib_candidate(domain, rng), stats, synergy)
+            outcomes.append(outcome)
+            digest.update(("NC" if outcome == "NonConvergence" else outcome.hex()).encode() + b"\n")
+    assert "NonConvergence" in outcomes and len(set(outcomes)) > 300
+    assert digest.hexdigest() == GOLDEN_PREDICTIONS_SHA256
