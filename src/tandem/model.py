@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from math import isfinite
 
 from .errors import MissingDuration, ZeroDurationTask
 
@@ -176,10 +177,10 @@ class SynergyEntry:
     sample_count: int = 0
 
     def __post_init__(self) -> None:
-        if self.coefficient <= 0.0:
-            raise ValueError(f"synergy coefficient must be positive, got {self.coefficient}")
-        if self.std_error < 0.0:
-            raise ValueError(f"std error must be non-negative, got {self.std_error}")
+        if not (isfinite(self.coefficient) and self.coefficient > 0.0):
+            raise ValueError(f"synergy coefficient must be positive and finite, got {self.coefficient}")
+        if not (isfinite(self.std_error) and self.std_error >= 0.0):
+            raise ValueError(f"std error must be non-negative and finite, got {self.std_error}")
         if self.sample_count < 0:
             raise ValueError(f"sample count must be non-negative, got {self.sample_count}")
 
@@ -214,10 +215,10 @@ class DurationStats:
     count: int
 
     def __post_init__(self) -> None:
-        if self.mean <= 0.0:
-            raise ValueError(f"mean duration must be positive, got {self.mean}")
-        if self.std < 0.0:
-            raise ValueError(f"std must be non-negative, got {self.std}")
+        if not (isfinite(self.mean) and self.mean > 0.0):
+            raise ValueError(f"mean duration must be positive and finite, got {self.mean}")
+        if not (isfinite(self.std) and self.std >= 0.0):
+            raise ValueError(f"std must be non-negative and finite, got {self.std}")
         if self.count < 1:
             raise ValueError(f"count must be at least 1, got {self.count}")
         if self.count == 1 and self.std != 0.0:
@@ -262,42 +263,45 @@ def coupled_lane_durations(
     rows[i][j] is its coefficient against the other lane's j-th task.  Task i
     costs means[i] * (1 + sum_j (rows[i][j] - 1) * delta_ij), where delta_ij
     is the fraction of task i that the other lane's task j covers; terms are
-    added in the other lane's order.  One sweep over the human lane prices
-    each overlapping pair for both its tasks, within the window that
-    `overlap_pairs` describes.  With `sorted_lanes` false, for lanes no
-    longer sorted by start, every pair is tested.
+    added in the other lane's order.  With `sorted_lanes`, each lane is in
+    start order with no overlapping tasks, and one merge prices each
+    overlapping pair once for both its tasks: the robot pointer stops at the
+    first task starting at or after the human task's end, or at one reaching
+    past that end (it may overlap the next human task), and never moves
+    back.  With `sorted_lanes` false every pair is tested.
     """
     n = len(means)
     out = []
     coupled = [0.0] * n
     covered = [0.0] * n
-    j = n_human
+    k = n_human
     for i, own_s, own_e in zip(range(n_human), starts, ends):
-        while j < n and ends[j] <= own_s and sorted_lanes:
-            j += 1
+        if not sorted_lanes:
+            k = n_human
         own_len = own_e - own_s
         row = rows[i]
         own_coupled = 0.0
         own_covered = 0.0
-        for k in range(j, n):
+        while k < n:
             other_s = starts[k]
             if other_s >= own_e and sorted_lanes:
                 break
             other_e = ends[k]
             lo = own_s if own_s > other_s else other_s
             hi = own_e if own_e < other_e else other_e
-            if hi <= lo:
-                continue
-            span = hi - lo
-            delta = span / own_len
-            own_coupled += row[k - n_human] * delta
-            own_covered += delta
-            delta = span / (other_e - other_s)
-            coupled[k] += rows[k][i] * delta
-            covered[k] += delta
+            if hi > lo:
+                span = hi - lo
+                delta = span / own_len
+                own_coupled += row[k - n_human] * delta
+                own_covered += delta
+                delta = span / (other_e - other_s)
+                coupled[k] += rows[k][i] * delta
+                covered[k] += delta
+            if other_e > own_e and sorted_lanes:
+                break
+            k += 1
         out.append(means[i] * (1.0 + (own_coupled - own_covered)))
-    for k in range(n_human, n):
-        out.append(means[k] * (1.0 + (coupled[k] - covered[k])))
+    out += [means[k] * (1.0 + (coupled[k] - covered[k])) for k in range(n_human, n)]
     return out
 
 
@@ -311,8 +315,8 @@ def overlap_pairs(
 
     Both lanes must be sorted by start.  Entry i lists (j, delta_ij) in
     counterpart order for every counterpart task j that shares more than an
-    endpoint with own task i, where delta_ij = |i ∩ j| / |i|.  This is the
-    window of `coupled_lane_durations`: counterpart tasks ending at or before a
+    endpoint with own task i, where delta_ij = |i ∩ j| / |i|: the pairs that
+    `coupled_lane_durations` prices.  Counterpart tasks ending at or before a
     task's start are dropped for good, and the scan stops at the first one
     starting at or after its end.  A zero-length own task overlaps nothing.
     """
@@ -376,7 +380,9 @@ def synergy_agent_plan_duration(
     tasks = schedule.human + schedule.robot
     starts = [task.interval.start for task in tasks]
     ends = [task.interval.end for task in tasks]
-    durations = coupled_lane_durations(means, rows, starts, ends, n_human)
+    # A schedule's lane may overlap itself by less than TIME_EPS, which the
+    # merge over sorted lanes does not expect, so every pair is tested.
+    durations = coupled_lane_durations(means, rows, starts, ends, n_human, sorted_lanes=False)
     total = 0.0
     for duration in durations[own_slots]:
         total += duration

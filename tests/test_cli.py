@@ -5,6 +5,7 @@ from __future__ import annotations
 import filecmp
 import json
 import logging
+import math
 import re
 
 import pytest
@@ -293,10 +294,18 @@ class TestCorruptStore:
             ("task_synergy", lambda doc: doc.pop("coefficient"), "no field 'coefficient'"),
             ("task_synergy", lambda doc: doc.update(sample_count="3"), "field 'sample_count' must be int, got '3'"),
             ("task_synergy", lambda doc: doc.update(agent="drone"), "'drone' is not a valid AgentId"),
+            # json writes these as NaN and Infinity, and reads them back as floats.
+            ("task_duration", lambda doc: doc.update(mean=math.nan),
+             "mean duration must be positive and finite, got nan"),
+            ("task_synergy", lambda doc: doc.update(coefficient=math.inf),
+             "synergy coefficient must be positive and finite, got inf"),
+            ("task_synergy", lambda doc: doc.update(std_error=math.nan),
+             "std error must be non-negative and finite, got nan"),
         ],
         ids=[
             "duration_no_mean", "duration_mean_text", "duration_count_bool", "duration_unknown_agent",
             "synergy_no_coefficient", "synergy_count_text", "synergy_unknown_agent",
+            "duration_mean_nan", "synergy_coefficient_inf", "synergy_std_error_nan",
         ],
     )
     def test_unreadable_estimate(self, tmp_path, capsys, command, collection, edit, reason):

@@ -191,6 +191,42 @@ class TestSynergyDuration:
         with pytest.raises(ZeroDurationTask, match="zero duration"):
             synergy_agent_plan_duration(shared, stats, SynergyMatrix(), R)
 
+    def test_lane_overlapping_itself_within_tolerance_prices_every_pair(self):
+        # PlanSchedule lets r2 start 1e-10 s before r1 ends.  r1 reaches past
+        # h1's end, yet r2 still covers h1's last 1e-10 s, and that sliver counts.
+        lanes = {
+            H: [("h1", 0.0, 10.0)],
+            R: [("r1", 5.0, 10.0 + 5e-10), ("r2", 10.0 - 1e-10, 12.0)],
+        }
+        schedule = _schedule(*(
+            ScheduledTask(task, agent, TimeInterval(start, end))
+            for agent, lane in lanes.items()
+            for task, start, end in lane
+        ))
+        stats = stats_table([
+            DurationStats("h1", H, 10.0, 0.0, 5),
+            DurationStats("r1", R, 5.0, 0.0, 5),
+            DurationStats("r2", R, 2.0, 0.0, 5),
+        ])
+        synergy = SynergyMatrix({
+            H: {("h1", "r1"): SynergyEntry(1.5), ("h1", "r2"): SynergyEntry(3.0)},
+            R: {("r1", "h1"): SynergyEntry(0.5), ("r2", "h1"): SynergyEntry(2.0)},
+        })
+        for agent in (H, R):
+            own, other = lanes[agent], lanes[agent.counterpart]
+            durations = _coupled_durations(
+                [stats[(task, agent)].mean for task, _, _ in own],
+                [[synergy.get(agent, task, o).coefficient for o, _, _ in other] for task, _, _ in own],
+                [start for _, start, _ in own],
+                [end for _, _, end in own],
+                [start for _, start, _ in other],
+                [end for _, _, end in other],
+            )
+            want = 0.0
+            for duration in durations:
+                want += duration
+            assert synergy_agent_plan_duration(schedule, stats, synergy, agent) == want
+
 
 class TestPlanCost:
     def test_max(self):
@@ -387,18 +423,55 @@ def test_two_lane_kernel_equals_the_one_lane_sweep_each_way():
             )
             assert got == want
         lengths = [e - s for s, e in zip(starts, ends)]
-        seen.update(
-            name
-            for name, hit in (
-                ("no human task", n_human == 0 < n_robot),
-                ("no robot task", n_robot == 0 < n_human),
-                ("negative length", min(lengths, default=0.0) < 0.0),
-                ("zero length", 0.0 in lengths),
-                ("touching", bool({*human_start, *human_end} & {*robot_start, *robot_end})),
-            )
-            if hit
-        )
-    assert seen == {"no human task", "no robot task", "negative length", "zero length", "touching"}
+        cases = [
+            ("no human task", n_human == 0 < n_robot),
+            ("no robot task", n_robot == 0 < n_human),
+            ("negative length", min(lengths, default=0.0) < 0.0),
+            ("zero length", 0.0 in lengths),
+            ("touching", bool({*human_start, *human_end} & {*robot_start, *robot_end})),
+        ]
+        if not shrinking:  # the cases the merge over sorted lanes must step through
+            human = list(zip(human_start, human_end))
+            robot = list(zip(robot_start, robot_end))
+            cases += [
+                ("human task over several robot tasks", _covers_several(human, robot)),
+                ("robot task over several human tasks", _covers_several(robot, human)),
+                ("equal ends", any(
+                    h[1] == r[1] and _overlap(h, r) > 0.0 for h in human for r in robot
+                )),
+                ("zero-length task at the pointer",
+                 _point_inside(robot, human) or _point_inside(human, robot)),
+            ]
+        seen.update(name for name, hit in cases if hit)
+    assert seen == {
+        "no human task",
+        "no robot task",
+        "negative length",
+        "zero length",
+        "touching",
+        "human task over several robot tasks",
+        "robot task over several human tasks",
+        "equal ends",
+        "zero-length task at the pointer",
+    }
+
+
+def _overlap(a, b):
+    return min(a[1], b[1]) - max(a[0], b[0])
+
+
+def _covers_several(lane, other):
+    """Some task of `lane` shares more than an endpoint with two or more tasks of `other`."""
+    return any(sum(_overlap(task, o) > 0.0 for o in other) >= 2 for task in lane)
+
+
+def _point_inside(lane, other):
+    """Some zero-length task of `lane` lies strictly inside a task of `other`.
+
+    The merge's robot pointer sits on such a robot task, or on the robot task
+    around such a human task, and must neither price the pair nor lose its place.
+    """
+    return any(s == e and o_s < s < o_e for s, e in lane for o_s, o_e in other)
 
 
 def _price(means, rows, pairs):
