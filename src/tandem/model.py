@@ -254,7 +254,7 @@ def coupled_lane_durations(
     starts: Sequence[float],
     ends: Sequence[float],
     n_human: int,
-    sorted_lanes: bool = True,
+    sorted_lanes: bool,
 ) -> list[float]:
     """Synergy-scaled durations of both lanes' tasks, over slot-major lists.
 

@@ -311,36 +311,23 @@ def _fixed_point(
     durations = means
     starts = [0.0] * n
     ends = [0.0] * (n + 1)  # ends[n] stays 0.0: when a lane's first task may start
-    # In a pick-before-place domain each task waits for at most one
-    # prerequisite, the sentinel slot n when it has none: one comparison a step.
-    single = all(len(before) < 2 for _, _, before in steps)
-    one_dep = [(k, prev, before[0] if before else n) for k, prev, before in steps]
     previous = None
     for _ in range(MAX_FIXED_POINT_ITERATIONS):
-        if single:
-            for k, prev, dep in one_dep:
-                start = ends[prev]
-                if ends[dep] > start:
-                    start = ends[dep]
-                starts[k] = start
-                ends[k] = start + durations[k]
-        else:
-            for k, prev, before in steps:
-                start = ends[prev]
-                for d in before:
-                    if ends[d] > start:
-                        start = ends[d]
-                starts[k] = start
-                ends[k] = start + durations[k]
-        # Lanes keep start order without overlap unless a coupled duration went
-        # negative (a coefficient far below the estimator's floor).  Each then
-        # ends with its last task; ends[-1] is the sentinel when n_human is 0.
-        in_order = min(durations) >= 0.0
-        makespan = max(ends[n_human - 1], ends[n - 1]) if in_order else max(ends[:n])
+        for k, prev, before in steps:
+            start = ends[prev]
+            for d in before:
+                if ends[d] > start:
+                    start = ends[d]
+            starts[k] = start
+            ends[k] = start + durations[k]
+        makespan = max(ends[:n])
         if previous is not None and abs(makespan - previous) < MAKESPAN_TOL:
             cost = plan_cost(max([0.0, *ends[:n_human]]), max([0.0, *ends[n_human:n]]))
             return at, steps, starts, ends, cost
         previous = makespan
+        # Lanes keep start order without overlap unless a coupled duration went
+        # negative, which takes a coefficient far below the estimator's floor.
+        in_order = min(durations) >= 0.0
         durations = coupled_lane_durations(means, rows, starts, ends, n_human, in_order)
     raise NonConvergence(
         f"makespan did not settle within {MAX_FIXED_POINT_ITERATIONS} iterations"
