@@ -26,21 +26,15 @@ from .estimator import (
 from .model import (
     ActionKind,
     AgentId,
-    Assignment,
     DurationStats,
-    PlanSchedule,
-    ScheduledTask,
     SynergyEntry,
     SynergyMatrix,
     TaskSpec,
     TimeInterval,
     interval_duration,
     interval_intersection,
-    nominal_agent_plan_duration,
     overlap_ratio,
-    plan_cost,
     stats_table,
-    synergy_agent_plan_duration,
 )
 from .planner import (
     CandidatePlan,
@@ -48,7 +42,6 @@ from .planner import (
     TaskInstance,
     optimize_plan,
     predict_makespan,
-    predicted_schedule,
     random_plan,
 )
 from .config import WorldConfig, ZoneExposureProfile, build_domain, load_world_config
@@ -67,16 +60,13 @@ __all__ = [
     "ActionKind",
     "AgentId",
     "AgentProgram",
-    "Assignment",
     "CandidatePlan",
     "DurationStats",
     "ExecutionRecord",
     "ExecutionTrace",
     "OutlierReport",
-    "PlanSchedule",
     "PlanningDomain",
     "RegressionProblem",
-    "ScheduledTask",
     "Store",
     "SynergyEntry",
     "SynergyFit",
@@ -96,12 +86,9 @@ __all__ = [
     "interval_duration",
     "interval_intersection",
     "load_world_config",
-    "nominal_agent_plan_duration",
     "optimize_plan",
     "overlap_ratio",
-    "plan_cost",
     "predict_makespan",
-    "predicted_schedule",
     "program_from_plan",
     "random_plan",
     "robot_speed_factor",
@@ -109,5 +96,4 @@ __all__ = [
     "simulate_plan",
     "solve_synergy",
     "stats_table",
-    "synergy_agent_plan_duration",
 ]

@@ -1,7 +1,7 @@
 """Domain types and the plan-duration cost model for two-agent collaborative plans.
 
-A plan assigns symbolic tasks to a human and a robot and schedules them on
-per-agent timelines.  Each task has a nominal (expected) duration; whenever the
+A plan assigns symbolic tasks to a human and a robot, and each agent works
+through its own lane of tasks.  Each task has a nominal (expected) duration; whenever the
 counterpart agent works concurrently, the nominal duration is scaled by a
 per-task-pair synergy coefficient weighted by the fraction of overlap.  The
 fraction of a task with no concurrent counterpart work keeps coefficient 1, so
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from math import isfinite
 
-from .errors import MissingDuration, ZeroDurationTask
+from .errors import ZeroDurationTask
 
 # Absolute tolerance for time comparisons, in seconds.
 TIME_EPS = 1e-9
@@ -48,14 +48,12 @@ class TimeInterval:
     end: float
 
     def __post_init__(self) -> None:
+        if not (isfinite(self.start) and isfinite(self.end)):
+            raise ValueError(f"interval bounds must be finite, got [{self.start}, {self.end}]")
         if self.start < 0.0:
             raise ValueError(f"interval start must be non-negative, got {self.start}")
         if self.end < self.start:
             raise ValueError(f"interval end {self.end} precedes start {self.start}")
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 def interval_duration(t: TimeInterval | None) -> float:
@@ -105,67 +103,6 @@ class TaskSpec:
     def __post_init__(self) -> None:
         if not self.eligible_agents:
             raise ValueError(f"task {self.id!r} has no eligible agents")
-
-
-# A plan's task -> agent map.  Keys are task ids unique within the plan.
-Assignment = Mapping[str, AgentId]
-
-
-@dataclass(frozen=True)
-class ScheduledTask:
-    """A task placed on an agent timeline."""
-
-    task_id: str
-    agent: AgentId
-    interval: TimeInterval
-
-
-@dataclass(frozen=True)
-class PlanSchedule:
-    """Per-agent timelines of scheduled tasks.
-
-    Tasks of the same agent must not overlap (touching endpoints are fine)
-    and are kept sorted by start time.
-    """
-
-    human: tuple[ScheduledTask, ...] = ()
-    robot: tuple[ScheduledTask, ...] = ()
-
-    def __post_init__(self) -> None:
-        for agent, lane in ((AgentId.HUMAN, self.human), (AgentId.ROBOT, self.robot)):
-            prev = None
-            for task in lane:
-                if task.agent is not agent:
-                    raise ValueError(
-                        f"task {task.task_id!r} for {task.agent.value} placed on "
-                        f"the {agent.value} timeline"
-                    )
-                if prev is not None:
-                    if task.interval.start < prev.interval.start:
-                        raise ValueError(f"{agent.value} timeline is not sorted by start")
-                    if task.interval.start < prev.interval.end - TIME_EPS:
-                        raise ValueError(
-                            f"tasks {prev.task_id!r} and {task.task_id!r} overlap "
-                            f"on the {agent.value} timeline"
-                        )
-                prev = task
-
-    @classmethod
-    def from_tasks(cls, tasks: Iterable[ScheduledTask]) -> "PlanSchedule":
-        lanes: dict[AgentId, list[ScheduledTask]] = {AgentId.HUMAN: [], AgentId.ROBOT: []}
-        for task in tasks:
-            lanes[task.agent].append(task)
-        for lane in lanes.values():
-            lane.sort(key=lambda t: (t.interval.start, t.interval.end))
-        return cls(human=tuple(lanes[AgentId.HUMAN]), robot=tuple(lanes[AgentId.ROBOT]))
-
-    def for_agent(self, agent: AgentId) -> tuple[ScheduledTask, ...]:
-        return self.human if agent is AgentId.HUMAN else self.robot
-
-    @property
-    def horizon(self) -> float:
-        ends = [t.interval.end for t in self.human + self.robot]
-        return max(ends) if ends else 0.0
 
 
 @dataclass(frozen=True)
@@ -231,21 +168,6 @@ StatsMap = Mapping[tuple[str, AgentId], DurationStats]
 
 def stats_table(stats: Iterable[DurationStats]) -> dict[tuple[str, AgentId], DurationStats]:
     return {(s.task_id, s.agent): s for s in stats}
-
-
-def nominal_agent_plan_duration(
-    assignment: Assignment, stats: StatsMap, agent: AgentId
-) -> float:
-    """Sum of expected durations over the tasks assigned to `agent`."""
-    total = 0.0
-    for task_id, assigned in assignment.items():
-        if assigned is not agent:
-            continue
-        key = (task_id, agent)
-        if key not in stats:
-            raise MissingDuration(task_id, agent)
-        total += stats[key].mean
-    return total
 
 
 def coupled_lane_durations(
@@ -340,55 +262,3 @@ def overlap_pairs(
             pairs.append((k, (hi - lo) / own_len))
         out.append(pairs)
     return out
-
-
-def synergy_agent_plan_duration(
-    schedule: PlanSchedule,
-    stats: StatsMap,
-    synergy: SynergyMatrix,
-    agent: AgentId,
-) -> float:
-    """Plan duration for `agent` with synergy-scaled task durations.
-
-    Each scheduled task contributes mean * (sum_j s_ij * delta_ij + residual)
-    where delta_ij is the overlap ratio against counterpart task j and the
-    residual fraction (no concurrent counterpart work) carries coefficient 1.
-    Raises ZeroDurationTask for a zero-length task when the counterpart has
-    any work.
-    """
-    own = schedule.for_agent(agent)
-    counterpart = schedule.for_agent(agent.counterpart)
-    means = []
-    rows = []
-    for task in own:
-        key = (task.task_id, agent)
-        if key not in stats:
-            raise MissingDuration(task.task_id, agent)
-        if counterpart and task.interval.duration <= 0.0:
-            raise ZeroDurationTask(f"task interval {task.interval} has zero duration")
-        means.append(stats[key].mean)
-        rows.append(
-            [synergy.get(agent, task.task_id, other.task_id).coefficient for other in counterpart]
-        )
-    # The counterpart's half is priced at placeholder means and rows, then dropped.
-    n_human = len(schedule.human)
-    pad_means, pad_rows = [0.0] * len(counterpart), [[1.0] * len(own)] * len(counterpart)
-    if agent is AgentId.HUMAN:
-        means, rows, own_slots = means + pad_means, rows + pad_rows, slice(n_human)
-    else:
-        means, rows, own_slots = pad_means + means, pad_rows + rows, slice(n_human, None)
-    tasks = schedule.human + schedule.robot
-    starts = [task.interval.start for task in tasks]
-    ends = [task.interval.end for task in tasks]
-    # A schedule's lane may overlap itself by less than TIME_EPS, which the
-    # merge over sorted lanes does not expect, so every pair is tested.
-    durations = coupled_lane_durations(means, rows, starts, ends, n_human, sorted_lanes=False)
-    total = 0.0
-    for duration in durations[own_slots]:
-        total += duration
-    return total
-
-
-def plan_cost(d_human: float, d_robot: float) -> float:
-    """Makespan of a plan: the slower agent's plan duration."""
-    return max(d_human, d_robot)

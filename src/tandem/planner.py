@@ -2,10 +2,11 @@
 
 A planning domain lists task instances (possibly many of the same symbolic
 type), their eligible agents, and pick-before-place precedence pairs.  Plans
-are an agent assignment plus per-agent task orderings.  The predicted cost of
-a plan is computed by serial dispatch: each agent runs its tasks back-to-back,
-waiting only for unmet precedence, while task durations and overlap fractions
-are iterated to a fixed point under the synergy coupling.
+are an agent assignment plus per-agent task orderings.  ``predict_makespan``
+is the one cost entry point: it prices a plan by serial dispatch, each agent
+running its tasks back-to-back and waiting only for unmet precedence, while
+task durations and overlap fractions are iterated to a fixed point under the
+synergy coupling.  The slower agent's finish time is the plan's cost.
 
 The dispatch order depends only on the orderings and the precedence, so it
 is computed once per plan, together with the well-formedness and deadlock
@@ -28,24 +29,8 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import (
-    InfeasibleDomain,
-    InvalidProgram,
-    MissingDuration,
-    NonConvergence,
-    ZeroDurationTask,
-)
-from .model import (
-    NEUTRAL_SYNERGY,
-    AgentId,
-    PlanSchedule,
-    ScheduledTask,
-    StatsMap,
-    SynergyMatrix,
-    TimeInterval,
-    coupled_lane_durations,
-    plan_cost,
-)
+from .errors import InfeasibleDomain, InvalidProgram, MissingDuration, NonConvergence
+from .model import NEUTRAL_SYNERGY, AgentId, StatsMap, SynergyMatrix, coupled_lane_durations
 
 logger = logging.getLogger(__name__)
 
@@ -269,22 +254,26 @@ def _dispatch_order(
     return at, slot_of, n_human, steps
 
 
-def _fixed_point(
+def predict_makespan(
     domain: PlanningDomain,
     plan: CandidatePlan,
     stats: StatsMap,
     synergy: SynergyMatrix,
-) -> tuple[list[int], list[tuple[int, int, tuple[int, ...]]], list[float], list[float], float]:
-    """Coupled-duration fixed point of a plan, over lane-major task slots.
+) -> float:
+    """Predicted plan cost: the slower agent's finish time at the fixed point.
 
-    Returns (domain position of each slot, dispatch steps, starts, ends, plan
-    cost), with slots and steps as in _dispatch_order; the dispatch order is
-    found once and every round replays it.
+    Durations start at each task's expected value; the serial dispatch they
+    induce determines overlap fractions, which rescale the durations, until
+    the makespan moves by less than MAKESPAN_TOL between rounds.  The
+    dispatch order is found once and every round replays it.  The empty plan
+    costs 0.0.  Raises InvalidProgram for a plan that validate_plan rejects,
+    MissingDuration for a task on an agent without duration statistics, and
+    NonConvergence after MAX_FIXED_POINT_ITERATIONS rounds.
     """
     at, slot_of, n_human, steps = _dispatch_order(domain, plan)
     n = len(at)
     if not n:
-        return at, [], [], [], 0.0
+        return 0.0
 
     means = [0.0] * n
     for pos, inst in enumerate(domain.instances):
@@ -322,8 +311,7 @@ def _fixed_point(
             ends[k] = start + durations[k]
         makespan = max(ends[:n])
         if previous is not None and abs(makespan - previous) < MAKESPAN_TOL:
-            cost = plan_cost(max([0.0, *ends[:n_human]]), max([0.0, *ends[n_human:n]]))
-            return at, steps, starts, ends, cost
+            return max(0.0, makespan)
         previous = makespan
         # Lanes keep start order without overlap unless a coupled duration went
         # negative, which takes a coefficient far below the estimator's floor.
@@ -332,48 +320,6 @@ def _fixed_point(
     raise NonConvergence(
         f"makespan did not settle within {MAX_FIXED_POINT_ITERATIONS} iterations"
     )
-
-
-def predicted_schedule(
-    domain: PlanningDomain,
-    plan: CandidatePlan,
-    stats: StatsMap,
-    synergy: SynergyMatrix,
-) -> tuple[PlanSchedule, float]:
-    """Fixed-point schedule under synergy coupling, plus its makespan.
-
-    Durations start at each task's expected value; the schedule they induce
-    determines overlap fractions, which rescale the durations, until the
-    makespan moves by less than MAKESPAN_TOL between rounds.  Raises
-    InvalidProgram for a plan that validate_plan rejects, and
-    ZeroDurationTask when a coupled duration ends up negative, which takes a
-    coefficient far below the estimator's floor on a fully covered task.
-    """
-    at, steps, starts, ends, cost = _fixed_point(domain, plan, stats, synergy)
-    tasks = []
-    for k, _, _ in steps:
-        inst = domain.instances[at[k]]
-        if ends[k] < starts[k]:
-            raise ZeroDurationTask(
-                f"coupled duration of {inst.uid!r} is negative: {ends[k] - starts[k]!r} s"
-            )
-        tasks.append(
-            ScheduledTask(inst.spec_id, plan.assignment[inst.uid], TimeInterval(starts[k], ends[k]))
-        )
-    return PlanSchedule.from_tasks(tasks), cost
-
-
-def predict_makespan(
-    domain: PlanningDomain,
-    plan: CandidatePlan,
-    stats: StatsMap,
-    synergy: SynergyMatrix,
-) -> float:
-    """Predicted plan cost: the slower agent's finish time at the fixed point.
-
-    Same value as predicted_schedule(...)[1], without building the schedule.
-    """
-    return _fixed_point(domain, plan, stats, synergy)[-1]
 
 
 def _all_linearizations(domain: PlanningDomain) -> Iterator[tuple[str, ...]]:

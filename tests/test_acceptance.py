@@ -28,17 +28,14 @@ from tandem.estimator import (
 from tandem.model import (
     AgentId,
     DurationStats,
-    PlanSchedule,
-    ScheduledTask,
     SynergyEntry,
     SynergyMatrix,
     TimeInterval,
+    coupled_lane_durations,
+    interval_duration,
     interval_intersection,
-    nominal_agent_plan_duration,
     overlap_ratio,
-    plan_cost,
     stats_table,
-    synergy_agent_plan_duration,
 )
 from tandem.planner import (
     CandidatePlan,
@@ -126,33 +123,28 @@ def test_criterion_3_ols_matches_pseudo_inverse_oracle():
 def test_criterion_4_cost_model_reduces_to_nominal_sums():
     """1000 randomized schedules with unit synergy match the nominal sums."""
     rng = np.random.default_rng(44)
-    neutral = SynergyMatrix()
     for _ in range(1000):
-        stats = {}
-        assignment = {}
-        tasks = []
-        for agent in (H, R):
+        lanes = []
+        for _ in range(2):  # the human lane, then the robot lane
+            means, starts, ends = [], [], []
             t = 0.0
-            for i in range(int(rng.integers(1, 7))):
-                task_id = f"{agent.value}-{i}"
-                mean = float(rng.uniform(0.5, 60.0))
-                stats[(task_id, agent)] = DurationStats(task_id, agent, mean, 0.0, 3)
-                assignment[task_id] = agent
+            for _ in range(int(rng.integers(1, 7))):
+                means.append(float(rng.uniform(0.5, 60.0)))
                 t += float(rng.uniform(0.0, 5.0))
                 end = t + float(rng.uniform(0.1, 20.0))
-                tasks.append(ScheduledTask(task_id, agent, TimeInterval(t, end)))
+                starts.append(t)
+                ends.append(end)
                 t = end
-        schedule = PlanSchedule.from_tasks(tasks)
-        d = {
-            agent: synergy_agent_plan_duration(schedule, stats, neutral, agent)
-            for agent in (H, R)
-        }
-        nominal = {
-            agent: nominal_agent_plan_duration(assignment, stats, agent) for agent in (H, R)
-        }
-        for agent in (H, R):
-            assert abs(d[agent] - nominal[agent]) <= 1e-12
-        assert plan_cost(d[H], d[R]) == max(d[H], d[R])
+            lanes.append((means, starts, ends))
+        (h_means, h_starts, h_ends), (r_means, r_starts, r_ends) = lanes
+        n_human = len(h_means)
+        rows = [[1.0] * len(r_means)] * n_human + [[1.0] * n_human] * len(r_means)
+        for sorted_lanes in (True, False):
+            durations = coupled_lane_durations(
+                h_means + r_means, rows, h_starts + r_starts, h_ends + r_ends, n_human, sorted_lanes
+            )
+            for lane, means in ((durations[:n_human], h_means), (durations[n_human:], r_means)):
+                assert abs(sum(lane) - sum(means)) <= 1e-12
     print("\nACCEPTANCE 4 (unit-synergy reduction within 1e-12, 1000 schedules): PASS")
 
 
@@ -185,7 +177,7 @@ def _zone_breakpoints(human_records, config):
     steps = []
     for rec in human_records:
         profile = config.profile(rec.task_id)
-        duration = rec.interval.duration
+        duration = interval_duration(rec.interval)
         red_end = rec.interval.start + profile.red * duration
         orange_end = red_end + profile.orange * duration
         steps.append((rec.interval.start, config.speed_factors["red"], red_end))
@@ -195,7 +187,7 @@ def _zone_breakpoints(human_records, config):
 
 
 def _integrated_factor(interval, human_records, config):
-    integral = interval.duration
+    integral = interval_duration(interval)
     for start, factor, end in _zone_breakpoints(human_records, config):
         lo = max(interval.start, start)
         hi = min(interval.end, end)

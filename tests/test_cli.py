@@ -266,8 +266,11 @@ class TestCorruptStore:
             (lambda doc: doc.update(end=None), "float"),
             (lambda doc: doc.update(agent="ghost"), "'ghost' is not a valid AgentId"),
             (lambda doc: doc.pop("task_id"), "'task_id'"),
+            # json writes these as NaN and Infinity, and reads them back as floats.
+            (lambda doc: doc.update(end=math.nan), r"interval bounds must be finite, got \[.*, nan\]"),
+            (lambda doc: doc.update(start=math.inf), r"interval bounds must be finite, got \[inf, "),
         ],
-        ids=["end_before_start", "end_missing", "unknown_agent", "no_task_id"],
+        ids=["end_before_start", "end_missing", "unknown_agent", "no_task_id", "end_nan", "start_infinity"],
     )
     def test_unreadable_record(self, tmp_path, capsys, edit, reason):
         store_dir = tmp_path / "s"

@@ -11,13 +11,11 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
-from tandem.errors import MissingDuration, ZeroDurationTask
+from tandem.errors import ZeroDurationTask
 from tandem.model import (
     AgentId,
     ActionKind,
     DurationStats,
-    PlanSchedule,
-    ScheduledTask,
     SynergyEntry,
     SynergyMatrix,
     TaskSpec,
@@ -25,13 +23,11 @@ from tandem.model import (
     coupled_lane_durations,
     interval_duration,
     interval_intersection,
-    nominal_agent_plan_duration,
     overlap_pairs,
     overlap_ratio,
-    plan_cost,
     stats_table,
-    synergy_agent_plan_duration,
 )
+from tandem.planner import CandidatePlan, PlanningDomain, TaskInstance, predict_makespan
 
 H, R = AgentId.HUMAN, AgentId.ROBOT
 
@@ -62,6 +58,11 @@ class TestTimeInterval:
     def test_rejects_end_before_start(self):
         with pytest.raises(ValueError):
             TimeInterval(5.0, 4.0)
+
+    @pytest.mark.parametrize("bounds", [(math.nan, 2.0), (0.0, math.nan), (0.0, math.inf)])
+    def test_rejects_non_finite_bounds(self, bounds):
+        with pytest.raises(ValueError, match="must be finite"):
+            TimeInterval(*bounds)
 
 
 class TestIntersection:
@@ -113,159 +114,60 @@ class TestOverlapRatio:
         assert (delta == 0.0) == (interval_duration(inter) == 0.0)
 
 
-class TestNominalDuration:
-    def test_sums_only_the_agents_tasks(self):
-        stats = stats_table(
-            [
-                DurationStats("a", R, 5.0, 0.0, 3),
-                DurationStats("b", R, 7.0, 0.0, 3),
-                DurationStats("c", H, 100.0, 0.0, 3),
-            ]
-        )
-        assignment = {"a": R, "b": R, "c": H}
-        assert nominal_agent_plan_duration(assignment, stats, R) == 12.0
-
-    def test_empty_assignment(self):
-        assert nominal_agent_plan_duration({}, {}, R) == 0.0
-
-    def test_singleton(self):
-        stats = stats_table([DurationStats("a", H, 3.2, 0.0, 1)])
-        assert nominal_agent_plan_duration({"a": H}, stats, H) == 3.2
-
-    def test_missing_duration(self):
-        with pytest.raises(MissingDuration):
-            nominal_agent_plan_duration({"a": R}, {}, R)
-
-
-def _schedule(*tasks: ScheduledTask) -> PlanSchedule:
-    return PlanSchedule.from_tasks(tasks)
-
-
 class TestSynergyDuration:
+    """coupled_lane_durations over slot-major lists: the human lane's slots first."""
+
     def test_full_overlap_scales_by_coefficient(self):
-        schedule = _schedule(
-            ScheduledTask("r1", R, TimeInterval(0, 10)),
-            ScheduledTask("h1", H, TimeInterval(0, 10)),
-        )
-        stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 5)])
-        synergy = SynergyMatrix({R: {("r1", "h1"): SynergyEntry(1.5, 0.0, 5)}})
-        assert synergy_agent_plan_duration(schedule, stats, synergy, R) == 15.0
+        for sorted_lanes in (True, False):
+            durations = coupled_lane_durations(
+                [10.0, 10.0], [[1.0], [1.5]], [0.0, 0.0], [10.0, 10.0], 1, sorted_lanes
+            )
+            assert durations[1] == 15.0
 
     def test_partial_overlap_with_idle_closure(self):
         # d=10, 40% overlapped at s=2, the remaining 60% stays nominal:
         # 10 * (2 * 0.4 + 0.6) = 14.
-        schedule = _schedule(
-            ScheduledTask("r1", R, TimeInterval(0, 10)),
-            ScheduledTask("h1", H, TimeInterval(0, 4)),
-        )
-        stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 5)])
-        synergy = SynergyMatrix({R: {("r1", "h1"): SynergyEntry(2.0, 0.0, 5)}})
-        assert synergy_agent_plan_duration(schedule, stats, synergy, R) == pytest.approx(14.0, abs=1e-12)
+        for sorted_lanes in (True, False):
+            durations = coupled_lane_durations(
+                [4.0, 10.0], [[1.0], [2.0]], [0.0, 0.0], [4.0, 10.0], 1, sorted_lanes
+            )
+            assert durations[1] == pytest.approx(14.0, abs=1e-12)
 
     def test_neutral_matrix_reduces_to_nominal(self):
-        schedule = _schedule(
-            ScheduledTask("r1", R, TimeInterval(0, 7)),
-            ScheduledTask("r2", R, TimeInterval(7, 12)),
-            ScheduledTask("h1", H, TimeInterval(2, 9)),
-        )
-        stats = stats_table(
-            [DurationStats("r1", R, 7.0, 0.0, 2), DurationStats("r2", R, 5.0, 0.0, 2)]
-        )
-        nominal = nominal_agent_plan_duration({"r1": R, "r2": R}, stats, R)
-        coupled = synergy_agent_plan_duration(schedule, stats, SynergyMatrix(), R)
-        assert coupled == nominal
-
-    def test_missing_stats(self):
-        schedule = _schedule(ScheduledTask("r1", R, TimeInterval(0, 10)))
-        with pytest.raises(MissingDuration):
-            synergy_agent_plan_duration(schedule, {}, SynergyMatrix(), R)
-
-    def test_zero_length_task_raises_only_against_counterpart_work(self):
-        stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 5)])
-        alone = _schedule(ScheduledTask("r1", R, TimeInterval(3, 3)))
-        assert synergy_agent_plan_duration(alone, stats, SynergyMatrix(), R) == 10.0
-        shared = _schedule(
-            ScheduledTask("r1", R, TimeInterval(3, 3)),
-            ScheduledTask("h1", H, TimeInterval(20, 30)),
-        )
-        with pytest.raises(ZeroDurationTask, match="zero duration"):
-            synergy_agent_plan_duration(shared, stats, SynergyMatrix(), R)
-
-    def test_lane_overlapping_itself_within_tolerance_prices_every_pair(self):
-        # PlanSchedule lets r2 start 1e-10 s before r1 ends.  r1 reaches past
-        # h1's end, yet r2 still covers h1's last 1e-10 s, and that sliver counts.
-        lanes = {
-            H: [("h1", 0.0, 10.0)],
-            R: [("r1", 5.0, 10.0 + 5e-10), ("r2", 10.0 - 1e-10, 12.0)],
-        }
-        schedule = _schedule(*(
-            ScheduledTask(task, agent, TimeInterval(start, end))
-            for agent, lane in lanes.items()
-            for task, start, end in lane
-        ))
-        stats = stats_table([
-            DurationStats("h1", H, 10.0, 0.0, 5),
-            DurationStats("r1", R, 5.0, 0.0, 5),
-            DurationStats("r2", R, 2.0, 0.0, 5),
-        ])
-        synergy = SynergyMatrix({
-            H: {("h1", "r1"): SynergyEntry(1.5), ("h1", "r2"): SynergyEntry(3.0)},
-            R: {("r1", "h1"): SynergyEntry(0.5), ("r2", "h1"): SynergyEntry(2.0)},
-        })
-        for agent in (H, R):
-            own, other = lanes[agent], lanes[agent.counterpart]
-            durations = _coupled_durations(
-                [stats[(task, agent)].mean for task, _, _ in own],
-                [[synergy.get(agent, task, o).coefficient for o, _, _ in other] for task, _, _ in own],
-                [start for _, start, _ in own],
-                [end for _, _, end in own],
-                [start for _, start, _ in other],
-                [end for _, _, end in other],
+        # h1 over [2, 9] covers the end of r1 over [0, 7] and the start of r2 over [7, 12].
+        means = [7.0, 7.0, 5.0]
+        rows = [[1.0, 1.0], [1.0], [1.0]]
+        for sorted_lanes in (True, False):
+            durations = coupled_lane_durations(
+                means, rows, [2.0, 0.0, 7.0], [9.0, 7.0, 12.0], 1, sorted_lanes
             )
-            want = 0.0
-            for duration in durations:
-                want += duration
-            assert synergy_agent_plan_duration(schedule, stats, synergy, agent) == want
+            assert durations == means
+
+
+def _two_lane_cost(human_mean, robot_mean):
+    """predict_makespan of one human and one robot task, both from time 0, neutral synergy."""
+    domain = PlanningDomain(
+        (TaskInstance("h", "h_task", frozenset({H})), TaskInstance("r", "r_task", frozenset({R})))
+    )
+    stats = stats_table(
+        [DurationStats("h_task", H, human_mean, 0.0, 3), DurationStats("r_task", R, robot_mean, 0.0, 3)]
+    )
+    plan = CandidatePlan(assignment={"h": H, "r": R}, order={H: ("h",), R: ("r",)})
+    return predict_makespan(domain, plan, stats, SynergyMatrix())
 
 
 class TestPlanCost:
-    def test_max(self):
-        assert plan_cost(12.0, 9.0) == 12.0
+    """The slower agent's finish time is the plan's cost."""
 
-    def test_zero(self):
-        assert plan_cost(0.0, 0.0) == 0.0
+    def test_max(self):
+        assert _two_lane_cost(12.0, 9.0) == 12.0
 
     def test_tie(self):
-        assert plan_cost(7.5, 7.5) == 7.5
+        assert _two_lane_cost(7.5, 7.5) == 7.5
 
-    @given(st.floats(0, 1e9), st.floats(0, 1e9))
+    @given(st.floats(1e-3, 1e9), st.floats(1e-3, 1e9))
     def test_commutative_and_dominates(self, a, b):
-        assert plan_cost(a, b) == plan_cost(b, a) >= max(a, b)
-
-
-class TestPlanSchedule:
-    def test_rejects_overlapping_lane(self):
-        with pytest.raises(ValueError):
-            PlanSchedule(
-                robot=(
-                    ScheduledTask("a", R, TimeInterval(0, 6)),
-                    ScheduledTask("b", R, TimeInterval(5, 8)),
-                )
-            )
-
-    def test_touching_tasks_are_fine(self):
-        schedule = _schedule(
-            ScheduledTask("a", R, TimeInterval(0, 5)),
-            ScheduledTask("b", R, TimeInterval(5, 8)),
-        )
-        assert schedule.horizon == 8.0
-
-    def test_rejects_wrong_lane(self):
-        with pytest.raises(ValueError):
-            PlanSchedule(robot=(ScheduledTask("a", H, TimeInterval(0, 1)),))
-
-    def test_horizon_of_empty_schedule(self):
-        assert PlanSchedule().horizon == 0.0
+        assert _two_lane_cost(a, b) == _two_lane_cost(b, a) == max(a, b)
 
 
 class TestValueTypes:

@@ -7,7 +7,7 @@ import pytest
 
 from tandem.config import make_world_config
 from tandem.errors import InvalidProgram
-from tandem.model import AgentId, TimeInterval
+from tandem.model import AgentId, TimeInterval, interval_duration
 from tandem.planner import CandidatePlan, PlanningDomain, TaskInstance
 from tandem.simulator import (
     AgentProgram,
@@ -181,7 +181,7 @@ class TestSimulatePlan:
         trace = simulate_plan(program_from_plan(domain, plan), cfg, seed=3)
         for rec in _by_agent(trace, R):
             base = cfg.tasks[rec.task_id].base_duration
-            assert rec.interval.duration == pytest.approx(base, abs=1e-9)
+            assert interval_duration(rec.interval) == pytest.approx(base, abs=1e-9)
 
     def test_raising_red_exposure_never_speeds_up_the_robot(self):
         def robot_total(red_frac):
@@ -192,7 +192,7 @@ class TestSimulatePlan:
             program = _program(human_specs=["h_job", "h_job"], robot_specs=["r_job"])
             trace = simulate_plan(program, cfg, seed=5)
             (rec,) = _by_agent(trace, R)
-            return rec.interval.duration
+            return interval_duration(rec.interval)
 
         durations = [robot_total(f) for f in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)]
         assert all(b >= a - 1e-9 for a, b in zip(durations, durations[1:]))
