@@ -140,7 +140,7 @@ def _kept_executions(
     kept: dict[tuple[str, AgentId], Executions] = {}
     stats = []
     for (task_id, agent), executions in group_executions(traces).items():
-        values = [interval_duration(rec.interval) for _, rec in executions]
+        values = [interval_duration(rec.interval) for rec, _ in executions]
         report = filter_outliers(values, strategy)
         kept[(task_id, agent)] = [executions[i] for i in report.kept]
         mean, std, count = expected_duration([values[i] for i in report.kept])

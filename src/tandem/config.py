@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 from typing import Mapping
 
@@ -121,8 +122,10 @@ class ZoneExposureProfile:
 
     def __post_init__(self) -> None:
         for zone, frac in (("red", self.red), ("orange", self.orange), ("free", self.free)):
-            if frac < 0.0:
-                raise ConfigError(f"zone fraction {zone} must be non-negative, got {frac}")
+            if not (isfinite(frac) and frac >= 0.0):
+                raise ConfigError(
+                    f"zone fraction {zone} must be non-negative and finite, got {frac}"
+                )
         if abs(self.red + self.orange + self.free - 1.0) > 1e-9:
             raise ConfigError(
                 f"zone fractions must sum to 1, got {self.red + self.orange + self.free}"
@@ -138,10 +141,15 @@ class TaskConfig:
     cv: float
 
     def __post_init__(self) -> None:
-        if self.base_duration <= 0.0:
-            raise ConfigError(f"task {self.spec.id!r}: base duration must be positive")
-        if self.cv < 0.0:
-            raise ConfigError(f"task {self.spec.id!r}: cv must be non-negative")
+        if not (isfinite(self.base_duration) and self.base_duration > 0.0):
+            raise ConfigError(
+                f"task {self.spec.id!r}: base duration must be positive and finite, "
+                f"got {self.base_duration}"
+            )
+        if not (isfinite(self.cv) and self.cv >= 0.0):
+            raise ConfigError(
+                f"task {self.spec.id!r}: cv must be non-negative and finite, got {self.cv}"
+            )
 
 
 @dataclass(frozen=True)

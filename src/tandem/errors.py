@@ -71,14 +71,6 @@ class UnknownCollection(TandemError):
     """The named collection does not exist."""
 
 
-class UnknownPlan(TandemError):
-    """No execution records exist for the requested plan id."""
-
-    def __init__(self, plan_id: str):
-        self.plan_id = plan_id
-        super().__init__(f"no task results for plan {plan_id!r}")
-
-
 class IoFailure(TandemError):
     """A store read or write failed at the filesystem level."""
 

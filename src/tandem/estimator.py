@@ -12,10 +12,10 @@ concurrent counterpart work valued at the nominal rate.  Solving the normal
 equations per task yields one row of the synergy matrix; a coefficient above
 1 marks a pair of tasks that slow each other down when run concurrently.
 
-The overlap fractions come from one sweep per trace (`model.overlap_pairs`)
-over its two start-sorted lanes, run the first time a regression reads the
-trace and kept on it; each regression row then adds its record's
-(counterpart task, fraction) pairs into the columns.
+The overlap fractions come from the grouping scan: it runs one sweep per
+trace and direction (`model.overlap_pairs`) over the trace's two start-sorted
+lanes and pairs each execution with its (counterpart task, fraction) list;
+each regression row then adds those pairs into the columns.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .errors import (
     NoSamples,
 )
 from .model import (
+    COEFFICIENT_FLOOR,
     AgentId,
     StatsMap,
     SynergyEntry,
@@ -50,10 +51,6 @@ logger = logging.getLogger(__name__)
 
 # Condition-number threshold above which the normal equations are damped.
 ILL_CONDITIONED = 1e10
-
-# Smallest coefficient admitted into a synergy matrix; estimates below this
-# floor (possible under heavy noise) are clamped to keep the matrix positive.
-COEFFICIENT_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -77,9 +74,9 @@ class ExecutionRecord:
 class ExecutionTrace:
     """All execution records of one plan run, both agents.
 
-    Records of the same agent must not overlap.  The start-sorted lanes, and
-    the overlaps of each successful record with the other agent's lane, are
-    computed once per trace and kept on it.
+    Records of the same agent must not overlap.  Each agent's lane, the
+    positions of its successful records sorted by start, is computed once
+    per trace and kept on it.
     """
 
     plan_id: str
@@ -87,60 +84,31 @@ class ExecutionTrace:
 
     def __post_init__(self) -> None:
         for agent, lane in self._lanes.items():
-            for prev, cur in zip(lane, lane[1:]):
+            for k, j in zip(lane, lane[1:]):
+                prev, cur = self.records[k], self.records[j]
                 if cur.interval.start < prev.interval.end - TIME_EPS:
                     raise ValueError(
                         f"records of {agent.value} overlap in plan {self.plan_id!r}: "
                         f"{prev.task_id!r} and {cur.task_id!r}"
                     )
 
-    def __getstate__(self) -> dict:
-        # The overlap cache is keyed by record identity: a copy rebuilds it.
-        return {"plan_id": self.plan_id, "records": self.records}
-
     @cached_property
-    def _lanes(self) -> dict[AgentId, tuple[ExecutionRecord, ...]]:
-        lanes: dict[AgentId, list[ExecutionRecord]] = {agent: [] for agent in AgentId}
-        for rec in self.records:
+    def _lanes(self) -> dict[AgentId, list[int]]:
+        records = self.records
+        lanes: dict[AgentId, list[int]] = {agent: [] for agent in AgentId}
+        for k, rec in enumerate(records):
             if rec.success:
-                lanes[rec.agent].append(rec)
+                lanes[rec.agent].append(k)
         for lane in lanes.values():
-            lane.sort(key=lambda r: (r.interval.start, r.interval.end))
-        return {agent: tuple(lane) for agent, lane in lanes.items()}
-
-    @cached_property
-    def _overlaps(self) -> dict[int, list[tuple[str, float]]]:
-        spans = {
-            agent: ([r.interval.start for r in lane], [r.interval.end for r in lane])
-            for agent, lane in self._lanes.items()
-        }
-        found = {}
-        for agent, own in self._lanes.items():
-            other = agent.counterpart
-            task_ids = [r.task_id for r in self._lanes[other]]
-            pairs = overlap_pairs(*spans[agent], *spans[other])
-            for rec, rec_pairs in zip(own, pairs):
-                found[id(rec)] = [(task_ids[k], delta) for k, delta in rec_pairs]
-        return found
-
-    def overlaps(self, record: ExecutionRecord) -> list[tuple[str, float]]:
-        """(counterpart task id, overlap fraction) for each counterpart record
-        that overlaps `record`, in start order.
-
-        `record` must be one of this trace's successful records, the object
-        itself.  The first call sweeps both lanes once (`model.overlap_pairs`).
-        """
-        try:
-            return self._overlaps[id(record)]
-        except KeyError:
-            raise ValueError(
-                f"{record.task_id!r} is not a successful record of plan {self.plan_id!r}"
-            ) from None
+            lane.sort(key=lambda k: (records[k].interval.start, records[k].interval.end))
+        return lanes
 
 
-# Successful executions of one (task type, agent), each with its own run.  A
+# Successful executions of one (task type, agent), each with the (counterpart
+# task id, overlap fraction) pairs of its run, in start order.  A
 # collections.abc alias: typing's would keep this module alive after a re-import.
-Executions = Sequence[tuple[ExecutionTrace, ExecutionRecord]]
+Execution = tuple[ExecutionRecord, list[tuple[str, float]]]
+Executions = Sequence[Execution]
 
 
 @dataclass(frozen=True)
@@ -171,7 +139,6 @@ class OutlierReport:
     kept: tuple[int, ...]
     removed: tuple[int, ...]
     strategy: str
-    params: Mapping[str, float]
 
 
 @dataclass(frozen=True)
@@ -213,7 +180,7 @@ def filter_outliers(samples: Sequence[float], strategy: str = "iqr") -> OutlierR
         raise EmptySampleSet("cannot filter zero samples")
     name = strategy.lower()
     if name == "none":
-        return OutlierReport(tuple(range(len(samples))), (), name, {})
+        return OutlierReport(tuple(range(len(samples))), (), name)
     if name != "iqr":
         raise ValueError(f"unknown outlier strategy {strategy!r}")
     q1, q3 = np.percentile(np.asarray(samples, dtype=float), [25.0, 75.0])
@@ -223,29 +190,47 @@ def filter_outliers(samples: Sequence[float], strategy: str = "iqr") -> OutlierR
     kept, removed = [], []
     for i, x in enumerate(samples):
         (removed if (x < lo or x > hi) else kept).append(i)
-    params = {"q1": float(q1), "q3": float(q3), "low": float(lo), "high": float(hi)}
-    return OutlierReport(tuple(kept), tuple(removed), name, params)
+    return OutlierReport(tuple(kept), tuple(removed), name)
 
 
 def group_executions(
     traces: Sequence[ExecutionTrace],
-) -> dict[tuple[str, AgentId], list[tuple[ExecutionTrace, ExecutionRecord]]]:
+) -> dict[tuple[str, AgentId], list[Execution]]:
     """Successful executions by (task type, agent), in one scan of the traces.
 
-    Groups come in order of first appearance; a group keeps trace then record
-    order.  A record of non-positive duration can be neither a duration sample
-    nor a regression row: it is skipped, and one warning counts the skips.
+    Each execution is (record, pairs): the (counterpart task id, overlap
+    fraction) of every counterpart record that overlaps it, in start order,
+    from one `model.overlap_pairs` sweep per trace and direction.  Groups
+    come in order of first appearance; a group keeps trace then record
+    order.  A record of non-positive duration can be neither a duration
+    sample nor a regression row: it is skipped, and one warning counts the
+    skips.
     """
-    groups: dict[tuple[str, AgentId], list[tuple[ExecutionTrace, ExecutionRecord]]] = {}
+    groups: dict[tuple[str, AgentId], list[Execution]] = {}
     skipped = 0
     for trace in traces:
-        for rec in trace.records:
+        records = trace.records
+        lanes = trace._lanes
+        spans = {
+            agent: (
+                [records[k].interval.start for k in lane],
+                [records[k].interval.end for k in lane],
+            )
+            for agent, lane in lanes.items()
+        }
+        # Each successful record's pairs, by its position in the trace.
+        overlaps: list[list[tuple[str, float]]] = [[] for _ in records]
+        for agent, lane in lanes.items():
+            other = lanes[agent.counterpart]
+            for k, pairs in zip(lane, overlap_pairs(*spans[agent], *spans[agent.counterpart])):
+                overlaps[k] = [(records[other[j]].task_id, delta) for j, delta in pairs]
+        for rec, pairs in zip(records, overlaps):
             if not rec.success:
                 continue
             if interval_duration(rec.interval) <= 0.0:
                 skipped += 1
                 continue
-            groups.setdefault((rec.task_id, rec.agent), []).append((trace, rec))
+            groups.setdefault((rec.task_id, rec.agent), []).append((rec, pairs))
     if skipped:
         logger.warning("skipped %d successful records of non-positive duration", skipped)
     return groups
@@ -264,10 +249,9 @@ def build_regression(
     entry (k, j) is the expected own duration times the overlap fraction of
     execution k against every instance of counterpart type j in execution k's
     own run; multiple instances of one type sum into the same column, in
-    start order.  The fractions come from the run's one overlap sweep
-    (`ExecutionTrace.overlaps`).  The
-    response is the measured duration minus the idle term: the uncovered
-    fraction of the task valued at the expected rate.
+    start order.  The fractions are the pairs each execution carries (see
+    ``group_executions``).  The response is the measured duration minus the
+    idle term: the uncovered fraction of the task valued at the expected rate.
     """
     key = (own_task_id, own_agent)
     if key not in stats:
@@ -278,9 +262,9 @@ def build_regression(
 
     rows: list[list[float]] = []
     response: list[float] = []
-    for trace, rec in executions:
+    for rec, pairs in executions:
         deltas = [0.0] * m
-        for task_id, delta in trace.overlaps(rec):
+        for task_id, delta in pairs:
             j = columns.get(task_id)
             if j is not None:
                 deltas[j] += delta

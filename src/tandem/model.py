@@ -24,6 +24,10 @@ from .errors import ZeroDurationTask
 # Absolute tolerance for time comparisons, in seconds.
 TIME_EPS = 1e-9
 
+# Smallest synergy coefficient a matrix admits.  The estimator clamps its
+# estimates here, and the floor keeps every coupled duration positive.
+COEFFICIENT_FLOOR = 1e-6
+
 
 class AgentId(str, Enum):
     HUMAN = "human"
@@ -114,8 +118,11 @@ class SynergyEntry:
     sample_count: int = 0
 
     def __post_init__(self) -> None:
-        if not (isfinite(self.coefficient) and self.coefficient > 0.0):
-            raise ValueError(f"synergy coefficient must be positive and finite, got {self.coefficient}")
+        if not (isfinite(self.coefficient) and self.coefficient >= COEFFICIENT_FLOOR):
+            raise ValueError(
+                f"synergy coefficient must be finite and at least {COEFFICIENT_FLOOR}, "
+                f"got {self.coefficient}"
+            )
         if not (isfinite(self.std_error) and self.std_error >= 0.0):
             raise ValueError(f"std error must be non-negative and finite, got {self.std_error}")
         if self.sample_count < 0:
@@ -176,7 +183,6 @@ def coupled_lane_durations(
     starts: Sequence[float],
     ends: Sequence[float],
     n_human: int,
-    sorted_lanes: bool,
 ) -> list[float]:
     """Synergy-scaled durations of both lanes' tasks, over slot-major lists.
 
@@ -185,12 +191,13 @@ def coupled_lane_durations(
     rows[i][j] is its coefficient against the other lane's j-th task.  Task i
     costs means[i] * (1 + sum_j (rows[i][j] - 1) * delta_ij), where delta_ij
     is the fraction of task i that the other lane's task j covers; terms are
-    added in the other lane's order.  With `sorted_lanes`, each lane is in
-    start order with no overlapping tasks, and one merge prices each
-    overlapping pair once for both its tasks: the robot pointer stops at the
-    first task starting at or after the human task's end, or at one reaching
-    past that end (it may overlap the next human task), and never moves
-    back.  With `sorted_lanes` false every pair is tested.
+    added in the other lane's order.  Each lane must be in start order with
+    no overlapping tasks, as serial dispatch leaves it while every duration
+    is positive: a mean above 0 and every coefficient at least
+    COEFFICIENT_FLOOR keep it so.  One merge prices each overlapping pair
+    once for both its tasks: the robot pointer stops at the first task
+    starting at or after the human task's end, or at one reaching past that
+    end (it may overlap the next human task), and never moves back.
     """
     n = len(means)
     out = []
@@ -198,15 +205,13 @@ def coupled_lane_durations(
     covered = [0.0] * n
     k = n_human
     for i, own_s, own_e in zip(range(n_human), starts, ends):
-        if not sorted_lanes:
-            k = n_human
         own_len = own_e - own_s
         row = rows[i]
         own_coupled = 0.0
         own_covered = 0.0
         while k < n:
             other_s = starts[k]
-            if other_s >= own_e and sorted_lanes:
+            if other_s >= own_e:
                 break
             other_e = ends[k]
             lo = own_s if own_s > other_s else other_s
@@ -219,7 +224,7 @@ def coupled_lane_durations(
                 delta = span / (other_e - other_s)
                 coupled[k] += rows[k][i] * delta
                 covered[k] += delta
-            if other_e > own_e and sorted_lanes:
+            if other_e > own_e:
                 break
             k += 1
         out.append(means[i] * (1.0 + (own_coupled - own_covered)))

@@ -13,7 +13,9 @@ is computed once per plan, together with the well-formedness and deadlock
 checks that ``validate_plan`` runs.  Each round then replays it in one
 linear pass, and one merge over the two lanes (``model.coupled_lane_durations``)
 prices each overlapping human-robot pair once for both its tasks, in
-O(n_h + n_r) while no duration is negative, and over all pairs otherwise.
+O(n_h + n_r).  Every mean is positive and every coefficient at least
+``model.COEFFICIENT_FLOOR``, so every coupled duration stays positive and
+each round's lanes stay start-sorted without overlap, as the merge needs.
 The result equals, bit for bit, an all-pairs O(n_h * n_r) scan of the same
 formula; the tests keep that scan as their reference.
 """
@@ -84,9 +86,6 @@ class PlanningDomain:
                 if indegree[v] == 0:
                     ready.append(v)
         return seen != len(self.instances)
-
-    def instance(self, uid: str) -> TaskInstance:
-        return self.instances[self._position[uid]]
 
     @functools.cached_property
     def _position(self) -> dict[str, int]:
@@ -311,12 +310,9 @@ def predict_makespan(
             ends[k] = start + durations[k]
         makespan = max(ends[:n])
         if previous is not None and abs(makespan - previous) < MAKESPAN_TOL:
-            return max(0.0, makespan)
+            return makespan
         previous = makespan
-        # Lanes keep start order without overlap unless a coupled duration went
-        # negative, which takes a coefficient far below the estimator's floor.
-        in_order = min(durations) >= 0.0
-        durations = coupled_lane_durations(means, rows, starts, ends, n_human, in_order)
+        durations = coupled_lane_durations(means, rows, starts, ends, n_human)
     raise NonConvergence(
         f"makespan did not settle within {MAX_FIXED_POINT_ITERATIONS} iterations"
     )

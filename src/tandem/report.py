@@ -31,8 +31,6 @@ class HeatmapGrid:
     row_labels: tuple[str, ...]
     column_labels: tuple[str, ...]
     coefficients: tuple[tuple[float, ...], ...]
-    std_errors: tuple[tuple[float, ...], ...]
-    sample_counts: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -50,19 +48,14 @@ def heatmap_from_matrix(
     own_ids: Sequence[str],
     counterpart_ids: Sequence[str],
 ) -> HeatmapGrid:
-    rows, errs, counts = [], [], []
-    for own in own_ids:
-        entries = [matrix.get(agent, own, other) for other in counterpart_ids]
-        rows.append(tuple(e.coefficient for e in entries))
-        errs.append(tuple(e.std_error for e in entries))
-        counts.append(tuple(e.sample_count for e in entries))
     return HeatmapGrid(
         agent=agent,
         row_labels=tuple(own_ids),
         column_labels=tuple(counterpart_ids),
-        coefficients=tuple(rows),
-        std_errors=tuple(errs),
-        sample_counts=tuple(counts),
+        coefficients=tuple(
+            tuple(matrix.get(agent, own, other).coefficient for other in counterpart_ids)
+            for own in own_ids
+        ),
     )
 
 

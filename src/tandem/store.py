@@ -30,9 +30,9 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .errors import CorruptStore, IoFailure, SchemaViolation, UnknownCollection, UnknownPlan
+from .errors import CorruptStore, IoFailure, SchemaViolation, UnknownCollection
 from .estimator import ExecutionRecord, ExecutionTrace
 from .model import AgentId, TimeInterval
 
@@ -303,25 +303,18 @@ class Store:
             ),
         )
 
-    def export_traces(self, plan_ids: Sequence[str] | None = None) -> list[ExecutionTrace]:
-        """Reconstruct execution traces from task_results, grouped by plan.
+    def export_traces(self) -> list[ExecutionTrace]:
+        """Reconstruct every plan's execution trace from task_results.
 
-        Records keep their stored order, so re-recording an exported trace
-        reproduces the original documents exactly.  None means every plan, in
-        order of first appearance.
+        Plans come in order of first appearance, and records keep their stored
+        order, so re-recording the exported traces reproduces the original
+        documents exactly.
         """
-        results = self.query("task_results")
-        if plan_ids is None:
-            plan_ids = list(dict.fromkeys(doc["plan_id"] for doc in results))
-        by_plan: dict[str, list[dict]] = {pid: [] for pid in plan_ids}
-        for doc in results:
-            if doc["plan_id"] in by_plan:
-                by_plan[doc["plan_id"]].append(doc)
+        by_plan: dict[str, list[dict]] = {}
+        for doc in self.query("task_results"):
+            by_plan.setdefault(doc["plan_id"], []).append(doc)
         traces = []
-        for pid in plan_ids:
-            docs = by_plan[pid]
-            if not docs:
-                raise UnknownPlan(pid)
+        for pid, docs in by_plan.items():
             records = []
             for doc in docs:
                 try:

@@ -139,12 +139,11 @@ def test_criterion_4_cost_model_reduces_to_nominal_sums():
         (h_means, h_starts, h_ends), (r_means, r_starts, r_ends) = lanes
         n_human = len(h_means)
         rows = [[1.0] * len(r_means)] * n_human + [[1.0] * n_human] * len(r_means)
-        for sorted_lanes in (True, False):
-            durations = coupled_lane_durations(
-                h_means + r_means, rows, h_starts + r_starts, h_ends + r_ends, n_human, sorted_lanes
-            )
-            for lane, means in ((durations[:n_human], h_means), (durations[n_human:], r_means)):
-                assert abs(sum(lane) - sum(means)) <= 1e-12
+        durations = coupled_lane_durations(
+            h_means + r_means, rows, h_starts + r_starts, h_ends + r_ends, n_human
+        )
+        for lane, means in ((durations[:n_human], h_means), (durations[n_human:], r_means)):
+            assert abs(sum(lane) - sum(means)) <= 1e-12
     print("\nACCEPTANCE 4 (unit-synergy reduction within 1e-12, 1000 schedules): PASS")
 
 

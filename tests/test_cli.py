@@ -13,6 +13,7 @@ import pytest
 import tandem.store as store_mod
 from tandem import cli
 from tandem.config import build_domain, load_world_config
+from tandem.errors import ConfigError
 from tandem.planner import random_plan
 from tandem.simulator import program_from_plan, simulate_plan
 from tandem.store import COLLECTIONS, Store
@@ -102,6 +103,33 @@ class TestSimulate:
         config.write_text("zones:\n  speed_factors: {red: 0.4}\n")
         assert _run("simulate", "--store", tmp_path / "s", "--config", config) == 1
         assert "red" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("tasks:\n  pick_white: {base_duration: .nan}\n",
+             "task 'pick_white': base duration must be positive and finite, got nan"),
+            ("tasks:\n  place_white: {base_duration: .inf}\n",
+             "task 'place_white': base duration must be positive and finite, got inf"),
+            ("tasks:\n  pick_blue_h: {cv: .inf}\n",
+             "task 'pick_blue_h': cv must be non-negative and finite, got inf"),
+            ("tasks:\n  pick_blue_h: {cv: .nan}\n",
+             "task 'pick_blue_h': cv must be non-negative and finite, got nan"),
+            ("regions:\n  shared: {red: .nan}\n",
+             "zone fraction red must be non-negative and finite, got nan"),
+            ("regions:\n  shared: {free: .inf}\n",
+             "zone fraction free must be non-negative and finite, got inf"),
+        ],
+        ids=["base_duration_nan", "base_duration_inf", "cv_inf", "cv_nan", "red_nan", "free_inf"],
+    )
+    def test_non_finite_config_value_is_rejected(self, tmp_path, capsys, text, reason):
+        config = tmp_path / "world.yaml"
+        config.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(reason)):
+            load_world_config(config)
+        assert _run("simulate", "--store", tmp_path / "s", "--config", config) == 1
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not (tmp_path / "s").exists()
 
     def test_zero_plans_is_rejected(self, tmp_path, capsys):
         assert _run("simulate", "--store", tmp_path / "s", "--plans", 0) == 1
@@ -301,14 +329,17 @@ class TestCorruptStore:
             ("task_duration", lambda doc: doc.update(mean=math.nan),
              "mean duration must be positive and finite, got nan"),
             ("task_synergy", lambda doc: doc.update(coefficient=math.inf),
-             "synergy coefficient must be positive and finite, got inf"),
+             "synergy coefficient must be finite and at least 1e-06, got inf"),
+            ("task_synergy", lambda doc: doc.update(coefficient=1e-300),
+             "synergy coefficient must be finite and at least 1e-06, got 1e-300"),
             ("task_synergy", lambda doc: doc.update(std_error=math.nan),
              "std error must be non-negative and finite, got nan"),
         ],
         ids=[
             "duration_no_mean", "duration_mean_text", "duration_count_bool", "duration_unknown_agent",
             "synergy_no_coefficient", "synergy_count_text", "synergy_unknown_agent",
-            "duration_mean_nan", "synergy_coefficient_inf", "synergy_std_error_nan",
+            "duration_mean_nan", "synergy_coefficient_inf", "synergy_coefficient_below_floor",
+            "synergy_std_error_nan",
         ],
     )
     def test_unreadable_estimate(self, tmp_path, capsys, command, collection, edit, reason):

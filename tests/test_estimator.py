@@ -20,7 +20,6 @@ from tandem.errors import (
     NoSamples,
 )
 from tandem.estimator import (
-    COEFFICIENT_FLOOR,
     ExecutionRecord,
     ExecutionTrace,
     RegressionProblem,
@@ -32,6 +31,7 @@ from tandem.estimator import (
     solve_synergy,
 )
 from tandem.model import (
+    COEFFICIENT_FLOOR,
     AgentId,
     DurationStats,
     SynergyEntry,
@@ -79,8 +79,10 @@ class TestFilterOutliers:
         report = filter_outliers([10.0, 11.0, 9.0, 10.0, 100.0], "iqr")
         assert report.removed == (4,)
         assert report.kept == (0, 1, 2, 3)
-        assert report.params["low"] == pytest.approx(8.5)
-        assert report.params["high"] == pytest.approx(12.5)
+        # Q1=10 and Q3=11 again: values on a fence stay, values past it go.
+        report = filter_outliers([10.0, 10.0, 10.0, 11.0, 11.0, 11.0, 8.5, 12.5, 8.4, 12.6], "iqr")
+        assert report.kept == (0, 1, 2, 3, 4, 5, 6, 7)
+        assert report.removed == (8, 9)
 
     def test_no_spread_removes_nothing(self):
         report = filter_outliers([10.0, 10.0, 10.0], "iqr")
@@ -138,30 +140,36 @@ class TestTraceTypes:
             _trace("p", _rec("p", "a", R, 0, 6), _rec("p", "b", R, 5, 9))
 
     def test_overlaps_in_start_order(self):
-        trace = _trace(
-            "p",
+        records = (
             _rec("p", "h2", H, 6, 12),
             _rec("p", "r1", R, 0, 10),
             _rec("p", "h1", H, 10, 14, success=False),
             _rec("p", "h0", H, 0, 2),
+            _rec("p", "h4", H, 12, 13),
             _rec("p", "h3", H, 2, 2),
         )
-        r1 = trace.records[1]
-        assert trace.overlaps(r1) == [("h0", 0.2), ("h2", 0.4)]
-        assert trace.overlaps(trace.records[0]) == [("r1", 4.0 / 6.0)]
-        assert trace.overlaps(trace.records[4]) == []
-        with pytest.raises(ValueError, match="not a successful record"):
-            trace.overlaps(trace.records[2])
-        with pytest.raises(ValueError, match="not a successful record"):
-            trace.overlaps(_rec("p", "r1", R, 0, 10))
+        groups = group_executions([_trace("p", *records)])
+        # Groups in first appearance; the zero-length h3 and the failed h1 are no executions.
+        assert list(groups) == [("h2", H), ("r1", R), ("h0", H), ("h4", H)]
+        assert groups[("r1", R)] == [(records[1], [("h0", 0.2), ("h2", 0.4)])]
+        assert groups[("h2", H)] == [(records[0], [("r1", 4.0 / 6.0)])]
+        assert groups[("h0", H)] == [(records[3], [("r1", 1.0)])]
+        assert groups[("h4", H)] == [(records[4], [])]
+
+    def test_group_keeps_trace_then_record_order(self):
+        # Records of one type stored last-first keep their stored order.
+        first = _trace("a", _rec("a", "r1", R, 5, 9), _rec("a", "r1", R, 0, 4), _rec("a", "h1", H, 3, 7))
+        second = _trace("b", _rec("b", "r1", R, 0, 2))
+        rows = _rows([first, second], "r1", R)
+        assert [rec for rec, _ in rows] == [first.records[0], first.records[1], second.records[0]]
+        assert [pairs for _, pairs in rows] == [[("h1", 0.5)], [("h1", 0.25)], []]
 
     def test_copy_rebuilds_the_overlaps(self):
         traces = _synthetic_traces([1.3, 0.7], n_rows=5, seed=2)
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 5)])
-        for trace in traces:
-            trace.overlaps(trace.records[0])
-        copied = copy.deepcopy(traces)
         want = build_regression(_rows(traces, "r1", R), "r1", R, stats, ["h0", "h1"])
+        copied = copy.deepcopy(traces)
+        assert copied == traces
         got = build_regression(_rows(copied, "r1", R), "r1", R, stats, ["h0", "h1"])
         assert np.array_equal(got.design, want.design)
         assert np.array_equal(got.response, want.response)
@@ -549,5 +557,5 @@ class TestSinglePassMatchesFilterTwice:
                 ) == _reference_synergy_matrix(traces, stats_table(want), human, robot, strategy)
                 counts[strategy] = {(s.task_id, s.agent): s.count for s in stats}
             # The fence drops the planted run and the strategies differ.
-            assert traces[-1].records[0] not in [rec for _, rec in kept[(robot[0], R)]]
+            assert traces[-1].records[0] not in [rec for rec, _ in kept[(robot[0], R)]]
             assert counts["iqr"] != counts["none"]

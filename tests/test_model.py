@@ -118,30 +118,23 @@ class TestSynergyDuration:
     """coupled_lane_durations over slot-major lists: the human lane's slots first."""
 
     def test_full_overlap_scales_by_coefficient(self):
-        for sorted_lanes in (True, False):
-            durations = coupled_lane_durations(
-                [10.0, 10.0], [[1.0], [1.5]], [0.0, 0.0], [10.0, 10.0], 1, sorted_lanes
-            )
-            assert durations[1] == 15.0
+        durations = coupled_lane_durations(
+            [10.0, 10.0], [[1.0], [1.5]], [0.0, 0.0], [10.0, 10.0], 1
+        )
+        assert durations[1] == 15.0
 
     def test_partial_overlap_with_idle_closure(self):
         # d=10, 40% overlapped at s=2, the remaining 60% stays nominal:
         # 10 * (2 * 0.4 + 0.6) = 14.
-        for sorted_lanes in (True, False):
-            durations = coupled_lane_durations(
-                [4.0, 10.0], [[1.0], [2.0]], [0.0, 0.0], [4.0, 10.0], 1, sorted_lanes
-            )
-            assert durations[1] == pytest.approx(14.0, abs=1e-12)
+        durations = coupled_lane_durations([4.0, 10.0], [[1.0], [2.0]], [0.0, 0.0], [4.0, 10.0], 1)
+        assert durations[1] == pytest.approx(14.0, abs=1e-12)
 
     def test_neutral_matrix_reduces_to_nominal(self):
         # h1 over [2, 9] covers the end of r1 over [0, 7] and the start of r2 over [7, 12].
         means = [7.0, 7.0, 5.0]
         rows = [[1.0, 1.0], [1.0], [1.0]]
-        for sorted_lanes in (True, False):
-            durations = coupled_lane_durations(
-                means, rows, [2.0, 0.0, 7.0], [9.0, 7.0, 12.0], 1, sorted_lanes
-            )
-            assert durations == means
+        durations = coupled_lane_durations(means, rows, [2.0, 0.0, 7.0], [9.0, 7.0, 12.0], 1)
+        assert durations == means
 
 
 def _two_lane_cost(human_mean, robot_mean):
@@ -241,28 +234,19 @@ def _random_lane(rng, n):
     return starts, ends
 
 
-def _coupled_durations(means, rows, own_start, own_end, other_start, other_end, sorted_lanes=True):
-    """Reference: the one-lane sweep, one agent's tasks against the counterpart's.
+def _coupled_durations(means, rows, own_start, own_end, other_start, other_end):
+    """Reference: one agent's tasks against every counterpart task.
 
     Task i costs means[i] * (1 + sum_j (s_ij - 1) * delta_ij) with
-    s_ij = rows[i][j], terms added in counterpart order; with `sorted_lanes`
-    false every pair is tested.  The two-lane kernel must equal this run once
-    per direction.
+    s_ij = rows[i][j], terms added in counterpart order.  The two-lane kernel
+    must equal this all-pairs scan run once per direction.
     """
     out = []
-    m = len(other_start)
-    j = 0
     for mean, row, own_s, own_e in zip(means, rows, own_start, own_end):
-        while j < m and other_end[j] <= own_s and sorted_lanes:
-            j += 1
         own_len = own_e - own_s
         coupled = 0.0
         covered = 0.0
-        for k in range(j, m):
-            other_s = other_start[k]
-            if other_s >= own_e and sorted_lanes:
-                break
-            other_e = other_end[k]
+        for k, (other_s, other_e) in enumerate(zip(other_start, other_end)):
             lo = own_s if own_s > other_s else other_s
             hi = own_e if own_e < other_e else other_e
             if hi <= lo:
@@ -278,22 +262,6 @@ def _random_rows(rng, n_rows, n_cols):
     return [[float(x) for x in rng.uniform(0.3, 3.0, size=n_cols)] for _ in range(n_rows)]
 
 
-def _shrinking_lane(rng, n):
-    """A lane as the fixed point dispatches it once a coupled duration went negative.
-
-    Each task starts where the previous one ended, so a negative-length task
-    leaves the lane out of start order.
-    """
-    starts, ends = [], []
-    t = float(rng.uniform(0.0, 4.0))
-    for _ in range(n):
-        t += float(rng.choice([0.0, 0.0, 1.5]))
-        starts.append(t)
-        t += float(rng.choice([-1e-12, -2.0, 0.0, 1.0, rng.uniform(0.1, 6.0)]))
-        ends.append(t)
-    return starts, ends
-
-
 def test_two_lane_kernel_equals_the_one_lane_sweep_each_way():
     import numpy as np
 
@@ -305,50 +273,39 @@ def test_two_lane_kernel_equals_the_one_lane_sweep_each_way():
             n_human = 0
         elif case % 10 == 1:
             n_robot = 0
-        shrinking = case % 3 == 2
-        lane = _shrinking_lane if shrinking else _random_lane
-        human_start, human_end = lane(rng, n_human)
-        robot_start, robot_end = lane(rng, n_robot)
+        human_start, human_end = _random_lane(rng, n_human)
+        robot_start, robot_end = _random_lane(rng, n_robot)
         human_means = [float(x) for x in rng.uniform(1.0, 20.0, size=n_human)]
         robot_means = [float(x) for x in rng.uniform(1.0, 20.0, size=n_robot)]
         human_rows = _random_rows(rng, n_human, n_robot)
         robot_rows = _random_rows(rng, n_robot, n_human)
         starts, ends = human_start + robot_start, human_end + robot_end
-        for sorted_lanes in (False,) if shrinking else (True, False):
-            want = _coupled_durations(
-                human_means, human_rows, human_start, human_end, robot_start, robot_end, sorted_lanes
-            ) + _coupled_durations(
-                robot_means, robot_rows, robot_start, robot_end, human_start, human_end, sorted_lanes
-            )
-            got = coupled_lane_durations(
-                human_means + robot_means, human_rows + robot_rows, starts, ends, n_human, sorted_lanes
-            )
-            assert got == want
-        lengths = [e - s for s, e in zip(starts, ends)]
+        want = _coupled_durations(
+            human_means, human_rows, human_start, human_end, robot_start, robot_end
+        ) + _coupled_durations(
+            robot_means, robot_rows, robot_start, robot_end, human_start, human_end
+        )
+        got = coupled_lane_durations(
+            human_means + robot_means, human_rows + robot_rows, starts, ends, n_human
+        )
+        assert got == want
+        human = list(zip(human_start, human_end))
+        robot = list(zip(robot_start, robot_end))
         cases = [
             ("no human task", n_human == 0 < n_robot),
             ("no robot task", n_robot == 0 < n_human),
-            ("negative length", min(lengths, default=0.0) < 0.0),
-            ("zero length", 0.0 in lengths),
+            ("zero length", any(s == e for s, e in zip(starts, ends))),
             ("touching", bool({*human_start, *human_end} & {*robot_start, *robot_end})),
+            ("human task over several robot tasks", _covers_several(human, robot)),
+            ("robot task over several human tasks", _covers_several(robot, human)),
+            ("equal ends", any(h[1] == r[1] and _overlap(h, r) > 0.0 for h in human for r in robot)),
+            ("zero-length task at the pointer",
+             _point_inside(robot, human) or _point_inside(human, robot)),
         ]
-        if not shrinking:  # the cases the merge over sorted lanes must step through
-            human = list(zip(human_start, human_end))
-            robot = list(zip(robot_start, robot_end))
-            cases += [
-                ("human task over several robot tasks", _covers_several(human, robot)),
-                ("robot task over several human tasks", _covers_several(robot, human)),
-                ("equal ends", any(
-                    h[1] == r[1] and _overlap(h, r) > 0.0 for h in human for r in robot
-                )),
-                ("zero-length task at the pointer",
-                 _point_inside(robot, human) or _point_inside(human, robot)),
-            ]
         seen.update(name for name, hit in cases if hit)
     assert seen == {
         "no human task",
         "no robot task",
-        "negative length",
         "zero length",
         "touching",
         "human task over several robot tasks",
@@ -410,15 +367,13 @@ def test_overlap_pairs_is_the_window_coupled_durations_prices():
         pairs = overlap_pairs(own_start, own_end, other_start, other_end)
         back = overlap_pairs(other_start, other_end, own_start, own_end)
         priced = _price(means, rows, pairs) + _price(other_means, other_rows, back)
-        for sorted_lanes in (True, False):
-            assert coupled_lane_durations(
-                means + other_means,
-                rows + other_rows,
-                own_start + other_start,
-                own_end + other_end,
-                len(own_start),
-                sorted_lanes,
-            ) == priced
+        assert coupled_lane_durations(
+            means + other_means,
+            rows + other_rows,
+            own_start + other_start,
+            own_end + other_end,
+            len(own_start),
+        ) == priced
         # The pairs are exactly the positive overlap ratios of the interval algebra.
         for i, own_pairs in enumerate(pairs):
             if own_end[i] == own_start[i]:

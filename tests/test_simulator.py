@@ -154,13 +154,14 @@ class TestSimulatePlan:
         from tandem.planner import random_plan
 
         domain = build_domain(default_config)
+        spec_of = {inst.uid: inst.spec_id for inst in domain.instances}
         for seed in range(5):
             plan = random_plan(domain, seed=seed)
             program = program_from_plan(domain, plan)
             trace = simulate_plan(program, default_config, seed=seed)
             for agent in (H, R):
                 lane = _by_agent(trace, agent)
-                expected = [domain.instance(uid).spec_id for uid in plan.order[agent]]
+                expected = [spec_of[uid] for uid in plan.order[agent]]
                 assert [r.task_id for r in lane] == expected
                 for prev, cur in zip(lane, lane[1:]):
                     assert cur.interval.start >= prev.interval.end - 1e-9

@@ -7,7 +7,7 @@ import json
 import pytest
 
 import tandem.store as store_mod
-from tandem.errors import CorruptStore, IoFailure, SchemaViolation, UnknownCollection, UnknownPlan
+from tandem.errors import CorruptStore, IoFailure, SchemaViolation, UnknownCollection
 from tandem.estimator import ExecutionRecord, ExecutionTrace
 from tandem.model import AgentId, TimeInterval
 from tandem.store import Store, _dumps, validate_document
@@ -277,26 +277,19 @@ class TestTraceBridge:
         store = Store(tmp_path)
         trace = _small_trace()
         store.record_traces([trace])
-        (exported,) = store.export_traces(["p1"])
+        (exported,) = store.export_traces()
         assert exported == trace
 
-    def test_export_selects_requested_plans(self, tmp_path):
+    def test_export_keeps_plans_in_first_appearance(self, tmp_path):
         store = Store(tmp_path)
-        store.record_traces([_small_trace("p1"), _small_trace("p2")])
-        (only,) = store.export_traces(["p2"])
-        assert only.plan_id == "p2"
-        assert [t.plan_id for t in store.export_traces()] == ["p1", "p2"]
-
-    def test_unknown_plan(self, tmp_path):
-        store = Store(tmp_path)
-        store.record_traces([_small_trace("p1")])
-        with pytest.raises(UnknownPlan):
-            store.export_traces(["p404"])
+        traces = [_small_trace("p2"), _small_trace("p1")]
+        store.record_traces(traces)
+        assert store.export_traces() == traces
 
     def test_failed_record_flag_round_trips(self, tmp_path):
         store = Store(tmp_path)
         store.record_traces([_small_trace()])
-        (exported,) = store.export_traces(["p1"])
+        (exported,) = store.export_traces()
         failed = [r for r in exported.records if not r.success]
         assert len(failed) == 1
         assert failed[0].interval is None
