@@ -13,7 +13,6 @@ from .errors import TandemError
 from .estimator import (
     ExecutionRecord,
     ExecutionTrace,
-    OutlierReport,
     RegressionProblem,
     SynergyFit,
     build_regression,
@@ -64,7 +63,6 @@ __all__ = [
     "DurationStats",
     "ExecutionRecord",
     "ExecutionTrace",
-    "OutlierReport",
     "PlanningDomain",
     "RegressionProblem",
     "Store",

@@ -11,6 +11,11 @@ A campaign run composes the whole pipeline against one store directory::
 (task type, agent) and filters each group's outliers once; the kept
 executions give both the duration statistics and the synergy regressions.
 
+Commands turn stored documents into values through `Store.read`, after the
+store has checked their fields and types; a document that breaks the schema,
+or that the command's decoder rejects, ends the command with CorruptStore
+naming its file and line.
+
 Every command is deterministic given its flags, config, and seed.  The store
 root defaults to the TANDEM_STORE environment variable, then ./tandem_store.
 """
@@ -20,13 +25,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Callable
 from pathlib import Path
-from typing import Any
 
 from . import config as worldcfg
 from . import report as reporting
-from .errors import CorruptStore, EmptyStore, MissingEstimates, TandemError
+from .errors import EmptyStore, MissingEstimates, TandemError
 from .estimator import (
     ExecutionTrace,
     Executions,
@@ -46,7 +49,7 @@ from .model import (
 )
 from .planner import CandidatePlan, optimize_plan, random_plan
 from .simulator import program_from_plan, simulate_plan
-from .store import Store, _line_of
+from .store import Store
 
 ENV_STORE = "TANDEM_STORE"
 DEFAULT_STORE = "tandem_store"
@@ -141,32 +144,19 @@ def _kept_executions(
     stats = []
     for (task_id, agent), executions in group_executions(traces).items():
         values = [interval_duration(rec.interval) for rec, _ in executions]
-        report = filter_outliers(values, strategy)
-        kept[(task_id, agent)] = [executions[i] for i in report.kept]
-        mean, std, count = expected_duration([values[i] for i in report.kept])
+        indices = filter_outliers(values, strategy)
+        kept[(task_id, agent)] = [executions[i] for i in indices]
+        mean, std, count = expected_duration([values[i] for i in indices])
         stats.append(DurationStats(task_id=task_id, agent=agent, mean=mean, std=std, count=count))
     return kept, stats
 
 
-def _catalog_entry(doc: dict) -> tuple[str, list]:
-    return _field(doc, "id", str), _field(doc, "agents", list)
-
-
-def _result_entry(doc: dict) -> tuple[str, list]:
-    return _field(doc, "task_id", str), [_field(doc, "agent", str)]
-
-
 def _task_lists(store: Store) -> tuple[list[str], list[str]]:
-    """Human and robot task type lists, from the catalog or observed records.
-
-    A document without the fields read, or with one of the wrong type, raises
-    CorruptStore naming its file and line.
-    """
-    catalog = store.query("task_properties")
-    if catalog:
-        entries = _read_docs(store, "task_properties", catalog, _catalog_entry)
+    """Human and robot task type lists, from the catalog or observed records."""
+    if store.count("task_properties"):
+        entries = store.read("task_properties", lambda doc: (doc["id"], doc["agents"]))
     else:
-        entries = _read_docs(store, "task_results", store.query("task_results"), _result_entry)
+        entries = store.read("task_results", lambda doc: (doc["task_id"], [doc["agent"]]))
     human = list(dict.fromkeys(t for t, agents in entries if AgentId.HUMAN.value in agents))
     robot = list(dict.fromkeys(t for t, agents in entries if AgentId.ROBOT.value in agents))
     return human, robot
@@ -222,59 +212,29 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-# JSON types a stored field may have, by the Python type it is read as.
-_FIELD_TYPES = {str: (str,), float: (int, float), int: (int,), list: (list,)}
-
-
-def _field(doc: dict, name: str, kind: type) -> Any:
-    """``doc[name]`` as `kind`; ValueError when it is missing or of another JSON type."""
-    if name not in doc:
-        raise ValueError(f"no field {name!r}")
-    value = doc[name]
-    if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
-        raise ValueError(f"field {name!r} must be {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
 def _duration_from_doc(doc: dict) -> DurationStats:
     return DurationStats(
-        task_id=_field(doc, "task_id", str),
-        agent=AgentId(_field(doc, "agent", str)),
-        mean=_field(doc, "mean", float),
-        std=_field(doc, "std", float),
-        count=_field(doc, "count", int),
+        task_id=doc["task_id"],
+        agent=AgentId(doc["agent"]),
+        mean=float(doc["mean"]),
+        std=float(doc["std"]),
+        count=doc["count"],
     )
 
 
 def _synergy_from_doc(doc: dict) -> tuple[AgentId, tuple[str, str], SynergyEntry]:
-    agent = AgentId(_field(doc, "agent", str))
-    key = (_field(doc, "task_id", str), _field(doc, "other_task_id", str))
     entry = SynergyEntry(
-        coefficient=_field(doc, "coefficient", float),
-        std_error=_field(doc, "std_error", float),
-        sample_count=_field(doc, "sample_count", int),
+        coefficient=float(doc["coefficient"]),
+        std_error=float(doc["std_error"]),
+        sample_count=doc["sample_count"],
     )
-    return agent, key, entry
-
-
-def _read_docs(store: Store, collection: str, docs: list[dict], read: Callable) -> list:
-    """`read` applied to every document; one it cannot read is a CorruptStore."""
-    out = []
-    for doc in docs:
-        try:
-            out.append(read(doc))
-        except ValueError as exc:
-            path = store.path(collection)
-            line = _line_of(path, doc["id"])
-            raise CorruptStore(path, line, f"document {doc['id']}: {exc}") from exc
-    return out
+    return AgentId(doc["agent"]), (doc["task_id"], doc["other_task_id"]), entry
 
 
 def _load_estimates(store: Store) -> tuple[list[dict], list[dict], StatsMap, SynergyMatrix]:
     """The stored duration and synergy documents, and the estimates they hold.
 
-    A document with a missing field, a field of the wrong type, an unknown
-    agent or an invalid value raises CorruptStore naming its file and line.
+    A document with an unknown agent or an invalid value raises CorruptStore.
     """
     duration_docs = store.query("task_duration")
     synergy_docs = store.query("task_synergy")
@@ -282,9 +242,9 @@ def _load_estimates(store: Store) -> tuple[list[dict], list[dict], StatsMap, Syn
         raise MissingEstimates(
             f"store {store.root} lacks duration or synergy estimates; run `tandem estimate`"
         )
-    stats = stats_table(_read_docs(store, "task_duration", duration_docs, _duration_from_doc))
+    stats = stats_table(store.read("task_duration", _duration_from_doc))
     entries: dict[AgentId, dict[tuple[str, str], SynergyEntry]] = {a: {} for a in AgentId}
-    for agent, key, entry in _read_docs(store, "task_synergy", synergy_docs, _synergy_from_doc):
+    for agent, key, entry in store.read("task_synergy", _synergy_from_doc):
         entries[agent][key] = entry
     return duration_docs, synergy_docs, stats, SynergyMatrix(entries)
 

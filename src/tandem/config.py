@@ -189,7 +189,14 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return merged
 
 
-def _parse_task(task_id: str, raw: dict) -> TaskConfig:
+def _mapping(value: object, what: str) -> Mapping:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a mapping, got {value!r}")
+    return value
+
+
+def _parse_task(task_id: str, raw: object) -> TaskConfig:
+    raw = _mapping(raw, f"task {task_id!r}")
     try:
         agents = raw["agent"]
         action = raw["action"]
@@ -216,7 +223,8 @@ def _parse_task(task_id: str, raw: dict) -> TaskConfig:
 
 
 def _validate(raw: dict) -> WorldConfig:
-    factors = {str(k): float(v) for k, v in raw["zones"]["speed_factors"].items()}
+    speed = _mapping(_mapping(raw["zones"], "zones")["speed_factors"], "zones.speed_factors")
+    factors = {str(k): float(v) for k, v in speed.items()}
     for zone in ZONES:
         if zone not in factors:
             raise ConfigError(f"zones.speed_factors is missing zone {zone!r}")
@@ -227,20 +235,29 @@ def _validate(raw: dict) -> WorldConfig:
     if factors["free"] != 1.0:
         raise ConfigError("the free zone must leave the robot at nominal speed (factor 1)")
 
-    regions = {
-        name: ZoneExposureProfile(
-            red=float(prof.get("red", 0.0)),
-            orange=float(prof.get("orange", 0.0)),
-            free=float(prof.get("free", 0.0)),
-        )
-        for name, prof in raw["regions"].items()
-    }
-    tasks = {task_id: _parse_task(task_id, spec) for task_id, spec in raw["tasks"].items()}
-    objects = {str(k): int(v) for k, v in raw["objects"].items()}
+    regions = {}
+    for name, prof in _mapping(raw["regions"], "regions").items():
+        prof = _mapping(prof, f"region {name!r}")
+        try:
+            regions[name] = ZoneExposureProfile(
+                red=float(prof.get("red", 0.0)),
+                orange=float(prof.get("orange", 0.0)),
+                free=float(prof.get("free", 0.0)),
+            )
+        except ConfigError as exc:
+            raise ConfigError(f"region {name!r}: {exc}") from None
+    tasks = {t: _parse_task(t, spec) for t, spec in _mapping(raw["tasks"], "tasks").items()}
+    objects = {str(k): int(v) for k, v in _mapping(raw["objects"], "objects").items()}
+    seed = int(raw["seed"])
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
     steps = []
     used: dict[str, int] = {}
+    if not isinstance(raw["process"], list):
+        raise ConfigError(f"process must be a list of steps, got {raw['process']!r}")
     for entry in raw["process"]:
+        entry = _mapping(entry, "a process step")
         step = ProcessStep(
             pick=str(entry["pick"]),
             place=str(entry["place"]),
@@ -266,7 +283,7 @@ def _validate(raw: dict) -> WorldConfig:
         speed_factors=factors,
         objects=objects,
         process=tuple(steps),
-        seed=int(raw["seed"]),
+        seed=seed,
     )
 
 

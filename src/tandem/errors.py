@@ -58,13 +58,22 @@ class NonConvergence(TandemError):
     """The coupled-duration fixed point did not settle within the iteration cap."""
 
 
+class OverlappingRecords(TandemError, ValueError):
+    """Two successful records of one agent overlap in time within one plan run."""
+
+    def __init__(self, message: str, index: int):
+        self.index = index  # the later record's position in the trace
+        super().__init__(message)
+
+
 class SchemaViolation(TandemError):
     """A document does not match its collection schema."""
 
     def __init__(self, collection: str, field: str, reason: str):
         self.collection = collection
         self.field = field
-        super().__init__(f"{collection}: field {field!r} {reason}")
+        self.reason = f"field {field!r} {reason}"
+        super().__init__(f"{collection}: {self.reason}")
 
 
 class UnknownCollection(TandemError):
@@ -76,7 +85,7 @@ class IoFailure(TandemError):
 
 
 class CorruptStore(TandemError):
-    """A stored line is not valid JSON or is not a document with a string id."""
+    """A stored line is not a valid document of its collection, or one its reader rejects."""
 
     def __init__(self, path: object, line: int, reason: str):
         self.path = path

@@ -34,6 +34,7 @@ from .errors import (
     MissingDuration,
     NonPositiveSample,
     NoSamples,
+    OverlappingRecords,
 )
 from .model import (
     COEFFICIENT_FLOOR,
@@ -87,9 +88,10 @@ class ExecutionTrace:
             for k, j in zip(lane, lane[1:]):
                 prev, cur = self.records[k], self.records[j]
                 if cur.interval.start < prev.interval.end - TIME_EPS:
-                    raise ValueError(
+                    raise OverlappingRecords(
                         f"records of {agent.value} overlap in plan {self.plan_id!r}: "
-                        f"{prev.task_id!r} and {cur.task_id!r}"
+                        f"{prev.task_id!r} and {cur.task_id!r}",
+                        j,
                     )
 
     @cached_property
@@ -133,15 +135,6 @@ class RegressionProblem:
 
 
 @dataclass(frozen=True)
-class OutlierReport:
-    """Which sample indices survived an outlier filter, and why."""
-
-    kept: tuple[int, ...]
-    removed: tuple[int, ...]
-    strategy: str
-
-
-@dataclass(frozen=True)
 class SynergyFit:
     """Solution of one per-task regression."""
 
@@ -169,28 +162,25 @@ def expected_duration(samples: Sequence[float]) -> tuple[float, float, int]:
     return mean, math.sqrt(var), n
 
 
-def filter_outliers(samples: Sequence[float], strategy: str = "iqr") -> OutlierReport:
-    """Partition sample indices into kept and removed under the named strategy.
+def filter_outliers(samples: Sequence[float], strategy: str = "iqr") -> tuple[int, ...]:
+    """Indices of the samples kept under the named strategy, in order.
 
     The default "iqr" strategy drops samples outside the Tukey fences
-    [Q1 - 1.5 IQR, Q3 + 1.5 IQR]; "none" keeps everything.  The result only
-    depends on the multiset of values, not their order.
+    [Q1 - 1.5 IQR, Q3 + 1.5 IQR]; "none" keeps everything.  Which values are
+    kept depends only on the multiset of values, not their order.
     """
     if len(samples) == 0:
         raise EmptySampleSet("cannot filter zero samples")
     name = strategy.lower()
     if name == "none":
-        return OutlierReport(tuple(range(len(samples))), (), name)
+        return tuple(range(len(samples)))
     if name != "iqr":
         raise ValueError(f"unknown outlier strategy {strategy!r}")
     q1, q3 = np.percentile(np.asarray(samples, dtype=float), [25.0, 75.0])
     iqr = q3 - q1
     lo = q1 - 1.5 * iqr
     hi = q3 + 1.5 * iqr
-    kept, removed = [], []
-    for i, x in enumerate(samples):
-        (removed if (x < lo or x > hi) else kept).append(i)
-    return OutlierReport(tuple(kept), tuple(removed), name)
+    return tuple(i for i, x in enumerate(samples) if not (x < lo or x > hi))
 
 
 def group_executions(

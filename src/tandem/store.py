@@ -19,6 +19,11 @@ work): reads skip it and the next upsert's rewrite drops it, so a reader never
 sees a half-written document.  Concurrent writers must be serialized by the
 caller.
 
+`_SCHEMAS` is the one table of each collection's fields and their types:
+every write and every read checks each document against it.  `Store.read`
+turns documents into values; a line that does not parse, breaks the schema
+or is rejected by the caller's decoder raises CorruptStore naming its line.
+
 Durability is per upsert, so a caller that batches sets its own unit:
 `record_traces` writes any number of traces as one upsert, and `tandem
 simulate` appends each collection once, so its campaign is durable as a unit
@@ -30,11 +35,13 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
-from .errors import CorruptStore, IoFailure, SchemaViolation, UnknownCollection
+from .errors import CorruptStore, IoFailure, OverlappingRecords, SchemaViolation, UnknownCollection
 from .estimator import ExecutionRecord, ExecutionTrace
 from .model import AgentId, TimeInterval
+
+T = TypeVar("T")
 
 COLLECTIONS = ("task_properties", "task_results", "task_duration", "task_synergy", "plans")
 
@@ -98,9 +105,7 @@ def validate_document(collection: str, doc: Mapping) -> None:
             raise SchemaViolation(collection, field, "is required")
         value = doc[field]
         # bool is an int subclass; keep it out of numeric fields.
-        if isinstance(value, bool) and bool not in types:
-            raise SchemaViolation(collection, field, f"has invalid type {type(value).__name__}")
-        if not isinstance(value, types):
+        if type(value) not in types and (type(value) is bool or not isinstance(value, types)):
             raise SchemaViolation(collection, field, f"has invalid type {type(value).__name__}")
 
 
@@ -183,12 +188,13 @@ class Store:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorruptStore(path, lineno, f"bad JSON: {exc.msg} (column {exc.colno})") from exc
-            try:
-                doc_id = doc["id"]
-            except (KeyError, TypeError):
-                doc_id = None
+            doc_id = doc.get("id") if isinstance(doc, dict) else None
             if not isinstance(doc_id, str):
                 raise CorruptStore(path, lineno, "document has no string 'id'")
+            try:
+                validate_document(collection, doc)
+            except SchemaViolation as exc:
+                raise CorruptStore(path, lineno, f"document {doc_id}: {exc.reason}") from exc
             if doc_id not in docs:
                 order.append(doc_id)
             docs[doc_id] = doc
@@ -282,6 +288,26 @@ class Store:
         order, _ = self._load(collection)
         return len(order)
 
+    def read(self, collection: str, decode: Callable[[dict], T]) -> list[T]:
+        """`decode` applied to every document, in insertion order.
+
+        Each document has passed its schema check; `decode` must not modify
+        it.  A document that `decode` rejects with ValueError or TypeError
+        raises CorruptStore naming its file and line.
+        """
+        order, docs = self._load(collection)
+        out = []
+        for doc_id in order:
+            try:
+                out.append(decode(docs[doc_id]))
+            except (TypeError, ValueError) as exc:
+                raise self._corrupt(collection, doc_id, exc) from exc
+        return out
+
+    def _corrupt(self, collection: str, doc_id: str, exc: Exception) -> CorruptStore:
+        path = self.path(collection)
+        return CorruptStore(path, _line_of(path, doc_id), f"document {doc_id}: {exc}")
+
     # -- execution trace bridge ------------------------------------------
 
     def record_traces(self, traces: Iterable[ExecutionTrace]) -> None:
@@ -308,30 +334,27 @@ class Store:
 
         Plans come in order of first appearance, and records keep their stored
         order, so re-recording the exported traces reproduces the original
-        documents exactly.
+        documents exactly.  A record that cannot be read, or that overlaps an
+        earlier record of its agent, raises CorruptStore naming its line.
         """
-        by_plan: dict[str, list[dict]] = {}
-        for doc in self.query("task_results"):
-            by_plan.setdefault(doc["plan_id"], []).append(doc)
+        by_plan: dict[str, list[tuple[str, ExecutionRecord]]] = {}
+        for doc_id, rec in self.read("task_results", lambda doc: (doc["id"], _record(doc))):
+            by_plan.setdefault(rec.plan_id, []).append((doc_id, rec))
         traces = []
-        for pid, docs in by_plan.items():
-            records = []
-            for doc in docs:
-                try:
-                    records.append(
-                        ExecutionRecord(
-                            plan_id=doc["plan_id"],
-                            task_id=doc["task_id"],
-                            agent=AgentId(doc["agent"]),
-                            interval=None
-                            if doc["start"] is None
-                            else TimeInterval(float(doc["start"]), float(doc["end"])),
-                            success=doc["success"],
-                        )
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
-                    path = self.path("task_results")
-                    line = _line_of(path, doc["id"])
-                    raise CorruptStore(path, line, f"record {doc['id']}: {exc}") from exc
-            traces.append(ExecutionTrace(plan_id=pid, records=tuple(records)))
+        for pid, entries in by_plan.items():
+            try:
+                traces.append(ExecutionTrace(plan_id=pid, records=tuple(rec for _, rec in entries)))
+            except OverlappingRecords as exc:
+                raise self._corrupt("task_results", entries[exc.index][0], exc) from exc
         return traces
+
+
+def _record(doc: dict) -> ExecutionRecord:
+    start = doc["start"]
+    return ExecutionRecord(
+        plan_id=doc["plan_id"],
+        task_id=doc["task_id"],
+        agent=AgentId(doc["agent"]),
+        interval=None if start is None else TimeInterval(float(start), float(doc["end"])),
+        success=doc["success"],
+    )

@@ -116,11 +116,22 @@ class TestSimulate:
             ("tasks:\n  pick_blue_h: {cv: .nan}\n",
              "task 'pick_blue_h': cv must be non-negative and finite, got nan"),
             ("regions:\n  shared: {red: .nan}\n",
-             "zone fraction red must be non-negative and finite, got nan"),
+             "region 'shared': zone fraction red must be non-negative and finite, got nan"),
             ("regions:\n  shared: {free: .inf}\n",
-             "zone fraction free must be non-negative and finite, got inf"),
+             "region 'shared': zone fraction free must be non-negative and finite, got inf"),
+            ("regions: null\n", "regions must be a mapping, got None"),
+            ("objects: null\n", "objects must be a mapping, got None"),
+            ("regions:\n  shared: null\n", "region 'shared' must be a mapping, got None"),
+            ("seed: -3\n", "seed must be non-negative, got -3"),
+            ("tasks:\n  pick_white: null\n", "task 'pick_white' must be a mapping, got None"),
+            ("process: null\n", "process must be a list of steps, got None"),
+            ("process: [null]\n", "a process step must be a mapping, got None"),
         ],
-        ids=["base_duration_nan", "base_duration_inf", "cv_inf", "cv_nan", "red_nan", "free_inf"],
+        ids=[
+            "base_duration_nan", "base_duration_inf", "cv_inf", "cv_nan", "red_nan", "free_inf",
+            "regions_null", "objects_null", "region_null", "seed_negative", "task_null",
+            "process_null", "process_step_null",
+        ],
     )
     def test_non_finite_config_value_is_rejected(self, tmp_path, capsys, text, reason):
         config = tmp_path / "world.yaml"
@@ -293,12 +304,25 @@ class TestCorruptStore:
             (lambda doc: doc.update(end=doc["start"] - 1.0), "interval end .* precedes start"),
             (lambda doc: doc.update(end=None), "float"),
             (lambda doc: doc.update(agent="ghost"), "'ghost' is not a valid AgentId"),
-            (lambda doc: doc.pop("task_id"), "'task_id'"),
+            (lambda doc: doc.pop("task_id"), "field 'task_id' is required"),
             # json writes these as NaN and Infinity, and reads them back as floats.
             (lambda doc: doc.update(end=math.nan), r"interval bounds must be finite, got \[.*, nan\]"),
             (lambda doc: doc.update(start=math.inf), r"interval bounds must be finite, got \[inf, "),
+            (lambda doc: doc.pop("plan_id"), "field 'plan_id' is required"),
+            (lambda doc: doc.update(plan_id=7), "field 'plan_id' has invalid type int"),
+            (lambda doc: doc.update(start=str(doc["start"])), "field 'start' has invalid type str"),
+            (lambda doc: doc.update(success="no"), "field 'success' has invalid type str"),
+            (lambda doc: doc.update(start=True), "field 'start' has invalid type bool"),
+            (lambda doc: doc.update(task_id=5), "field 'task_id' has invalid type int"),
+            # The record starts before the previous record of its agent ends.
+            (lambda doc: doc.update(start=doc["start"] - 0.5),
+             "records of (human|robot) overlap in plan 'plan-0001': "),
         ],
-        ids=["end_before_start", "end_missing", "unknown_agent", "no_task_id", "end_nan", "start_infinity"],
+        ids=[
+            "end_before_start", "end_missing", "unknown_agent", "no_task_id", "end_nan",
+            "start_infinity", "no_plan_id", "plan_id_number", "start_text", "success_text",
+            "start_bool", "task_id_number", "overlaps_previous",
+        ],
     )
     def test_unreadable_record(self, tmp_path, capsys, edit, reason):
         store_dir = tmp_path / "s"
@@ -311,19 +335,21 @@ class TestCorruptStore:
         path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
         assert _run("estimate", "--store", store_dir) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}:{k + 1}: record {docs[k]['id']}: ")
+        assert err.startswith(f"error: {path}:{k + 1}: document {docs[k]['id']}: ")
         assert re.search(reason, err)
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["plan", "report"])
     @pytest.mark.parametrize(
         "collection, edit, reason",
         [
-            ("task_duration", lambda doc: doc.pop("mean"), "no field 'mean'"),
-            ("task_duration", lambda doc: doc.update(mean="fast"), "field 'mean' must be float, got 'fast'"),
-            ("task_duration", lambda doc: doc.update(count=True), "field 'count' must be int, got True"),
+            ("task_duration", lambda doc: doc.pop("mean"), "field 'mean' is required"),
+            ("task_duration", lambda doc: doc.update(mean="fast"), "field 'mean' has invalid type str"),
+            ("task_duration", lambda doc: doc.update(count=True), "field 'count' has invalid type bool"),
             ("task_duration", lambda doc: doc.update(agent="drone"), "'drone' is not a valid AgentId"),
-            ("task_synergy", lambda doc: doc.pop("coefficient"), "no field 'coefficient'"),
-            ("task_synergy", lambda doc: doc.update(sample_count="3"), "field 'sample_count' must be int, got '3'"),
+            ("task_synergy", lambda doc: doc.pop("coefficient"), "field 'coefficient' is required"),
+            ("task_synergy", lambda doc: doc.update(sample_count="3"),
+             "field 'sample_count' has invalid type str"),
             ("task_synergy", lambda doc: doc.update(agent="drone"), "'drone' is not a valid AgentId"),
             # json writes these as NaN and Infinity, and reads them back as floats.
             ("task_duration", lambda doc: doc.update(mean=math.nan),
@@ -361,10 +387,10 @@ class TestCorruptStore:
     @pytest.mark.parametrize(
         "collection, edit, reason",
         [
-            ("task_properties", lambda doc: doc.pop("agents"), "no field 'agents'"),
-            ("task_properties", lambda doc: doc.update(agents="human"), "field 'agents' must be list, got 'human'"),
-            ("task_results", lambda doc: doc.pop("task_id"), "no field 'task_id'"),
-            ("task_results", lambda doc: doc.update(agent=7), "field 'agent' must be str, got 7"),
+            ("task_properties", lambda doc: doc.pop("agents"), "field 'agents' is required"),
+            ("task_properties", lambda doc: doc.update(agents="human"), "field 'agents' has invalid type str"),
+            ("task_results", lambda doc: doc.pop("task_id"), "field 'task_id' is required"),
+            ("task_results", lambda doc: doc.update(agent=7), "field 'agent' has invalid type int"),
         ],
         ids=["catalog_no_agents", "catalog_agents_text", "record_no_task_id", "record_agent_number"],
     )

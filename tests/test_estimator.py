@@ -73,25 +73,24 @@ class TestExpectedDuration:
         assert err.value.index == 1
 
 
+def _removed(samples):
+    """Indices the IQR fence drops: those it does not keep."""
+    return sorted(set(range(len(samples))) - set(filter_outliers(samples, "iqr")))
+
+
 class TestFilterOutliers:
     def test_iqr_removes_far_value(self):
         # sorted: [9, 10, 10, 11, 100]; Q1=10, Q3=11, fences [8.5, 12.5]
-        report = filter_outliers([10.0, 11.0, 9.0, 10.0, 100.0], "iqr")
-        assert report.removed == (4,)
-        assert report.kept == (0, 1, 2, 3)
+        assert filter_outliers([10.0, 11.0, 9.0, 10.0, 100.0], "iqr") == (0, 1, 2, 3)
         # Q1=10 and Q3=11 again: values on a fence stay, values past it go.
-        report = filter_outliers([10.0, 10.0, 10.0, 11.0, 11.0, 11.0, 8.5, 12.5, 8.4, 12.6], "iqr")
-        assert report.kept == (0, 1, 2, 3, 4, 5, 6, 7)
-        assert report.removed == (8, 9)
+        kept = filter_outliers([10.0, 10.0, 10.0, 11.0, 11.0, 11.0, 8.5, 12.5, 8.4, 12.6], "iqr")
+        assert kept == (0, 1, 2, 3, 4, 5, 6, 7)
 
     def test_no_spread_removes_nothing(self):
-        report = filter_outliers([10.0, 10.0, 10.0], "iqr")
-        assert report.removed == ()
+        assert filter_outliers([10.0, 10.0, 10.0], "iqr") == (0, 1, 2)
 
     def test_none_strategy_passes_through(self):
-        report = filter_outliers([1.0, 500.0, 2.0], "none")
-        assert report.removed == ()
-        assert report.kept == (0, 1, 2)
+        assert filter_outliers([1.0, 500.0, 2.0], "none") == (0, 1, 2)
 
     def test_empty(self):
         with pytest.raises(EmptySampleSet):
@@ -104,13 +103,11 @@ class TestFilterOutliers:
     def test_permutation_invariant(self):
         rng = np.random.default_rng(3)
         samples = list(rng.normal(20, 2, 40)) + [90.0, -5.0]
-        baseline = filter_outliers(samples, "iqr")
-        removed_values = sorted(samples[i] for i in baseline.removed)
+        removed_values = sorted(samples[i] for i in _removed(samples))
         for _ in range(5):
             perm = list(rng.permutation(len(samples)))
             shuffled = [samples[i] for i in perm]
-            report = filter_outliers(shuffled, "iqr")
-            assert sorted(shuffled[i] for i in report.removed) == removed_values
+            assert sorted(shuffled[i] for i in _removed(shuffled)) == removed_values
 
 
 def _trace(plan_id, *records):
@@ -452,8 +449,7 @@ def _reference_duration_stats(traces, strategy):
             )
     stats = []
     for (task_id, agent), values in samples.items():
-        report = filter_outliers(values, strategy)
-        kept = [values[i] for i in report.kept]
+        kept = [values[i] for i in filter_outliers(values, strategy)]
         mean, std, count = expected_duration(kept)
         stats.append(DurationStats(task_id=task_id, agent=agent, mean=mean, std=std, count=count))
     return stats
@@ -515,7 +511,7 @@ def _reference_synergy_matrix(traces, stats, human_ids, robot_ids, strategy):
             executions = _reference_own_executions(traces, own_id, own_agent)
             if executions and (own_id, own_agent) in stats:
                 durations = [interval_duration(rec.interval) for _, rec in executions]
-                kept = set(filter_outliers(durations, strategy).kept)
+                kept = set(filter_outliers(durations, strategy))
                 filtered = _reference_drop_executions(traces, executions, kept)
                 fit = solve_synergy(
                     _reference_build_regression(filtered, own_id, own_agent, stats, counterpart_ids)

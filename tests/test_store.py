@@ -10,7 +10,7 @@ import tandem.store as store_mod
 from tandem.errors import CorruptStore, IoFailure, SchemaViolation, UnknownCollection
 from tandem.estimator import ExecutionRecord, ExecutionTrace
 from tandem.model import AgentId, TimeInterval
-from tandem.store import Store, _dumps, validate_document
+from tandem.store import COLLECTIONS, Store, _dumps, validate_document
 
 H, R = AgentId.HUMAN, AgentId.ROBOT
 
@@ -24,6 +24,40 @@ def _duration_doc(task_id="pick_white", agent="human", mean=8.0):
         "std": 0.4,
         "count": 12,
     }
+
+
+def _record_doc(doc_id="p1:0000"):
+    return {
+        "id": doc_id,
+        "plan_id": "p1",
+        "task_id": "pick_white",
+        "agent": "human",
+        "start": 0.0,
+        "end": 8.25,
+        "success": True,
+    }
+
+
+# One valid document per collection, and an edit that breaks its schema.
+VALID = {
+    "task_properties": {
+        "id": "pick_white", "action": "pick", "agents": ["human"], "region": "table", "description": "",
+    },
+    "task_results": _record_doc(),
+    "task_duration": _duration_doc(),
+    "task_synergy": {
+        "id": "robot:pick_orange:pick_white", "agent": "robot", "task_id": "pick_orange",
+        "other_task_id": "pick_white", "coefficient": 1.2, "std_error": 0.1, "sample_count": 5,
+    },
+    "plans": {"id": "plan-0000", "assignment": {}, "order": {}, "makespan": 8.0, "kind": "simulated"},
+}
+INVALID = {
+    "task_properties": ({"agents": "human"}, "field 'agents' has invalid type str"),
+    "task_results": ({"start": True}, "field 'start' has invalid type bool"),
+    "task_duration": ({"count": 12.0}, "field 'count' has invalid type float"),
+    "task_synergy": ({"coefficient": None}, "field 'coefficient' has invalid type NoneType"),
+    "plans": ({"kind": ["simulated"]}, "field 'kind' has invalid type list"),
+}
 
 
 class TestUpsertAndQuery:
@@ -228,13 +262,13 @@ class TestTornTail:
 
 
 class TestReadErrors:
-    def _write(self, tmp_path, *lines):
-        path = tmp_path / "task_results.jsonl"
+    def _write(self, tmp_path, *lines, collection="task_results"):
+        path = tmp_path / f"{collection}.jsonl"
         path.write_text("".join(line + "\n" for line in lines))
         return path
 
     def test_bad_json_names_file_and_line(self, tmp_path):
-        good = _dumps({"id": "a"})
+        good = _dumps(_record_doc())
         path = self._write(tmp_path, good, "", good[:-3], good)
         with pytest.raises(CorruptStore) as err:
             Store(tmp_path).query("task_results")
@@ -243,17 +277,55 @@ class TestReadErrors:
 
     @pytest.mark.parametrize("line", ['{"task_id":"x"}', '{"id":7}', "[1, 2]"])
     def test_missing_id_names_file_and_line(self, tmp_path, line):
-        path = self._write(tmp_path, _dumps({"id": "a"}), line)
+        path = self._write(tmp_path, _dumps(_record_doc()), line)
         with pytest.raises(CorruptStore) as err:
             Store(tmp_path).count("task_results")
         assert str(err.value) == f"{path}:2: document has no string 'id'"
 
     def test_invalid_utf8_names_file_and_line(self, tmp_path):
         path = tmp_path / "plans.jsonl"
-        path.write_bytes(b'{"id":"a"}\n{"id":"\xff"}\n')
+        doc = _dumps(VALID["plans"]).encode()
+        path.write_bytes(doc + b"\n" + doc.replace(b"plan-0000", b"plan-\xff") + b"\n")
         with pytest.raises(CorruptStore) as err:
             Store(tmp_path).count("plans")
         assert str(err.value) == f"{path}:2: invalid UTF-8"
+
+    @pytest.mark.parametrize("collection", COLLECTIONS)
+    def test_schema_violation_names_file_and_line(self, tmp_path, collection):
+        Store(tmp_path / "written").upsert(collection, VALID[collection])  # the valid one writes
+        edit, reason = INVALID[collection]
+        bad = {**VALID[collection], "id": "b", **edit}
+        path = self._write(tmp_path, _dumps(VALID[collection]), _dumps(bad), collection=collection)
+        for read in (lambda s: s.query(collection), lambda s: s.count(collection)):
+            with pytest.raises(CorruptStore) as err:
+                read(Store(tmp_path))
+            assert (err.value.path, err.value.line) == (path, 2)
+            assert str(err.value) == f"{path}:2: document b: {reason}"
+
+    def test_missing_field_names_file_and_line(self, tmp_path):
+        doc = _record_doc("p1:0001")
+        del doc["plan_id"]
+        path = self._write(tmp_path, _dumps(_record_doc()), _dumps(doc))
+        with pytest.raises(CorruptStore) as err:
+            Store(tmp_path).export_traces()
+        assert str(err.value) == f"{path}:2: document p1:0001: field 'plan_id' is required"
+
+    def test_overlapping_record_names_the_later_line(self, tmp_path):
+        later = {**_record_doc("p1:0001"), "start": 5.0, "end": 10.0}
+        path = self._write(tmp_path, _dumps(_record_doc()), _dumps(later))
+        with pytest.raises(CorruptStore) as err:
+            Store(tmp_path).export_traces()
+        assert str(err.value) == (
+            f"{path}:2: document p1:0001: records of human overlap in plan 'p1': "
+            "'pick_white' and 'pick_white'"
+        )
+
+    def test_rejected_decode_names_file_and_line(self, tmp_path):
+        docs = [_record_doc(), {**_record_doc("p1:0001"), "agent": "drone"}]
+        path = self._write(tmp_path, *map(_dumps, docs))
+        with pytest.raises(CorruptStore) as err:
+            Store(tmp_path).read("task_results", lambda doc: AgentId(doc["agent"]))
+        assert str(err.value) == f"{path}:2: document p1:0001: 'drone' is not a valid AgentId"
 
     def test_line_separator_inside_a_string_round_trips(self, tmp_path):
         doc = {**_duration_doc(), "id": "a\u2028b\x85c"}
