@@ -10,6 +10,9 @@ A campaign run composes the whole pipeline against one store directory::
 ``estimate`` reads the traces once, groups the successful executions by
 (task type, agent) and filters each group's outliers once; the kept
 executions give both the duration statistics and the synergy regressions.
+``plan`` and ``report`` read each estimate collection once, into duration
+statistics and a synergy matrix; ``report`` renders those alone and reads no
+other collection.
 
 Commands turn stored documents into values through `Store.read`, after the
 store has checked their fields and types; a document that breaks the schema,
@@ -185,25 +188,19 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     )
 
     matrix = estimate_synergy_matrix(executions, stats_table(stats), human_ids, robot_ids)
-    synergy_docs = []
-    for agent, own_ids, other_ids in (
-        (AgentId.ROBOT, robot_ids, human_ids),
-        (AgentId.HUMAN, human_ids, robot_ids),
-    ):
-        for own in own_ids:
-            for other in other_ids:
-                entry = matrix.get(agent, own, other)
-                synergy_docs.append(
-                    {
-                        "id": f"{agent.value}:{own}:{other}",
-                        "agent": agent.value,
-                        "task_id": own,
-                        "other_task_id": other,
-                        "coefficient": entry.coefficient,
-                        "std_error": entry.std_error,
-                        "sample_count": entry.sample_count,
-                    }
-                )
+    synergy_docs = [
+        {
+            "id": f"{agent.value}:{own}:{other}",
+            "agent": agent.value,
+            "task_id": own,
+            "other_task_id": other,
+            "coefficient": entry.coefficient,
+            "std_error": entry.std_error,
+            "sample_count": entry.sample_count,
+        }
+        for agent in reporting.SIDES
+        for (own, other), entry in matrix.entries[agent].items()
+    ]
     store.upsert_many("task_synergy", synergy_docs)
 
     print(f"estimated {len(stats)} task durations and {len(synergy_docs)} synergy entries")
@@ -231,14 +228,13 @@ def _synergy_from_doc(doc: dict) -> tuple[AgentId, tuple[str, str], SynergyEntry
     return AgentId(doc["agent"]), (doc["task_id"], doc["other_task_id"]), entry
 
 
-def _load_estimates(store: Store) -> tuple[list[dict], list[dict], StatsMap, SynergyMatrix]:
-    """The stored duration and synergy documents, and the estimates they hold.
+def _load_estimates(store: Store) -> tuple[StatsMap, SynergyMatrix]:
+    """The stored duration statistics and synergy matrix, each entry in stored order.
 
     A document with an unknown agent or an invalid value raises CorruptStore.
     """
-    duration_docs = store.query("task_duration")
-    synergy_docs = store.query("task_synergy")
-    if not duration_docs or not synergy_docs:
+    counts = [store.count("task_duration"), store.count("task_synergy")]
+    if not all(counts):
         raise MissingEstimates(
             f"store {store.root} lacks duration or synergy estimates; run `tandem estimate`"
         )
@@ -246,12 +242,12 @@ def _load_estimates(store: Store) -> tuple[list[dict], list[dict], StatsMap, Syn
     entries: dict[AgentId, dict[tuple[str, str], SynergyEntry]] = {a: {} for a in AgentId}
     for agent, key, entry in store.read("task_synergy", _synergy_from_doc):
         entries[agent][key] = entry
-    return duration_docs, synergy_docs, stats, SynergyMatrix(entries)
+    return stats, SynergyMatrix(entries)
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
     store = Store(_store_root(args))
-    _, _, stats, synergy = _load_estimates(store)
+    stats, synergy = _load_estimates(store)
     cfg = worldcfg.load_world_config(args.config)
     domain = worldcfg.build_domain(cfg)
     seed = cfg.seed if args.seed is None else args.seed
@@ -268,24 +264,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     store = Store(_store_root(args))
-    duration_docs, synergy_docs, _, matrix = _load_estimates(store)
-    human_ids, robot_ids = _task_lists(store)
-
-    heatmaps = []
-    for agent, own_ids, other_ids in (
-        (AgentId.ROBOT, robot_ids, human_ids),
-        (AgentId.HUMAN, human_ids, robot_ids),
-    ):
-        if own_ids and other_ids:
-            heatmaps.append(reporting.heatmap_from_matrix(matrix, agent, own_ids, other_ids))
-    bundle = reporting.ReportBundle(
-        durations=tuple(duration_docs),
-        heatmaps=tuple(heatmaps),
-        coefficients=tuple(synergy_docs),
-    )
+    stats, matrix = _load_estimates(store)
     out_dir = Path(args.out) if args.out else store.root / "report"
-    written = reporting.write_report(out_dir, bundle)
-    for path in written:
+    for path in reporting.write_report(out_dir, stats, matrix):
         print(f"wrote {path}")
     return 0
 

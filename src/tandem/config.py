@@ -195,14 +195,28 @@ def _mapping(value: object, what: str) -> Mapping:
     return value
 
 
+def _number(value: object, path: str, integer: bool = False) -> int | float:
+    """A numeric leaf at `path`: an int or a float, never null, a boolean or a string.
+
+    With `integer`, a non-integral value is rejected too and an int returned.
+    """
+    integral = type(value) is int or (type(value) is float and value.is_integer())
+    if type(value) not in (int, float) or (integer and not integral):
+        raise ConfigError(f"{path} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    try:
+        return int(value) if integer else float(value)
+    except OverflowError:
+        raise ConfigError(f"{path} is too large for a float") from None
+
+
 def _parse_task(task_id: str, raw: object) -> TaskConfig:
     raw = _mapping(raw, f"task {task_id!r}")
     try:
         agents = raw["agent"]
         action = raw["action"]
         region = raw["region"]
-        base = float(raw["base_duration"])
-        cv = float(raw.get("cv", 0.0))
+        base = _number(raw["base_duration"], f"tasks.{task_id}.base_duration")
+        cv = _number(raw.get("cv", 0.0), f"tasks.{task_id}.cv")
     except KeyError as exc:
         raise ConfigError(f"task {task_id!r} is missing field {exc.args[0]!r}") from None
     if isinstance(agents, str):
@@ -224,7 +238,7 @@ def _parse_task(task_id: str, raw: object) -> TaskConfig:
 
 def _validate(raw: dict) -> WorldConfig:
     speed = _mapping(_mapping(raw["zones"], "zones")["speed_factors"], "zones.speed_factors")
-    factors = {str(k): float(v) for k, v in speed.items()}
+    factors = {str(k): _number(v, f"zones.speed_factors.{k}") for k, v in speed.items()}
     for zone in ZONES:
         if zone not in factors:
             raise ConfigError(f"zones.speed_factors is missing zone {zone!r}")
@@ -238,17 +252,17 @@ def _validate(raw: dict) -> WorldConfig:
     regions = {}
     for name, prof in _mapping(raw["regions"], "regions").items():
         prof = _mapping(prof, f"region {name!r}")
+        fractions = {z: _number(prof.get(z, 0.0), f"regions.{name}.{z}") for z in ZONES}
         try:
-            regions[name] = ZoneExposureProfile(
-                red=float(prof.get("red", 0.0)),
-                orange=float(prof.get("orange", 0.0)),
-                free=float(prof.get("free", 0.0)),
-            )
+            regions[name] = ZoneExposureProfile(**fractions)
         except ConfigError as exc:
             raise ConfigError(f"region {name!r}: {exc}") from None
     tasks = {t: _parse_task(t, spec) for t, spec in _mapping(raw["tasks"], "tasks").items()}
-    objects = {str(k): int(v) for k, v in _mapping(raw["objects"], "objects").items()}
-    seed = int(raw["seed"])
+    objects = {
+        str(k): _number(v, f"objects.{k}", integer=True)
+        for k, v in _mapping(raw["objects"], "objects").items()
+    }
+    seed = _number(raw["seed"], "seed", integer=True)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
@@ -256,14 +270,17 @@ def _validate(raw: dict) -> WorldConfig:
     used: dict[str, int] = {}
     if not isinstance(raw["process"], list):
         raise ConfigError(f"process must be a list of steps, got {raw['process']!r}")
-    for entry in raw["process"]:
+    for i, entry in enumerate(raw["process"]):
         entry = _mapping(entry, "a process step")
-        step = ProcessStep(
-            pick=str(entry["pick"]),
-            place=str(entry["place"]),
-            count=int(entry["count"]),
-            color=str(entry["color"]),
-        )
+        try:
+            step = ProcessStep(
+                pick=str(entry["pick"]),
+                place=str(entry["place"]),
+                count=_number(entry["count"], f"process[{i}].count", integer=True),
+                color=str(entry["color"]),
+            )
+        except KeyError as exc:
+            raise ConfigError(f"process[{i}] is missing field {exc.args[0]!r}") from None
         if step.count < 0:
             raise ConfigError(f"process step for {step.pick!r} has negative count")
         for task_id in (step.pick, step.place):

@@ -1,5 +1,8 @@
 """Report rendering: duration tables, synergy heatmaps, coefficient tables.
 
+A report renders the decoded estimates alone, the duration statistics and the
+synergy matrix, so it needs nothing from a store beyond them.  Each heatmap
+takes its row and column labels from its agent's entries, in stored order.
 CSV is the canonical format; the SVG heatmap is derived from the same grid and
 carries no extra data.  Cells use a diverging color scale anchored at the
 neutral coefficient 1.0 (blue below, red above), so a fully decoupled matrix
@@ -11,9 +14,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable
 
-from .model import AgentId, SynergyMatrix
+from .model import AgentId, DurationStats, StatsMap, SynergyMatrix
 
 CELL = 96
 LABEL_W = 150
@@ -21,6 +24,8 @@ LABEL_H = 64
 NEUTRAL_RGB = (255, 255, 255)
 HIGH_RGB = (178, 24, 43)  # penalty (coefficient above 1)
 LOW_RGB = (33, 102, 172)  # advantage (coefficient below 1)
+# Agent order of the stored synergy documents, the coefficient table and the heatmaps.
+SIDES = (AgentId.ROBOT, AgentId.HUMAN)
 
 
 @dataclass(frozen=True)
@@ -33,25 +38,15 @@ class HeatmapGrid:
     coefficients: tuple[tuple[float, ...], ...]
 
 
-@dataclass(frozen=True)
-class ReportBundle:
-    """Everything a report run renders, assembled in memory first."""
-
-    durations: tuple[dict, ...]
-    heatmaps: tuple[HeatmapGrid, ...]
-    coefficients: tuple[dict, ...]
-
-
-def heatmap_from_matrix(
-    matrix: SynergyMatrix,
-    agent: AgentId,
-    own_ids: Sequence[str],
-    counterpart_ids: Sequence[str],
-) -> HeatmapGrid:
+def heatmap_grid(matrix: SynergyMatrix, agent: AgentId) -> HeatmapGrid:
+    """One agent's grid, labelled by its entries' own and counterpart tasks in order."""
+    pairs = matrix.entries.get(agent, {})
+    own_ids = tuple(dict.fromkeys(own for own, _ in pairs))
+    counterpart_ids = tuple(dict.fromkeys(other for _, other in pairs))
     return HeatmapGrid(
         agent=agent,
-        row_labels=tuple(own_ids),
-        column_labels=tuple(counterpart_ids),
+        row_labels=own_ids,
+        column_labels=counterpart_ids,
         coefficients=tuple(
             tuple(matrix.get(agent, own, other).coefficient for other in counterpart_ids)
             for own in own_ids
@@ -59,14 +54,12 @@ def heatmap_from_matrix(
     )
 
 
-def write_duration_csv(path: Path, durations: Sequence[Mapping]) -> None:
+def write_duration_csv(path: Path, durations: Iterable[DurationStats]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["task_id", "agent", "mean", "std", "count"])
-        for doc in durations:
-            writer.writerow(
-                [doc["task_id"], doc["agent"], f"{doc['mean']:.6f}", f"{doc['std']:.6f}", doc["count"]]
-            )
+        for s in durations:
+            writer.writerow([s.task_id, s.agent.value, f"{s.mean:.6f}", f"{s.std:.6f}", s.count])
 
 
 def write_heatmap_csv(path: Path, grid: HeatmapGrid) -> None:
@@ -78,21 +71,15 @@ def write_heatmap_csv(path: Path, grid: HeatmapGrid) -> None:
             writer.writerow([label] + [f"{v:.6f}" for v in row])
 
 
-def write_coefficient_csv(path: Path, coefficients: Sequence[Mapping]) -> None:
+def write_coefficient_csv(path: Path, matrix: SynergyMatrix) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["agent", "task_id", "other_task_id", "coefficient", "std_error", "sample_count"])
-        for doc in coefficients:
-            writer.writerow(
-                [
-                    doc["agent"],
-                    doc["task_id"],
-                    doc["other_task_id"],
-                    f"{doc['coefficient']:.6f}",
-                    f"{doc['std_error']:.6f}",
-                    doc["sample_count"],
-                ]
-            )
+        for agent in SIDES:
+            for (own, other), e in matrix.entries.get(agent, {}).items():
+                writer.writerow(
+                    [agent.value, own, other, f"{e.coefficient:.6f}", f"{e.std_error:.6f}", e.sample_count]
+                )
 
 
 def diverging_color(value: float, span: float) -> str:
@@ -155,25 +142,31 @@ def write_heatmap_svg(path: Path, grid: HeatmapGrid, title: str) -> None:
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
-def write_report(out_dir: str | Path, bundle: ReportBundle) -> list[Path]:
-    """Render every table and heatmap into `out_dir`; returns the written paths."""
+def write_report(out_dir: str | Path, stats: StatsMap, matrix: SynergyMatrix) -> list[Path]:
+    """Render every table and heatmap into `out_dir`; returns the written paths.
+
+    An agent without synergy entries gets no heatmap.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
     durations_path = out / "durations.csv"
-    write_duration_csv(durations_path, bundle.durations)
+    write_duration_csv(durations_path, stats.values())
     written.append(durations_path)
 
     coeff_path = out / "coefficients.csv"
-    write_coefficient_csv(coeff_path, bundle.coefficients)
+    write_coefficient_csv(coeff_path, matrix)
     written.append(coeff_path)
 
-    for grid in bundle.heatmaps:
-        csv_path = out / f"synergy_{grid.agent.value}.csv"
+    for agent in SIDES:
+        grid = heatmap_grid(matrix, agent)
+        if not grid.row_labels:
+            continue
+        csv_path = out / f"synergy_{agent.value}.csv"
         write_heatmap_csv(csv_path, grid)
         written.append(csv_path)
-        svg_path = out / f"synergy_{grid.agent.value}.svg"
-        write_heatmap_svg(svg_path, grid, f"{grid.agent.value} task synergy")
+        svg_path = out / f"synergy_{agent.value}.svg"
+        write_heatmap_svg(svg_path, grid, f"{agent.value} task synergy")
         written.append(svg_path)
     return written

@@ -350,11 +350,14 @@ class Store:
 
 
 def _record(doc: dict) -> ExecutionRecord:
-    start = doc["start"]
+    start, end = doc["start"], doc["end"]
+    if (start is None) != (end is None):
+        null, other = ("start", "end") if start is None else ("end", "start")
+        raise ValueError(f"field {null!r} is null but field {other!r} is not")
     return ExecutionRecord(
         plan_id=doc["plan_id"],
         task_id=doc["task_id"],
         agent=AgentId(doc["agent"]),
-        interval=None if start is None else TimeInterval(float(start), float(doc["end"])),
+        interval=None if start is None else TimeInterval(float(start), float(end)),
         success=doc["success"],
     )

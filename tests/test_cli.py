@@ -126,11 +126,28 @@ class TestSimulate:
             ("tasks:\n  pick_white: null\n", "task 'pick_white' must be a mapping, got None"),
             ("process: null\n", "process must be a list of steps, got None"),
             ("process: [null]\n", "a process step must be a mapping, got None"),
+            ("objects: {white: null}\n", "objects.white must be an integer, got None"),
+            ("zones:\n  speed_factors: {orange: fast}\n",
+             "zones.speed_factors.orange must be a number, got 'fast'"),
+            ("process:\n  - {pick: pick_white, place: place_white, count: 2}\n",
+             "process[0] is missing field 'color'"),
+            ("process:\n  - {pick: pick_white, place: place_white, count: 2.5, color: white}\n",
+             "process[0].count must be an integer, got 2.5"),
+            ("process:\n  - {pick: pick_white, place: place_white, count: true, color: white}\n",
+             "process[0].count must be an integer, got True"),
+            ("seed: 2.9\n", "seed must be an integer, got 2.9"),
+            ("tasks:\n  pick_white: {base_duration: null}\n",
+             "tasks.pick_white.base_duration must be a number, got None"),
+            ("regions:\n  shared: {red: true}\n", "regions.shared.red must be a number, got True"),
+            (f"tasks:\n  pick_white: {{cv: 1{'0' * 400}}}\n",
+             "tasks.pick_white.cv is too large for a float"),
         ],
         ids=[
             "base_duration_nan", "base_duration_inf", "cv_inf", "cv_nan", "red_nan", "free_inf",
             "regions_null", "objects_null", "region_null", "seed_negative", "task_null",
-            "process_null", "process_step_null",
+            "process_null", "process_step_null", "object_count_null", "speed_factor_text",
+            "process_step_no_color", "process_count_fraction", "process_count_bool",
+            "seed_fraction", "base_duration_null", "zone_fraction_bool", "cv_too_large",
         ],
     )
     def test_non_finite_config_value_is_rejected(self, tmp_path, capsys, text, reason):
@@ -302,7 +319,8 @@ class TestCorruptStore:
         "edit, reason",
         [
             (lambda doc: doc.update(end=doc["start"] - 1.0), "interval end .* precedes start"),
-            (lambda doc: doc.update(end=None), "float"),
+            (lambda doc: doc.update(end=None), "field 'end' is null but field 'start' is not"),
+            (lambda doc: doc.update(start=None), "field 'start' is null but field 'end' is not"),
             (lambda doc: doc.update(agent="ghost"), "'ghost' is not a valid AgentId"),
             (lambda doc: doc.pop("task_id"), "field 'task_id' is required"),
             # json writes these as NaN and Infinity, and reads them back as floats.
@@ -319,9 +337,9 @@ class TestCorruptStore:
              "records of (human|robot) overlap in plan 'plan-0001': "),
         ],
         ids=[
-            "end_before_start", "end_missing", "unknown_agent", "no_task_id", "end_nan",
-            "start_infinity", "no_plan_id", "plan_id_number", "start_text", "success_text",
-            "start_bool", "task_id_number", "overlaps_previous",
+            "end_before_start", "end_missing", "start_missing", "unknown_agent", "no_task_id",
+            "end_nan", "start_infinity", "no_plan_id", "plan_id_number", "start_text",
+            "success_text", "start_bool", "task_id_number", "overlaps_previous",
         ],
     )
     def test_unreadable_record(self, tmp_path, capsys, edit, reason):
@@ -383,7 +401,8 @@ class TestCorruptStore:
         assert err == f"error: {path}:3: document {docs[2]['id']}: {reason}\n"
 
 
-    @pytest.mark.parametrize("command", ["estimate", "report"])
+    # `report` renders the stored estimates alone and reads neither collection.
+    @pytest.mark.parametrize("command", ["estimate"])
     @pytest.mark.parametrize(
         "collection, edit, reason",
         [
@@ -405,8 +424,7 @@ class TestCorruptStore:
         edit(docs[2])
         path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
         capsys.readouterr()
-        flags = {"estimate": (), "report": ("--out", tmp_path / "report")}[command]
-        assert _run(command, "--store", store_dir, *flags) == 1
+        assert _run(command, "--store", store_dir) == 1
         err = capsys.readouterr().err
         assert err == f"error: {path}:3: document {docs[2]['id']}: {reason}\n"
 
@@ -468,6 +486,19 @@ class TestReportCommand:
         assert _run("report", "--store", store_dir, "--out", b) == 0
         for path in a.iterdir():
             assert (b / path.name).read_bytes() == path.read_bytes()
+
+    def test_needs_only_the_estimates(self, campaign, tmp_path):
+        store_dir, _ = campaign
+        estimates = tmp_path / "estimates"
+        estimates.mkdir()
+        for collection in ("task_duration", "task_synergy"):
+            name = f"{collection}.jsonl"
+            (estimates / name).write_bytes((store_dir / name).read_bytes())
+        full, alone = tmp_path / "full", tmp_path / "alone"
+        assert _run("report", "--store", store_dir, "--out", full) == 0
+        assert _run("report", "--store", estimates, "--out", alone) == 0
+        assert _files(alone) == _files(full)
+        assert len(_files(full)) == 6
 
 
 class TestPipeline:

@@ -2,19 +2,15 @@
 
 from __future__ import annotations
 
-from tandem.model import AgentId, SynergyEntry, SynergyMatrix
-from tandem.report import (
-    HeatmapGrid,
-    ReportBundle,
-    diverging_color,
-    heatmap_from_matrix,
-    write_report,
-)
+from tandem.model import AgentId, DurationStats, SynergyEntry, SynergyMatrix, stats_table
+from tandem.report import HeatmapGrid, diverging_color, heatmap_grid, write_report
 
 R = AgentId.ROBOT
 
 ROBOT_IDS = ["pick_orange", "place_orange", "pick_blue_r", "place_blue_r"]
 HUMAN_IDS = ["pick_white", "place_white", "pick_blue_h", "place_blue_h"]
+
+STATS = stats_table([DurationStats("pick_orange", R, mean=8.0, std=0.5, count=10)])
 
 
 def _matrix(value=1.0):
@@ -28,28 +24,8 @@ def _matrix(value=1.0):
     return SynergyMatrix(entries)
 
 
-def _bundle(value=1.0):
-    grid = heatmap_from_matrix(_matrix(value), R, ROBOT_IDS, HUMAN_IDS)
-    durations = (
-        {"task_id": "pick_orange", "agent": "robot", "mean": 8.0, "std": 0.5, "count": 10},
-    )
-    coefficients = tuple(
-        {
-            "agent": "robot",
-            "task_id": own,
-            "other_task_id": other,
-            "coefficient": value,
-            "std_error": 0.01,
-            "sample_count": 5,
-        }
-        for own in ROBOT_IDS
-        for other in HUMAN_IDS
-    )
-    return ReportBundle(durations=durations, heatmaps=(grid,), coefficients=coefficients)
-
-
 def test_heatmap_csv_shape(tmp_path):
-    write_report(tmp_path, _bundle(1.3))
+    write_report(tmp_path, STATS, _matrix(1.3))
     lines = (tmp_path / "synergy_robot.csv").read_text().splitlines()
     assert len(lines) == 5  # header + 4 task rows
     header = lines[0].split(",")
@@ -59,7 +35,7 @@ def test_heatmap_csv_shape(tmp_path):
 
 
 def test_neutral_coefficients_render_as_midpoint_color(tmp_path):
-    write_report(tmp_path, _bundle(1.0))
+    write_report(tmp_path, STATS, _matrix(1.0))
     svg = (tmp_path / "synergy_robot.svg").read_text()
     assert svg.count('fill="#ffffff"') == 16
 
@@ -76,21 +52,21 @@ def test_color_scale_is_anchored_at_one():
 def test_rerun_is_byte_identical(tmp_path):
     first = tmp_path / "a"
     second = tmp_path / "b"
-    write_report(first, _bundle(1.2))
-    write_report(second, _bundle(1.2))
+    write_report(first, STATS, _matrix(1.2))
+    write_report(second, STATS, _matrix(1.2))
     for name in ("durations.csv", "coefficients.csv", "synergy_robot.csv", "synergy_robot.svg"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 def test_duration_table_contents(tmp_path):
-    write_report(tmp_path, _bundle())
+    write_report(tmp_path, STATS, _matrix())
     lines = (tmp_path / "durations.csv").read_text().splitlines()
     assert lines[0] == "task_id,agent,mean,std,count"
     assert lines[1] == "pick_orange,robot,8.000000,0.500000,10"
 
 
 def test_grid_is_own_rows_by_counterpart_columns():
-    grid = heatmap_from_matrix(_matrix(1.1), R, ROBOT_IDS, HUMAN_IDS)
+    grid = heatmap_grid(_matrix(1.1), R)
     assert isinstance(grid, HeatmapGrid)
     assert grid.row_labels == tuple(ROBOT_IDS)
     assert grid.column_labels == tuple(HUMAN_IDS)
