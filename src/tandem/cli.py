@@ -9,7 +9,8 @@ A campaign run composes the whole pipeline against one store directory::
 
 ``estimate`` reads the traces once, groups the successful executions by
 (task type, agent) and filters each group's outliers once; the kept
-executions give both the duration statistics and the synergy regressions.
+executions give both the duration statistics and the synergy regressions,
+and they replace both estimate collections whole.
 ``plan`` and ``report`` read each estimate collection once, into duration
 statistics and a synergy matrix; ``report`` renders those alone and reads no
 other collection.
@@ -42,6 +43,7 @@ from .estimator import (
     group_executions,
 )
 from .model import (
+    SIDES,
     AgentId,
     DurationStats,
     StatsMap,
@@ -172,7 +174,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     human_ids, robot_ids = _task_lists(store)
 
     executions, stats = _kept_executions(store.export_traces(), args.outliers)
-    store.upsert_many(
+    store.replace(
         "task_duration",
         [
             {
@@ -198,10 +200,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "std_error": entry.std_error,
             "sample_count": entry.sample_count,
         }
-        for agent in reporting.SIDES
+        for agent in SIDES
         for (own, other), entry in matrix.entries[agent].items()
     ]
-    store.upsert_many("task_synergy", synergy_docs)
+    store.replace("task_synergy", synergy_docs)
 
     print(f"estimated {len(stats)} task durations and {len(synergy_docs)} synergy entries")
     for s in sorted(stats, key=lambda s: (s.agent.value, s.task_id)):
@@ -239,7 +241,7 @@ def _load_estimates(store: Store) -> tuple[StatsMap, SynergyMatrix]:
             f"store {store.root} lacks duration or synergy estimates; run `tandem estimate`"
         )
     stats = stats_table(store.read("task_duration", _duration_from_doc))
-    entries: dict[AgentId, dict[tuple[str, str], SynergyEntry]] = {a: {} for a in AgentId}
+    entries: dict[AgentId, dict[tuple[str, str], SynergyEntry]] = {a: {} for a in SIDES}
     for agent, key, entry in store.read("task_synergy", _synergy_from_doc):
         entries[agent][key] = entry
     return stats, SynergyMatrix(entries)

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .model import (
     COEFFICIENT_FLOOR,
+    SIDES,
     AgentId,
     StatsMap,
     SynergyEntry,
@@ -335,16 +336,11 @@ def estimate_synergy_matrix(
     whole row (sample_count 0 marks the entries as unobserved); estimation
     never aborts because of a single task.
     """
-    entries: dict[AgentId, dict[tuple[str, str], SynergyEntry]] = {
-        AgentId.HUMAN: {},
-        AgentId.ROBOT: {},
-    }
-    sides = (
-        (AgentId.ROBOT, robot_task_ids, human_task_ids),
-        (AgentId.HUMAN, human_task_ids, robot_task_ids),
-    )
-    for own_agent, own_ids, counterpart_ids in sides:
-        for own_id in own_ids:
+    task_ids = {AgentId.HUMAN: human_task_ids, AgentId.ROBOT: robot_task_ids}
+    entries: dict[AgentId, dict[tuple[str, str], SynergyEntry]] = {a: {} for a in SIDES}
+    for own_agent in SIDES:
+        counterpart_ids = task_ids[own_agent.counterpart]
+        for own_id in task_ids[own_agent]:
             kept = executions.get((own_id, own_agent), ())
             row = _estimate_row(kept, own_id, own_agent, stats, counterpart_ids)
             for counterpart_id, entry in zip(counterpart_ids, row):

@@ -38,6 +38,10 @@ class AgentId(str, Enum):
         return AgentId.ROBOT if self is AgentId.HUMAN else AgentId.HUMAN
 
 
+# Agent order of the synergy matrix as estimated, stored and reported.
+SIDES = (AgentId.ROBOT, AgentId.HUMAN)
+
+
 class ActionKind(str, Enum):
     PICK = "pick"
     PLACE = "place"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .model import AgentId, DurationStats, StatsMap, SynergyMatrix
+from .model import SIDES, AgentId, DurationStats, StatsMap, SynergyMatrix
 
 CELL = 96
 LABEL_W = 150
@@ -24,8 +24,6 @@ LABEL_H = 64
 NEUTRAL_RGB = (255, 255, 255)
 HIGH_RGB = (178, 24, 43)  # penalty (coefficient above 1)
 LOW_RGB = (33, 102, 172)  # advantage (coefficient below 1)
-# Agent order of the stored synergy documents, the coefficient table and the heatmaps.
-SIDES = (AgentId.ROBOT, AgentId.HUMAN)
 
 
 @dataclass(frozen=True)
@@ -149,24 +147,15 @@ def write_report(out_dir: str | Path, stats: StatsMap, matrix: SynergyMatrix) ->
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    durations_path = out / "durations.csv"
-    write_duration_csv(durations_path, stats.values())
-    written.append(durations_path)
-
-    coeff_path = out / "coefficients.csv"
-    write_coefficient_csv(coeff_path, matrix)
-    written.append(coeff_path)
-
+    written = [out / "durations.csv", out / "coefficients.csv"]
+    write_duration_csv(written[0], stats.values())
+    write_coefficient_csv(written[1], matrix)
     for agent in SIDES:
         grid = heatmap_grid(matrix, agent)
         if not grid.row_labels:
             continue
-        csv_path = out / f"synergy_{agent.value}.csv"
+        csv_path, svg_path = (out / f"synergy_{agent.value}.{ext}" for ext in ("csv", "svg"))
         write_heatmap_csv(csv_path, grid)
-        written.append(csv_path)
-        svg_path = out / f"synergy_{agent.value}.svg"
         write_heatmap_svg(svg_path, grid, f"{agent.value} task synergy")
-        written.append(svg_path)
+        written += [csv_path, svg_path]
     return written

@@ -12,6 +12,8 @@ one of two paths, chosen by its input:
 - a batch that replaces an existing id rewrites the whole file to a temp file,
   fsyncs it and renames it over the original.
 
+`replace` rewrites a collection as exactly its batch, dropping every other document.
+
 Appends are taken only while the file is exactly as this store last read or
 wrote it and ends in a newline; anything else is rewritten.  An unterminated
 final line that does not parse is a torn append (a crash, or a writer still at
@@ -249,24 +251,36 @@ class Store:
         file that changed since this store last touched it, is one atomic
         rewrite.
         """
-        # The first write creates the root, so a read leaves no directory behind.
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise IoFailure(f"cannot create store root {self.root}: {exc}") from exc
+        batch = self._batch(collection, documents)
         _, docs = self._load(collection)
-        batch: dict[str, dict] = {}
-        ids = []
-        for doc in documents:
-            validate_document(collection, doc)
-            batch[doc["id"]] = dict(doc)
-            ids.append(doc["id"])
         path = self.path(collection)
         if batch.keys().isdisjoint(docs) and self._append_at[collection] == _file_size(path):
             self._append(collection, batch)
         else:
             self._rewrite(collection, batch)
-        return ids
+        return list(batch)
+
+    def replace(self, collection: str, documents: Iterable[Mapping]) -> None:
+        """Make a collection hold exactly `documents`, in their order, by one atomic rewrite.
+
+        The current content is not read, so a corrupt file is replaced too.
+        """
+        batch = self._batch(collection, documents)
+        self._cache[collection] = ([], {})
+        self._rewrite(collection, batch)
+
+    def _batch(self, collection: str, documents: Iterable[Mapping]) -> dict[str, dict]:
+        """Checked copies of `documents` by id, the last of a repeated id winning."""
+        # The first write creates the root, so a read leaves no directory behind.
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoFailure(f"cannot create store root {self.root}: {exc}") from exc
+        batch: dict[str, dict] = {}
+        for doc in documents:
+            validate_document(collection, doc)
+            batch[doc["id"]] = dict(doc)
+        return batch
 
     def query(self, collection: str, filter: Mapping | None = None) -> list[dict]:
         """All documents matching the field-equality filter, in insertion order."""

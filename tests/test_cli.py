@@ -14,6 +14,7 @@ import tandem.store as store_mod
 from tandem import cli
 from tandem.config import build_domain, load_world_config
 from tandem.errors import ConfigError
+from tandem.model import AgentId
 from tandem.planner import random_plan
 from tandem.simulator import program_from_plan, simulate_plan
 from tandem.store import COLLECTIONS, Store
@@ -499,6 +500,23 @@ class TestReportCommand:
         assert _run("report", "--store", estimates, "--out", alone) == 0
         assert _files(alone) == _files(full)
         assert len(_files(full)) == 6
+
+    def test_heatmaps_follow_the_last_estimate(self, tmp_path):
+        # A store that held another workcell keeps only the last estimate's pairs.
+        store_dir, out = tmp_path / "s", tmp_path / "report"
+        config = tmp_path / "world.yaml"
+        config.write_text(FLEXIBLE)
+        assert _run("simulate", "--store", store_dir, "--config", config, "--plans", 6, "--seed", 3) == 0
+        assert _run("estimate", "--store", store_dir) == 0
+        assert _run("simulate", "--store", store_dir, "--plans", 6, "--seed", 3) == 0
+        assert _run("estimate", "--store", store_dir) == 0
+        assert _run("report", "--store", store_dir, "--out", out) == 0
+        assert Store(store_dir).count("task_synergy") == 32  # two 4x4 matrices
+        specs = [task.spec for task in load_world_config().tasks.values()]
+        human, robot = ([s.id for s in specs if a in s.eligible_agents] for a in (AgentId.HUMAN, AgentId.ROBOT))
+        rows = [line.split(",") for line in (out / "synergy_robot.csv").read_text().splitlines()]
+        assert rows[0] == ["robot_task"] + human
+        assert [row[0] for row in rows[1:]] == robot
 
 
 class TestPipeline:

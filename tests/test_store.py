@@ -77,6 +77,18 @@ class TestUpsertAndQuery:
         assert [d["task_id"] for d in docs] == ["a", "b"]
         assert docs[0]["mean"] == 9.0
 
+    def test_replace_drops_every_other_document(self, tmp_path):
+        store = Store(tmp_path)
+        store.upsert_many("task_duration", [_duration_doc("a"), _duration_doc("b")])
+        store.replace("task_duration", [_duration_doc("c"), _duration_doc("a", mean=9.0)])
+        for reader in (store, Store(tmp_path)):
+            assert reader.query("task_duration") == [_duration_doc("c"), _duration_doc("a", mean=9.0)]
+
+    def test_replace_overwrites_a_corrupt_file(self, tmp_path):
+        (tmp_path / "task_duration.jsonl").write_text("not json\n")
+        Store(tmp_path).replace("task_duration", [_duration_doc()])
+        assert Store(tmp_path).query("task_duration") == [_duration_doc()]
+
     def test_root_is_created_by_the_first_write(self, tmp_path):
         root = tmp_path / "a" / "b"
         store = Store(root)
