@@ -14,7 +14,7 @@ import copy
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
-from typing import Mapping
+from typing import Container, Mapping
 
 import yaml
 
@@ -23,6 +23,8 @@ from .model import ActionKind, AgentId, TaskSpec
 from .planner import PlanningDomain, TaskInstance
 
 ZONES = ("red", "orange", "free")
+_TASK_FIELDS = ("agent", "action", "region", "base_duration", "cv", "description")
+_STEP_FIELDS = ("pick", "place", "count", "color")
 
 DEFAULT_CONFIG: dict = {
     "seed": 1,
@@ -195,6 +197,13 @@ def _mapping(value: object, what: str) -> Mapping:
     return value
 
 
+def _known_fields(raw: Mapping, fields: Container, path: str) -> None:
+    """Reject a key of `raw` outside `fields`, naming it as `path` + key."""
+    for key in raw:
+        if key not in fields:
+            raise ConfigError(f"{path}{key} is not a known field")
+
+
 def _number(value: object, path: str, integer: bool = False) -> int | float:
     """A numeric leaf at `path`: an int or a float, never null, a boolean or a string.
 
@@ -211,6 +220,7 @@ def _number(value: object, path: str, integer: bool = False) -> int | float:
 
 def _parse_task(task_id: str, raw: object) -> TaskConfig:
     raw = _mapping(raw, f"task {task_id!r}")
+    _known_fields(raw, _TASK_FIELDS, f"tasks.{task_id}.")
     try:
         agents = raw["agent"]
         action = raw["action"]
@@ -237,7 +247,11 @@ def _parse_task(task_id: str, raw: object) -> TaskConfig:
 
 
 def _validate(raw: dict) -> WorldConfig:
-    speed = _mapping(_mapping(raw["zones"], "zones")["speed_factors"], "zones.speed_factors")
+    _known_fields(raw, DEFAULT_CONFIG, "")
+    zones = _mapping(raw["zones"], "zones")
+    _known_fields(zones, DEFAULT_CONFIG["zones"], "zones.")
+    speed = _mapping(zones["speed_factors"], "zones.speed_factors")
+    _known_fields(speed, ZONES, "zones.speed_factors.")
     factors = {str(k): _number(v, f"zones.speed_factors.{k}") for k, v in speed.items()}
     for zone in ZONES:
         if zone not in factors:
@@ -252,6 +266,7 @@ def _validate(raw: dict) -> WorldConfig:
     regions = {}
     for name, prof in _mapping(raw["regions"], "regions").items():
         prof = _mapping(prof, f"region {name!r}")
+        _known_fields(prof, ZONES, f"regions.{name}.")
         fractions = {z: _number(prof.get(z, 0.0), f"regions.{name}.{z}") for z in ZONES}
         try:
             regions[name] = ZoneExposureProfile(**fractions)
@@ -272,6 +287,7 @@ def _validate(raw: dict) -> WorldConfig:
         raise ConfigError(f"process must be a list of steps, got {raw['process']!r}")
     for i, entry in enumerate(raw["process"]):
         entry = _mapping(entry, "a process step")
+        _known_fields(entry, _STEP_FIELDS, f"process[{i}].")
         try:
             step = ProcessStep(
                 pick=str(entry["pick"]),

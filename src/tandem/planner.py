@@ -1,12 +1,14 @@
 """Plan generation and synergy-aware makespan minimization.
 
 A planning domain lists task instances (possibly many of the same symbolic
-type), their eligible agents, and pick-before-place precedence pairs.  Plans
-are an agent assignment plus per-agent task orderings.  ``predict_makespan``
-is the one cost entry point: it prices a plan by serial dispatch, each agent
-running its tasks back-to-back and waiting only for unmet precedence, while
-task durations and overlap fractions are iterated to a fixed point under the
-synergy coupling.  The slower agent's finish time is the plan's cost.
+type), their eligible agents, and disjoint pick-before-place precedence
+pairs: each task is in at most one pair, so it has at most one prerequisite.
+Plans are an agent assignment plus per-agent task orderings.
+``predict_makespan`` is the one cost entry point: it prices a plan by serial
+dispatch, each agent running its tasks back-to-back and waiting only for an
+unmet prerequisite, while task durations and overlap fractions are iterated
+to a fixed point under the synergy coupling.  The slower agent's finish time
+is the plan's cost.
 
 The dispatch order depends only on the orderings and the precedence, so it
 is computed once per plan, together with the well-formedness and deadlock
@@ -52,7 +54,11 @@ class TaskInstance:
 
 @dataclass(frozen=True)
 class PlanningDomain:
-    """Task instances to complete plus precedence pairs (before_uid, after_uid)."""
+    """Task instances to complete plus precedence pairs (before_uid, after_uid).
+
+    The pairs are disjoint: every uid is in at most one pair, once, which
+    also rules out self-pairs and cycles.
+    """
 
     instances: tuple[TaskInstance, ...]
     precedence: tuple[tuple[str, str], ...] = ()
@@ -62,30 +68,14 @@ class PlanningDomain:
         if len(set(uids)) != len(uids):
             raise ValueError("task instance uids must be unique")
         known = set(uids)
+        paired: set[str] = set()
         for before, after in self.precedence:
             if before not in known or after not in known:
                 raise ValueError(f"precedence pair ({before!r}, {after!r}) references unknown uid")
-            if before == after:
-                raise ValueError(f"precedence pair on {before!r} is a self-loop")
-        if self._has_cycle():
-            raise ValueError("precedence graph contains a cycle")
-
-    def _has_cycle(self) -> bool:
-        indegree = {inst.uid: 0 for inst in self.instances}
-        succ: dict[str, list[str]] = {inst.uid: [] for inst in self.instances}
-        for before, after in self.precedence:
-            indegree[after] += 1
-            succ[before].append(after)
-        ready = [u for u, d in indegree.items() if d == 0]
-        seen = 0
-        while ready:
-            u = ready.pop()
-            seen += 1
-            for v in succ[u]:
-                indegree[v] -= 1
-                if indegree[v] == 0:
-                    ready.append(v)
-        return seen != len(self.instances)
+            for uid in (before, after):
+                if uid in paired:
+                    raise ValueError(f"{uid!r} appears more than once in the precedence pairs")
+                paired.add(uid)
 
     @functools.cached_property
     def _position(self) -> dict[str, int]:
@@ -96,20 +86,16 @@ class PlanningDomain:
         return tuple(inst.uid for inst in self.instances)
 
     @functools.cached_property
-    def _disjoint_precedence(self) -> bool:
-        uids = [uid for pair in self.precedence for uid in pair]
-        return len(set(uids)) == len(uids)
-
-    @functools.cached_property
     def _eligible_by_value(self) -> tuple[tuple[AgentId, ...], ...]:
         return tuple(tuple(sorted(inst.eligible, key=lambda a: a.value)) for inst in self.instances)
 
     @functools.cached_property
-    def _prereq_positions(self) -> tuple[tuple[int, ...], ...]:
-        prereq = self.prerequisites()
-        return tuple(
-            tuple(self._position[u] for u in prereq[inst.uid]) for inst in self.instances
-        )
+    def _prereq_positions(self) -> tuple[int, ...]:
+        """Domain position of each instance's prerequisite, -1 for none."""
+        prereq = [-1] * len(self.instances)
+        for before, after in self.precedence:
+            prereq[self._position[after]] = self._position[before]
+        return tuple(prereq)
 
     def prerequisites(self) -> dict[str, tuple[str, ...]]:
         prereq: dict[str, list[str]] = {inst.uid: [] for inst in self.instances}
@@ -142,33 +128,19 @@ def validate_plan(domain: PlanningDomain, plan: CandidatePlan) -> None:
 def _random_linearization(domain: PlanningDomain, rng: np.random.Generator) -> list[str]:
     """Uniformly random topological order of the domain's instances.
 
-    For disjoint precedence pairs (the pick/place case) a uniform permutation
-    with inverted pairs swapped in place is exactly uniform over valid
-    linearizations.  Other acyclic precedence falls back to repeatedly picking
-    uniformly among the ready tasks.
+    The precedence pairs are disjoint, so a uniform permutation with each
+    inverted pair swapped in place is exactly uniform over valid
+    linearizations.
     """
     uids = domain._uids
-    if domain._disjoint_precedence:
-        order = [uids[i] for i in rng.permutation(len(uids))]
-        position = {uid: i for i, uid in enumerate(order)}
-        for before, after in domain.precedence:
-            i, j = position[before], position[after]
-            if i > j:
-                order[i], order[j] = order[j], order[i]
-                position[before], position[after] = j, i
-        return order
-
-    prereq = {u: set(v) for u, v in domain.prerequisites().items()}
-    out: list[str] = []
-    done: set[str] = set()
-    remaining = list(uids)
-    while remaining:
-        ready = sorted(u for u in remaining if prereq[u] <= done)
-        pick = ready[int(rng.integers(len(ready)))]
-        out.append(pick)
-        done.add(pick)
-        remaining.remove(pick)
-    return out
+    order = [uids[i] for i in rng.permutation(len(uids))]
+    position = {uid: i for i, uid in enumerate(order)}
+    for before, after in domain.precedence:
+        i, j = position[before], position[after]
+        if i > j:
+            order[i], order[j] = order[j], order[i]
+            position[before], position[after] = j, i
+    return order
 
 
 def random_plan(domain: PlanningDomain, seed) -> CandidatePlan:
@@ -196,15 +168,16 @@ def random_plan(domain: PlanningDomain, seed) -> CandidatePlan:
 
 def _dispatch_order(
     domain: PlanningDomain, plan: CandidatePlan
-) -> tuple[list[int], list[int], int, list[tuple[int, int, tuple[int, ...]]]]:
+) -> tuple[list[int], list[int], int, list[tuple[int, int, int]]]:
     """Lane-major task slots of a plan and the order they dispatch in.
 
     Slot k < n_human is the human lane's k-th task; the robot lane follows.
     Returns (domain position of each slot, slot of each domain position,
     n_human, dispatch steps).  Each step is (slot, slot of the previous task
-    in its lane or the sentinel len(slots), slots of its prerequisites); the
-    order depends only on the lanes and the precedence.  Raises
-    InvalidProgram for any plan that validate_plan rejects.
+    in its lane, slot of its prerequisite), either of the last two the
+    sentinel len(slots) when there is none; the order depends only on the
+    lanes and the precedence.  Raises InvalidProgram for any plan that
+    validate_plan rejects.
     """
     position = domain._position
     lanes = (plan.order.get(AgentId.HUMAN, ()), plan.order.get(AgentId.ROBOT, ()))
@@ -234,16 +207,16 @@ def _dispatch_order(
 
     n_human = len(lanes[0])
     prereq = domain._prereq_positions
-    deps = [tuple(slot_of[p] for p in prereq[pos]) for pos in at]
-    done = [False] * n
+    deps = [n if prereq[pos] < 0 else slot_of[prereq[pos]] for pos in at]
+    done = [False] * n + [True]  # done[n]: the sentinel of a task with no prerequisite
     lane_start, lane_end = (0, n_human), (n_human, n)
     cursor = list(lane_start)
-    steps: list[tuple[int, int, tuple[int, ...]]] = []
+    steps: list[tuple[int, int, int]] = []
     while len(steps) < n:
         dispatched = len(steps)
         for li in (0, 1):
             k = cursor[li]
-            while k < lane_end[li] and all(map(done.__getitem__, deps[k])):
+            while k < lane_end[li] and done[deps[k]]:
                 steps.append((k, k - 1 if k > lane_start[li] else n, deps[k]))
                 done[k] = True
                 k += 1
@@ -301,11 +274,10 @@ def predict_makespan(
     ends = [0.0] * (n + 1)  # ends[n] stays 0.0: when a lane's first task may start
     previous = None
     for _ in range(MAX_FIXED_POINT_ITERATIONS):
-        for k, prev, before in steps:
+        for k, prev, dep in steps:
             start = ends[prev]
-            for d in before:
-                if ends[d] > start:
-                    start = ends[d]
+            if ends[dep] > start:
+                start = ends[dep]
             starts[k] = start
             ends[k] = start + durations[k]
         makespan = max(ends[:n])
@@ -337,16 +309,6 @@ def _all_linearizations(domain: PlanningDomain) -> Iterator[tuple[str, ...]]:
     yield from extend(set(), [])
 
 
-def _count_linearizations(domain: PlanningDomain, limit: int) -> int | None:
-    """Number of topological orders, or None once it exceeds `limit`."""
-    count = 0
-    for _ in _all_linearizations(domain):
-        count += 1
-        if count > limit:
-            return None
-    return count
-
-
 def _enumerate_plans(domain: PlanningDomain) -> Iterator[CandidatePlan]:
     for combo in itertools.product(*domain._eligible_by_value):
         assignment = dict(zip(domain._uids, combo))
@@ -372,10 +334,12 @@ def optimize_plan(
 ) -> CandidatePlan:
     """Minimum-predicted-makespan plan by exhaustive or sampled search.
 
-    When the candidate space (assignments x interleavings) fits within the
-    budget it is enumerated exhaustively; otherwise `budget` seeded random
-    plans are evaluated.  Ties break on the lexicographic assignment vector,
-    then the orderings, so the result is independent of evaluation order.
+    The candidate space holds prod |eligible| assignments times n! / 2^p
+    interleavings, for n instances and p disjoint precedence pairs (each
+    pair halves the orders).  When it fits within the budget it is
+    enumerated exhaustively; otherwise `budget` seeded random plans are
+    evaluated.  Ties break on the lexicographic assignment vector, then the
+    orderings, so the result is independent of evaluation order.
     Candidates whose fixed point fails to converge, or that put a task on an
     agent without duration statistics, are skipped with one logged warning
     that counts both; MissingDuration is raised only when no candidate could
@@ -389,14 +353,11 @@ def optimize_plan(
     if not domain.instances:
         return CandidatePlan(assignment={}, order={a: () for a in AgentId}, predicted_makespan=0.0)
 
-    n_assignments = math.prod(len(inst.eligible) for inst in domain.instances)
+    n_plans = math.prod(len(inst.eligible) for inst in domain.instances) * (
+        math.factorial(len(domain.instances)) >> len(domain.precedence)
+    )
     candidates: Iterator[CandidatePlan]
-    if n_assignments <= budget:
-        n_orders = _count_linearizations(domain, limit=budget // n_assignments + 1)
-        exhaustive = n_orders is not None and n_assignments * n_orders <= budget
-    else:
-        exhaustive = False
-    if exhaustive:
+    if n_plans <= budget:
         candidates = _enumerate_plans(domain)
     else:
         candidates = (random_plan(domain, seed=[seed, i]) for i in range(budget))

@@ -12,6 +12,7 @@ renders as a plain white grid.  All output is byte-stable across reruns.
 from __future__ import annotations
 
 import csv
+import html
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -111,9 +112,11 @@ def write_heatmap_svg(path: Path, grid: HeatmapGrid, title: str) -> None:
     ]
     for j, label in enumerate(grid.column_labels):
         x = LABEL_W + j * CELL + CELL / 2
+        label = html.escape(label, quote=False)
         parts.append(f'<text x="{x:g}" y="{LABEL_H - 10}" text-anchor="middle">{label}</text>')
     for i, label in enumerate(grid.row_labels):
         y = LABEL_H + i * CELL + CELL / 2
+        label = html.escape(label, quote=False)
         parts.append(
             f'<text x="{LABEL_W - 8}" y="{y + 4:g}" text-anchor="end">{label}</text>'
         )

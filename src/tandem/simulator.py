@@ -53,8 +53,8 @@ def program_from_plan(domain: PlanningDomain, plan: CandidatePlan) -> AgentProgr
     """
     at, _, n_human, steps = _dispatch_order(domain, plan)
     prereqs: list[tuple[int, ...]] = [()] * len(at)
-    for k, _, before in steps:
-        prereqs[k] = before
+    for k, _, dep in steps:
+        prereqs[k] = (dep,) if dep < len(at) else ()
     return AgentProgram(tuple(domain.instances[pos] for pos in at), n_human, tuple(prereqs))
 
 

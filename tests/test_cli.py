@@ -142,6 +142,14 @@ class TestSimulate:
             ("regions:\n  shared: {red: true}\n", "regions.shared.red must be a number, got True"),
             (f"tasks:\n  pick_white: {{cv: 1{'0' * 400}}}\n",
              "tasks.pick_white.cv is too large for a float"),
+            ("tasks:\n  pick_white: {base_duraton: 1.0}\n",
+             "tasks.pick_white.base_duraton is not a known field"),
+            ("proccess: []\n", "proccess is not a known field"),
+            ("process:\n  - {pick: pick_white, place: place_white, count: 2, color: white, cout: 3}\n",
+             "process[0].cout is not a known field"),
+            ("regions:\n  shared: {redd: 0.3}\n", "regions.shared.redd is not a known field"),
+            ("zones:\n  speed_factors: {purple: 0.5}\n",
+             "zones.speed_factors.purple is not a known field"),
         ],
         ids=[
             "base_duration_nan", "base_duration_inf", "cv_inf", "cv_nan", "red_nan", "free_inf",
@@ -149,6 +157,8 @@ class TestSimulate:
             "process_null", "process_step_null", "object_count_null", "speed_factor_text",
             "process_step_no_color", "process_count_fraction", "process_count_bool",
             "seed_fraction", "base_duration_null", "zone_fraction_bool", "cv_too_large",
+            "task_field_typo", "section_typo", "process_field_typo", "region_zone_typo",
+            "unknown_speed_zone",
         ],
     )
     def test_non_finite_config_value_is_rejected(self, tmp_path, capsys, text, reason):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import logging
@@ -73,11 +74,26 @@ class TestDomain:
             PlanningDomain((TaskInstance("a", "t", BOTH),), (("a", "ghost"),))
 
     def test_rejects_cycle(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^'b' appears more than once in the precedence pairs$"):
             PlanningDomain(
                 (TaskInstance("a", "t", BOTH), TaskInstance("b", "t", BOTH)),
                 (("a", "b"), ("b", "a")),
             )
+
+    # Precedence pairs are disjoint: a uid in two pairs, or twice in one, is rejected.
+    @pytest.mark.parametrize(
+        "precedence, uid",
+        [
+            ((("a", "b"), ("b", "c")), "b"),
+            ((("a", "b"), ("a", "c")), "a"),
+            ((("a", "a"),), "a"),
+        ],
+        ids=["chain", "shared_prerequisite", "self_pair"],
+    )
+    def test_rejects_a_uid_in_more_than_one_pair(self, precedence, uid):
+        instances = tuple(TaskInstance(u, "t", BOTH) for u in "abc")
+        with pytest.raises(ValueError, match=f"^'{uid}' appears more than once in the precedence pairs$"):
+            PlanningDomain(instances, precedence)
 
 
 class TestRandomPlan:
@@ -131,20 +147,6 @@ class TestRandomPlan:
         )
         with pytest.raises(InfeasibleDomain, match="^task 'b' has no eligible agent$"):
             random_plan(domain, 0)
-
-    def test_shared_precedence_tasks_keep_every_pair_in_order(self):
-        # "b" is in two pairs, so the disjoint-pair shuffle does not apply.
-        domain = PlanningDomain(
-            tuple(TaskInstance(uid, "t", frozenset({R})) for uid in "abcde"),
-            (("a", "b"), ("b", "c"), ("d", "b")),
-        )
-        orders = set()
-        for seed in range(200):
-            order = random_plan(domain, seed).order[R]
-            for before, after in domain.precedence:
-                assert order.index(before) < order.index(after)
-            orders.add(order)
-        assert len(orders) == 10  # a and d in either order, then b, then c; e anywhere
 
     def test_single_agent_tasks_take_no_draw(self):
         flexible = make_world_config({"tasks": {t: {"agent": ["human", "robot"]} for t in _BLUE_TASKS}})
@@ -627,6 +629,26 @@ class TestOptimizePlan:
         best = optimize_plan(domain, stats, SynergyMatrix(), budget=budget, seed=seed)
         assert (best.assignment, best.order) == (expected.assignment, expected.order)
         assert best.predicted_makespan == min(costs)
+
+    @pytest.mark.parametrize("budget", [96, 95], ids=["enumerates", "samples"])
+    def test_exhaustive_at_exactly_the_plan_count(self, monkeypatch, budget):
+        # 16 assignments x 4!/2^2 interleavings = 96 plans.
+        domain = _pair_domain(2)
+        predict = planner_mod.predict_makespan
+        evaluated = []
+
+        def recording(domain, plan, *args):
+            evaluated.append(plan)
+            return predict(domain, plan, *args)
+
+        monkeypatch.setattr(planner_mod, "predict_makespan", recording)
+        optimize_plan(domain, _uniform_stats(domain), SynergyMatrix(), budget=budget, seed=2)
+        if budget == 96:
+            key = functools.partial(planner_mod._plan_key, domain)
+            assert len(evaluated) == 96
+            assert sorted(map(key, evaluated)) == sorted(map(key, _brute_force_plans(domain)))
+        else:
+            assert evaluated == [random_plan(domain, seed=[2, i]) for i in range(95)]
 
     def test_deterministic_result(self):
         domain = _pair_domain(2)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
+
 from tandem.model import AgentId, DurationStats, SynergyEntry, SynergyMatrix, stats_table
 from tandem.report import HeatmapGrid, diverging_color, heatmap_grid, write_report
 
-R = AgentId.ROBOT
+H, R = AgentId.HUMAN, AgentId.ROBOT
 
 ROBOT_IDS = ["pick_orange", "place_orange", "pick_blue_r", "place_blue_r"]
 HUMAN_IDS = ["pick_white", "place_white", "pick_blue_h", "place_blue_h"]
@@ -72,3 +74,18 @@ def test_grid_is_own_rows_by_counterpart_columns():
     assert grid.column_labels == tuple(HUMAN_IDS)
     assert len(grid.coefficients) == 4
     assert all(len(row) == 4 for row in grid.coefficients)
+
+
+def test_svg_labels_are_escaped(tmp_path):
+    label = "pick<blue>&h"
+    matrix = SynergyMatrix(
+        {
+            R: {("pick_orange", label): SynergyEntry(1.2, 0.01, 5)},
+            H: {(label, "pick_orange"): SynergyEntry(0.9, 0.01, 5)},
+        }
+    )
+    write_report(tmp_path, STATS, matrix)
+    for agent in ("robot", "human"):
+        root = ET.parse(tmp_path / f"synergy_{agent}.svg").getroot()
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert label in texts
