@@ -331,6 +331,12 @@ def make_world_config(overrides: Mapping | None = None) -> WorldConfig:
         raise ConfigError(f"invalid world config: {exc}") from exc
 
 
+def _position(head: str) -> str:
+    """Line and column, both from 1, of the character that follows `head`."""
+    lines = head.split("\n")
+    return f"line {len(lines)}, column {len(lines[-1]) + 1}"
+
+
 def load_world_config(path: str | Path | None = None) -> WorldConfig:
     """Load a world configuration, merging a YAML file over the defaults."""
     overrides = None
@@ -339,7 +345,21 @@ def load_world_config(path: str | Path | None = None) -> WorldConfig:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        loaded = yaml.safe_load(text)
+        except UnicodeDecodeError as exc:
+            where = _position(exc.object[: exc.start].decode("utf-8"))
+            raise ConfigError(f"config {path} is not UTF-8 at {where}: {exc.reason}") from exc
+        try:
+            loaded = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            # The scanner, parser and constructor mark the problem; the reader,
+            # which rejects a character YAML does not allow, gives its offset.
+            mark = getattr(exc, "problem_mark", None)
+            if mark is not None:
+                where, problem = f"line {mark.line + 1}, column {mark.column + 1}", exc.problem
+            else:
+                where = _position(text[: getattr(exc, "position", len(text))])
+                problem = str(exc).splitlines()[0]
+            raise ConfigError(f"config {path} is not valid YAML at {where}: {problem}") from exc
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):

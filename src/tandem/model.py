@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from math import isfinite
+from math import inf, isfinite
 
 from .errors import ZeroDurationTask
 
@@ -201,38 +201,48 @@ def coupled_lane_durations(
     COEFFICIENT_FLOOR keep it so.  One merge prices each overlapping pair
     once for both its tasks: the robot pointer stops at the first task
     starting at or after the human task's end, or at one reaching past that
-    end (it may overlap the next human task), and never moves back.
+    end (it may overlap the next human task), and never moves back; an
+    infinite start after the robot lane stops it at the lane's end.  The
+    sums of the robot task under the pointer are carried in two locals and
+    priced when the pointer moves past it, or after the human lane for a
+    task still open then; a task the pointer never reaches keeps its mean,
+    which is what the formula gives with no overlap.
     """
     n = len(means)
-    out = []
-    coupled = [0.0] * n
-    covered = [0.0] * n
-    k = n_human
-    for i, own_s, own_e in zip(range(n_human), starts, ends):
+    out = list(means)
+    other_starts = [*starts[n_human:n], inf]
+    j = 0
+    other_s = other_starts[0]
+    other_coupled = 0.0
+    other_covered = 0.0
+    for i, own_s, own_e, row, mean in zip(range(n_human), starts, ends, rows, means):
         own_len = own_e - own_s
-        row = rows[i]
         own_coupled = 0.0
         own_covered = 0.0
-        while k < n:
-            other_s = starts[k]
-            if other_s >= own_e:
-                break
+        while other_s < own_e:
+            k = n_human + j
             other_e = ends[k]
             lo = own_s if own_s > other_s else other_s
             hi = own_e if own_e < other_e else other_e
             if hi > lo:
                 span = hi - lo
                 delta = span / own_len
-                own_coupled += row[k - n_human] * delta
+                own_coupled += row[j] * delta
                 own_covered += delta
                 delta = span / (other_e - other_s)
-                coupled[k] += rows[k][i] * delta
-                covered[k] += delta
+                other_coupled += rows[k][i] * delta
+                other_covered += delta
             if other_e > own_e:
                 break
-            k += 1
-        out.append(means[i] * (1.0 + (own_coupled - own_covered)))
-    out += [means[k] * (1.0 + (coupled[k] - covered[k])) for k in range(n_human, n)]
+            out[k] = means[k] * (1.0 + (other_coupled - other_covered))
+            other_coupled = 0.0
+            other_covered = 0.0
+            j += 1
+            other_s = other_starts[j]
+        out[i] = mean * (1.0 + (own_coupled - own_covered))
+    if other_s < inf:
+        k = n_human + j
+        out[k] = means[k] * (1.0 + (other_coupled - other_covered))
     return out
 
 

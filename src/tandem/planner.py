@@ -15,11 +15,14 @@ is computed once per plan, together with the well-formedness and deadlock
 checks that ``validate_plan`` runs.  Each round then replays it in one
 linear pass, and one merge over the two lanes (``model.coupled_lane_durations``)
 prices each overlapping human-robot pair once for both its tasks, in
-O(n_h + n_r).  Every mean is positive and every coefficient at least
-``model.COEFFICIENT_FLOOR``, so every coupled duration stays positive and
-each round's lanes stay start-sorted without overlap, as the merge needs.
-The result equals, bit for bit, an all-pairs O(n_h * n_r) scan of the same
-formula; the tests keep that scan as their reference.
+O(n_h + n_r), carrying the sums of the robot task under its pointer in
+locals rather than in per-slot lists.  Every mean is positive and every
+coefficient at least ``model.COEFFICIENT_FLOOR``, so every coupled duration
+stays positive and each round's lanes stay start-sorted without overlap, as
+the merge needs; ends then grow along each lane, so a round's makespan is
+the later of the two lanes' last ends.  The result equals, bit for bit, an
+all-pairs O(n_h * n_r) scan of the same formula; the tests keep that scan
+as their reference.
 """
 
 from __future__ import annotations
@@ -237,7 +240,9 @@ def predict_makespan(
     Durations start at each task's expected value; the serial dispatch they
     induce determines overlap fractions, which rescale the durations, until
     the makespan moves by less than MAKESPAN_TOL between rounds.  The
-    dispatch order is found once and every round replays it.  The empty plan
+    dispatch order is found once and every round replays it.  A round's
+    makespan is the later of the two lanes' last ends, since ends grow along
+    a lane; an empty lane reads the 0.0 of the end sentinel.  The empty plan
     costs 0.0.  Raises InvalidProgram for a plan that validate_plan rejects,
     MissingDuration for a task on an agent without duration statistics, and
     NonConvergence after MAX_FIXED_POINT_ITERATIONS rounds.
@@ -280,7 +285,9 @@ def predict_makespan(
                 start = ends[dep]
             starts[k] = start
             ends[k] = start + durations[k]
-        makespan = max(ends[:n])
+        makespan = ends[n_human - 1]
+        if ends[n - 1] > makespan:
+            makespan = ends[n - 1]
         if previous is not None and abs(makespan - previous) < MAKESPAN_TOL:
             return makespan
         previous = makespan

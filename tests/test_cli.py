@@ -170,6 +170,29 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {reason}\n"
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b"seed: 1\ntasks: [unclosed\n",
+             "is not valid YAML at line 3, column 1: expected ',' or ']', but got '<stream end>'"),
+            (b"seed: 1\ntasks:\n  pick_white: {description: caf\xe9}\n",
+             "is not UTF-8 at line 3, column 32: invalid continuation byte"),
+            (b"seed: 1\nobjects: \x01\n",
+             "is not valid YAML at line 2, column 10: unacceptable character #x0001: "
+             "special characters are not allowed"),
+        ],
+        ids=["unclosed_sequence", "latin1_byte", "control_character"],
+    )
+    def test_unreadable_config_text_is_rejected(self, tmp_path, capsys, data, reason):
+        config = tmp_path / "world.yaml"
+        config.write_bytes(data)
+        message = f"config {config} {reason}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_world_config(config)
+        assert _run("simulate", "--store", tmp_path / "s", "--config", config) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "s").exists()
+
     def test_zero_plans_is_rejected(self, tmp_path, capsys):
         assert _run("simulate", "--store", tmp_path / "s", "--plans", 0) == 1
         assert "plan count must be at least 1, got 0" in capsys.readouterr().err

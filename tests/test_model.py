@@ -301,6 +301,9 @@ def test_two_lane_kernel_equals_the_one_lane_sweep_each_way():
             ("equal ends", any(h[1] == r[1] and _overlap(h, r) > 0.0 for h in human for r in robot)),
             ("zero-length task at the pointer",
              _point_inside(robot, human) or _point_inside(human, robot)),
+            ("the last human task ends inside a robot task",
+             bool(human) and any(r[0] < human[-1][1] < r[1] and _overlap(human[-1], r) > 0.0
+                                 for r in robot)),
         ]
         seen.update(name for name, hit in cases if hit)
     assert seen == {
@@ -312,6 +315,7 @@ def test_two_lane_kernel_equals_the_one_lane_sweep_each_way():
         "robot task over several human tasks",
         "equal ends",
         "zero-length task at the pointer",
+        "the last human task ends inside a robot task",
     }
 
 

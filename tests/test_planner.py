@@ -264,6 +264,30 @@ class TestPredictMakespan:
         )
         assert predict_makespan(domain, plan, stats, SynergyMatrix()) == pytest.approx(14.0)
 
+    @pytest.mark.parametrize("agent", [H, R], ids=["human", "robot"])
+    def test_one_agent_plan_costs_its_lane_sum(self, agent):
+        # With the other lane empty nothing overlaps, so synergy leaves every
+        # mean as it is, and the makespan is the lane's last end while the
+        # empty lane reads the 0.0 of the end sentinel.
+        domain = _pair_domain(3)
+        stats = {
+            (inst.spec_id, a): DurationStats(inst.spec_id, a, 1.7 + 0.9 * k + (a is R), 0.0, 5)
+            for k, inst in enumerate(domain.instances)
+            for a in (H, R)
+        }
+        specs = [inst.spec_id for inst in domain.instances]
+        synergy = SynergyMatrix({
+            a: {(own, other): SynergyEntry(2.5) for own in specs for other in specs} for a in (H, R)
+        })
+        lane = ("pick2", "pick0", "place0", "pick1", "place2", "place1")
+        plan = CandidatePlan(
+            assignment={uid: agent for uid in lane}, order={agent: lane, agent.counterpart: ()}
+        )
+        total = 0.0
+        for uid in lane:
+            total += stats[(uid, agent)].mean
+        assert predict_makespan(domain, plan, stats, synergy) == total
+
     def test_nonconvergence_raises(self, monkeypatch):
         monkeypatch.setattr(planner_mod, "MAX_FIXED_POINT_ITERATIONS", 1)
         domain = _pair_domain(1, eligible=frozenset({R}))
