@@ -31,8 +31,6 @@ from .model import (
     TaskSpec,
     TimeInterval,
     interval_duration,
-    interval_intersection,
-    overlap_ratio,
     stats_table,
 )
 from .planner import (
@@ -82,10 +80,8 @@ __all__ = [
     "filter_outliers",
     "group_executions",
     "interval_duration",
-    "interval_intersection",
     "load_world_config",
     "optimize_plan",
-    "overlap_ratio",
     "predict_makespan",
     "program_from_plan",
     "random_plan",

@@ -15,10 +15,11 @@ and they replace both estimate collections whole.
 statistics and a synergy matrix; ``report`` renders those alone and reads no
 other collection.
 
-Commands turn stored documents into values through `Store.read`, after the
+Commands turn stored documents into values through `Store.read`, and
+task_results documents into traces through `Store.export_traces`, after the
 store has checked their fields and types; a document that breaks the schema,
-or that the command's decoder rejects, ends the command with CorruptStore
-naming its file and line.
+or that the decoder rejects, ends the command with CorruptStore naming its
+file and line.
 
 Every command is deterministic given its flags, config, and seed.  The store
 root defaults to the TANDEM_STORE environment variable, then ./tandem_store.

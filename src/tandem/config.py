@@ -134,6 +134,10 @@ class ZoneExposureProfile:
             )
 
 
+# The exposure of a task whose region names no profile.
+FREE_PROFILE = ZoneExposureProfile()
+
+
 @dataclass(frozen=True)
 class TaskConfig:
     """A catalog entry: the symbolic task plus its simulation parameters."""
@@ -178,7 +182,7 @@ class WorldConfig:
     def profile(self, task_id: str) -> ZoneExposureProfile:
         """Zone exposure of a task, from its region; unknown regions count as free."""
         region = self.tasks[task_id].spec.region
-        return self.regions.get(region, ZoneExposureProfile())
+        return self.regions.get(region, FREE_PROFILE)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:

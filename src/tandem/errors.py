@@ -7,10 +7,6 @@ class TandemError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ZeroDurationTask(TandemError):
-    """A task interval has zero or negative length where a positive one is required."""
-
-
 class MissingDuration(TandemError):
     """No duration statistics exist for a (task, agent) pair."""
 

@@ -202,23 +202,27 @@ def group_executions(
     for trace in traces:
         records = trace.records
         lanes = trace._lanes
-        spans = {
-            agent: (
-                [records[k].interval.start for k in lane],
-                [records[k].interval.end for k in lane],
-            )
-            for agent, lane in lanes.items()
-        }
-        # Each successful record's pairs, by its position in the trace.
-        overlaps: list[list[tuple[str, float]]] = [[] for _ in records]
+        # Each lane's starts, ends and task ids, in lane order.
+        spans = {}
         for agent, lane in lanes.items():
-            other = lanes[agent.counterpart]
-            for k, pairs in zip(lane, overlap_pairs(*spans[agent], *spans[agent.counterpart])):
-                overlaps[k] = [(records[other[j]].task_id, delta) for j, delta in pairs]
+            starts, ends, task_ids = [], [], []
+            for k in lane:
+                rec = records[k]
+                starts.append(rec.interval.start)
+                ends.append(rec.interval.end)
+                task_ids.append(rec.task_id)
+            spans[agent] = (starts, ends, task_ids)
+        # Each successful record's pairs, by its position in the trace.
+        overlaps: list[list[tuple[str, float]] | None] = [None] * len(records)
+        for agent, lane in lanes.items():
+            starts, ends, _ = spans[agent]
+            other_starts, other_ends, other_ids = spans[agent.counterpart]
+            for k, pairs in zip(lane, overlap_pairs(starts, ends, other_starts, other_ends)):
+                overlaps[k] = [(other_ids[j], delta) for j, delta in pairs]
         for rec, pairs in zip(records, overlaps):
             if not rec.success:
                 continue
-            if interval_duration(rec.interval) <= 0.0:
+            if rec.interval.end - rec.interval.start <= 0.0:
                 skipped += 1
                 continue
             groups.setdefault((rec.task_id, rec.agent), []).append((rec, pairs))

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from math import inf, isfinite
 
-from .errors import ZeroDurationTask
-
 # Absolute tolerance for time comparisons, in seconds.
 TIME_EPS = 1e-9
 
@@ -67,35 +65,6 @@ class TimeInterval:
 def interval_duration(t: TimeInterval | None) -> float:
     """Length of an interval in seconds; the empty interval (None) has length 0."""
     return 0.0 if t is None else t.end - t.start
-
-
-def interval_intersection(
-    a: TimeInterval | None, b: TimeInterval | None
-) -> TimeInterval | None:
-    """Intersection of two intervals, or None when they do not meet.
-
-    Touching intervals ([0, 5] and [5, 8]) intersect in the zero-length
-    interval [5, 5].
-    """
-    if a is None or b is None:
-        return None
-    start = max(a.start, b.start)
-    end = min(a.end, b.end)
-    if end < start:
-        return None
-    return TimeInterval(start, end)
-
-
-def overlap_ratio(own: TimeInterval, other: TimeInterval | None) -> float:
-    """Fraction of `own` during which `other` is also running.
-
-    Always in [0, 1].  Raises ZeroDurationTask when `own` has zero length,
-    which signals a degenerate measured task rather than producing NaN.
-    """
-    own_len = interval_duration(own)
-    if own_len <= 0.0:
-        raise ZeroDurationTask(f"task interval {own} has zero duration")
-    return interval_duration(interval_intersection(own, other)) / own_len
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,12 @@ work-seconds) consumed at the current speed factor: stopped while the human
 is in the red zone, half speed in orange, nominal otherwise.  Identical
 (program, config, seed) triples produce bit-identical traces.
 
+The event loop keeps its state in locals: one cursor per lane, the running
+human task's start and phase bounds, and the running robot task's start and
+remaining work.  Each event advances to the earliest of the human's next phase
+bound and the robot task's completion at the speed factor of the human's
+zone, and each completed task becomes its record at once.
+
 ``program_from_plan`` runs the planner's plan check (``planner._dispatch_order``)
 and builds the program from what it returns, so the simulator executes exactly
 the plans the planner prices; ``simulate_plan`` checks only the world config's
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import WorldConfig, ZoneExposureProfile
+from .config import ZONES, WorldConfig
 from .errors import InvalidProgram
 from .estimator import ExecutionRecord, ExecutionTrace
 from .model import AgentId, TimeInterval
@@ -80,38 +86,6 @@ def sample_task_duration(base: float, cv: float, rng: np.random.Generator) -> fl
     return max(draw, MIN_DURATION_FRACTION * base)
 
 
-class _HumanTask:
-    """A running human task with its precomputed phase boundaries."""
-
-    __slots__ = ("instance", "start", "red_end", "orange_end", "end")
-
-    def __init__(self, instance: TaskInstance, start: float, duration: float,
-                 profile: ZoneExposureProfile):
-        self.instance = instance
-        self.start = start
-        self.red_end = start + profile.red * duration
-        self.orange_end = start + (profile.red + profile.orange) * duration
-        self.end = start + duration
-
-    def zone_at(self, t: float) -> str:
-        if t < self.red_end:
-            return "red"
-        if t < self.orange_end:
-            return "orange"
-        return "free"
-
-
-class _RobotTask:
-    """A running robot task consuming work at the ambient speed factor."""
-
-    __slots__ = ("instance", "start", "work_left")
-
-    def __init__(self, instance: TaskInstance, start: float, work: float):
-        self.instance = instance
-        self.start = start
-        self.work_left = work
-
-
 def simulate_plan(
     program: AgentProgram,
     config: WorldConfig,
@@ -137,69 +111,79 @@ def simulate_plan(
                     f"task {inst.uid!r} ({inst.spec_id}) is not executable by {agent.value}"
                 )
     rng = np.random.default_rng(seed)
+    catalog = config.tasks
+    idle = robot_speed_factor(None, config)
+    in_red, in_orange, in_free = (robot_speed_factor(zone, config) for zone in ZONES)
 
     done = [False] * n
-    cursor = {AgentId.HUMAN: 0, AgentId.ROBOT: n_human}
-    lane_end = {AgentId.HUMAN: n_human, AgentId.ROBOT: n}
-
-    human: _HumanTask | None = None
-    robot: _RobotTask | None = None
-    completed: list[tuple[TaskInstance, AgentId, float, float]] = []
+    records: list[ExecutionRecord] = []
     t = 0.0
+    # Lane cursors: the slot each agent runs or waits to start.
+    hk, rk = 0, n_human
+    # The running human task: its start and phase bounds; h_end is None while
+    # the human is idle.
+    h_start = h_red = h_orange = 0.0
+    h_end: float | None = None
+    # The running robot task: its start and the work it has left; work is None
+    # while the robot is idle.
+    r_start = 0.0
+    work: float | None = None
 
-    def ready(agent: AgentId) -> TaskInstance | None:
-        k = cursor[agent]
-        if k < lane_end[agent] and all(done[d] for d in prereqs[k]):
-            return tasks[k]
-        return None
+    while hk < n_human or rk < n:
+        if h_end is None and hk < n_human and all(done[d] for d in prereqs[hk]):
+            spec_id = tasks[hk].spec_id
+            task_cfg = catalog[spec_id]
+            duration = sample_task_duration(task_cfg.base_duration, task_cfg.cv, rng)
+            profile = config.profile(spec_id)
+            h_start = t
+            h_end = t + duration
+            # Zone fractions sum to 1 only within 1e-9, so a phase bound may
+            # pass the end; clamped to it, it gives the same zones and events.
+            h_red = min(t + profile.red * duration, h_end)
+            h_orange = min(t + (profile.red + profile.orange) * duration, h_end)
+        if work is None and rk < n and all(done[d] for d in prereqs[rk]):
+            r_start = t
+            work = catalog[tasks[rk].spec_id].base_duration
 
-    while len(completed) < n:
-        if human is None:
-            nxt = ready(AgentId.HUMAN)
-            if nxt is not None:
-                task_cfg = config.tasks[nxt.spec_id]
-                duration = sample_task_duration(task_cfg.base_duration, task_cfg.cv, rng)
-                human = _HumanTask(nxt, t, duration, config.profile(nxt.spec_id))
-        if robot is None:
-            nxt = ready(AgentId.ROBOT)
-            if nxt is not None:
-                robot = _RobotTask(nxt, t, config.tasks[nxt.spec_id].base_duration)
-
-        factor = robot_speed_factor(human.zone_at(t) if human else None, config)
-        events = []
-        if human is not None:
-            events.extend(b for b in (human.red_end, human.orange_end, human.end) if b > t)
-        if robot is not None and factor > 0.0:
-            events.append(t + robot.work_left / factor)
-        if not events:
+        # The human's zone sets the robot's speed, and its next phase bound
+        # is the human's next event.
+        if h_end is None:
+            factor, h_next = idle, None
+        elif t < h_red:
+            factor, h_next = in_red, h_red
+        elif t < h_orange:
+            factor, h_next = in_orange, h_orange
+        else:
+            factor, h_next = in_free, (h_end if h_end > t else None)
+        if work is not None and factor > 0.0:
+            t_next = t + work / factor
+            if h_next is not None and h_next < t_next:
+                t_next = h_next
+        elif h_next is not None:
+            t_next = h_next
+        else:
             raise InvalidProgram(
                 "simulation deadlocked: agents are waiting on each other's tasks"
             )
-        t_next = min(events)
 
-        if robot is not None:
-            robot.work_left = max(0.0, robot.work_left - factor * (t_next - t))
+        if work is not None:
+            # Work below WORK_EPS completes the task, so it needs no floor at 0.
+            work -= factor * (t_next - t)
         t = t_next
 
-        if robot is not None and robot.work_left <= WORK_EPS:
-            completed.append((robot.instance, AgentId.ROBOT, robot.start, t))
-            done[cursor[AgentId.ROBOT]] = True
-            cursor[AgentId.ROBOT] += 1
-            robot = None
-        if human is not None and t >= human.end:
-            completed.append((human.instance, AgentId.HUMAN, human.start, t))
-            done[cursor[AgentId.HUMAN]] = True
-            cursor[AgentId.HUMAN] += 1
-            human = None
+        if work is not None and work <= WORK_EPS:
+            records.append(
+                ExecutionRecord(plan_id, tasks[rk].spec_id, AgentId.ROBOT, TimeInterval(r_start, t))
+            )
+            done[rk] = True
+            rk += 1
+            work = None
+        if h_end is not None and t >= h_end:
+            records.append(
+                ExecutionRecord(plan_id, tasks[hk].spec_id, AgentId.HUMAN, TimeInterval(h_start, t))
+            )
+            done[hk] = True
+            hk += 1
+            h_end = None
 
-    records = tuple(
-        ExecutionRecord(
-            plan_id=plan_id,
-            task_id=inst.spec_id,
-            agent=agent,
-            interval=TimeInterval(start, end),
-            success=True,
-        )
-        for inst, agent, start, end in completed
-    )
-    return ExecutionTrace(plan_id=plan_id, records=records)
+    return ExecutionTrace(plan_id=plan_id, records=tuple(records))

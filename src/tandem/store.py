@@ -21,10 +21,15 @@ work): reads skip it and the next upsert's rewrite drops it, so a reader never
 sees a half-written document.  Concurrent writers must be serialized by the
 caller.
 
-`_SCHEMAS` is the one table of each collection's fields and their types:
-every write and every read checks each document against it.  `Store.read`
-turns documents into values; a line that does not parse, breaks the schema
-or is rejected by the caller's decoder raises CorruptStore naming its line.
+One module-level JSON encoder writes every document (sorted keys, no
+spaces, UTF-8 text) and one decoder reads every line, after the
+byte-order-mark check that json.loads makes.  `_SCHEMAS` is the one table of
+each collection's fields and their types: every write and every read checks
+each document against it.  `Store.read` turns documents into values through
+a caller's decoder; `export_traces` turns task_results documents straight into
+execution records, with a value-to-member table for the agent.  A line that
+does not parse, breaks the schema or is rejected by either decoder raises
+CorruptStore naming its line.
 
 Durability is per upsert, so a caller that batches sets its own unit:
 `record_traces` writes any number of traces as one upsert, and `tandem
@@ -94,8 +99,17 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
 }
 
 
-def _dumps(doc: Mapping) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# The one codec of every collection file.  json.dumps with non-default
+# arguments would build a new encoder for every document.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
+_DECODER = json.JSONDecoder()
+
+
+def _loads(line: str):
+    """One document line, decoded as json.loads would, byte-order-mark check included."""
+    if line.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+    return _DECODER.decode(line)
 
 
 def validate_document(collection: str, doc: Mapping) -> None:
@@ -120,7 +134,7 @@ def _whole_lines(data: bytes) -> bytes:
     tail = data[end:]
     if tail.strip():
         try:
-            json.loads(tail.decode("utf-8"))
+            _loads(tail.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             return data[:end]
     return data
@@ -143,7 +157,7 @@ def _line_of(path: Path, doc_id: str) -> int | None:
     found = None
     for lineno, line in enumerate(path.read_bytes().split(b"\n"), 1):
         try:
-            if json.loads(line).get("id") == doc_id:
+            if _loads(line.decode("utf-8")).get("id") == doc_id:
                 found = lineno
         except ValueError:  # a blank line or a torn tail
             continue
@@ -187,7 +201,7 @@ class Store:
             if not line.strip():
                 continue
             try:
-                doc = json.loads(line)
+                doc = _loads(line)
             except json.JSONDecodeError as exc:
                 raise CorruptStore(path, lineno, f"bad JSON: {exc.msg} (column {exc.colno})") from exc
             doc_id = doc.get("id") if isinstance(doc, dict) else None
@@ -351,16 +365,28 @@ class Store:
         documents exactly.  A record that cannot be read, or that overlaps an
         earlier record of its agent, raises CorruptStore naming its line.
         """
-        by_plan: dict[str, list[tuple[str, ExecutionRecord]]] = {}
-        for doc_id, rec in self.read("task_results", lambda doc: (doc["id"], _record(doc))):
-            by_plan.setdefault(rec.plan_id, []).append((doc_id, rec))
-        traces = []
-        for pid, entries in by_plan.items():
+        order, docs = self._load("task_results")
+        # Per plan, its records and their document ids.
+        by_plan: dict[str, tuple[list[ExecutionRecord], list[str]]] = {}
+        for doc_id in order:
             try:
-                traces.append(ExecutionTrace(plan_id=pid, records=tuple(rec for _, rec in entries)))
+                rec = _record(docs[doc_id])
+            except (TypeError, ValueError) as exc:
+                raise self._corrupt("task_results", doc_id, exc) from exc
+            records, ids = by_plan.setdefault(rec.plan_id, ([], []))
+            records.append(rec)
+            ids.append(doc_id)
+        traces = []
+        for pid, (records, ids) in by_plan.items():
+            try:
+                traces.append(ExecutionTrace(plan_id=pid, records=tuple(records)))
             except OverlappingRecords as exc:
-                raise self._corrupt("task_results", entries[exc.index][0], exc) from exc
+                raise self._corrupt("task_results", ids[exc.index], exc) from exc
         return traces
+
+
+# Agents by stored value: a lookup in place of the enum's constructor.
+_AGENTS = {agent.value: agent for agent in AgentId}
 
 
 def _record(doc: dict) -> ExecutionRecord:
@@ -371,7 +397,8 @@ def _record(doc: dict) -> ExecutionRecord:
     return ExecutionRecord(
         plan_id=doc["plan_id"],
         task_id=doc["task_id"],
-        agent=AgentId(doc["agent"]),
+        # AgentId raises the error that names a value of no agent.
+        agent=_AGENTS.get(doc["agent"]) or AgentId(doc["agent"]),
         interval=None if start is None else TimeInterval(float(start), float(end)),
         success=doc["success"],
     )

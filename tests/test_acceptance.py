@@ -33,8 +33,7 @@ from tandem.model import (
     TimeInterval,
     coupled_lane_durations,
     interval_duration,
-    interval_intersection,
-    overlap_ratio,
+    overlap_pairs,
     stats_table,
 )
 from tandem.planner import (
@@ -45,6 +44,8 @@ from tandem.planner import (
     predict_makespan,
 )
 from tandem.store import Store
+
+from interval_algebra import interval_intersection, overlap_ratio
 
 H, R = AgentId.HUMAN, AgentId.ROBOT
 
@@ -148,7 +149,11 @@ def test_criterion_4_cost_model_reduces_to_nominal_sums():
 
 
 def test_criterion_5_interval_algebra_suite():
-    """1000 randomized pairs: ratio range, commutativity, sequential sums."""
+    """1000 randomized pairs: ratio range, commutativity, sequential sums.
+
+    The interval algebra is the tests' oracle; each lane of counterpart
+    intervals also checks `overlap_pairs` against it.
+    """
     rng = np.random.default_rng(55)
     for _ in range(1000):
         a_start = float(rng.uniform(0, 100))
@@ -166,8 +171,11 @@ def test_criterion_5_interval_algebra_suite():
             end = t + float(rng.uniform(0.05, 12.0))
             others.append(TimeInterval(t, end))
             t = end
-        total = math.fsum(overlap_ratio(a, other) for other in others)
-        assert total <= 1.0 + 1e-12
+        ratios = [overlap_ratio(a, other) for other in others]
+        assert math.fsum(ratios) <= 1.0 + 1e-12
+        assert overlap_pairs(
+            [a.start], [a.end], [o.start for o in others], [o.end for o in others]
+        ) == [[(k, r) for k, r in enumerate(ratios) if r > 0.0]]
     print("\nACCEPTANCE 5 (interval suite, 1000 randomized pairs): PASS")
 
 

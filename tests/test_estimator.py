@@ -38,11 +38,12 @@ from tandem.model import (
     SynergyMatrix,
     TimeInterval,
     interval_duration,
-    overlap_ratio,
     stats_table,
 )
 from tandem.planner import random_plan
 from tandem.simulator import program_from_plan, simulate_plan
+
+from interval_algebra import overlap_ratio
 
 H, R = AgentId.HUMAN, AgentId.ROBOT
 

@@ -11,7 +11,6 @@ import weakref
 import pytest
 from hypothesis import given, strategies as st
 
-from tandem.errors import ZeroDurationTask
 from tandem.model import (
     AgentId,
     ActionKind,
@@ -22,12 +21,12 @@ from tandem.model import (
     TimeInterval,
     coupled_lane_durations,
     interval_duration,
-    interval_intersection,
     overlap_pairs,
-    overlap_ratio,
     stats_table,
 )
 from tandem.planner import CandidatePlan, PlanningDomain, TaskInstance, predict_makespan
+
+from interval_algebra import ZeroDurationTask, interval_intersection, overlap_ratio
 
 H, R = AgentId.HUMAN, AgentId.ROBOT
 

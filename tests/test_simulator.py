@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from tandem.config import make_world_config
+from tandem.config import ZoneExposureProfile, build_domain, load_world_config, make_world_config
 from tandem.errors import InvalidProgram
+from tandem.estimator import ExecutionRecord, ExecutionTrace
 from tandem.model import AgentId, TimeInterval, interval_duration
-from tandem.planner import CandidatePlan, PlanningDomain, TaskInstance
+from tandem.planner import CandidatePlan, PlanningDomain, TaskInstance, random_plan
 from tandem.simulator import (
+    WORK_EPS,
     AgentProgram,
     program_from_plan,
     robot_speed_factor,
@@ -268,3 +272,154 @@ class TestProgramValidation:
         )
         with pytest.raises(InvalidProgram, match="simulation deadlocked"):
             simulate_plan(program, _workbench(), seed=0)
+
+
+# -- reference event loop ------------------------------------------------------
+#
+# The loop simulate_plan ran before it kept its state in locals: one object per
+# running task and a zone lookup at every event.  simulate_plan must give the
+# same trace, record for record and bit for bit.
+
+
+class _HumanTask:
+    """A running human task with its precomputed phase boundaries."""
+
+    __slots__ = ("instance", "start", "red_end", "orange_end", "end")
+
+    def __init__(self, instance: TaskInstance, start: float, duration: float,
+                 profile: ZoneExposureProfile):
+        self.instance = instance
+        self.start = start
+        self.red_end = start + profile.red * duration
+        self.orange_end = start + (profile.red + profile.orange) * duration
+        self.end = start + duration
+
+    def zone_at(self, t: float) -> str:
+        if t < self.red_end:
+            return "red"
+        if t < self.orange_end:
+            return "orange"
+        return "free"
+
+
+class _RobotTask:
+    """A running robot task consuming work at the ambient speed factor."""
+
+    __slots__ = ("instance", "start", "work_left")
+
+    def __init__(self, instance: TaskInstance, start: float, work: float):
+        self.instance = instance
+        self.start = start
+        self.work_left = work
+
+
+def _reference_simulate(program, config, seed, plan_id="plan"):
+    tasks, n_human, prereqs = program.tasks, program.n_human, program.prereqs
+    n = len(tasks)
+    rng = np.random.default_rng(seed)
+
+    done = [False] * n
+    cursor = {H: 0, R: n_human}
+    lane_end = {H: n_human, R: n}
+
+    human = None
+    robot = None
+    completed = []
+    t = 0.0
+
+    def ready(agent):
+        k = cursor[agent]
+        if k < lane_end[agent] and all(done[d] for d in prereqs[k]):
+            return tasks[k]
+        return None
+
+    while len(completed) < n:
+        if human is None:
+            nxt = ready(H)
+            if nxt is not None:
+                task_cfg = config.tasks[nxt.spec_id]
+                duration = sample_task_duration(task_cfg.base_duration, task_cfg.cv, rng)
+                human = _HumanTask(nxt, t, duration, config.profile(nxt.spec_id))
+        if robot is None:
+            nxt = ready(R)
+            if nxt is not None:
+                robot = _RobotTask(nxt, t, config.tasks[nxt.spec_id].base_duration)
+
+        factor = robot_speed_factor(human.zone_at(t) if human else None, config)
+        events = []
+        if human is not None:
+            events.extend(b for b in (human.red_end, human.orange_end, human.end) if b > t)
+        if robot is not None and factor > 0.0:
+            events.append(t + robot.work_left / factor)
+        if not events:
+            raise InvalidProgram("simulation deadlocked: agents are waiting on each other's tasks")
+        t_next = min(events)
+
+        if robot is not None:
+            robot.work_left = max(0.0, robot.work_left - factor * (t_next - t))
+        t = t_next
+
+        if robot is not None and robot.work_left <= WORK_EPS:
+            completed.append((robot.instance, R, robot.start, t))
+            done[cursor[R]] = True
+            cursor[R] += 1
+            robot = None
+        if human is not None and t >= human.end:
+            completed.append((human.instance, H, human.start, t))
+            done[cursor[H]] = True
+            cursor[H] += 1
+            human = None
+
+    records = tuple(
+        ExecutionRecord(plan_id, inst.spec_id, agent, TimeInterval(start, end))
+        for inst, agent, start, end in completed
+    )
+    return ExecutionTrace(plan_id=plan_id, records=records)
+
+
+_WORKCELLS = {
+    "default": lambda: load_world_config(),
+    "flexible": lambda: load_world_config(
+        Path(__file__).resolve().parents[1] / "perfbench" / "flexible.yaml"
+    ),
+    # The shared region all orange and no human noise: the robot runs at half
+    # speed beside every blue human task.
+    "all_orange": lambda: make_world_config(
+        {
+            "regions": {"shared": {"red": 0.0, "orange": 1.0, "free": 0.0}},
+            "tasks": {
+                t: {"cv": 0.0}
+                for t, c in load_world_config().tasks.items()
+                if H in c.spec.eligible_agents
+            },
+        }
+    ),
+    # Red and orange sum past 1 within the profile's 1e-9 tolerance, so the
+    # orange phase bound lies after the task's end.
+    "orange_past_the_end": lambda: make_world_config(
+        {"regions": {"shared": {"red": 0.3, "orange": 0.7000000005, "free": 0.0}}}
+    ),
+}
+
+
+class TestEventLoopMatchesReference:
+    @pytest.mark.parametrize("workcell", _WORKCELLS)
+    def test_equal_traces_on_random_plans(self, workcell):
+        config = _WORKCELLS[workcell]()
+        domain = build_domain(config)
+        for i in range(300):
+            program = program_from_plan(domain, random_plan(domain, seed=[i, 0]))
+            seed = [i, 1]
+            assert simulate_plan(program, config, seed, "p") == _reference_simulate(
+                program, config, seed, "p"
+            )
+
+    def test_equal_deadlock_on_a_hand_built_program(self):
+        program = AgentProgram(
+            tasks=(_inst("h0", "h_job", H), _inst("r0", "r_job", R)),
+            n_human=1,
+            prereqs=((1,), (0,)),
+        )
+        for simulate in (simulate_plan, _reference_simulate):
+            with pytest.raises(InvalidProgram, match="simulation deadlocked"):
+                simulate(program, _workbench(), 0)

@@ -276,16 +276,24 @@ class TestTornTail:
 class TestReadErrors:
     def _write(self, tmp_path, *lines, collection="task_results"):
         path = tmp_path / f"{collection}.jsonl"
-        path.write_text("".join(line + "\n" for line in lines))
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         return path
 
     def test_bad_json_names_file_and_line(self, tmp_path):
         good = _dumps(_record_doc())
-        path = self._write(tmp_path, good, "", good[:-3], good)
-        with pytest.raises(CorruptStore) as err:
-            Store(tmp_path).query("task_results")
-        assert (err.value.path, err.value.line) == (path, 3)
-        assert str(err.value).startswith(f"{path}:3: bad JSON")
+        assert len(good) == 108
+        cases = {
+            good[:-3]: "Unterminated string starting at (column 96)",
+            good + good: "Extra data (column 109)",
+            # json.loads rejects a leading byte-order mark; JSONDecoder.decode alone would not.
+            "\ufeff" + good: "Unexpected UTF-8 BOM (decode using utf-8-sig) (column 1)",
+        }
+        for bad, reason in cases.items():
+            path = self._write(tmp_path, good, "", bad, good)
+            with pytest.raises(CorruptStore) as err:
+                Store(tmp_path).query("task_results")
+            assert (err.value.path, err.value.line) == (path, 3)
+            assert str(err.value) == f"{path}:3: bad JSON: {reason}"
 
     @pytest.mark.parametrize("line", ['{"task_id":"x"}', '{"id":7}', "[1, 2]"])
     def test_missing_id_names_file_and_line(self, tmp_path, line):
