@@ -123,7 +123,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         plan_id = f"plan-{k:04d}"
         trace = simulate_plan(program, cfg, seed=[seed, k, 1], plan_id=plan_id)
         traces.append(trace)
-        makespan = max(rec.interval.end for rec in trace.records)
+        makespan = max((rec.interval.end for rec in trace.records), default=0.0)
         plan_docs.append(_plan_doc(plan_id, plan, makespan, "simulated"))
     store.record_traces(traces)
     store.upsert_many("plans", plan_docs)

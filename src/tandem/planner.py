@@ -3,7 +3,9 @@
 A planning domain lists task instances (possibly many of the same symbolic
 type), their eligible agents, and disjoint pick-before-place precedence
 pairs: each task is in at most one pair, so it has at most one prerequisite.
-Plans are an agent assignment plus per-agent task orderings.
+Plans are an agent assignment plus per-agent task orderings; exhaustive
+search prices each distinct plan once, and prod |eligible| * n!/2^p
+assignments times interleavings only bound how many there are.
 ``predict_makespan`` is the one cost entry point: it prices a plan by serial
 dispatch, each agent running its tasks back-to-back and waiting only for an
 unmet prerequisite, while task durations and overlap fractions are iterated
@@ -99,12 +101,6 @@ class PlanningDomain:
         for before, after in self.precedence:
             prereq[self._position[after]] = self._position[before]
         return tuple(prereq)
-
-    def prerequisites(self) -> dict[str, tuple[str, ...]]:
-        prereq: dict[str, list[str]] = {inst.uid: [] for inst in self.instances}
-        for before, after in self.precedence:
-            prereq[after].append(before)
-        return {u: tuple(v) for u, v in prereq.items()}
 
 
 @dataclass(frozen=True)
@@ -298,32 +294,36 @@ def predict_makespan(
 
 
 def _all_linearizations(domain: PlanningDomain) -> Iterator[tuple[str, ...]]:
-    prereq = {u: set(v) for u, v in domain.prerequisites().items()}
-    uids = sorted(inst.uid for inst in domain.instances)
+    prereq = {after: before for before, after in domain.precedence}
+    uids = sorted(domain._uids)
 
-    def extend(done: set[str], acc: list[str]) -> Iterator[tuple[str, ...]]:
+    def extend(done: set[str | None], acc: list[str]) -> Iterator[tuple[str, ...]]:
         if len(acc) == len(uids):
             yield tuple(acc)
             return
         for u in uids:
-            if u not in done and prereq[u] <= done:
+            if u not in done and prereq.get(u) in done:
                 acc.append(u)
                 done.add(u)
                 yield from extend(done, acc)
                 done.remove(u)
                 acc.pop()
 
-    yield from extend(set(), [])
+    yield from extend({None}, [])  # None: the prerequisite of a task without one
 
 
 def _enumerate_plans(domain: PlanningDomain) -> Iterator[CandidatePlan]:
+    """Each distinct plan once: the interleavings' lane pairs, deduplicated per assignment."""
+    linears = list(_all_linearizations(domain))
     for combo in itertools.product(*domain._eligible_by_value):
         assignment = dict(zip(domain._uids, combo))
-        for linear in _all_linearizations(domain):
-            order = {
-                agent: tuple(u for u in linear if assignment[u] is agent) for agent in AgentId
-            }
-            yield CandidatePlan(assignment=assignment, order=order)
+        human = {u for u, agent in assignment.items() if agent is AgentId.HUMAN}
+        lanes = dict.fromkeys(
+            (tuple([u for u in linear if u in human]), tuple([u for u in linear if u not in human]))
+            for linear in linears
+        )
+        for pair in lanes:
+            yield CandidatePlan(assignment=assignment, order=dict(zip(AgentId, pair)))
 
 
 def _plan_key(domain: PlanningDomain, plan: CandidatePlan) -> tuple:
@@ -341,30 +341,28 @@ def optimize_plan(
 ) -> CandidatePlan:
     """Minimum-predicted-makespan plan by exhaustive or sampled search.
 
-    The candidate space holds prod |eligible| assignments times n! / 2^p
-    interleavings, for n instances and p disjoint precedence pairs (each
-    pair halves the orders).  When it fits within the budget it is
-    enumerated exhaustively; otherwise `budget` seeded random plans are
-    evaluated.  Ties break on the lexicographic assignment vector, then the
-    orderings, so the result is independent of evaluation order.
-    Candidates whose fixed point fails to converge, or that put a task on an
-    agent without duration statistics, are skipped with one logged warning
-    that counts both; MissingDuration is raised only when no candidate could
-    be evaluated and one of them lacked them.
+    prod |eligible| assignments times n! / 2^p interleavings, for n
+    instances and p disjoint precedence pairs, bound the plan space; when
+    the bound fits within the budget each distinct plan (interleavings that
+    differ only across lanes are one) is evaluated once, otherwise `budget`
+    seeded random plans are.  Ties break on the lexicographic assignment
+    vector, then the orderings, so the result is independent of evaluation
+    order.  Candidates whose fixed point fails to converge, or that put a
+    task on an agent without duration statistics, are skipped with one
+    logged warning that counts both among the evaluated plans; MissingDuration
+    is raised only when no candidate could be evaluated and one lacked them.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     for inst in domain.instances:
         if not inst.eligible:
             raise InfeasibleDomain(f"task {inst.uid!r} has no eligible agent")
-    if not domain.instances:
-        return CandidatePlan(assignment={}, order={a: () for a in AgentId}, predicted_makespan=0.0)
 
-    n_plans = math.prod(len(inst.eligible) for inst in domain.instances) * (
+    bound = math.prod(len(inst.eligible) for inst in domain.instances) * (
         math.factorial(len(domain.instances)) >> len(domain.precedence)
     )
     candidates: Iterator[CandidatePlan]
-    if n_plans <= budget:
+    if bound <= budget:
         candidates = _enumerate_plans(domain)
     else:
         candidates = (random_plan(domain, seed=[seed, i]) for i in range(budget))

@@ -43,13 +43,13 @@ MIN_DURATION_FRACTION = 0.2
 class AgentProgram:
     """A checked plan as lane-major task slots: the human lane, then the robot lane.
 
-    Slot k < n_human is the human's k-th task; ``prereqs[k]`` holds the slots
-    that must finish before slot k starts.
+    Slot k < n_human is the human's k-th task; ``prereq[k]`` is the one slot
+    that must finish before slot k starts, or ``len(tasks)`` when there is none.
     """
 
     tasks: tuple[TaskInstance, ...]
     n_human: int
-    prereqs: tuple[tuple[int, ...], ...]
+    prereq: tuple[int, ...]
 
 
 def program_from_plan(domain: PlanningDomain, plan: CandidatePlan) -> AgentProgram:
@@ -58,10 +58,8 @@ def program_from_plan(domain: PlanningDomain, plan: CandidatePlan) -> AgentProgr
     Raises InvalidProgram for any plan that ``planner.validate_plan`` rejects.
     """
     at, _, n_human, steps = _dispatch_order(domain, plan)
-    prereqs: list[tuple[int, ...]] = [()] * len(at)
-    for k, _, dep in steps:
-        prereqs[k] = (dep,) if dep < len(at) else ()
-    return AgentProgram(tuple(domain.instances[pos] for pos in at), n_human, tuple(prereqs))
+    prereq = tuple(dep for _, _, dep in sorted(steps))  # one step per slot
+    return AgentProgram(tuple(domain.instances[pos] for pos in at), n_human, prereq)
 
 
 def robot_speed_factor(human_zone: str | None, config: WorldConfig) -> float:
@@ -98,7 +96,7 @@ def simulate_plan(
     always consume exactly their base duration in work-seconds, so all robot
     variability comes from the safety-zone couplings.
     """
-    tasks, n_human, prereqs = program.tasks, program.n_human, program.prereqs
+    tasks, n_human, prereq = program.tasks, program.n_human, program.prereq
     n = len(tasks)
     # program_from_plan ran the plan check; what is left needs the catalog.
     for agent, lane in ((AgentId.HUMAN, tasks[:n_human]), (AgentId.ROBOT, tasks[n_human:])):
@@ -115,7 +113,7 @@ def simulate_plan(
     idle = robot_speed_factor(None, config)
     in_red, in_orange, in_free = (robot_speed_factor(zone, config) for zone in ZONES)
 
-    done = [False] * n
+    done = [False] * n + [True]  # done[n]: the sentinel of a task with no prerequisite
     records: list[ExecutionRecord] = []
     t = 0.0
     # Lane cursors: the slot each agent runs or waits to start.
@@ -130,7 +128,7 @@ def simulate_plan(
     work: float | None = None
 
     while hk < n_human or rk < n:
-        if h_end is None and hk < n_human and all(done[d] for d in prereqs[hk]):
+        if h_end is None and hk < n_human and done[prereq[hk]]:
             spec_id = tasks[hk].spec_id
             task_cfg = catalog[spec_id]
             duration = sample_task_duration(task_cfg.base_duration, task_cfg.cv, rng)
@@ -141,7 +139,7 @@ def simulate_plan(
             # pass the end; clamped to it, it gives the same zones and events.
             h_red = min(t + profile.red * duration, h_end)
             h_orange = min(t + (profile.red + profile.orange) * duration, h_end)
-        if work is None and rk < n and all(done[d] for d in prereqs[rk]):
+        if work is None and rk < n and done[prereq[rk]]:
             r_start = t
             work = catalog[tasks[rk].spec_id].base_duration
 

@@ -39,6 +39,7 @@ when the command returns.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from pathlib import Path
@@ -251,6 +252,8 @@ class Store:
             os.replace(tmp, path)
         except OSError as exc:
             del self._cache[collection]  # the batch is not on disk
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
             raise IoFailure(f"cannot write {path}: {exc}") from exc
         self._append_at[collection] = len(data)
 

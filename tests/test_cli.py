@@ -93,6 +93,17 @@ class TestSimulate:
         results = Store(store_dir).query("task_results")
         assert len(results) == 2
 
+    def test_empty_process_simulates_empty_plans(self, tmp_path, capsys):
+        config = tmp_path / "world.yaml"
+        config.write_text("process:\n  - {pick: pick_white, place: place_white, count: 0, color: white}\n")
+        store_dir = tmp_path / "s"
+        assert _run("simulate", "--store", store_dir, "--config", config, "--plans", 2) == 0
+        out = capsys.readouterr().out
+        assert "plan-0001: makespan 0.000 s" in out
+        assert "makespan min 0.000 / max 0.000 s" in out
+        assert _run("estimate", "--store", store_dir) == 1
+        assert "error: no task results in" in capsys.readouterr().err
+
     def test_bad_config_fails_cleanly(self, tmp_path, capsys):
         config = tmp_path / "world.yaml"
         config.write_text("regions:\n  shared: {red: 0.9, orange: 0.9, free: 0.2}\n")

@@ -362,6 +362,14 @@ class TestPredictMakespan:
         assert costs[0] == costs[1] == costs[2]
 
 
+def _prerequisite_sets(domain):
+    """Each uid's prerequisite uids, from the precedence pairs."""
+    prereq = {inst.uid: set() for inst in domain.instances}
+    for before, after in domain.precedence:
+        prereq[after].add(before)
+    return prereq
+
+
 def _serial_schedule(lanes, prereq, durations):
     """Reference dispatch: rediscovers the order in every round."""
     index = [0, 0]
@@ -419,7 +427,7 @@ def _reference_makespan(domain, plan, stats, synergy):
         for inst in domain.instances
     }
     lanes = (plan.order.get(H, ()), plan.order.get(R, ()))
-    prereq = domain.prerequisites()
+    prereq = _prerequisite_sets(domain)
     coeff = {}
     for agent, own_lane, other_lane in ((H, lanes[0], lanes[1]), (R, lanes[1], lanes[0])):
         for uid in own_lane:
@@ -534,9 +542,7 @@ class TestKernelMatchesReference:
 def _brute_force_plans(domain):
     """Independent exhaustive enumeration of assignments and interleavings."""
     uids = [inst.uid for inst in domain.instances]
-    prereq = {uid: set() for uid in uids}
-    for before, after in domain.precedence:
-        prereq[after].add(before)
+    prereq = _prerequisite_sets(domain)
 
     def linearizations(done, acc):
         if len(acc) == len(uids):
@@ -555,6 +561,19 @@ def _brute_force_plans(domain):
                 for agent in AgentId
             }
             yield CandidatePlan(assignment=assignment, order=order)
+
+
+def _record_predictions(monkeypatch):
+    """The plans that planner.predict_makespan is called with, in call order."""
+    predict = planner_mod.predict_makespan
+    evaluated = []
+
+    def recording(domain, plan, *args):
+        evaluated.append(plan)
+        return predict(domain, plan, *args)
+
+    monkeypatch.setattr(planner_mod, "predict_makespan", recording)
+    return evaluated
 
 
 def _brute_force_optimum(domain, stats, synergy):
@@ -656,23 +675,77 @@ class TestOptimizePlan:
 
     @pytest.mark.parametrize("budget", [96, 95], ids=["enumerates", "samples"])
     def test_exhaustive_at_exactly_the_plan_count(self, monkeypatch, budget):
-        # 16 assignments x 4!/2^2 interleavings = 96 plans.
+        # 16 assignments x 4!/2^2 interleavings = 96 bound the plan space.
         domain = _pair_domain(2)
-        predict = planner_mod.predict_makespan
-        evaluated = []
-
-        def recording(domain, plan, *args):
-            evaluated.append(plan)
-            return predict(domain, plan, *args)
-
-        monkeypatch.setattr(planner_mod, "predict_makespan", recording)
+        evaluated = _record_predictions(monkeypatch)
         optimize_plan(domain, _uniform_stats(domain), SynergyMatrix(), budget=budget, seed=2)
         if budget == 96:
+            # The 96 interleaved orders are 52 distinct plans, each evaluated once.
             key = functools.partial(planner_mod._plan_key, domain)
-            assert len(evaluated) == 96
-            assert sorted(map(key, evaluated)) == sorted(map(key, _brute_force_plans(domain)))
+            distinct = set(map(key, _brute_force_plans(domain)))
+            assert len(distinct) == 52
+            assert sorted(map(key, evaluated)) == sorted(distinct)
         else:
             assert evaluated == [random_plan(domain, seed=[2, i]) for i in range(95)]
+
+    def test_exhaustive_is_the_brute_force_minimum(self):
+        # Random small domains: up to two pairs and two single tasks.
+        rng = random.Random(31)
+        eligible = (frozenset({H}), frozenset({R}), BOTH)
+        specs = ("t0", "t1", "t2")
+        converged = 0
+        for _ in range(30):
+            instances, precedence = [], []
+            for k in range(rng.randint(0, 2)):
+                for uid in (f"pick{k}", f"place{k}"):
+                    instances.append(TaskInstance(uid, rng.choice(specs), rng.choice(eligible)))
+                precedence.append((f"pick{k}", f"place{k}"))
+            for k in range(rng.randint(0, 2)):
+                instances.append(TaskInstance(f"single{k}", rng.choice(specs), rng.choice(eligible)))
+            rng.shuffle(instances)
+            domain = PlanningDomain(tuple(instances), tuple(precedence))
+            stats = {
+                (spec, agent): DurationStats(spec, agent, rng.uniform(2.0, 12.0), 0.0, 5)
+                for spec in specs
+                for agent in AgentId
+            }
+            synergy = SynergyMatrix({
+                agent: {
+                    (own, other): SynergyEntry(rng.choice([COEFFICIENT_FLOOR, rng.uniform(0.2, 3.0)]))
+                    for own in specs
+                    for other in specs
+                }
+                for agent in AgentId
+            })
+            priced = [
+                (_outcome(predict_makespan, domain, plan, stats, synergy), planner_mod._plan_key(domain, plan))
+                for plan in _brute_force_plans(domain)
+            ]
+            priced = [outcome for outcome in priced if outcome[0] != "NonConvergence"]
+            if not priced:
+                with pytest.raises(NonConvergence):
+                    optimize_plan(domain, stats, synergy, budget=100_000)
+                continue
+            converged += 1
+            best = optimize_plan(domain, stats, synergy, budget=100_000)
+            assert (best.predicted_makespan, planner_mod._plan_key(domain, best)) == min(priced)
+        assert converged > 20
+
+    def test_three_pair_workcell_prices_15_distinct_plans(self, monkeypatch):
+        # pick_blue_h eligible to both agents: 2 x 6!/2^3 = 180 interleaved orders.
+        config = make_world_config({
+            "tasks": {"pick_blue_h": {"agent": ["human", "robot"]}},
+            "process": [
+                {"pick": f"pick_{color}", "place": f"place_{color}", "count": 1, "color": color}
+                for color in ("orange", "white")
+            ] + [{"pick": "pick_blue_h", "place": "place_blue_h", "count": 1, "color": "blue"}],
+        })
+        domain = build_domain(config)
+        assert len(list(_brute_force_plans(domain))) == 180
+        evaluated = _record_predictions(monkeypatch)
+        optimize_plan(domain, _uniform_stats(domain), SynergyMatrix(), budget=300)
+        key = functools.partial(planner_mod._plan_key, domain)
+        assert len(evaluated) == len(set(map(key, evaluated))) == 15
 
     def test_deterministic_result(self):
         domain = _pair_domain(2)
@@ -707,8 +780,8 @@ class TestOptimizePlan:
             optimize_plan(domain, stats, SynergyMatrix(), budget=5)
 
     def test_empty_domain(self):
-        plan = optimize_plan(PlanningDomain((), ()), {}, SynergyMatrix(), budget=5)
-        assert plan.predicted_makespan == 0.0
+        plan = optimize_plan(PlanningDomain((), ()), {}, SynergyMatrix(), budget=1)
+        assert plan == CandidatePlan(assignment={}, order={H: (), R: ()}, predicted_makespan=0.0)
 
     def test_warns_once_with_skip_counts(self, monkeypatch, caplog):
         domain = _pair_domain(2)
@@ -759,7 +832,7 @@ def _stdlib_candidate(domain, rng):
         inst.uid: rng.choice(sorted(inst.eligible, key=lambda a: a.value))
         for inst in domain.instances
     }
-    prereq = {uid: set(before) for uid, before in domain.prerequisites().items()}
+    prereq = _prerequisite_sets(domain)
     remaining, done, linear = sorted(prereq), set(), []
     while remaining:
         pick = rng.choice([uid for uid in remaining if prereq[uid] <= done])

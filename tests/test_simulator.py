@@ -268,7 +268,7 @@ class TestProgramValidation:
         program = AgentProgram(
             tasks=(_inst("h0", "h_job", H), _inst("r0", "r_job", R)),
             n_human=1,
-            prereqs=((1,), (0,)),
+            prereq=(1, 0),
         )
         with pytest.raises(InvalidProgram, match="simulation deadlocked"):
             simulate_plan(program, _workbench(), seed=0)
@@ -314,11 +314,11 @@ class _RobotTask:
 
 
 def _reference_simulate(program, config, seed, plan_id="plan"):
-    tasks, n_human, prereqs = program.tasks, program.n_human, program.prereqs
+    tasks, n_human, prereq = program.tasks, program.n_human, program.prereq
     n = len(tasks)
     rng = np.random.default_rng(seed)
 
-    done = [False] * n
+    done = [False] * n + [True]  # done[n]: no prerequisite
     cursor = {H: 0, R: n_human}
     lane_end = {H: n_human, R: n}
 
@@ -329,7 +329,7 @@ def _reference_simulate(program, config, seed, plan_id="plan"):
 
     def ready(agent):
         k = cursor[agent]
-        if k < lane_end[agent] and all(done[d] for d in prereqs[k]):
+        if k < lane_end[agent] and done[prereq[k]]:
             return tasks[k]
         return None
 
@@ -418,7 +418,7 @@ class TestEventLoopMatchesReference:
         program = AgentProgram(
             tasks=(_inst("h0", "h_job", H), _inst("r0", "r_job", R)),
             n_human=1,
-            prereqs=((1,), (0,)),
+            prereq=(1, 0),
         )
         for simulate in (simulate_plan, _reference_simulate):
             with pytest.raises(InvalidProgram, match="simulation deadlocked"):

@@ -229,6 +229,7 @@ class TestFileFormat:
             store.upsert("task_duration", _duration_doc("b" if new_id else "a", mean=9.0))
         monkeypatch.undo()
         assert store.query("task_duration") == Store(tmp_path).query("task_duration")
+        assert [path.name for path in tmp_path.iterdir()] == ["task_duration.jsonl"]
 
 
 class TestTornTail:
