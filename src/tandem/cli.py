@@ -13,7 +13,9 @@ executions give both the duration statistics and the synergy regressions,
 and they replace both estimate collections whole.
 ``plan`` and ``report`` read each estimate collection once, into duration
 statistics and a synergy matrix; ``report`` renders those alone and reads no
-other collection.
+other collection.  The store keeps no copy between calls, so each command
+reads each collection it needs once; only ``estimate`` on a store without a
+catalog reads the records a second time, for its task lists.
 
 Commands turn stored documents into values through `Store.read`, and
 task_results documents into traces through `Store.export_traces`, after the
@@ -158,10 +160,9 @@ def _kept_executions(
 
 
 def _task_lists(store: Store) -> tuple[list[str], list[str]]:
-    """Human and robot task type lists, from the catalog or observed records."""
-    if store.count("task_properties"):
-        entries = store.read("task_properties", lambda doc: (doc["id"], doc["agents"]))
-    else:
+    """Human and robot task type lists, from the catalog or, if it is empty, the records."""
+    entries = store.read("task_properties", lambda doc: (doc["id"], doc["agents"]))
+    if not entries:
         entries = store.read("task_results", lambda doc: (doc["task_id"], [doc["agent"]]))
     human = list(dict.fromkeys(t for t, agents in entries if AgentId.HUMAN.value in agents))
     robot = list(dict.fromkeys(t for t, agents in entries if AgentId.ROBOT.value in agents))
@@ -170,11 +171,12 @@ def _task_lists(store: Store) -> tuple[list[str], list[str]]:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     store = Store(_store_root(args))
-    if store.count("task_results") == 0:
+    traces = store.export_traces()
+    if not traces:
         raise EmptyStore(f"no task results in {store.root}; run `tandem simulate` first")
     human_ids, robot_ids = _task_lists(store)
 
-    executions, stats = _kept_executions(store.export_traces(), args.outliers)
+    executions, stats = _kept_executions(traces, args.outliers)
     store.replace(
         "task_duration",
         [
@@ -236,14 +238,14 @@ def _load_estimates(store: Store) -> tuple[StatsMap, SynergyMatrix]:
 
     A document with an unknown agent or an invalid value raises CorruptStore.
     """
-    counts = [store.count("task_duration"), store.count("task_synergy")]
-    if not all(counts):
+    stats = stats_table(store.read("task_duration", _duration_from_doc))
+    synergy = store.read("task_synergy", _synergy_from_doc)
+    if not (stats and synergy):
         raise MissingEstimates(
             f"store {store.root} lacks duration or synergy estimates; run `tandem estimate`"
         )
-    stats = stats_table(store.read("task_duration", _duration_from_doc))
     entries: dict[AgentId, dict[tuple[str, str], SynergyEntry]] = {a: {} for a in SIDES}
-    for agent, key, entry in store.read("task_synergy", _synergy_from_doc):
+    for agent, key, entry in synergy:
         entries[agent][key] = entry
     return stats, SynergyMatrix(entries)
 

@@ -222,19 +222,29 @@ def _number(value: object, path: str, integer: bool = False) -> int | float:
         raise ConfigError(f"{path} is too large for a float") from None
 
 
+def _text(value: object, path: str) -> str:
+    """A text leaf at `path`: a string, never a number, a list or a mapping."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{path} must be a string, got {value!r}")
+    return value
+
+
 def _parse_task(task_id: str, raw: object) -> TaskConfig:
     raw = _mapping(raw, f"task {task_id!r}")
-    _known_fields(raw, _TASK_FIELDS, f"tasks.{task_id}.")
+    path = f"tasks.{task_id}."
+    _known_fields(raw, _TASK_FIELDS, path)
     try:
         agents = raw["agent"]
-        action = raw["action"]
-        region = raw["region"]
-        base = _number(raw["base_duration"], f"tasks.{task_id}.base_duration")
-        cv = _number(raw.get("cv", 0.0), f"tasks.{task_id}.cv")
+        action = _text(raw["action"], path + "action")
+        region = _text(raw["region"], path + "region")
+        base = _number(raw["base_duration"], path + "base_duration")
+        cv = _number(raw.get("cv", 0.0), path + "cv")
     except KeyError as exc:
         raise ConfigError(f"task {task_id!r} is missing field {exc.args[0]!r}") from None
     if isinstance(agents, str):
         agents = [agents]
+    if not isinstance(agents, list) or not all(isinstance(a, str) for a in agents):
+        raise ConfigError(f"{path}agent must be a string or a list of strings, got {raw['agent']!r}")
     try:
         eligible = frozenset(AgentId(a) for a in agents)
         kind = ActionKind(action)
@@ -244,8 +254,8 @@ def _parse_task(task_id: str, raw: object) -> TaskConfig:
         id=task_id,
         action=kind,
         eligible_agents=eligible,
-        region=str(region),
-        description=str(raw.get("description", "")),
+        region=region,
+        description=_text(raw.get("description", ""), path + "description"),
     )
     return TaskConfig(spec=spec, base_duration=base, cv=cv)
 
@@ -294,10 +304,10 @@ def _validate(raw: dict) -> WorldConfig:
         _known_fields(entry, _STEP_FIELDS, f"process[{i}].")
         try:
             step = ProcessStep(
-                pick=str(entry["pick"]),
-                place=str(entry["place"]),
+                pick=_text(entry["pick"], f"process[{i}].pick"),
+                place=_text(entry["place"], f"process[{i}].place"),
                 count=_number(entry["count"], f"process[{i}].count", integer=True),
-                color=str(entry["color"]),
+                color=_text(entry["color"], f"process[{i}].color"),
             )
         except KeyError as exc:
             raise ConfigError(f"process[{i}] is missing field {exc.args[0]!r}") from None

@@ -14,12 +14,13 @@ one of two paths, chosen by its input:
 
 `replace` rewrites a collection as exactly its batch, dropping every other document.
 
-Appends are taken only while the file is exactly as this store last read or
-wrote it and ends in a newline; anything else is rewritten.  An unterminated
-final line that does not parse is a torn append (a crash, or a writer still at
-work): reads skip it and the next upsert's rewrite drops it, so a reader never
-sees a half-written document.  Concurrent writers must be serialized by the
-caller.
+A Store holds nothing but its root: each read and each upsert reads the file
+once, so it sees every document written before it, by any Store on the root.
+An upsert appends only while the file is still the size it read and ends in
+a newline; anything else is rewritten.  An unterminated final line that does
+not parse is a torn append (a crash, or a writer still at work): reads skip it
+and the next upsert's rewrite drops it, so a reader never sees a half-written
+document.  Concurrent writers must be serialized by the caller.
 
 One module-level JSON encoder writes every document (sorted keys, no
 spaces, UTF-8 text) and one decoder reads every line, after the
@@ -165,25 +166,49 @@ def _line_of(path: Path, doc_id: str) -> int | None:
     return found
 
 
+def _append(path: Path, docs: Iterable[dict]) -> None:
+    data = "".join(_dumps(doc) + "\n" for doc in docs).encode("utf-8")
+    try:
+        with open(path, "ab") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+    except OSError as exc:
+        raise IoFailure(f"cannot append to {path}: {exc}") from exc
+
+
+def _rewrite(path: Path, docs: Iterable[dict]) -> None:
+    tmp = path.with_name(path.name + ".tmp")
+    data = "".join(_dumps(doc) + "\n" for doc in docs).encode("utf-8")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
 class Store:
     """Document store rooted at a directory, one JSONL file per collection."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self._cache: dict[str, tuple[list[str], dict[str, dict]]] = {}
-        # File size at which a collection may be appended to: its size as this
-        # store last read or wrote it, or None if that content did not end in
-        # a newline.
-        self._append_at: dict[str, int | None] = {}
 
     def path(self, collection: str) -> Path:
         if collection not in COLLECTIONS:
             raise UnknownCollection(f"unknown collection {collection!r}")
         return self.root / f"{collection}.jsonl"
 
-    def _load(self, collection: str) -> tuple[list[str], dict[str, dict]]:
-        if collection in self._cache:
-            return self._cache[collection]
+    def _load(self, collection: str) -> tuple[dict[str, dict], int | None]:
+        """A collection's documents by id, in file order, and the size it may be appended at.
+
+        A repeated id keeps its first position and its last document.  The
+        size is None when the file does not end in a newline.
+        """
         path = self.path(collection)
         try:
             data = path.read_bytes()
@@ -196,7 +221,6 @@ class Store:
             text = whole.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorruptStore(path, whole.count(b"\n", 0, exc.start) + 1, "invalid UTF-8") from exc
-        order: list[str] = []
         docs: dict[str, dict] = {}
         for lineno, line in enumerate(text.split("\n"), 1):
             if not line.strip():
@@ -212,50 +236,8 @@ class Store:
                 validate_document(collection, doc)
             except SchemaViolation as exc:
                 raise CorruptStore(path, lineno, f"document {doc_id}: {exc.reason}") from exc
-            if doc_id not in docs:
-                order.append(doc_id)
             docs[doc_id] = doc
-        self._cache[collection] = (order, docs)
-        self._append_at[collection] = len(data) if data.endswith(b"\n") or not data else None
-        return order, docs
-
-    def _append(self, collection: str, batch: Mapping[str, dict]) -> None:
-        order, docs = self._cache[collection]
-        path = self.path(collection)
-        data = "".join(_dumps(doc) + "\n" for doc in batch.values()).encode("utf-8")
-        try:
-            with open(path, "ab") as fh:
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
-        except OSError as exc:
-            del self._cache[collection]  # reread whatever landed
-            raise IoFailure(f"cannot append to {path}: {exc}") from exc
-        order.extend(batch)
-        docs.update(batch)
-        self._append_at[collection] += len(data)
-
-    def _rewrite(self, collection: str, batch: Mapping[str, dict]) -> None:
-        order, docs = self._cache[collection]
-        for doc_id, doc in batch.items():
-            if doc_id not in docs:
-                order.append(doc_id)
-            docs[doc_id] = doc
-        path = self.path(collection)
-        tmp = path.with_name(path.name + ".tmp")
-        data = "".join(_dumps(docs[doc_id]) + "\n" for doc_id in order).encode("utf-8")
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except OSError as exc:
-            del self._cache[collection]  # the batch is not on disk
-            with contextlib.suppress(OSError):
-                tmp.unlink(missing_ok=True)
-            raise IoFailure(f"cannot write {path}: {exc}") from exc
-        self._append_at[collection] = len(data)
+        return docs, len(data) if data.endswith(b"\n") or not data else None
 
     def upsert(self, collection: str, doc: Mapping) -> str:
         """Insert or replace a document by id; durable when this returns."""
@@ -265,16 +247,16 @@ class Store:
         """Upsert a batch, preserving insertion order; durable when this returns.
 
         A batch of new ids is appended; one that replaces an id, or meets a
-        file that changed since this store last touched it, is one atomic
-        rewrite.
+        file that changed since this call read it, is one atomic rewrite.
         """
         batch = self._batch(collection, documents)
-        _, docs = self._load(collection)
+        docs, append_at = self._load(collection)
         path = self.path(collection)
-        if batch.keys().isdisjoint(docs) and self._append_at[collection] == _file_size(path):
-            self._append(collection, batch)
+        if batch.keys().isdisjoint(docs) and append_at == _file_size(path):
+            _append(path, batch.values())
         else:
-            self._rewrite(collection, batch)
+            docs.update(batch)
+            _rewrite(path, docs.values())
         return list(batch)
 
     def replace(self, collection: str, documents: Iterable[Mapping]) -> None:
@@ -282,9 +264,7 @@ class Store:
 
         The current content is not read, so a corrupt file is replaced too.
         """
-        batch = self._batch(collection, documents)
-        self._cache[collection] = ([], {})
-        self._rewrite(collection, batch)
+        _rewrite(self.path(collection), self._batch(collection, documents).values())
 
     def _batch(self, collection: str, documents: Iterable[Mapping]) -> dict[str, dict]:
         """Checked copies of `documents` by id, the last of a repeated id winning."""
@@ -301,37 +281,27 @@ class Store:
 
     def query(self, collection: str, filter: Mapping | None = None) -> list[dict]:
         """All documents matching the field-equality filter, in insertion order."""
-        order, docs = self._load(collection)
-        out = []
-        for doc_id in order:
-            doc = docs[doc_id]
-            if filter and any(doc.get(k) != v for k, v in filter.items()):
-                continue
-            out.append(dict(doc))
-        return out
+        docs, _ = self._load(collection)
+        return [
+            doc for doc in docs.values() if not filter or all(doc.get(k) == v for k, v in filter.items())
+        ]
 
     def get(self, collection: str, doc_id: str) -> dict | None:
-        _, docs = self._load(collection)
-        doc = docs.get(doc_id)
-        return dict(doc) if doc is not None else None
-
-    def count(self, collection: str) -> int:
-        order, _ = self._load(collection)
-        return len(order)
+        return self._load(collection)[0].get(doc_id)
 
     def read(self, collection: str, decode: Callable[[dict], T]) -> list[T]:
         """`decode` applied to every document, in insertion order.
 
         Each document has passed its schema check; `decode` must not modify
-        it.  A document that `decode` rejects with ValueError or TypeError
-        raises CorruptStore naming its file and line.
+        it.  A document that `decode` rejects with ValueError, TypeError or
+        OverflowError raises CorruptStore naming its file and line.
         """
-        order, docs = self._load(collection)
+        docs, _ = self._load(collection)
         out = []
-        for doc_id in order:
+        for doc_id, doc in docs.items():
             try:
-                out.append(decode(docs[doc_id]))
-            except (TypeError, ValueError) as exc:
+                out.append(decode(doc))
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise self._corrupt(collection, doc_id, exc) from exc
         return out
 
@@ -368,13 +338,13 @@ class Store:
         documents exactly.  A record that cannot be read, or that overlaps an
         earlier record of its agent, raises CorruptStore naming its line.
         """
-        order, docs = self._load("task_results")
+        docs, _ = self._load("task_results")
         # Per plan, its records and their document ids.
         by_plan: dict[str, tuple[list[ExecutionRecord], list[str]]] = {}
-        for doc_id in order:
+        for doc_id, doc in docs.items():
             try:
-                rec = _record(docs[doc_id])
-            except (TypeError, ValueError) as exc:
+                rec = _record(doc)
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise self._corrupt("task_results", doc_id, exc) from exc
             records, ids = by_plan.setdefault(rec.plan_id, ([], []))
             records.append(rec)

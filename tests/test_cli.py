@@ -76,7 +76,7 @@ class TestSimulate:
         results = store.query("task_results")
         assert {doc["plan_id"] for doc in results} == {"plan-0000"}
         assert len(results) == 24  # the default process has 12 pick/place pairs
-        assert store.count("plans") == 1
+        assert len(store.query("plans")) == 1
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -161,6 +161,15 @@ class TestSimulate:
             ("regions:\n  shared: {redd: 0.3}\n", "regions.shared.redd is not a known field"),
             ("zones:\n  speed_factors: {purple: 0.5}\n",
              "zones.speed_factors.purple is not a known field"),
+            ("tasks:\n  pick_white: {region: [a]}\n", "tasks.pick_white.region must be a string, got ['a']"),
+            ("tasks:\n  pick_white: {description: {a: 1}}\n",
+             "tasks.pick_white.description must be a string, got {'a': 1}"),
+            ("process:\n  - {pick: pick_white, place: place_white, count: 1, color: [x]}\n",
+             "process[0].color must be a string, got ['x']"),
+            ("tasks:\n  pick_white: {agent: {robot: 1, human: 2}}\n", "tasks.pick_white.agent must be "
+             "a string or a list of strings, got {'robot': 1, 'human': 2}"),
+            ("tasks:\n  pick_white: {agent: 5}\n",
+             "tasks.pick_white.agent must be a string or a list of strings, got 5"),
         ],
         ids=[
             "base_duration_nan", "base_duration_inf", "cv_inf", "cv_nan", "red_nan", "free_inf",
@@ -169,7 +178,8 @@ class TestSimulate:
             "process_step_no_color", "process_count_fraction", "process_count_bool",
             "seed_fraction", "base_duration_null", "zone_fraction_bool", "cv_too_large",
             "task_field_typo", "section_typo", "process_field_typo", "region_zone_typo",
-            "unknown_speed_zone",
+            "unknown_speed_zone", "region_list", "description_mapping", "color_list", "agent_mapping",
+            "agent_number",
         ],
     )
     def test_non_finite_config_value_is_rejected(self, tmp_path, capsys, text, reason):
@@ -269,8 +279,8 @@ class TestEstimate:
     def test_writes_one_duration_doc_per_task_type(self, campaign):
         store_dir, _ = campaign
         store = Store(store_dir)
-        assert store.count("task_duration") == 8
-        assert store.count("task_synergy") == 32  # two 4x4 matrices
+        assert len(store.query("task_duration")) == 8
+        assert len(store.query("task_synergy")) == 32  # two 4x4 matrices
 
     def test_rerun_is_idempotent(self, campaign, tmp_path):
         store_dir, _ = campaign
@@ -380,11 +390,12 @@ class TestCorruptStore:
             # The record starts before the previous record of its agent ends.
             (lambda doc: doc.update(start=doc["start"] - 0.5),
              "records of (human|robot) overlap in plan 'plan-0001': "),
+            (lambda doc: doc.update(end=10**400), "int too large to convert to float"),
         ],
         ids=[
             "end_before_start", "end_missing", "start_missing", "unknown_agent", "no_task_id",
             "end_nan", "start_infinity", "no_plan_id", "plan_id_number", "start_text",
-            "success_text", "start_bool", "task_id_number", "overlaps_previous",
+            "success_text", "start_bool", "task_id_number", "overlaps_previous", "end_too_large",
         ],
     )
     def test_unreadable_record(self, tmp_path, capsys, edit, reason):
@@ -423,12 +434,15 @@ class TestCorruptStore:
              "synergy coefficient must be finite and at least 1e-06, got 1e-300"),
             ("task_synergy", lambda doc: doc.update(std_error=math.nan),
              "std error must be non-negative and finite, got nan"),
+            ("task_duration", lambda doc: doc.update(mean=10**400), "int too large to convert to float"),
+            ("task_synergy", lambda doc: doc.update(coefficient=10**400),
+             "int too large to convert to float"),
         ],
         ids=[
             "duration_no_mean", "duration_mean_text", "duration_count_bool", "duration_unknown_agent",
             "synergy_no_coefficient", "synergy_count_text", "synergy_unknown_agent",
             "duration_mean_nan", "synergy_coefficient_inf", "synergy_coefficient_below_floor",
-            "synergy_std_error_nan",
+            "synergy_std_error_nan", "duration_mean_too_large", "synergy_coefficient_too_large",
         ],
     )
     def test_unreadable_estimate(self, tmp_path, capsys, command, collection, edit, reason):
@@ -555,7 +569,7 @@ class TestReportCommand:
         assert _run("simulate", "--store", store_dir, "--plans", 6, "--seed", 3) == 0
         assert _run("estimate", "--store", store_dir) == 0
         assert _run("report", "--store", store_dir, "--out", out) == 0
-        assert Store(store_dir).count("task_synergy") == 32  # two 4x4 matrices
+        assert len(Store(store_dir).query("task_synergy")) == 32  # two 4x4 matrices
         specs = [task.spec for task in load_world_config().tasks.values()]
         human, robot = ([s.id for s in specs if a in s.eligible_agents] for a in (AgentId.HUMAN, AgentId.ROBOT))
         rows = [line.split(",") for line in (out / "synergy_robot.csv").read_text().splitlines()]
@@ -570,6 +584,26 @@ class TestPipeline:
         assert _run("estimate", "--store", store_dir) == 0
         assert _run("report", "--store", store_dir) == 0
         assert (store_dir / "report" / "synergy_robot.svg").exists()
+
+    def test_each_command_parses_each_collection_once(self, tmp_path, monkeypatch):
+        store_dir = tmp_path / "s"
+        parsed = []
+        load = Store._load
+
+        def recording_load(store, collection):
+            parsed.append(collection)
+            return load(store, collection)
+
+        monkeypatch.setattr(Store, "_load", recording_load)
+        for command, flags, collections in [
+            ("simulate", ("--plans", 2), ["task_properties", "task_results", "plans"]),
+            ("estimate", (), ["task_results", "task_properties"]),
+            ("plan", ("--budget", 5), ["task_duration", "task_synergy", "plans"]),
+            ("report", (), ["task_duration", "task_synergy"]),
+        ]:
+            parsed.clear()
+            assert _run(command, "--store", store_dir, *flags) == 0
+            assert parsed == collections, command
 
     @pytest.mark.parametrize("command", ["estimate", "plan", "report"])
     def test_reading_a_missing_store_leaves_it_absent(self, tmp_path, capsys, command):

@@ -72,7 +72,7 @@ class TestUpsertAndQuery:
         store.upsert("task_duration", _duration_doc("a"))
         store.upsert("task_duration", _duration_doc("b"))
         store.upsert("task_duration", _duration_doc("a", mean=9.0))
-        assert store.count("task_duration") == 2
+        assert len(store.query("task_duration")) == 2
         docs = store.query("task_duration")
         assert [d["task_id"] for d in docs] == ["a", "b"]
         assert docs[0]["mean"] == 9.0
@@ -89,10 +89,20 @@ class TestUpsertAndQuery:
         Store(tmp_path).replace("task_duration", [_duration_doc()])
         assert Store(tmp_path).query("task_duration") == [_duration_doc()]
 
+    def test_stores_on_one_root_see_each_others_writes(self, tmp_path):
+        first, second = Store(tmp_path), Store(tmp_path)
+        first.upsert("task_duration", _duration_doc("a"))
+        second.upsert("task_duration", _duration_doc("x"))
+        assert first.get("task_duration", "x:human") == _duration_doc("x")
+        first.upsert("task_duration", _duration_doc("y"))
+        assert Store(tmp_path).query("task_duration") == [
+            _duration_doc("a"), _duration_doc("x"), _duration_doc("y")
+        ]
+
     def test_root_is_created_by_the_first_write(self, tmp_path):
         root = tmp_path / "a" / "b"
         store = Store(root)
-        assert store.query("task_duration") == [] and store.count("plans") == 0
+        assert store.query("task_duration") == [] and store.query("plans") == []
         assert not (tmp_path / "a").exists()
         store.upsert("task_duration", _duration_doc())
         assert Store(root).query("task_duration") == [_duration_doc()]
@@ -213,8 +223,8 @@ class TestFileFormat:
         del bad["mean"]
         with pytest.raises(SchemaViolation):
             store.upsert_many("task_duration", [_duration_doc("b"), bad])
-        assert store.count("task_duration") == 1
-        assert Store(tmp_path).count("task_duration") == 1
+        assert len(store.query("task_duration")) == 1
+        assert len(Store(tmp_path).query("task_duration")) == 1
 
     @pytest.mark.parametrize("new_id", [True, False], ids=["append", "rewrite"])
     def test_failed_write_leaves_reads_matching_the_file(self, tmp_path, monkeypatch, new_id):
@@ -269,7 +279,7 @@ class TestTornTail:
         path = tmp_path / "s" / "task_results.jsonl"
         path.write_bytes(path.read_bytes().rstrip(b"\n"))
         store = Store(tmp_path / "s")
-        assert store.count("task_results") == 3
+        assert len(store.query("task_results")) == 3
         store.record_traces([_small_trace("p3")])
         assert path.read_bytes() == self._clean(tmp_path)
 
@@ -300,7 +310,7 @@ class TestReadErrors:
     def test_missing_id_names_file_and_line(self, tmp_path, line):
         path = self._write(tmp_path, _dumps(_record_doc()), line)
         with pytest.raises(CorruptStore) as err:
-            Store(tmp_path).count("task_results")
+            Store(tmp_path).query("task_results")
         assert str(err.value) == f"{path}:2: document has no string 'id'"
 
     def test_invalid_utf8_names_file_and_line(self, tmp_path):
@@ -308,7 +318,7 @@ class TestReadErrors:
         doc = _dumps(VALID["plans"]).encode()
         path.write_bytes(doc + b"\n" + doc.replace(b"plan-0000", b"plan-\xff") + b"\n")
         with pytest.raises(CorruptStore) as err:
-            Store(tmp_path).count("plans")
+            Store(tmp_path).query("plans")
         assert str(err.value) == f"{path}:2: invalid UTF-8"
 
     @pytest.mark.parametrize("collection", COLLECTIONS)
@@ -317,7 +327,11 @@ class TestReadErrors:
         edit, reason = INVALID[collection]
         bad = {**VALID[collection], "id": "b", **edit}
         path = self._write(tmp_path, _dumps(VALID[collection]), _dumps(bad), collection=collection)
-        for read in (lambda s: s.query(collection), lambda s: s.count(collection)):
+        for read in (
+            lambda s: s.query(collection),
+            lambda s: s.get(collection, "b"),
+            lambda s: s.read(collection, dict),
+        ):
             with pytest.raises(CorruptStore) as err:
                 read(Store(tmp_path))
             assert (err.value.path, err.value.line) == (path, 2)
