@@ -28,7 +28,6 @@ from .model import (
     DurationStats,
     SynergyEntry,
     SynergyMatrix,
-    TaskSpec,
     TimeInterval,
     interval_duration,
     stats_table,
@@ -45,7 +44,6 @@ from .config import WorldConfig, ZoneExposureProfile, build_domain, load_world_c
 from .simulator import (
     AgentProgram,
     program_from_plan,
-    robot_speed_factor,
     sample_task_duration,
     simulate_plan,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "SynergyMatrix",
     "TandemError",
     "TaskInstance",
-    "TaskSpec",
     "TimeInterval",
     "WorldConfig",
     "ZoneExposureProfile",
@@ -85,7 +82,6 @@ __all__ = [
     "predict_makespan",
     "program_from_plan",
     "random_plan",
-    "robot_speed_factor",
     "sample_task_duration",
     "simulate_plan",
     "solve_synergy",

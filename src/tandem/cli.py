@@ -79,11 +79,11 @@ def _store_root(args: argparse.Namespace) -> Path:
 def _catalog_docs(cfg: worldcfg.WorldConfig) -> list[dict]:
     return [
         {
-            "id": task.spec.id,
-            "action": task.spec.action.value,
-            "agents": sorted(a.value for a in task.spec.eligible_agents),
-            "region": task.spec.region,
-            "description": task.spec.description,
+            "id": task.id,
+            "action": task.action.value,
+            "agents": sorted(a.value for a in task.eligible_agents),
+            "region": task.region,
+            "description": task.description,
         }
         for task in cfg.tasks.values()
     ]
@@ -160,12 +160,17 @@ def _kept_executions(
 
 
 def _task_lists(store: Store) -> tuple[list[str], list[str]]:
-    """Human and robot task type lists, from the catalog or, if it is empty, the records."""
-    entries = store.read("task_properties", lambda doc: (doc["id"], doc["agents"]))
+    """Human and robot task type lists, from the catalog or, if it is empty, the records.
+
+    An agent that names no AgentId raises CorruptStore, so no task is dropped unseen.
+    """
+    entries = store.read(
+        "task_properties", lambda doc: (doc["id"], [AgentId(a) for a in doc["agents"]])
+    )
     if not entries:
-        entries = store.read("task_results", lambda doc: (doc["task_id"], [doc["agent"]]))
-    human = list(dict.fromkeys(t for t, agents in entries if AgentId.HUMAN.value in agents))
-    robot = list(dict.fromkeys(t for t, agents in entries if AgentId.ROBOT.value in agents))
+        entries = store.read("task_results", lambda doc: (doc["task_id"], [AgentId(doc["agent"])]))
+    human = list(dict.fromkeys(t for t, agents in entries if AgentId.HUMAN in agents))
+    robot = list(dict.fromkeys(t for t, agents in entries if AgentId.ROBOT in agents))
     return human, robot
 
 

@@ -6,6 +6,11 @@ file only overrides what it names.  The default catalog has eight task types:
 the human handles white and blue boxes, the robot handles orange and blue
 boxes, and the blue boxes live in a shared region whose safety zones slow the
 robot down whenever the human works there.
+
+Names are resolved at load: each task's region must name an entry of
+``regions``, whose zone exposure profile the task's ``TaskConfig`` then holds,
+and each process step must name catalog tasks.  A name that resolves to
+nothing raises ConfigError with the path of the field.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Container, Mapping
 import yaml
 
 from .errors import ConfigError
-from .model import ActionKind, AgentId, TaskSpec
+from .model import ActionKind, AgentId
 from .planner import PlanningDomain, TaskInstance
 
 ZONES = ("red", "orange", "free")
@@ -134,27 +139,34 @@ class ZoneExposureProfile:
             )
 
 
-# The exposure of a task whose region names no profile.
-FREE_PROFILE = ZoneExposureProfile()
-
-
 @dataclass(frozen=True)
 class TaskConfig:
-    """A catalog entry: the symbolic task plus its simulation parameters."""
+    """A catalog task: its action, who may perform it, its zone exposure and durations.
 
-    spec: TaskSpec
+    The exposure is the profile of the task's region, looked up when the
+    config is loaded, so every reader indexes it directly.
+    """
+
+    id: str
+    action: ActionKind
+    eligible_agents: frozenset[AgentId]
+    region: str
+    profile: ZoneExposureProfile
     base_duration: float
     cv: float
+    description: str = ""
 
     def __post_init__(self) -> None:
+        if not self.eligible_agents:
+            raise ConfigError(f"task {self.id!r} has no eligible agents")
         if not (isfinite(self.base_duration) and self.base_duration > 0.0):
             raise ConfigError(
-                f"task {self.spec.id!r}: base duration must be positive and finite, "
+                f"task {self.id!r}: base duration must be positive and finite, "
                 f"got {self.base_duration}"
             )
         if not (isfinite(self.cv) and self.cv >= 0.0):
             raise ConfigError(
-                f"task {self.spec.id!r}: cv must be non-negative and finite, got {self.cv}"
+                f"task {self.id!r}: cv must be non-negative and finite, got {self.cv}"
             )
 
 
@@ -178,11 +190,6 @@ class WorldConfig:
     objects: Mapping[str, int]
     process: tuple[ProcessStep, ...]
     seed: int
-
-    def profile(self, task_id: str) -> ZoneExposureProfile:
-        """Zone exposure of a task, from its region; unknown regions count as free."""
-        region = self.tasks[task_id].spec.region
-        return self.regions.get(region, FREE_PROFILE)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -229,7 +236,9 @@ def _text(value: object, path: str) -> str:
     return value
 
 
-def _parse_task(task_id: str, raw: object) -> TaskConfig:
+def _parse_task(
+    task_id: str, raw: object, regions: Mapping[str, ZoneExposureProfile]
+) -> TaskConfig:
     raw = _mapping(raw, f"task {task_id!r}")
     path = f"tasks.{task_id}."
     _known_fields(raw, _TASK_FIELDS, path)
@@ -250,14 +259,18 @@ def _parse_task(task_id: str, raw: object) -> TaskConfig:
         kind = ActionKind(action)
     except ValueError as exc:
         raise ConfigError(f"task {task_id!r}: {exc}") from None
-    spec = TaskSpec(
+    if region not in regions:
+        raise ConfigError(f"{path}region names no region in regions, got {region!r}")
+    return TaskConfig(
         id=task_id,
         action=kind,
         eligible_agents=eligible,
         region=region,
+        profile=regions[region],
+        base_duration=base,
+        cv=cv,
         description=_text(raw.get("description", ""), path + "description"),
     )
-    return TaskConfig(spec=spec, base_duration=base, cv=cv)
 
 
 def _validate(raw: dict) -> WorldConfig:
@@ -286,7 +299,9 @@ def _validate(raw: dict) -> WorldConfig:
             regions[name] = ZoneExposureProfile(**fractions)
         except ConfigError as exc:
             raise ConfigError(f"region {name!r}: {exc}") from None
-    tasks = {t: _parse_task(t, spec) for t, spec in _mapping(raw["tasks"], "tasks").items()}
+    tasks = {
+        t: _parse_task(t, task, regions) for t, task in _mapping(raw["tasks"], "tasks").items()
+    }
     objects = {
         str(k): _number(v, f"objects.{k}", integer=True)
         for k, v in _mapping(raw["objects"], "objects").items()
@@ -387,12 +402,12 @@ def build_domain(config: WorldConfig) -> PlanningDomain:
     instances = []
     precedence = []
     for step in config.process:
-        pick_spec = config.tasks[step.pick].spec
-        place_spec = config.tasks[step.place].spec
+        pick = config.tasks[step.pick]
+        place = config.tasks[step.place]
         for k in range(1, step.count + 1):
             pick_uid = f"{step.pick}#{k}"
             place_uid = f"{step.place}#{k}"
-            instances.append(TaskInstance(pick_uid, step.pick, pick_spec.eligible_agents))
-            instances.append(TaskInstance(place_uid, step.place, place_spec.eligible_agents))
+            instances.append(TaskInstance(pick_uid, step.pick, pick.eligible_agents))
+            instances.append(TaskInstance(place_uid, step.place, place.eligible_agents))
             precedence.append((pick_uid, place_uid))
     return PlanningDomain(instances=tuple(instances), precedence=tuple(precedence))

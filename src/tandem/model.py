@@ -68,21 +68,6 @@ def interval_duration(t: TimeInterval | None) -> float:
 
 
 @dataclass(frozen=True)
-class TaskSpec:
-    """Symbolic task definition: what the action is and who may perform it."""
-
-    id: str
-    action: ActionKind
-    eligible_agents: frozenset[AgentId]
-    region: str
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.eligible_agents:
-            raise ValueError(f"task {self.id!r} has no eligible agents")
-
-
-@dataclass(frozen=True)
 class SynergyEntry:
     """One coefficient of the synergy matrix with its estimation metadata."""
 

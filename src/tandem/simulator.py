@@ -2,10 +2,11 @@
 
 Both agents run their task lists sequentially from t=0, waiting only for
 unmet pick-before-place prerequisites.  A human task draws its realized
-duration once at start and traverses its zone exposure in red, orange, free
-order.  A robot task is a fixed amount of work (its base duration in
-work-seconds) consumed at the current speed factor: stopped while the human
-is in the red zone, half speed in orange, nominal otherwise.  Identical
+duration once at start and traverses its catalog entry's zone exposure
+profile in red, orange, free order.  A robot task is a fixed amount of work
+(its base duration in work-seconds) consumed at the config's speed factor for
+the human's zone: stopped while the human is in the red zone, half speed in
+orange, nominal in free and while the human is idle.  Identical
 (program, config, seed) triples produce bit-identical traces.
 
 The event loop keeps its state in locals: one cursor per lane, the running
@@ -62,16 +63,6 @@ def program_from_plan(domain: PlanningDomain, plan: CandidatePlan) -> AgentProgr
     return AgentProgram(tuple(domain.instances[pos] for pos in at), n_human, prereq)
 
 
-def robot_speed_factor(human_zone: str | None, config: WorldConfig) -> float:
-    """Speed scale applied to the robot for the human's current zone.
-
-    ``None`` means the human is idle, which leaves the robot at nominal speed.
-    """
-    if human_zone is None:
-        return 1.0
-    return config.speed_factors[human_zone]
-
-
 def sample_task_duration(base: float, cv: float, rng: np.random.Generator) -> float:
     """Draw a realized duration: normal around `base`, truncated at 0.2 * base."""
     if base <= 0.0:
@@ -104,14 +95,15 @@ def simulate_plan(
             task_cfg = config.tasks.get(inst.spec_id)
             if task_cfg is None:
                 raise InvalidProgram(f"task type {inst.spec_id!r} is not in the catalog")
-            if agent not in task_cfg.spec.eligible_agents:
+            if agent not in task_cfg.eligible_agents:
                 raise InvalidProgram(
                     f"task {inst.uid!r} ({inst.spec_id}) is not executable by {agent.value}"
                 )
     rng = np.random.default_rng(seed)
     catalog = config.tasks
-    idle = robot_speed_factor(None, config)
-    in_red, in_orange, in_free = (robot_speed_factor(zone, config) for zone in ZONES)
+    # An idle human is in no zone, so the robot keeps its nominal speed.
+    idle = 1.0
+    in_red, in_orange, in_free = (config.speed_factors[zone] for zone in ZONES)
 
     done = [False] * n + [True]  # done[n]: the sentinel of a task with no prerequisite
     records: list[ExecutionRecord] = []
@@ -129,10 +121,9 @@ def simulate_plan(
 
     while hk < n_human or rk < n:
         if h_end is None and hk < n_human and done[prereq[hk]]:
-            spec_id = tasks[hk].spec_id
-            task_cfg = catalog[spec_id]
+            task_cfg = catalog[tasks[hk].spec_id]
             duration = sample_task_duration(task_cfg.base_duration, task_cfg.cv, rng)
-            profile = config.profile(spec_id)
+            profile = task_cfg.profile
             h_start = t
             h_end = t + duration
             # Zone fractions sum to 1 only within 1e-9, so a phase bound may

@@ -183,7 +183,7 @@ def _zone_breakpoints(human_records, config):
     """Human zone timeline as (time, factor-from-here) steps; test-local oracle."""
     steps = []
     for rec in human_records:
-        profile = config.profile(rec.task_id)
+        profile = config.tasks[rec.task_id].profile
         duration = interval_duration(rec.interval)
         red_end = rec.interval.start + profile.red * duration
         orange_end = red_end + profile.orange * duration

@@ -170,6 +170,8 @@ class TestSimulate:
              "a string or a list of strings, got {'robot': 1, 'human': 2}"),
             ("tasks:\n  pick_white: {agent: 5}\n",
              "tasks.pick_white.agent must be a string or a list of strings, got 5"),
+            ("tasks:\n  pick_blue_h: {region: sharde}\n",
+             "tasks.pick_blue_h.region names no region in regions, got 'sharde'"),
         ],
         ids=[
             "base_duration_nan", "base_duration_inf", "cv_inf", "cv_nan", "red_nan", "free_inf",
@@ -179,7 +181,7 @@ class TestSimulate:
             "seed_fraction", "base_duration_null", "zone_fraction_bool", "cv_too_large",
             "task_field_typo", "section_typo", "process_field_typo", "region_zone_typo",
             "unknown_speed_zone", "region_list", "description_mapping", "color_list", "agent_mapping",
-            "agent_number",
+            "agent_number", "region_typo",
         ],
     )
     def test_non_finite_config_value_is_rejected(self, tmp_path, capsys, text, reason):
@@ -467,10 +469,17 @@ class TestCorruptStore:
         [
             ("task_properties", lambda doc: doc.pop("agents"), "field 'agents' is required"),
             ("task_properties", lambda doc: doc.update(agents="human"), "field 'agents' has invalid type str"),
+            ("task_properties", lambda doc: doc.update(agents=["hman"]), "'hman' is not a valid AgentId"),
             ("task_results", lambda doc: doc.pop("task_id"), "field 'task_id' is required"),
             ("task_results", lambda doc: doc.update(agent=7), "field 'agent' has invalid type int"),
         ],
-        ids=["catalog_no_agents", "catalog_agents_text", "record_no_task_id", "record_agent_number"],
+        ids=[
+            "catalog_no_agents",
+            "catalog_agents_text",
+            "catalog_unknown_agent",
+            "record_no_task_id",
+            "record_agent_number",
+        ],
     )
     def test_unreadable_task_list(self, tmp_path, capsys, command, collection, edit, reason):
         store_dir = tmp_path / "s"
@@ -570,8 +579,8 @@ class TestReportCommand:
         assert _run("estimate", "--store", store_dir) == 0
         assert _run("report", "--store", store_dir, "--out", out) == 0
         assert len(Store(store_dir).query("task_synergy")) == 32  # two 4x4 matrices
-        specs = [task.spec for task in load_world_config().tasks.values()]
-        human, robot = ([s.id for s in specs if a in s.eligible_agents] for a in (AgentId.HUMAN, AgentId.ROBOT))
+        tasks = load_world_config().tasks.values()
+        human, robot = ([t.id for t in tasks if a in t.eligible_agents] for a in (AgentId.HUMAN, AgentId.ROBOT))
         rows = [line.split(",") for line in (out / "synergy_robot.csv").read_text().splitlines()]
         assert rows[0] == ["robot_task"] + human
         assert [row[0] for row in rows[1:]] == robot

@@ -258,8 +258,8 @@ class TestBuildRegression:
     @pytest.mark.parametrize("config_path", [None, FLEXIBLE_WORKCELL], ids=["default", "flexible"])
     def test_matches_reference_on_simulated_campaigns(self, config_path):
         cfg = load_world_config(config_path)
-        human = [t.spec.id for t in cfg.tasks.values() if H in t.spec.eligible_agents]
-        robot = [t.spec.id for t in cfg.tasks.values() if R in t.spec.eligible_agents]
+        human = [t.id for t in cfg.tasks.values() if H in t.eligible_agents]
+        robot = [t.id for t in cfg.tasks.values() if R in t.eligible_agents]
         for seed in (3, 11):
             traces = _campaign(cfg, seed, 30)
             kept, stats = cli._kept_executions(traces, "none")
@@ -538,8 +538,8 @@ class TestSinglePassMatchesFilterTwice:
     @pytest.mark.parametrize("config_path", [None, FLEXIBLE_WORKCELL], ids=["default", "flexible"])
     def test_same_stats_and_matrix(self, config_path):
         cfg = load_world_config(config_path)
-        human = [t.spec.id for t in cfg.tasks.values() if H in t.spec.eligible_agents]
-        robot = [t.spec.id for t in cfg.tasks.values() if R in t.spec.eligible_agents]
+        human = [t.id for t in cfg.tasks.values() if H in t.eligible_agents]
+        robot = [t.id for t in cfg.tasks.values() if R in t.eligible_agents]
         for seed in (3, 11):
             traces = _campaign(cfg, seed, 40)
             # One corrupted run: far outside anything the simulator produces.

@@ -13,17 +13,17 @@ from hypothesis import given, strategies as st
 
 from tandem.model import (
     AgentId,
-    ActionKind,
     DurationStats,
     SynergyEntry,
     SynergyMatrix,
-    TaskSpec,
     TimeInterval,
     coupled_lane_durations,
     interval_duration,
     overlap_pairs,
     stats_table,
 )
+from tandem.config import make_world_config
+from tandem.errors import ConfigError
 from tandem.planner import CandidatePlan, PlanningDomain, TaskInstance, predict_makespan
 
 from interval_algebra import ZeroDurationTask, interval_intersection, overlap_ratio
@@ -164,8 +164,8 @@ class TestPlanCost:
 
 class TestValueTypes:
     def test_task_spec_needs_agents(self):
-        with pytest.raises(ValueError):
-            TaskSpec("t", ActionKind.PICK, frozenset(), "nowhere")
+        with pytest.raises(ConfigError, match=r"^task 'pick_white' has no eligible agents$"):
+            make_world_config({"tasks": {"pick_white": {"agent": []}}})
 
     def test_duration_stats_validation(self):
         with pytest.raises(ValueError):

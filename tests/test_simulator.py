@@ -16,7 +16,6 @@ from tandem.simulator import (
     WORK_EPS,
     AgentProgram,
     program_from_plan,
-    robot_speed_factor,
     sample_task_duration,
     simulate_plan,
 )
@@ -79,17 +78,14 @@ def _by_agent(trace, agent):
 
 
 class TestSpeedFactor:
-    def test_idle_human(self, default_config):
-        assert robot_speed_factor(None, default_config) == 1.0
-
     def test_red_stops_the_robot(self, default_config):
-        assert robot_speed_factor("red", default_config) == 0.0
+        assert default_config.speed_factors["red"] == 0.0
 
     def test_orange_halves_speed(self, default_config):
-        assert robot_speed_factor("orange", default_config) == 0.5
+        assert default_config.speed_factors["orange"] == 0.5
 
     def test_free_is_nominal(self, default_config):
-        assert robot_speed_factor("free", default_config) == 1.0
+        assert default_config.speed_factors["free"] == 1.0
 
 
 class TestSampleDuration:
@@ -339,13 +335,14 @@ def _reference_simulate(program, config, seed, plan_id="plan"):
             if nxt is not None:
                 task_cfg = config.tasks[nxt.spec_id]
                 duration = sample_task_duration(task_cfg.base_duration, task_cfg.cv, rng)
-                human = _HumanTask(nxt, t, duration, config.profile(nxt.spec_id))
+                human = _HumanTask(nxt, t, duration, task_cfg.profile)
         if robot is None:
             nxt = ready(R)
             if nxt is not None:
                 robot = _RobotTask(nxt, t, config.tasks[nxt.spec_id].base_duration)
 
-        factor = robot_speed_factor(human.zone_at(t) if human else None, config)
+        # An idle human leaves the robot at nominal speed.
+        factor = config.speed_factors[human.zone_at(t)] if human else 1.0
         events = []
         if human is not None:
             events.extend(b for b in (human.red_end, human.orange_end, human.end) if b > t)
@@ -390,7 +387,7 @@ _WORKCELLS = {
             "tasks": {
                 t: {"cv": 0.0}
                 for t, c in load_world_config().tasks.items()
-                if H in c.spec.eligible_agents
+                if H in c.eligible_agents
             },
         }
     ),
