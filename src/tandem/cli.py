@@ -13,15 +13,15 @@ executions give both the duration statistics and the synergy regressions,
 and they replace both estimate collections whole.
 ``plan`` and ``report`` read each estimate collection once, into duration
 statistics and a synergy matrix; ``report`` renders those alone and reads no
-other collection.  The store keeps no copy between calls, so each command
-reads each collection it needs once; only ``estimate`` on a store without a
-catalog reads the records a second time, for its task lists.
+other collection.  The store keeps no copy between calls, and each command
+reads each collection it needs once: ``estimate`` on a store without a
+catalog takes its task lists from the traces it has already read.
 
 Commands turn stored documents into values through `Store.read`, and
 task_results documents into traces through `Store.export_traces`, after the
 store has checked their fields and types; a document that breaks the schema,
 or that the decoder rejects, ends the command with CorruptStore naming its
-file and line.
+file and the line that one read parsed it from.
 
 Every command is deterministic given its flags, config, and seed.  The store
 root defaults to the TANDEM_STORE environment variable, then ./tandem_store.
@@ -159,16 +159,16 @@ def _kept_executions(
     return kept, stats
 
 
-def _task_lists(store: Store) -> tuple[list[str], list[str]]:
-    """Human and robot task type lists, from the catalog or, if it is empty, the records.
+def _task_lists(store: Store, traces: list[ExecutionTrace]) -> tuple[list[str], list[str]]:
+    """Human and robot task type lists, from the catalog or, if it is empty, the traces' records.
 
-    An agent that names no AgentId raises CorruptStore, so no task is dropped unseen.
+    A catalog agent that names no AgentId raises CorruptStore, so no task is dropped unseen.
     """
     entries = store.read(
         "task_properties", lambda doc: (doc["id"], [AgentId(a) for a in doc["agents"]])
     )
     if not entries:
-        entries = store.read("task_results", lambda doc: (doc["task_id"], [AgentId(doc["agent"])]))
+        entries = [(rec.task_id, [rec.agent]) for trace in traces for rec in trace.records]
     human = list(dict.fromkeys(t for t, agents in entries if AgentId.HUMAN in agents))
     robot = list(dict.fromkeys(t for t, agents in entries if AgentId.ROBOT in agents))
     return human, robot
@@ -179,7 +179,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     traces = store.export_traces()
     if not traces:
         raise EmptyStore(f"no task results in {store.root}; run `tandem simulate` first")
-    human_ids, robot_ids = _task_lists(store)
+    human_ids, robot_ids = _task_lists(store, traces)
 
     executions, stats = _kept_executions(traces, args.outliers)
     store.replace(

@@ -185,9 +185,7 @@ class WorldConfig:
     """Validated workcell description used by the simulator and the planner."""
 
     tasks: Mapping[str, TaskConfig]
-    regions: Mapping[str, ZoneExposureProfile]
     speed_factors: Mapping[str, float]
-    objects: Mapping[str, int]
     process: tuple[ProcessStep, ...]
     seed: int
 
@@ -341,9 +339,7 @@ def _validate(raw: dict) -> WorldConfig:
 
     return WorldConfig(
         tasks=tasks,
-        regions=regions,
         speed_factors=factors,
-        objects=objects,
         process=tuple(steps),
         seed=seed,
     )

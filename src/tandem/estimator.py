@@ -374,16 +374,12 @@ def _estimate_row(
             own_agent.value,
             ", ".join(counterpart_ids[j] for j in fit.damped_columns),
         )
-    row = []
-    for j in range(len(counterpart_ids)):
-        if fit.sample_counts[j] == 0:
-            row.append(SynergyEntry())
-        else:
-            row.append(
-                SynergyEntry(
-                    coefficient=max(float(fit.coefficients[j]), COEFFICIENT_FLOOR),
-                    std_error=float(fit.std_errors[j]),
-                    sample_count=fit.sample_counts[j],
-                )
-            )
-    return row
+    # A column never observed keeps coefficient 1.0 and std error 0.0: the neutral entry.
+    return [
+        SynergyEntry(
+            coefficient=max(float(fit.coefficients[j]), COEFFICIENT_FLOOR),
+            std_error=float(fit.std_errors[j]),
+            sample_count=fit.sample_counts[j],
+        )
+        for j in range(len(counterpart_ids))
+    ]

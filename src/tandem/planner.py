@@ -62,7 +62,8 @@ class PlanningDomain:
     """Task instances to complete plus precedence pairs (before_uid, after_uid).
 
     The pairs are disjoint: every uid is in at most one pair, once, which
-    also rules out self-pairs and cycles.
+    also rules out self-pairs and cycles.  Every instance has an eligible
+    agent: the first that has none raises InfeasibleDomain.
     """
 
     instances: tuple[TaskInstance, ...]
@@ -81,6 +82,9 @@ class PlanningDomain:
                 if uid in paired:
                     raise ValueError(f"{uid!r} appears more than once in the precedence pairs")
                 paired.add(uid)
+        for inst in self.instances:
+            if not inst.eligible:
+                raise InfeasibleDomain(f"task {inst.uid!r} has no eligible agent")
 
     @functools.cached_property
     def _position(self) -> dict[str, int]:
@@ -145,12 +149,9 @@ def _random_linearization(domain: PlanningDomain, rng: np.random.Generator) -> l
 def random_plan(domain: PlanningDomain, seed) -> CandidatePlan:
     """Sample a valid plan: eligible agent per task, random interleaving.
 
-    Deterministic per seed.  Raises InfeasibleDomain when some task has no
-    eligible agent.
+    Deterministic per seed.
     """
     eligible = domain._eligible_by_value
-    if not all(eligible):
-        raise InfeasibleDomain(f"task {domain._uids[eligible.index(())]!r} has no eligible agent")
     rng = np.random.default_rng(seed)
     assignment: dict[str, AgentId] = {}
     for uid, choices in zip(domain._uids, eligible):
@@ -354,9 +355,6 @@ def optimize_plan(
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    for inst in domain.instances:
-        if not inst.eligible:
-            raise InfeasibleDomain(f"task {inst.uid!r} has no eligible agent")
 
     bound = math.prod(len(inst.eligible) for inst in domain.instances) * (
         math.factorial(len(domain.instances)) >> len(domain.precedence)

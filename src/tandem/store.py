@@ -30,7 +30,8 @@ each document against it.  `Store.read` turns documents into values through
 a caller's decoder; `export_traces` turns task_results documents straight into
 execution records, with a value-to-member table for the agent.  A line that
 does not parse, breaks the schema or is rejected by either decoder raises
-CorruptStore naming its line.
+CorruptStore naming its line, as the read's one parse numbered it: no error
+reads the file again.
 
 Durability is per upsert, so a caller that batches sets its own unit:
 `record_traces` writes any number of traces as one upsert, and `tandem
@@ -151,21 +152,6 @@ def _file_size(path: Path) -> int:
         raise IoFailure(f"cannot stat {path}: {exc}") from exc
 
 
-def _line_of(path: Path, doc_id: str) -> int | None:
-    """Line of the document a read of `path` keeps for `doc_id`: the last one with that id.
-
-    For error messages only: it reads and parses the whole file again.
-    """
-    found = None
-    for lineno, line in enumerate(path.read_bytes().split(b"\n"), 1):
-        try:
-            if _loads(line.decode("utf-8")).get("id") == doc_id:
-                found = lineno
-        except ValueError:  # a blank line or a torn tail
-            continue
-    return found
-
-
 def _append(path: Path, docs: Iterable[dict]) -> None:
     data = "".join(_dumps(doc) + "\n" for doc in docs).encode("utf-8")
     try:
@@ -203,11 +189,12 @@ class Store:
             raise UnknownCollection(f"unknown collection {collection!r}")
         return self.root / f"{collection}.jsonl"
 
-    def _load(self, collection: str) -> tuple[dict[str, dict], int | None]:
-        """A collection's documents by id, in file order, and the size it may be appended at.
+    def _load(self, collection: str) -> tuple[dict[str, dict], dict[str, int], int | None]:
+        """A collection's documents by id, in file order, each one's line, and its append size.
 
-        A repeated id keeps its first position and its last document.  The
-        size is None when the file does not end in a newline.
+        A repeated id keeps its first position and its last document and
+        line.  The size the file may be appended at is None when it does not
+        end in a newline.
         """
         path = self.path(collection)
         try:
@@ -222,6 +209,7 @@ class Store:
         except UnicodeDecodeError as exc:
             raise CorruptStore(path, whole.count(b"\n", 0, exc.start) + 1, "invalid UTF-8") from exc
         docs: dict[str, dict] = {}
+        lines: dict[str, int] = {}
         for lineno, line in enumerate(text.split("\n"), 1):
             if not line.strip():
                 continue
@@ -237,7 +225,8 @@ class Store:
             except SchemaViolation as exc:
                 raise CorruptStore(path, lineno, f"document {doc_id}: {exc.reason}") from exc
             docs[doc_id] = doc
-        return docs, len(data) if data.endswith(b"\n") or not data else None
+            lines[doc_id] = lineno
+        return docs, lines, len(data) if data.endswith(b"\n") or not data else None
 
     def upsert(self, collection: str, doc: Mapping) -> str:
         """Insert or replace a document by id; durable when this returns."""
@@ -250,7 +239,7 @@ class Store:
         file that changed since this call read it, is one atomic rewrite.
         """
         batch = self._batch(collection, documents)
-        docs, append_at = self._load(collection)
+        docs, _, append_at = self._load(collection)
         path = self.path(collection)
         if batch.keys().isdisjoint(docs) and append_at == _file_size(path):
             _append(path, batch.values())
@@ -268,20 +257,21 @@ class Store:
 
     def _batch(self, collection: str, documents: Iterable[Mapping]) -> dict[str, dict]:
         """Checked copies of `documents` by id, the last of a repeated id winning."""
-        # The first write creates the root, so a read leaves no directory behind.
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise IoFailure(f"cannot create store root {self.root}: {exc}") from exc
         batch: dict[str, dict] = {}
         for doc in documents:
             validate_document(collection, doc)
             batch[doc["id"]] = dict(doc)
+        # The first write that passes its checks creates the root, so a read
+        # or a rejected batch leaves no directory behind.
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoFailure(f"cannot create store root {self.root}: {exc}") from exc
         return batch
 
     def query(self, collection: str, filter: Mapping | None = None) -> list[dict]:
         """All documents matching the field-equality filter, in insertion order."""
-        docs, _ = self._load(collection)
+        docs, _, _ = self._load(collection)
         return [
             doc for doc in docs.values() if not filter or all(doc.get(k) == v for k, v in filter.items())
         ]
@@ -294,20 +284,23 @@ class Store:
 
         Each document has passed its schema check; `decode` must not modify
         it.  A document that `decode` rejects with ValueError, TypeError or
-        OverflowError raises CorruptStore naming its file and line.
+        OverflowError raises CorruptStore naming its file and the line this
+        read parsed it from.
         """
-        docs, _ = self._load(collection)
+        docs, lines, _ = self._load(collection)
         out = []
         for doc_id, doc in docs.items():
             try:
                 out.append(decode(doc))
             except (TypeError, ValueError, OverflowError) as exc:
-                raise self._corrupt(collection, doc_id, exc) from exc
+                raise self._corrupt(collection, lines, doc_id, exc) from exc
         return out
 
-    def _corrupt(self, collection: str, doc_id: str, exc: Exception) -> CorruptStore:
-        path = self.path(collection)
-        return CorruptStore(path, _line_of(path, doc_id), f"document {doc_id}: {exc}")
+    def _corrupt(
+        self, collection: str, lines: Mapping[str, int], doc_id: str, exc: Exception
+    ) -> CorruptStore:
+        """The error for a document its reader rejects, at the line its read parsed it from."""
+        return CorruptStore(self.path(collection), lines[doc_id], f"document {doc_id}: {exc}")
 
     # -- execution trace bridge ------------------------------------------
 
@@ -338,14 +331,14 @@ class Store:
         documents exactly.  A record that cannot be read, or that overlaps an
         earlier record of its agent, raises CorruptStore naming its line.
         """
-        docs, _ = self._load("task_results")
+        docs, lines, _ = self._load("task_results")
         # Per plan, its records and their document ids.
         by_plan: dict[str, tuple[list[ExecutionRecord], list[str]]] = {}
         for doc_id, doc in docs.items():
             try:
                 rec = _record(doc)
             except (TypeError, ValueError, OverflowError) as exc:
-                raise self._corrupt("task_results", doc_id, exc) from exc
+                raise self._corrupt("task_results", lines, doc_id, exc) from exc
             records, ids = by_plan.setdefault(rec.plan_id, ([], []))
             records.append(rec)
             ids.append(doc_id)
@@ -354,7 +347,7 @@ class Store:
             try:
                 traces.append(ExecutionTrace(plan_id=pid, records=tuple(records)))
             except OverlappingRecords as exc:
-                raise self._corrupt("task_results", ids[exc.index], exc) from exc
+                raise self._corrupt("task_results", lines, ids[exc.index], exc) from exc
         return traces
 
 

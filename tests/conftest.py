@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,20 @@ def quiet_config():
     """Default workcell with all duration noise disabled."""
     tasks = {task_id: {"cv": 0.0} for task_id in load_world_config().tasks}
     return make_world_config({"tasks": tasks})
+
+
+@pytest.fixture
+def file_reads(monkeypatch):
+    """Paths read with Path.read_bytes during the test, one entry per read."""
+    paths = []
+    read_bytes = Path.read_bytes
+
+    def counting_read_bytes(path):
+        paths.append(path)
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    return paths
 
 
 @pytest.fixture(scope="session")

@@ -400,7 +400,7 @@ class TestCorruptStore:
             "success_text", "start_bool", "task_id_number", "overlaps_previous", "end_too_large",
         ],
     )
-    def test_unreadable_record(self, tmp_path, capsys, edit, reason):
+    def test_unreadable_record(self, tmp_path, capsys, file_reads, edit, reason):
         store_dir = tmp_path / "s"
         assert _run("simulate", "--store", store_dir, "--plans", 2, "--seed", 4) == 0
         path = store_dir / "task_results.jsonl"
@@ -409,11 +409,13 @@ class TestCorruptStore:
         k = next(k for k, doc in enumerate(docs) if k >= 24 and doc["start"] >= 1.0)
         edit(docs[k])
         path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        file_reads.clear()
         assert _run("estimate", "--store", store_dir) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:{k + 1}: document {docs[k]['id']}: ")
         assert re.search(reason, err)
         assert "Traceback" not in err
+        assert file_reads == [path]  # the line comes from the one parse
 
     @pytest.mark.parametrize("command", ["plan", "report"])
     @pytest.mark.parametrize(
@@ -447,7 +449,7 @@ class TestCorruptStore:
             "synergy_std_error_nan", "duration_mean_too_large", "synergy_coefficient_too_large",
         ],
     )
-    def test_unreadable_estimate(self, tmp_path, capsys, command, collection, edit, reason):
+    def test_unreadable_estimate(self, tmp_path, capsys, file_reads, command, collection, edit, reason):
         store_dir = tmp_path / "s"
         assert _run("simulate", "--store", store_dir, "--plans", 2, "--seed", 4) == 0
         assert _run("estimate", "--store", store_dir) == 0
@@ -457,9 +459,11 @@ class TestCorruptStore:
         path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
         capsys.readouterr()
         flags = {"plan": ("--budget", 5), "report": ("--out", tmp_path / "report")}[command]
+        file_reads.clear()
         assert _run(command, "--store", store_dir, *flags) == 1
         err = capsys.readouterr().err
         assert err == f"error: {path}:3: document {docs[2]['id']}: {reason}\n"
+        assert file_reads.count(path) == 1  # the line comes from the one parse
 
 
     # `report` renders the stored estimates alone and reads neither collection.
@@ -481,7 +485,9 @@ class TestCorruptStore:
             "record_agent_number",
         ],
     )
-    def test_unreadable_task_list(self, tmp_path, capsys, command, collection, edit, reason):
+    def test_unreadable_task_list(
+        self, tmp_path, capsys, file_reads, command, collection, edit, reason
+    ):
         store_dir = tmp_path / "s"
         assert _run("simulate", "--store", store_dir, "--plans", 2, "--seed", 4) == 0
         assert _run("estimate", "--store", store_dir) == 0
@@ -492,9 +498,11 @@ class TestCorruptStore:
         edit(docs[2])
         path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
         capsys.readouterr()
+        file_reads.clear()
         assert _run(command, "--store", store_dir) == 1
         err = capsys.readouterr().err
         assert err == f"error: {path}:3: document {docs[2]['id']}: {reason}\n"
+        assert file_reads.count(path) == 1
 
 
 class TestPlanCommand:
@@ -613,6 +621,11 @@ class TestPipeline:
             parsed.clear()
             assert _run(command, "--store", store_dir, *flags) == 0
             assert parsed == collections, command
+        # Without a catalog the task lists come from the traces already read.
+        (store_dir / "task_properties.jsonl").unlink()
+        parsed.clear()
+        assert _run("estimate", "--store", store_dir) == 0
+        assert parsed == ["task_results", "task_properties"]
 
     @pytest.mark.parametrize("command", ["estimate", "plan", "report"])
     def test_reading_a_missing_store_leaves_it_absent(self, tmp_path, capsys, command):

@@ -135,18 +135,16 @@ class TestRandomPlan:
             assert ordered == sorted(plan.assignment)
 
     def test_infeasible_domain(self):
-        domain = PlanningDomain((TaskInstance("a", "t", frozenset()),), ())
         with pytest.raises(InfeasibleDomain):
-            random_plan(domain, 0)
+            PlanningDomain((TaskInstance("a", "t", frozenset()),), ())
 
     def test_infeasible_domain_names_the_first_such_task(self):
-        domain = PlanningDomain(
-            tuple(TaskInstance(uid, "t", eligible) for uid, eligible in
-                  (("a", BOTH), ("b", frozenset()), ("c", frozenset()))),
-            (),
-        )
         with pytest.raises(InfeasibleDomain, match="^task 'b' has no eligible agent$"):
-            random_plan(domain, 0)
+            PlanningDomain(
+                tuple(TaskInstance(uid, "t", eligible) for uid, eligible in
+                      (("a", BOTH), ("b", frozenset()), ("c", frozenset()))),
+                (),
+            )
 
     def test_single_agent_tasks_take_no_draw(self):
         flexible = make_world_config({"tasks": {t: {"agent": ["human", "robot"]} for t in _BLUE_TASKS}})
@@ -759,9 +757,8 @@ class TestOptimizePlan:
             optimize_plan(_pair_domain(1), {}, SynergyMatrix(), budget=0)
 
     def test_infeasible_domain(self):
-        domain = PlanningDomain((TaskInstance("a", "t", frozenset()),), ())
         with pytest.raises(InfeasibleDomain):
-            optimize_plan(domain, {}, SynergyMatrix(), budget=5)
+            PlanningDomain((TaskInstance("a", "t", frozenset()),), ())
 
     def test_skips_candidates_without_durations(self):
         domain = _pair_domain(2)

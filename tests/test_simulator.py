@@ -167,14 +167,14 @@ class TestSimulatePlan:
                     assert cur.interval.start >= prev.interval.end - 1e-9
 
     def test_free_world_keeps_robot_at_base(self, quiet_config):
-        from tandem.config import build_domain, make_world_config
+        from tandem.config import DEFAULT_CONFIG, build_domain, make_world_config
         from tandem.planner import random_plan
 
         free = {"red": 0.0, "orange": 0.0, "free": 1.0}
         cfg = make_world_config(
             {
                 "tasks": {tid: {"cv": 0.0} for tid in quiet_config.tasks},
-                "regions": {name: dict(free) for name in quiet_config.regions},
+                "regions": {name: dict(free) for name in DEFAULT_CONFIG["regions"]},
             }
         )
         domain = build_domain(cfg)

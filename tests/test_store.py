@@ -103,6 +103,10 @@ class TestUpsertAndQuery:
         root = tmp_path / "a" / "b"
         store = Store(root)
         assert store.query("task_duration") == [] and store.query("plans") == []
+        # A batch that fails its schema check writes nothing, the root included.
+        for write in (store.upsert, lambda c, doc: store.replace(c, [doc])):
+            with pytest.raises(SchemaViolation, match="^task_duration: field 'task_id' is required$"):
+                write("task_duration", {"id": "x"})
         assert not (tmp_path / "a").exists()
         store.upsert("task_duration", _duration_doc())
         assert Store(root).query("task_duration") == [_duration_doc()]
@@ -345,22 +349,50 @@ class TestReadErrors:
             Store(tmp_path).export_traces()
         assert str(err.value) == f"{path}:2: document p1:0001: field 'plan_id' is required"
 
-    def test_overlapping_record_names_the_later_line(self, tmp_path):
+    def test_overlapping_record_names_the_later_line(self, tmp_path, file_reads):
         later = {**_record_doc("p1:0001"), "start": 5.0, "end": 10.0}
         path = self._write(tmp_path, _dumps(_record_doc()), _dumps(later))
+        file_reads.clear()
         with pytest.raises(CorruptStore) as err:
             Store(tmp_path).export_traces()
         assert str(err.value) == (
             f"{path}:2: document p1:0001: records of human overlap in plan 'p1': "
             "'pick_white' and 'pick_white'"
         )
+        assert file_reads == [path]  # the line comes from the one parse
 
-    def test_rejected_decode_names_file_and_line(self, tmp_path):
-        docs = [_record_doc(), {**_record_doc("p1:0001"), "agent": "drone"}]
-        path = self._write(tmp_path, *map(_dumps, docs))
+    def test_rejected_decode_names_file_and_line(self, tmp_path, file_reads):
+        drone = {**_record_doc("p1:0001"), "agent": "drone"}
+        # A repeated id is named at its last line, the document a read keeps.
+        for docs, line in [([_record_doc(), drone], 2), ([drone, _record_doc(), drone], 3)]:
+            path = self._write(tmp_path, *map(_dumps, docs))
+            for read in (
+                lambda s: s.read("task_results", lambda doc: AgentId(doc["agent"])),
+                lambda s: s.export_traces(),
+            ):
+                file_reads.clear()
+                with pytest.raises(CorruptStore) as err:
+                    read(Store(tmp_path))
+                assert (err.value.path, err.value.line) == (path, line)
+                reason = "document p1:0001: 'drone' is not a valid AgentId"
+                assert str(err.value) == f"{path}:{line}: {reason}"
+                assert file_reads == [path]  # the line comes from the one parse
+
+    def test_error_line_survives_a_rewrite_during_the_read(self, tmp_path):
+        docs = [_duration_doc("a"), _duration_doc("b")]
+        path = self._write(tmp_path, *map(_dumps, docs), collection="task_duration")
+
+        def decode(doc):
+            if doc["id"] == docs[1]["id"]:
+                # Another writer drops the document before this read names it.
+                Store(tmp_path).replace("task_duration", docs[:1])
+                raise ValueError("bad")
+            return doc
+
         with pytest.raises(CorruptStore) as err:
-            Store(tmp_path).read("task_results", lambda doc: AgentId(doc["agent"]))
-        assert str(err.value) == f"{path}:2: document p1:0001: 'drone' is not a valid AgentId"
+            Store(tmp_path).read("task_duration", decode)
+        assert (err.value.path, err.value.line) == (path, 2)
+        assert str(err.value) == f"{path}:2: document {docs[1]['id']}: bad"
 
     def test_line_separator_inside_a_string_round_trips(self, tmp_path):
         doc = {**_duration_doc(), "id": "a\u2028b\x85c"}
