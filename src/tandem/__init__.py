@@ -29,7 +29,6 @@ from .model import (
     SynergyEntry,
     SynergyMatrix,
     TimeInterval,
-    interval_duration,
     stats_table,
 )
 from .planner import (
@@ -76,7 +75,6 @@ __all__ = [
     "expected_duration",
     "filter_outliers",
     "group_executions",
-    "interval_duration",
     "load_world_config",
     "optimize_plan",
     "predict_makespan",

@@ -52,7 +52,6 @@ from .model import (
     StatsMap,
     SynergyEntry,
     SynergyMatrix,
-    interval_duration,
     stats_table,
 )
 from .planner import CandidatePlan, optimize_plan, random_plan
@@ -151,7 +150,7 @@ def _kept_executions(
     kept: dict[tuple[str, AgentId], Executions] = {}
     stats = []
     for (task_id, agent), executions in group_executions(traces).items():
-        values = [interval_duration(rec.interval) for rec, _ in executions]
+        values = [duration for duration, _ in executions]
         indices = filter_outliers(values, strategy)
         kept[(task_id, agent)] = [executions[i] for i in indices]
         mean, std, count = expected_duration([values[i] for i in indices])

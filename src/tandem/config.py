@@ -394,15 +394,22 @@ def load_world_config(path: str | Path | None = None) -> WorldConfig:
 
 
 def build_domain(config: WorldConfig) -> PlanningDomain:
-    """Expand the process goal into task instances with pick-before-place pairs."""
+    """Expand the process goal into task instances with pick-before-place pairs.
+
+    A task type's instances are numbered from #1 across the whole process, so
+    a type may appear in several steps.
+    """
     instances = []
     precedence = []
+    numbers: dict[str, int] = {}
     for step in config.process:
         pick = config.tasks[step.pick]
         place = config.tasks[step.place]
-        for k in range(1, step.count + 1):
-            pick_uid = f"{step.pick}#{k}"
-            place_uid = f"{step.place}#{k}"
+        for _ in range(step.count):
+            numbers[step.pick] = numbers.get(step.pick, 0) + 1
+            pick_uid = f"{step.pick}#{numbers[step.pick]}"
+            numbers[step.place] = numbers.get(step.place, 0) + 1
+            place_uid = f"{step.place}#{numbers[step.place]}"
             instances.append(TaskInstance(pick_uid, step.pick, pick.eligible_agents))
             instances.append(TaskInstance(place_uid, step.place, place.eligible_agents))
             precedence.append((pick_uid, place_uid))

@@ -1,14 +1,17 @@
 """Estimation of task duration statistics and synergy coefficients from traces.
 
-One scan over the traces groups the successful executions by (task type,
-agent), and the caller filters each group's outliers once; the kept
-executions feed both the duration statistics and the regressions.  For every
-task type executed by an agent, the measured durations of its kept executions
-form the samples of a least-squares regression: the regressors are the
-overlap fractions against each of the other agent's task types in the same
-run (scaled by the task's expected duration) and the response is the measured
-duration minus the idle term, i.e. the part of the task window with no
-concurrent counterpart work valued at the nominal rate.  Solving the normal
+An execution record is a task type, an agent, its measured interval and a
+success flag; the trace that holds it names the plan.  One scan over the
+traces groups the successful executions by (task type, agent), each as its
+measured duration and its overlap pairs, and the caller filters each group's
+outliers once; the kept executions feed both the duration statistics and the
+regressions.  For every task type executed by an agent, the measured
+durations of its kept executions form the samples of a least-squares
+regression: the regressors are the overlap fractions against each of the
+other agent's task types in the same run (scaled by the task's expected
+duration) and the response is the measured duration minus the idle term, i.e.
+the part of the task window with no concurrent counterpart work valued at the
+nominal rate.  Solving the normal
 equations per task yields one row of the synergy matrix; a coefficient above
 1 marks a pair of tasks that slow each other down when run concurrently.
 
@@ -45,7 +48,6 @@ from .model import (
     SynergyMatrix,
     TimeInterval,
     TIME_EPS,
-    interval_duration,
     overlap_pairs,
 )
 
@@ -57,19 +59,12 @@ ILL_CONDITIONED = 1e10
 
 @dataclass(frozen=True)
 class ExecutionRecord:
-    """One measured execution of a task within a plan run."""
+    """One measured execution of a task within a plan run; its trace names the plan."""
 
-    plan_id: str
     task_id: str
     agent: AgentId
-    interval: TimeInterval | None
+    interval: TimeInterval
     success: bool = True
-
-    def __post_init__(self) -> None:
-        if self.success and self.interval is None:
-            raise ValueError(
-                f"successful record of {self.task_id!r} must carry a measured interval"
-            )
 
 
 @dataclass(frozen=True)
@@ -107,10 +102,11 @@ class ExecutionTrace:
         return lanes
 
 
-# Successful executions of one (task type, agent), each with the (counterpart
-# task id, overlap fraction) pairs of its run, in start order.  A
-# collections.abc alias: typing's would keep this module alive after a re-import.
-Execution = tuple[ExecutionRecord, list[tuple[str, float]]]
+# Successful executions of one (task type, agent), each as its measured
+# duration and the (counterpart task id, overlap fraction) pairs of its run,
+# in start order.  A collections.abc alias: typing's would keep this module
+# alive after a re-import.
+Execution = tuple[float, list[tuple[str, float]]]
 Executions = Sequence[Execution]
 
 
@@ -189,13 +185,13 @@ def group_executions(
 ) -> dict[tuple[str, AgentId], list[Execution]]:
     """Successful executions by (task type, agent), in one scan of the traces.
 
-    Each execution is (record, pairs): the (counterpart task id, overlap
-    fraction) of every counterpart record that overlaps it, in start order,
-    from one `model.overlap_pairs` sweep per trace and direction.  Groups
-    come in order of first appearance; a group keeps trace then record
-    order.  A record of non-positive duration can be neither a duration
-    sample nor a regression row: it is skipped, and one warning counts the
-    skips.
+    Each execution is (duration, pairs): the record's measured duration and
+    the (counterpart task id, overlap fraction) of every counterpart record
+    that overlaps it, in start order, from one `model.overlap_pairs` sweep per
+    trace and direction.  Groups come in order of first appearance; a group
+    keeps trace then record order.  A record of non-positive duration can be
+    neither a duration sample nor a regression row: it is skipped, and one
+    warning counts the skips.
     """
     groups: dict[tuple[str, AgentId], list[Execution]] = {}
     skipped = 0
@@ -222,10 +218,11 @@ def group_executions(
         for rec, pairs in zip(records, overlaps):
             if not rec.success:
                 continue
-            if rec.interval.end - rec.interval.start <= 0.0:
+            duration = rec.interval.end - rec.interval.start
+            if duration <= 0.0:
                 skipped += 1
                 continue
-            groups.setdefault((rec.task_id, rec.agent), []).append((rec, pairs))
+            groups.setdefault((rec.task_id, rec.agent), []).append((duration, pairs))
     if skipped:
         logger.warning("skipped %d successful records of non-positive duration", skipped)
     return groups
@@ -257,7 +254,7 @@ def build_regression(
 
     rows: list[list[float]] = []
     response: list[float] = []
-    for rec, pairs in executions:
+    for duration, pairs in executions:
         deltas = [0.0] * m
         for task_id, delta in pairs:
             j = columns.get(task_id)
@@ -265,7 +262,7 @@ def build_regression(
                 deltas[j] += delta
         covered = math.fsum(deltas)
         rows.append([d_hat * d for d in deltas])
-        response.append(interval_duration(rec.interval) - d_hat * (1.0 - covered))
+        response.append(duration - d_hat * (1.0 - covered))
 
     if not rows:
         raise NoSamples(own_task_id)

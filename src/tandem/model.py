@@ -6,8 +6,6 @@ counterpart agent works concurrently, the nominal duration is scaled by a
 per-task-pair synergy coefficient weighted by the fraction of overlap.  The
 fraction of a task with no concurrent counterpart work keeps coefficient 1, so
 a fully decoupled plan costs exactly the sum of nominal durations.
-
-The empty time interval is represented as ``None``.
 """
 
 from __future__ import annotations
@@ -60,11 +58,6 @@ class TimeInterval:
             raise ValueError(f"interval start must be non-negative, got {self.start}")
         if self.end < self.start:
             raise ValueError(f"interval end {self.end} precedes start {self.start}")
-
-
-def interval_duration(t: TimeInterval | None) -> float:
-    """Length of an interval in seconds; the empty interval (None) has length 0."""
-    return 0.0 if t is None else t.end - t.start
 
 
 @dataclass(frozen=True)

@@ -162,14 +162,14 @@ def simulate_plan(
 
         if work is not None and work <= WORK_EPS:
             records.append(
-                ExecutionRecord(plan_id, tasks[rk].spec_id, AgentId.ROBOT, TimeInterval(r_start, t))
+                ExecutionRecord(tasks[rk].spec_id, AgentId.ROBOT, TimeInterval(r_start, t))
             )
             done[rk] = True
             rk += 1
             work = None
         if h_end is not None and t >= h_end:
             records.append(
-                ExecutionRecord(plan_id, tasks[hk].spec_id, AgentId.HUMAN, TimeInterval(h_start, t))
+                ExecutionRecord(tasks[hk].spec_id, AgentId.HUMAN, TimeInterval(h_start, t))
             )
             done[hk] = True
             hk += 1

@@ -28,7 +28,9 @@ byte-order-mark check that json.loads makes.  `_SCHEMAS` is the one table of
 each collection's fields and their types: every write and every read checks
 each document against it.  `Store.read` turns documents into values through
 a caller's decoder; `export_traces` turns task_results documents straight into
-execution records, with a value-to-member table for the agent.  A line that
+execution records, with a value-to-member table for the agent, and groups them
+into traces by the plan_id that `record_traces` writes from each trace: a
+record has no plan id of its own.  A line that
 does not parse, breaks the schema or is rejected by either decoder raises
 CorruptStore naming its line, as the read's one parse numbered it: no error
 reads the file again.
@@ -71,8 +73,8 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "plan_id": (str,),
         "task_id": (str,),
         "agent": (str,),
-        "start": _NUMBER + (type(None),),
-        "end": _NUMBER + (type(None),),
+        "start": _NUMBER,
+        "end": _NUMBER,
         "success": (bool,),
     },
     "task_duration": {
@@ -311,11 +313,11 @@ class Store:
             (
                 {
                     "id": f"{trace.plan_id}:{k:04d}",
-                    "plan_id": rec.plan_id,
+                    "plan_id": trace.plan_id,
                     "task_id": rec.task_id,
                     "agent": rec.agent.value,
-                    "start": None if rec.interval is None else rec.interval.start,
-                    "end": None if rec.interval is None else rec.interval.end,
+                    "start": rec.interval.start,
+                    "end": rec.interval.end,
                     "success": rec.success,
                 }
                 for trace in traces
@@ -339,7 +341,7 @@ class Store:
                 rec = _record(doc)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise self._corrupt("task_results", lines, doc_id, exc) from exc
-            records, ids = by_plan.setdefault(rec.plan_id, ([], []))
+            records, ids = by_plan.setdefault(doc["plan_id"], ([], []))
             records.append(rec)
             ids.append(doc_id)
         traces = []
@@ -356,15 +358,10 @@ _AGENTS = {agent.value: agent for agent in AgentId}
 
 
 def _record(doc: dict) -> ExecutionRecord:
-    start, end = doc["start"], doc["end"]
-    if (start is None) != (end is None):
-        null, other = ("start", "end") if start is None else ("end", "start")
-        raise ValueError(f"field {null!r} is null but field {other!r} is not")
     return ExecutionRecord(
-        plan_id=doc["plan_id"],
         task_id=doc["task_id"],
         # AgentId raises the error that names a value of no agent.
         agent=_AGENTS.get(doc["agent"]) or AgentId(doc["agent"]),
-        interval=None if start is None else TimeInterval(float(start), float(end)),
+        interval=TimeInterval(float(doc["start"]), float(doc["end"])),
         success=doc["success"],
     )

@@ -32,7 +32,6 @@ from tandem.model import (
     SynergyMatrix,
     TimeInterval,
     coupled_lane_durations,
-    interval_duration,
     overlap_pairs,
     stats_table,
 )
@@ -81,12 +80,12 @@ def test_criterion_2_noise_free_synergy_recovery():
         weights = rng.uniform(0.05, 1.0, size=4)
         deltas = weights / weights.sum() * rng.uniform(0.3, 0.95)
         duration = d_hat * (1.0 + float((s_true - 1.0) @ deltas))
-        records = [ExecutionRecord(f"p{k}", "own", R, TimeInterval(0.0, duration), True)]
+        records = [ExecutionRecord("own", R, TimeInterval(0.0, duration), True)]
         offset = 0.0
         for j, delta in enumerate(deltas):
             length = float(delta) * duration
             records.append(
-                ExecutionRecord(f"p{k}", f"h{j}", H, TimeInterval(offset, offset + length), True)
+                ExecutionRecord(f"h{j}", H, TimeInterval(offset, offset + length), True)
             )
             offset += length
         traces.append(ExecutionTrace(f"p{k}", tuple(records)))
@@ -184,7 +183,7 @@ def _zone_breakpoints(human_records, config):
     steps = []
     for rec in human_records:
         profile = config.tasks[rec.task_id].profile
-        duration = interval_duration(rec.interval)
+        duration = rec.interval.end - rec.interval.start
         red_end = rec.interval.start + profile.red * duration
         orange_end = red_end + profile.orange * duration
         steps.append((rec.interval.start, config.speed_factors["red"], red_end))
@@ -194,7 +193,7 @@ def _zone_breakpoints(human_records, config):
 
 
 def _integrated_factor(interval, human_records, config):
-    integral = interval_duration(interval)
+    integral = interval.end - interval.start
     for start, factor, end in _zone_breakpoints(human_records, config):
         lo = max(interval.start, start)
         hi = min(interval.end, end)
@@ -315,8 +314,7 @@ def _random_documents(rng):
                 "description": f"{word()} {word()}",
             }
         )
-        success = bool(rng.integers(0, 2))
-        start = float(rng.uniform(0, 500)) if success else None
+        start = float(rng.uniform(0, 500))
         results.append(
             {
                 "id": f"p{i // 20:03d}:{i % 20:04d}",
@@ -324,8 +322,8 @@ def _random_documents(rng):
                 "task_id": f"task-{int(rng.integers(100)):04d}",
                 "agent": agents[int(rng.integers(2))],
                 "start": start,
-                "end": None if start is None else start + float(rng.uniform(0.1, 60)),
-                "success": success,
+                "end": start + float(rng.uniform(0.1, 60)),
+                "success": bool(rng.integers(0, 2)),
             }
         )
         durations.append(

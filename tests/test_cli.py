@@ -104,6 +104,26 @@ class TestSimulate:
         assert _run("estimate", "--store", store_dir) == 1
         assert "error: no task results in" in capsys.readouterr().err
 
+    def test_task_type_in_two_steps_runs_end_to_end(self, tmp_path, capsys):
+        config = tmp_path / "world.yaml"
+        config.write_text(
+            "process:\n"
+            "  - {pick: pick_orange, place: place_orange, count: 2, color: orange}\n"
+            "  - {pick: pick_orange, place: place_blue_r, count: 1, color: orange}\n"
+            "  - {pick: pick_white, place: place_white, count: 2, color: white}\n"
+        )
+        store_dir = tmp_path / "s"
+        assert _run("simulate", "--store", store_dir, "--config", config, "--plans", 3) == 0
+        assert _run("estimate", "--store", store_dir) == 0
+        assert _run("plan", "--store", store_dir, "--config", config, "--budget", 20) == 0
+        assert "error" not in capsys.readouterr().err
+        # Each task type's instances are numbered across the whole process.
+        (optimized,) = Store(store_dir).query("plans", {"kind": "optimized"})
+        assert sorted(optimized["assignment"]) == [
+            "pick_orange#1", "pick_orange#2", "pick_orange#3", "pick_white#1", "pick_white#2",
+            "place_blue_r#1", "place_orange#1", "place_orange#2", "place_white#1", "place_white#2",
+        ]
+
     def test_bad_config_fails_cleanly(self, tmp_path, capsys):
         config = tmp_path / "world.yaml"
         config.write_text("regions:\n  shared: {red: 0.9, orange: 0.9, free: 0.2}\n")
@@ -376,8 +396,8 @@ class TestCorruptStore:
         "edit, reason",
         [
             (lambda doc: doc.update(end=doc["start"] - 1.0), "interval end .* precedes start"),
-            (lambda doc: doc.update(end=None), "field 'end' is null but field 'start' is not"),
-            (lambda doc: doc.update(start=None), "field 'start' is null but field 'end' is not"),
+            (lambda doc: doc.update(end=None), "field 'end' has invalid type NoneType"),
+            (lambda doc: doc.update(start=None), "field 'start' has invalid type NoneType"),
             (lambda doc: doc.update(agent="ghost"), "'ghost' is not a valid AgentId"),
             (lambda doc: doc.pop("task_id"), "field 'task_id' is required"),
             # json writes these as NaN and Infinity, and reads them back as floats.

@@ -37,7 +37,6 @@ from tandem.model import (
     SynergyEntry,
     SynergyMatrix,
     TimeInterval,
-    interval_duration,
     stats_table,
 )
 from tandem.planner import random_plan
@@ -115,8 +114,8 @@ def _trace(plan_id, *records):
     return ExecutionTrace(plan_id, tuple(records))
 
 
-def _rec(plan_id, task_id, agent, start, end, success=True):
-    return ExecutionRecord(plan_id, task_id, agent, TimeInterval(start, end), success)
+def _rec(task_id, agent, start, end, success=True):
+    return ExecutionRecord(task_id, agent, TimeInterval(start, end), success)
 
 
 def _rows(traces, task_id, agent):
@@ -125,41 +124,33 @@ def _rows(traces, task_id, agent):
 
 
 class TestTraceTypes:
-    def test_successful_record_needs_interval(self):
-        with pytest.raises(ValueError):
-            ExecutionRecord("p", "t", R, None, success=True)
-
-    def test_failed_record_may_lack_interval(self):
-        rec = ExecutionRecord("p", "t", R, None, success=False)
-        assert rec.interval is None
-
     def test_same_agent_overlap_rejected(self):
         with pytest.raises(ValueError):
-            _trace("p", _rec("p", "a", R, 0, 6), _rec("p", "b", R, 5, 9))
+            _trace("p", _rec("a", R, 0, 6), _rec("b", R, 5, 9))
 
     def test_overlaps_in_start_order(self):
         records = (
-            _rec("p", "h2", H, 6, 12),
-            _rec("p", "r1", R, 0, 10),
-            _rec("p", "h1", H, 10, 14, success=False),
-            _rec("p", "h0", H, 0, 2),
-            _rec("p", "h4", H, 12, 13),
-            _rec("p", "h3", H, 2, 2),
+            _rec("h2", H, 6, 12),
+            _rec("r1", R, 0, 10),
+            _rec("h1", H, 10, 14, success=False),
+            _rec("h0", H, 0, 2),
+            _rec("h4", H, 12, 13),
+            _rec("h3", H, 2, 2),
         )
         groups = group_executions([_trace("p", *records)])
         # Groups in first appearance; the zero-length h3 and the failed h1 are no executions.
         assert list(groups) == [("h2", H), ("r1", R), ("h0", H), ("h4", H)]
-        assert groups[("r1", R)] == [(records[1], [("h0", 0.2), ("h2", 0.4)])]
-        assert groups[("h2", H)] == [(records[0], [("r1", 4.0 / 6.0)])]
-        assert groups[("h0", H)] == [(records[3], [("r1", 1.0)])]
-        assert groups[("h4", H)] == [(records[4], [])]
+        assert groups[("r1", R)] == [(10.0, [("h0", 0.2), ("h2", 0.4)])]
+        assert groups[("h2", H)] == [(6.0, [("r1", 4.0 / 6.0)])]
+        assert groups[("h0", H)] == [(2.0, [("r1", 1.0)])]
+        assert groups[("h4", H)] == [(1.0, [])]
 
     def test_group_keeps_trace_then_record_order(self):
         # Records of one type stored last-first keep their stored order.
-        first = _trace("a", _rec("a", "r1", R, 5, 9), _rec("a", "r1", R, 0, 4), _rec("a", "h1", H, 3, 7))
-        second = _trace("b", _rec("b", "r1", R, 0, 2))
+        first = _trace("a", _rec("r1", R, 5, 9), _rec("r1", R, 0, 4), _rec("h1", H, 3, 7))
+        second = _trace("b", _rec("r1", R, 0, 2))
         rows = _rows([first, second], "r1", R)
-        assert [rec for rec, _ in rows] == [first.records[0], first.records[1], second.records[0]]
+        assert [duration for duration, _ in rows] == [4.0, 4.0, 2.0]
         assert [pairs for _, pairs in rows] == [[("h1", 0.5)], [("h1", 0.25)], []]
 
     def test_copy_rebuilds_the_overlaps(self):
@@ -176,7 +167,7 @@ class TestTraceTypes:
 class TestBuildRegression:
     def test_single_trace_row(self):
         # own robot task measured [0, 14]; human task h1 covers [0, 8].
-        trace = _trace("p", _rec("p", "r1", R, 0, 14), _rec("p", "h1", H, 0, 8))
+        trace = _trace("p", _rec("r1", R, 0, 14), _rec("h1", H, 0, 8))
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 4)])
         problem = build_regression(_rows([trace], "r1", R), "r1", R, stats, ["h1"])
         delta = 8.0 / 14.0
@@ -186,7 +177,7 @@ class TestBuildRegression:
         assert problem.column_labels == ("h1",)
 
     def test_row_without_overlap(self):
-        trace = _trace("p", _rec("p", "r1", R, 0, 9), _rec("p", "h1", H, 20, 25))
+        trace = _trace("p", _rec("r1", R, 0, 9), _rec("h1", H, 20, 25))
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 4)])
         problem = build_regression(_rows([trace], "r1", R), "r1", R, stats, ["h1"])
         assert problem.design[0, 0] == 0.0
@@ -195,9 +186,9 @@ class TestBuildRegression:
     def test_repeated_counterpart_type_sums_into_one_column(self):
         trace = _trace(
             "p",
-            _rec("p", "r1", R, 0, 10),
-            _rec("p", "h1", H, 0, 3),
-            _rec("p", "h1", H, 5, 9),
+            _rec("r1", R, 0, 10),
+            _rec("h1", H, 0, 3),
+            _rec("h1", H, 5, 9),
         )
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 4)])
         problem = build_regression(_rows([trace], "r1", R), "r1", R, stats, ["h1"])
@@ -206,9 +197,9 @@ class TestBuildRegression:
     def test_failed_records_are_skipped(self):
         trace = _trace(
             "p",
-            _rec("p", "r1", R, 0, 10),
-            _rec("p", "r1", R, 12, 20, success=False),
-            _rec("p", "h1", H, 0, 10),
+            _rec("r1", R, 0, 10),
+            _rec("r1", R, 12, 20, success=False),
+            _rec("h1", H, 0, 10),
         )
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 4)])
         problem = build_regression(_rows([trace], "r1", R), "r1", R, stats, ["h1"])
@@ -222,12 +213,12 @@ class TestBuildRegression:
         assert np.all(problem.design.sum(axis=1) <= 12.0 + 1e-9)
 
     def test_missing_stats(self):
-        trace = _trace("p", _rec("p", "r1", R, 0, 10))
+        trace = _trace("p", _rec("r1", R, 0, 10))
         with pytest.raises(MissingDuration):
             build_regression(_rows([trace], "r1", R), "r1", R, {}, ["h1"])
 
     def test_no_samples(self):
-        trace = _trace("p", _rec("p", "other", R, 0, 10))
+        trace = _trace("p", _rec("other", R, 0, 10))
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 4)])
         with pytest.raises(NoSamples):
             build_regression(_rows([trace], "r1", R), "r1", R, stats, ["h1"])
@@ -241,8 +232,8 @@ class TestBuildRegression:
         spans = [(0.9, 1.8), (3.1, 3.5), (5.3, 5.9)]
         trace = _trace(
             "p",
-            _rec("p", "r1", R, 0, 7),
-            *(_rec("p", "h1", H, s, e) for s, e in reversed(spans)),
+            _rec("r1", R, 0, 7),
+            *(_rec("h1", H, s, e) for s, e in reversed(spans)),
         )
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 1)])
         problem = build_regression(_rows([trace], "r1", R), "r1", R, stats, ["h1"])
@@ -342,11 +333,11 @@ def _synthetic_traces(s_true, d_hat=10.0, n_rows=24, seed=0):
         weights = rng.uniform(0.05, 1.0, size=m)
         deltas = weights / weights.sum() * rng.uniform(0.3, 0.95)
         duration = d_hat * (1.0 + float(np.dot(np.asarray(s_true) - 1.0, deltas)))
-        records = [_rec(f"p{k}", "r1", R, 0.0, duration)]
+        records = [_rec("r1", R, 0.0, duration)]
         offset = 0.0
         for j, delta in enumerate(deltas):
             length = float(delta) * duration
-            records.append(_rec(f"p{k}", f"h{j}", H, offset, offset + length))
+            records.append(_rec(f"h{j}", H, offset, offset + length))
             offset += length
         traces.append(_trace(f"p{k}", *records))
     return traces
@@ -365,7 +356,7 @@ class TestEstimateSynergyMatrix:
 
     def test_zero_concurrency_gives_neutral_matrix(self):
         traces = [
-            _trace("p", _rec("p", "r1", R, 0, 10), _rec("p", "h1", H, 10, 18)),
+            _trace("p", _rec("r1", R, 0, 10), _rec("h1", H, 10, 18)),
         ]
         stats = stats_table(
             [DurationStats("r1", R, 10.0, 0.0, 1), DurationStats("h1", H, 8.0, 0.0, 1)]
@@ -378,7 +369,7 @@ class TestEstimateSynergyMatrix:
 
     def test_single_overlapping_pair_bookkeeping(self):
         traces = [
-            _trace("p", _rec("p", "r1", R, 0, 10), _rec("p", "h1", H, 2, 6)),
+            _trace("p", _rec("r1", R, 0, 10), _rec("h1", H, 2, 6)),
         ]
         stats = stats_table(
             [DurationStats("r1", R, 10.0, 0.0, 1), DurationStats("h1", H, 4.0, 0.0, 1)]
@@ -388,7 +379,7 @@ class TestEstimateSynergyMatrix:
         assert matrix.get(H, "h1", "r1").sample_count == 1
 
     def test_missing_side_defaults_without_aborting(self):
-        traces = [_trace("p", _rec("p", "r1", R, 0, 10))]
+        traces = [_trace("p", _rec("r1", R, 0, 10))]
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 1)])
         matrix = estimate_synergy_matrix(group_executions(traces), stats, ["h1"], ["r1"])
         assert matrix.get(H, "h1", "r1").sample_count == 0
@@ -407,9 +398,9 @@ class TestEstimateSynergyMatrix:
             traces.append(
                 _trace(
                     f"p{k}",
-                    _rec(f"p{k}", "r1", R, 0.0, length),
-                    _rec(f"p{k}", "h0", H, 0.0, cover),
-                    _rec(f"p{k}", "h1", H, cover, 2.0 * cover),
+                    _rec("r1", R, 0.0, length),
+                    _rec("h0", H, 0.0, cover),
+                    _rec("h1", H, cover, 2.0 * cover),
                 )
             )
         well_posed = _synthetic_traces([1.4, 0.9], seed=7)
@@ -424,7 +415,7 @@ class TestEstimateSynergyMatrix:
     def test_iqr_strategy_drops_planted_outlier_rows(self):
         traces = _synthetic_traces([1.0, 1.0], d_hat=10.0, n_rows=30, seed=1)
         # One corrupted run: duration far outside anything the model produces.
-        traces.append(_trace("bad", _rec("bad", "r1", R, 0.0, 500.0)))
+        traces.append(_trace("bad", _rec("r1", R, 0.0, 500.0)))
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 31)])
         kept, _ = cli._kept_executions(traces, "iqr")
         clean = estimate_synergy_matrix(kept, stats, ["h0", "h1"], ["r1"])
@@ -446,7 +437,7 @@ def _reference_duration_stats(traces, strategy):
             if not rec.success:
                 continue
             samples.setdefault((rec.task_id, rec.agent), []).append(
-                interval_duration(rec.interval)
+                rec.interval.end - rec.interval.start
             )
     stats = []
     for (task_id, agent), values in samples.items():
@@ -480,7 +471,7 @@ def _reference_build_regression(traces, own_task_id, own_agent, stats, counterpa
                 deltas[j] += overlap_ratio(rec.interval, other.interval)
         covered = math.fsum(deltas)
         rows.append([d_hat * d for d in deltas])
-        response.append(interval_duration(rec.interval) - d_hat * (1.0 - covered))
+        response.append(rec.interval.end - rec.interval.start - d_hat * (1.0 - covered))
     return RegressionProblem(
         own_task_id,
         own_agent,
@@ -497,7 +488,7 @@ def _reference_drop_executions(traces, executions, kept):
         records = tuple(
             rec
             if id(rec) not in dropped
-            else ExecutionRecord(rec.plan_id, rec.task_id, rec.agent, rec.interval, success=False)
+            else ExecutionRecord(rec.task_id, rec.agent, rec.interval, success=False)
             for rec in trace.records
         )
         rebuilt.append(ExecutionTrace(trace.plan_id, records))
@@ -511,7 +502,7 @@ def _reference_synergy_matrix(traces, stats, human_ids, robot_ids, strategy):
             row = [SynergyEntry() for _ in counterpart_ids]
             executions = _reference_own_executions(traces, own_id, own_agent)
             if executions and (own_id, own_agent) in stats:
-                durations = [interval_duration(rec.interval) for _, rec in executions]
+                durations = [rec.interval.end - rec.interval.start for _, rec in executions]
                 kept = set(filter_outliers(durations, strategy))
                 filtered = _reference_drop_executions(traces, executions, kept)
                 fit = solve_synergy(
@@ -543,7 +534,7 @@ class TestSinglePassMatchesFilterTwice:
         for seed in (3, 11):
             traces = _campaign(cfg, seed, 40)
             # One corrupted run: far outside anything the simulator produces.
-            traces.append(_trace("bad", _rec("bad", robot[0], R, 0.0, 500.0)))
+            traces.append(_trace("bad", _rec(robot[0], R, 0.0, 500.0)))
             counts = {}
             for strategy in ("none", "iqr"):
                 kept, stats = cli._kept_executions(traces, strategy)
@@ -554,5 +545,5 @@ class TestSinglePassMatchesFilterTwice:
                 ) == _reference_synergy_matrix(traces, stats_table(want), human, robot, strategy)
                 counts[strategy] = {(s.task_id, s.agent): s.count for s in stats}
             # The fence drops the planted run and the strategies differ.
-            assert traces[-1].records[0] not in [rec for rec, _ in kept[(robot[0], R)]]
+            assert 500.0 not in [duration for duration, _ in kept[(robot[0], R)]]
             assert counts["iqr"] != counts["none"]

@@ -18,7 +18,6 @@ from tandem.model import (
     SynergyMatrix,
     TimeInterval,
     coupled_lane_durations,
-    interval_duration,
     overlap_pairs,
     stats_table,
 )
@@ -26,7 +25,7 @@ from tandem.config import make_world_config
 from tandem.errors import ConfigError
 from tandem.planner import CandidatePlan, PlanningDomain, TaskInstance, predict_makespan
 
-from interval_algebra import ZeroDurationTask, interval_intersection, overlap_ratio
+from interval_algebra import ZeroDurationTask, interval_intersection, length, overlap_ratio
 
 H, R = AgentId.HUMAN, AgentId.ROBOT
 
@@ -46,9 +45,9 @@ def intervals(draw_from=times):
 
 class TestTimeInterval:
     def test_duration_examples(self):
-        assert interval_duration(TimeInterval(0.0, 10.0)) == 10.0
-        assert interval_duration(None) == 0.0
-        assert interval_duration(TimeInterval(3.5, 3.5)) == 0.0
+        assert length(TimeInterval(0.0, 10.0)) == 10.0
+        assert length(None) == 0.0
+        assert length(TimeInterval(3.5, 3.5)) == 0.0
 
     def test_rejects_negative_start(self):
         with pytest.raises(ValueError):
@@ -71,7 +70,7 @@ class TestIntersection:
     def test_touching_endpoints_give_zero_length(self):
         out = interval_intersection(TimeInterval(0, 5), TimeInterval(5, 8))
         assert out == TimeInterval(5, 5)
-        assert interval_duration(out) == 0.0
+        assert length(out) == 0.0
 
     def test_disjoint_is_empty(self):
         assert interval_intersection(TimeInterval(0, 2), TimeInterval(3, 4)) is None
@@ -105,12 +104,12 @@ class TestOverlapRatio:
 
     @given(intervals(grid_times), intervals(grid_times))
     def test_in_unit_range(self, own, other):
-        if interval_duration(own) == 0.0:
+        if length(own) == 0.0:
             return
         delta = overlap_ratio(own, other)
         assert 0.0 <= delta <= 1.0
         inter = interval_intersection(own, other)
-        assert (delta == 0.0) == (interval_duration(inter) == 0.0)
+        assert (delta == 0.0) == (length(inter) == 0.0)
 
 
 class TestSynergyDuration:

@@ -10,7 +10,7 @@ import pytest
 from tandem.config import ZoneExposureProfile, build_domain, load_world_config, make_world_config
 from tandem.errors import InvalidProgram
 from tandem.estimator import ExecutionRecord, ExecutionTrace
-from tandem.model import AgentId, TimeInterval, interval_duration
+from tandem.model import AgentId, TimeInterval
 from tandem.planner import CandidatePlan, PlanningDomain, TaskInstance, random_plan
 from tandem.simulator import (
     WORK_EPS,
@@ -182,7 +182,7 @@ class TestSimulatePlan:
         trace = simulate_plan(program_from_plan(domain, plan), cfg, seed=3)
         for rec in _by_agent(trace, R):
             base = cfg.tasks[rec.task_id].base_duration
-            assert interval_duration(rec.interval) == pytest.approx(base, abs=1e-9)
+            assert rec.interval.end - rec.interval.start == pytest.approx(base, abs=1e-9)
 
     def test_raising_red_exposure_never_speeds_up_the_robot(self):
         def robot_total(red_frac):
@@ -193,7 +193,7 @@ class TestSimulatePlan:
             program = _program(human_specs=["h_job", "h_job"], robot_specs=["r_job"])
             trace = simulate_plan(program, cfg, seed=5)
             (rec,) = _by_agent(trace, R)
-            return interval_duration(rec.interval)
+            return rec.interval.end - rec.interval.start
 
         durations = [robot_total(f) for f in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)]
         assert all(b >= a - 1e-9 for a, b in zip(durations, durations[1:]))
@@ -368,7 +368,7 @@ def _reference_simulate(program, config, seed, plan_id="plan"):
             human = None
 
     records = tuple(
-        ExecutionRecord(plan_id, inst.spec_id, agent, TimeInterval(start, end))
+        ExecutionRecord(inst.spec_id, agent, TimeInterval(start, end))
         for inst, agent, start, end in completed
     )
     return ExecutionTrace(plan_id=plan_id, records=records)

@@ -404,9 +404,9 @@ def _small_trace(plan_id="p1"):
     return ExecutionTrace(
         plan_id,
         (
-            ExecutionRecord(plan_id, "pick_white", H, TimeInterval(0.0, 8.25), True),
-            ExecutionRecord(plan_id, "pick_orange", R, TimeInterval(0.0, 9.5), True),
-            ExecutionRecord(plan_id, "place_white", H, None, False),
+            ExecutionRecord("pick_white", H, TimeInterval(0.0, 8.25), True),
+            ExecutionRecord("pick_orange", R, TimeInterval(0.0, 9.5), True),
+            ExecutionRecord("place_white", H, TimeInterval(8.25, 14.0), False),
         ),
     )
 
@@ -431,7 +431,16 @@ class TestTraceBridge:
         (exported,) = store.export_traces()
         failed = [r for r in exported.records if not r.success]
         assert len(failed) == 1
-        assert failed[0].interval is None
+        assert failed[0].interval == TimeInterval(8.25, 14.0)
+
+    def test_each_record_is_stored_with_its_traces_plan_id(self, tmp_path):
+        store = Store(tmp_path)
+        store.record_traces([_small_trace("a"), _small_trace("b")])
+        docs = store.query("task_results")
+        assert [(doc["id"], doc["plan_id"]) for doc in docs] == [
+            (f"{plan}:{k:04d}", plan) for plan in "ab" for k in range(3)
+        ]
+        assert [trace.plan_id for trace in store.export_traces()] == ["a", "b"]
 
     def test_one_call_writes_what_one_call_per_trace_writes(self, tmp_path, monkeypatch):
         traces = [_small_trace("p1"), _small_trace("p2"), _small_trace("p3")]
