@@ -7,15 +7,16 @@ A campaign run composes the whole pipeline against one store directory::
     tandem plan     --store runs/demo --budget 2000
     tandem report   --store runs/demo --out runs/demo/report
 
-``estimate`` reads the traces once, groups the successful executions by
-(task type, agent) and filters each group's outliers once; the kept
-executions give both the duration statistics and the synergy regressions,
-and they replace both estimate collections whole.
+``simulate`` writes the campaign's task_results and plans.  ``estimate``
+reads the traces once, groups the successful executions by (task type,
+agent) and filters each group's outliers once; the kept executions give the
+duration statistics, the synergy regressions and the task lists of both, and
+they replace both estimate collections whole.  ``estimate`` reads no other
+collection.
 ``plan`` and ``report`` read each estimate collection once, into duration
 statistics and a synergy matrix; ``report`` renders those alone and reads no
 other collection.  The store keeps no copy between calls, and each command
-reads each collection it needs once: ``estimate`` on a store without a
-catalog takes its task lists from the traces it has already read.
+reads each collection it needs once.
 
 Commands turn stored documents into values through `Store.read`, and
 task_results documents into traces through `Store.export_traces`, after the
@@ -75,19 +76,6 @@ def _store_root(args: argparse.Namespace) -> Path:
     return Path(os.environ.get(ENV_STORE, DEFAULT_STORE))
 
 
-def _catalog_docs(cfg: worldcfg.WorldConfig) -> list[dict]:
-    return [
-        {
-            "id": task.id,
-            "action": task.action.value,
-            "agents": sorted(a.value for a in task.eligible_agents),
-            "region": task.region,
-            "description": task.description,
-        }
-        for task in cfg.tasks.values()
-    ]
-
-
 def _plan_doc(plan_id: str, plan: CandidatePlan, makespan: float, kind: str) -> dict:
     return {
         "id": plan_id,
@@ -101,12 +89,12 @@ def _plan_doc(plan_id: str, plan: CandidatePlan, makespan: float, kind: str) -> 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Simulate `--plans` random plans and store their records and plan documents.
 
-    The catalog, the campaign's task_results and its plans are each written
-    with one upsert, in that order, after every plan has been simulated: a
-    fresh store is appended to once per collection, and a rerun rewrites each
-    file once.  The campaign is durable as a unit when the command returns,
-    and a plan's line is printed only once it is on disk.  A run that dies
-    part-way leaves no plan documents; the same seed reproduces it.
+    The campaign's task_results and its plans are each written with one
+    upsert, in that order, after every plan has been simulated: a fresh store
+    is appended to once per collection, and a rerun rewrites each file once.
+    The campaign is durable as a unit when the command returns, and a plan's
+    line is printed only once it is on disk.  A run that dies part-way leaves
+    no plan documents; the same seed reproduces it.
     """
     cfg = worldcfg.load_world_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
@@ -114,7 +102,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(f"plan count must be at least 1, got {args.plans}")
     domain = worldcfg.build_domain(cfg)
     store = Store(_store_root(args))
-    store.upsert_many("task_properties", _catalog_docs(cfg))
 
     traces = []
     plan_docs = []
@@ -158,28 +145,11 @@ def _kept_executions(
     return kept, stats
 
 
-def _task_lists(store: Store, traces: list[ExecutionTrace]) -> tuple[list[str], list[str]]:
-    """Human and robot task type lists, from the catalog or, if it is empty, the traces' records.
-
-    A catalog agent that names no AgentId raises CorruptStore, so no task is dropped unseen.
-    """
-    entries = store.read(
-        "task_properties", lambda doc: (doc["id"], [AgentId(a) for a in doc["agents"]])
-    )
-    if not entries:
-        entries = [(rec.task_id, [rec.agent]) for trace in traces for rec in trace.records]
-    human = list(dict.fromkeys(t for t, agents in entries if AgentId.HUMAN in agents))
-    robot = list(dict.fromkeys(t for t, agents in entries if AgentId.ROBOT in agents))
-    return human, robot
-
-
 def cmd_estimate(args: argparse.Namespace) -> int:
     store = Store(_store_root(args))
     traces = store.export_traces()
     if not traces:
         raise EmptyStore(f"no task results in {store.root}; run `tandem simulate` first")
-    human_ids, robot_ids = _task_lists(store, traces)
-
     executions, stats = _kept_executions(traces, args.outliers)
     store.replace(
         "task_duration",
@@ -196,7 +166,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         ],
     )
 
-    matrix = estimate_synergy_matrix(executions, stats_table(stats), human_ids, robot_ids)
+    matrix = estimate_synergy_matrix(executions, stats_table(stats))
     synergy_docs = [
         {
             "id": f"{agent.value}:{own}:{other}",
@@ -241,10 +211,13 @@ def _load_estimates(store: Store) -> tuple[StatsMap, SynergyMatrix]:
     """The stored duration statistics and synergy matrix, each entry in stored order.
 
     A document with an unknown agent or an invalid value raises CorruptStore.
+    Statistics of one agent alone need no synergy entries: the other agent
+    executed nothing to pair with.
     """
     stats = stats_table(store.read("task_duration", _duration_from_doc))
     synergy = store.read("task_synergy", _synergy_from_doc)
-    if not (stats and synergy):
+    agents = {agent for _, agent in stats}
+    if not agents or (not synergy and len(agents) > 1):
         raise MissingEstimates(
             f"store {store.root} lacks duration or synergy estimates; run `tandem estimate`"
         )

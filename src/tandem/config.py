@@ -9,8 +9,10 @@ robot down whenever the human works there.
 
 Names are resolved at load: each task's region must name an entry of
 ``regions``, whose zone exposure profile the task's ``TaskConfig`` then holds,
-and each process step must name catalog tasks.  A name that resolves to
-nothing raises ConfigError with the path of the field.
+and each process step must name a catalog pick task and a catalog place task.
+A name that resolves to nothing, or to a task of the other action, raises
+ConfigError with the path of the field.  A task's description is checked to
+be text and not kept.
 """
 
 from __future__ import annotations
@@ -150,11 +152,9 @@ class TaskConfig:
     id: str
     action: ActionKind
     eligible_agents: frozenset[AgentId]
-    region: str
     profile: ZoneExposureProfile
     base_duration: float
     cv: float
-    description: str = ""
 
     def __post_init__(self) -> None:
         if not self.eligible_agents:
@@ -259,15 +259,14 @@ def _parse_task(
         raise ConfigError(f"task {task_id!r}: {exc}") from None
     if region not in regions:
         raise ConfigError(f"{path}region names no region in regions, got {region!r}")
+    _text(raw.get("description", ""), path + "description")
     return TaskConfig(
         id=task_id,
         action=kind,
         eligible_agents=eligible,
-        region=region,
         profile=regions[region],
         base_duration=base,
         cv=cv,
-        description=_text(raw.get("description", ""), path + "description"),
     )
 
 
@@ -326,9 +325,14 @@ def _validate(raw: dict) -> WorldConfig:
             raise ConfigError(f"process[{i}] is missing field {exc.args[0]!r}") from None
         if step.count < 0:
             raise ConfigError(f"process step for {step.pick!r} has negative count")
-        for task_id in (step.pick, step.place):
+        for field, task_id in (("pick", step.pick), ("place", step.place)):
             if task_id not in tasks:
                 raise ConfigError(f"process references unknown task {task_id!r}")
+            action = tasks[task_id].action.value
+            if action != field:
+                raise ConfigError(
+                    f"process[{i}].{field} must name a {field} task, got {task_id!r}, a {action} task"
+                )
         used[step.color] = used.get(step.color, 0) + step.count
         steps.append(step)
     for color, n in used.items():

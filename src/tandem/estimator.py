@@ -7,13 +7,13 @@ measured duration and its overlap pairs, and the caller filters each group's
 outliers once; the kept executions feed both the duration statistics and the
 regressions.  For every task type executed by an agent, the measured
 durations of its kept executions form the samples of a least-squares
-regression: the regressors are the overlap fractions against each of the
-other agent's task types in the same run (scaled by the task's expected
-duration) and the response is the measured duration minus the idle term, i.e.
-the part of the task window with no concurrent counterpart work valued at the
-nominal rate.  Solving the normal
-equations per task yields one row of the synergy matrix; a coefficient above
-1 marks a pair of tasks that slow each other down when run concurrently.
+regression: the regressors are the overlap fractions in the same run
+against each task type the other agent executed (scaled by the task's
+expected duration) and the response is the measured duration minus the idle
+term, i.e. the part of the task window with no concurrent counterpart work
+valued at the nominal rate.  Solving the normal equations per task yields one
+row of the synergy matrix; a coefficient above 1 marks a pair of tasks that
+slow each other down when run concurrently.
 
 The overlap fractions come from the grouping scan: it runs one sweep per
 trace and direction (`model.overlap_pairs`) over the trace's two start-sorted
@@ -325,25 +325,28 @@ def solve_synergy(problem: RegressionProblem) -> SynergyFit:
 def estimate_synergy_matrix(
     executions: Mapping[tuple[str, AgentId], Executions],
     stats: StatsMap,
-    human_task_ids: Sequence[str],
-    robot_task_ids: Sequence[str],
 ) -> SynergyMatrix:
     """Estimate both agents' synergy matrices from grouped executions.
 
     ``executions`` maps (task type, agent) to the executions that survived
-    outlier filtering (see ``group_executions``).  Per own task they form the
-    regression rows, and the solved coefficients fill one matrix row.  A task
-    with no statistics or no executions keeps the neutral defaults for its
-    whole row (sample_count 0 marks the entries as unobserved); estimation
-    never aborts because of a single task.
+    outlier filtering (see ``group_executions``), none of them empty.  Its
+    keys are the task lists: each agent's own tasks are its keys, in key
+    order, and the columns of every own row are the other agent's.  Per own
+    task the executions form the regression rows, and the solved coefficients
+    fill one matrix row.  A task with no statistics keeps the neutral defaults
+    for its whole row (sample_count 0 marks the entries as unobserved);
+    estimation never aborts because of a single task.
     """
-    task_ids = {AgentId.HUMAN: human_task_ids, AgentId.ROBOT: robot_task_ids}
+    task_ids: dict[AgentId, list[str]] = {a: [] for a in SIDES}
+    for task_id, agent in executions:
+        task_ids[agent].append(task_id)
     entries: dict[AgentId, dict[tuple[str, str], SynergyEntry]] = {a: {} for a in SIDES}
     for own_agent in SIDES:
         counterpart_ids = task_ids[own_agent.counterpart]
         for own_id in task_ids[own_agent]:
-            kept = executions.get((own_id, own_agent), ())
-            row = _estimate_row(kept, own_id, own_agent, stats, counterpart_ids)
+            row = _estimate_row(
+                executions[(own_id, own_agent)], own_id, own_agent, stats, counterpart_ids
+            )
             for counterpart_id, entry in zip(counterpart_ids, row):
                 entries[own_agent][(own_id, counterpart_id)] = entry
     return SynergyMatrix(entries)
@@ -356,11 +359,8 @@ def _estimate_row(
     stats: StatsMap,
     counterpart_ids: Sequence[str],
 ) -> list[SynergyEntry]:
-    if not executions or (own_id, own_agent) not in stats:
-        if not executions:
-            logger.warning("no executions of %s/%s; keeping neutral row", own_id, own_agent.value)
-        else:
-            logger.warning("no statistics for %s/%s; keeping neutral row", own_id, own_agent.value)
+    if (own_id, own_agent) not in stats:
+        logger.warning("no statistics for %s/%s; keeping neutral row", own_id, own_agent.value)
         return [SynergyEntry() for _ in counterpart_ids]
 
     fit = solve_synergy(build_regression(executions, own_id, own_agent, stats, counterpart_ids))

@@ -383,7 +383,7 @@ def optimize_plan(
             lacking += 1
             missing = missing or exc
             continue
-        if cost < best_cost or (cost == best_cost and best is None):
+        if cost < best_cost:
             best, best_cost, best_key = plan, cost, None
         elif cost == best_cost:
             # A tie: compare keys, the best plan's computed once per best.

@@ -1,8 +1,9 @@
 """File-backed document collections: the persistent knowledge base.
 
-Five collections, one newline-delimited JSON file each: task_properties
-(symbolic task definitions), task_results (measured executions), task_duration
-(expected durations), task_synergy (one document per coefficient), and plans.
+Four collections, one newline-delimited JSON file each: task_results
+(measured executions), task_duration (expected durations), task_synergy (one
+document per coefficient), and plans.  Any other file under the root, such as
+an older store's task_properties.jsonl, is ignored.
 Documents are keyed by their "id" field; an upsert replaces in place so
 insertion order is stable.  Every upsert is durable when it returns and takes
 one of two paths, chosen by its input:
@@ -55,19 +56,12 @@ from .model import AgentId, TimeInterval
 
 T = TypeVar("T")
 
-COLLECTIONS = ("task_properties", "task_results", "task_duration", "task_synergy", "plans")
+COLLECTIONS = ("task_results", "task_duration", "task_synergy", "plans")
 
 _NUMBER = (int, float)
 
 # Required fields and accepted types per collection.
 _SCHEMAS: dict[str, dict[str, tuple]] = {
-    "task_properties": {
-        "id": (str,),
-        "action": (str,),
-        "agents": (list,),
-        "region": (str,),
-        "description": (str,),
-    },
     "task_results": {
         "id": (str,),
         "plan_id": (str,),

@@ -35,7 +35,6 @@ def _simulate_per_plan(store_dir, plans, seed, config=None):
     cfg = load_world_config(config)
     domain = build_domain(cfg)
     store = Store(store_dir)
-    store.upsert_many("task_properties", cli._catalog_docs(cfg))
     makespans = []
     for k in range(plans):
         plan = random_plan(domain, seed=[seed, k, 0])
@@ -82,7 +81,8 @@ class TestSimulate:
         a, b = tmp_path / "a", tmp_path / "b"
         for store_dir in (a, b):
             assert _run("simulate", "--store", store_dir, "--plans", 3, "--seed", 5) == 0
-        for name in ("task_properties", "task_results", "plans"):
+        assert sorted(path.name for path in a.iterdir()) == ["plans.jsonl", "task_results.jsonl"]
+        for name in ("task_results", "plans"):
             assert filecmp.cmp(a / f"{name}.jsonl", b / f"{name}.jsonl", shallow=False)
 
     def test_custom_config_overrides_defaults(self, tmp_path):
@@ -192,6 +192,8 @@ class TestSimulate:
              "tasks.pick_white.agent must be a string or a list of strings, got 5"),
             ("tasks:\n  pick_blue_h: {region: sharde}\n",
              "tasks.pick_blue_h.region names no region in regions, got 'sharde'"),
+            ("process:\n  - {pick: place_white, place: pick_white, count: 1, color: white}\n",
+             "process[0].pick must name a pick task, got 'place_white', a place task"),
         ],
         ids=[
             "base_duration_nan", "base_duration_inf", "cv_inf", "cv_nan", "red_nan", "free_inf",
@@ -201,7 +203,7 @@ class TestSimulate:
             "seed_fraction", "base_duration_null", "zone_fraction_bool", "cv_too_large",
             "task_field_typo", "section_typo", "process_field_typo", "region_zone_typo",
             "unknown_speed_zone", "region_list", "description_mapping", "color_list", "agent_mapping",
-            "agent_number", "region_typo",
+            "agent_number", "region_typo", "step_actions_swapped",
         ],
     )
     def test_non_finite_config_value_is_rejected(self, tmp_path, capsys, text, reason):
@@ -269,13 +271,13 @@ class TestSimulate:
         fsyncs = _count_fsyncs(monkeypatch)
         assert _run(*simulate) == 0
         assert _files(store_dir) == before
-        assert len(fsyncs) == 3  # one rewrite per collection
+        assert len(fsyncs) == 2  # one rewrite per collection
 
     @pytest.mark.parametrize("plans", [1, 5, 20])
     def test_fsyncs_once_per_collection(self, tmp_path, monkeypatch, plans):
         fsyncs = _count_fsyncs(monkeypatch)
         assert _run("simulate", "--store", tmp_path / "s", "--plans", plans, "--seed", 2) == 0
-        assert len(fsyncs) == 3
+        assert len(fsyncs) == 2
 
     @pytest.mark.parametrize("plans", [1, 4])
     def test_encodes_each_document_once(self, tmp_path, monkeypatch, plans):
@@ -289,8 +291,7 @@ class TestSimulate:
 
         monkeypatch.setattr(store_mod, "_dumps", counting_dumps)
         assert _run("simulate", "--store", tmp_path / "s", "--plans", plans, "--seed", 2) == 0
-        catalog = len(load_world_config().tasks)
-        assert encoded == (24 + 1) * plans + catalog
+        assert encoded == (24 + 1) * plans
 
 
 class TestEstimate:
@@ -318,13 +319,6 @@ class TestEstimate:
         store_dir = tmp_path / "s"
         store = Store(store_dir)
         store.upsert_many(
-            "task_properties",
-            [
-                {"id": "r_task", "action": "pick", "agents": ["robot"], "region": "x", "description": ""},
-                {"id": "h_task", "action": "pick", "agents": ["human"], "region": "x", "description": ""},
-            ],
-        )
-        store.upsert_many(
             "task_results",
             [
                 {
@@ -340,11 +334,57 @@ class TestEstimate:
             ],
         )
         assert _run("estimate", "--store", store_dir) == 0
-        human_rows = Store(store_dir).query("task_synergy", {"agent": "human"})
-        assert human_rows, "human rows must exist even without human records"
-        assert all(doc["coefficient"] == 1.0 for doc in human_rows)
-        assert all(doc["sample_count"] == 0 for doc in human_rows)
+        # The human executed nothing, so no row of either agent has a column.
+        assert [doc["id"] for doc in Store(store_dir).query("task_duration")] == ["r_task:robot"]
+        assert Store(store_dir).query("task_synergy") == []
+        stats, matrix = cli._load_estimates(Store(store_dir))
+        assert list(stats) == [("r_task", AgentId.ROBOT)]
+        for agent, own, other in ((AgentId.HUMAN, "h_task", "r_task"), (AgentId.ROBOT, "r_task", "h_task")):
+            entry = matrix.get(agent, own, other)
+            assert (entry.coefficient, entry.sample_count) == (1.0, 0)
+        out = tmp_path / "report"
+        assert _run("report", "--store", store_dir, "--out", out) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["coefficients.csv", "durations.csv"]
 
+    def test_task_lists_come_from_the_executions(self, tmp_path):
+        # An older store's catalog lists r_ghost, never executed, and leaves out h_b.
+        store_dir = tmp_path / "s"
+        store_dir.mkdir()
+        (store_dir / "task_properties.jsonl").write_text(
+            "".join(
+                json.dumps({"id": t, "action": "pick", "agents": [a], "region": "x", "description": ""})
+                + "\n"
+                for t, a in (("h_a", "human"), ("r_a", "robot"), ("r_ghost", "robot"))
+            )
+        )
+        records = [("h_a", "human", 0.0, 4.0), ("r_a", "robot", 1.0, 9.0), ("h_b", "human", 5.0, 8.0)]
+        Store(store_dir).upsert_many(
+            "task_results",
+            [
+                {
+                    "id": f"p{k}:{j:04d}",
+                    "plan_id": f"p{k}",
+                    "task_id": task_id,
+                    "agent": agent,
+                    "start": start + 0.1 * k,
+                    "end": end + 0.2 * k,
+                    "success": True,
+                }
+                for k in range(3)
+                for j, (task_id, agent, start, end) in enumerate(records)
+            ],
+        )
+        assert _run("estimate", "--store", store_dir) == 0
+        store = Store(store_dir)
+        durations = [(doc["task_id"], doc["agent"]) for doc in store.query("task_duration")]
+        assert durations == [("h_a", "human"), ("r_a", "robot"), ("h_b", "human")]
+        synergy = store.query("task_synergy")
+        # Each agent's rows are its duration tasks, its columns the other agent's.
+        for agent, other in (("human", "robot"), ("robot", "human")):
+            own = [t for t, a in durations if a == agent]
+            columns = [t for t, a in durations if a == other]
+            rows = [(doc["task_id"], doc["other_task_id"]) for doc in synergy if doc["agent"] == agent]
+            assert rows == [(t, c) for t in own for c in columns]
 
     def test_zero_length_record_is_skipped_with_a_warning(self, tmp_path, caplog):
         good, bad = tmp_path / "good", tmp_path / "bad"
@@ -491,19 +531,10 @@ class TestCorruptStore:
     @pytest.mark.parametrize(
         "collection, edit, reason",
         [
-            ("task_properties", lambda doc: doc.pop("agents"), "field 'agents' is required"),
-            ("task_properties", lambda doc: doc.update(agents="human"), "field 'agents' has invalid type str"),
-            ("task_properties", lambda doc: doc.update(agents=["hman"]), "'hman' is not a valid AgentId"),
             ("task_results", lambda doc: doc.pop("task_id"), "field 'task_id' is required"),
             ("task_results", lambda doc: doc.update(agent=7), "field 'agent' has invalid type int"),
         ],
-        ids=[
-            "catalog_no_agents",
-            "catalog_agents_text",
-            "catalog_unknown_agent",
-            "record_no_task_id",
-            "record_agent_number",
-        ],
+        ids=["record_no_task_id", "record_agent_number"],
     )
     def test_unreadable_task_list(
         self, tmp_path, capsys, file_reads, command, collection, edit, reason
@@ -511,8 +542,6 @@ class TestCorruptStore:
         store_dir = tmp_path / "s"
         assert _run("simulate", "--store", store_dir, "--plans", 2, "--seed", 4) == 0
         assert _run("estimate", "--store", store_dir) == 0
-        if collection == "task_results":
-            (store_dir / "task_properties.jsonl").unlink()  # the lists then come from the records
         path = store_dir / f"{collection}.jsonl"
         docs = [json.loads(line) for line in path.read_text().splitlines()]
         edit(docs[2])
@@ -554,6 +583,22 @@ class TestPlanCommand:
         doc = Store(store_dir).get("plans", "optimized")
         robot_lane = doc["order"]["robot"]
         assert not [uid for uid in robot_lane if uid.startswith("place_blue_r")]
+
+    def test_one_agent_campaign_plans_from_its_durations(self, tmp_path, capsys):
+        config = tmp_path / "world.yaml"
+        config.write_text("process:\n  - {pick: pick_white, place: place_white, count: 2, color: white}\n")
+        store_dir = tmp_path / "s"
+        assert _run("simulate", "--store", store_dir, "--config", config, "--plans", 3) == 0
+        assert _run("estimate", "--store", store_dir) == 0
+        assert Store(store_dir).query("task_synergy") == []
+        assert _run("plan", "--store", store_dir, "--config", config, "--budget", 10) == 0
+        assert "  robot: (idle)\n" in capsys.readouterr().out
+        # Durations of both agents without synergy entries are not estimates.
+        assert _run("simulate", "--store", store_dir, "--plans", 3) == 0
+        assert _run("estimate", "--store", store_dir) == 0
+        (store_dir / "task_synergy.jsonl").unlink()
+        assert _run("plan", "--store", store_dir, "--budget", 10) == 1
+        assert "lacks duration or synergy estimates" in capsys.readouterr().err
 
 
 class TestReportCommand:
@@ -607,8 +652,12 @@ class TestReportCommand:
         assert _run("estimate", "--store", store_dir) == 0
         assert _run("report", "--store", store_dir, "--out", out) == 0
         assert len(Store(store_dir).query("task_synergy")) == 32  # two 4x4 matrices
-        tasks = load_world_config().tasks.values()
-        human, robot = ([t.id for t in tasks if a in t.eligible_agents] for a in (AgentId.HUMAN, AgentId.ROBOT))
+        # Tasks come in order of first execution in the traces.
+        records = Store(store_dir).query("task_results")
+        human, robot = (
+            list(dict.fromkeys(doc["task_id"] for doc in records if doc["agent"] == a))
+            for a in ("human", "robot")
+        )
         rows = [line.split(",") for line in (out / "synergy_robot.csv").read_text().splitlines()]
         assert rows[0] == ["robot_task"] + human
         assert [row[0] for row in rows[1:]] == robot
@@ -633,19 +682,14 @@ class TestPipeline:
 
         monkeypatch.setattr(Store, "_load", recording_load)
         for command, flags, collections in [
-            ("simulate", ("--plans", 2), ["task_properties", "task_results", "plans"]),
-            ("estimate", (), ["task_results", "task_properties"]),
+            ("simulate", ("--plans", 2), ["task_results", "plans"]),
+            ("estimate", (), ["task_results"]),
             ("plan", ("--budget", 5), ["task_duration", "task_synergy", "plans"]),
             ("report", (), ["task_duration", "task_synergy"]),
         ]:
             parsed.clear()
             assert _run(command, "--store", store_dir, *flags) == 0
             assert parsed == collections, command
-        # Without a catalog the task lists come from the traces already read.
-        (store_dir / "task_properties.jsonl").unlink()
-        parsed.clear()
-        assert _run("estimate", "--store", store_dir) == 0
-        assert parsed == ["task_results", "task_properties"]
 
     @pytest.mark.parametrize("command", ["estimate", "plan", "report"])
     def test_reading_a_missing_store_leaves_it_absent(self, tmp_path, capsys, command):
@@ -661,7 +705,6 @@ class TestPipeline:
 
     def test_all_collections_known(self):
         assert set(COLLECTIONS) == {
-            "task_properties",
             "task_results",
             "task_duration",
             "task_synergy",

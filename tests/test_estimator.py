@@ -348,7 +348,7 @@ class TestEstimateSynergyMatrix:
         s_true = [2.0, 0.5, 1.0]
         traces = _synthetic_traces(s_true)
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, len(traces))])
-        matrix = estimate_synergy_matrix(group_executions(traces), stats, ["h0", "h1", "h2"], ["r1"])
+        matrix = estimate_synergy_matrix(group_executions(traces), stats)
         for j, expected in enumerate(s_true):
             entry = matrix.get(R, "r1", f"h{j}")
             assert entry.coefficient == pytest.approx(expected, abs=1e-9)
@@ -361,7 +361,7 @@ class TestEstimateSynergyMatrix:
         stats = stats_table(
             [DurationStats("r1", R, 10.0, 0.0, 1), DurationStats("h1", H, 8.0, 0.0, 1)]
         )
-        matrix = estimate_synergy_matrix(group_executions(traces), stats, ["h1"], ["r1"])
+        matrix = estimate_synergy_matrix(group_executions(traces), stats)
         for agent, own, other in ((R, "r1", "h1"), (H, "h1", "r1")):
             entry = matrix.get(agent, own, other)
             assert entry.coefficient == 1.0
@@ -374,21 +374,23 @@ class TestEstimateSynergyMatrix:
         stats = stats_table(
             [DurationStats("r1", R, 10.0, 0.0, 1), DurationStats("h1", H, 4.0, 0.0, 1)]
         )
-        matrix = estimate_synergy_matrix(group_executions(traces), stats, ["h1"], ["r1"])
+        matrix = estimate_synergy_matrix(group_executions(traces), stats)
         assert matrix.get(R, "r1", "h1").sample_count == 1
         assert matrix.get(H, "h1", "r1").sample_count == 1
 
     def test_missing_side_defaults_without_aborting(self):
         traces = [_trace("p", _rec("r1", R, 0, 10))]
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 1)])
-        matrix = estimate_synergy_matrix(group_executions(traces), stats, ["h1"], ["r1"])
+        matrix = estimate_synergy_matrix(group_executions(traces), stats)
+        # The human executed nothing: no row has a column, and every pair is neutral.
+        assert matrix.entries == {R: {}, H: {}}
         assert matrix.get(H, "h1", "r1").sample_count == 0
 
     def test_deterministic(self):
         traces = _synthetic_traces([1.4, 0.9], seed=7)
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, len(traces))])
-        first = estimate_synergy_matrix(group_executions(traces), stats, ["h0", "h1"], ["r1"])
-        second = estimate_synergy_matrix(group_executions(traces), stats, ["h0", "h1"], ["r1"])
+        first = estimate_synergy_matrix(group_executions(traces), stats)
+        second = estimate_synergy_matrix(group_executions(traces), stats)
         assert first == second
 
     def test_damped_regression_is_logged(self, caplog):
@@ -406,9 +408,9 @@ class TestEstimateSynergyMatrix:
         well_posed = _synthetic_traces([1.4, 0.9], seed=7)
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 4)])
         with caplog.at_level(logging.WARNING, logger="tandem.estimator"):
-            estimate_synergy_matrix(group_executions(well_posed), stats, ["h0", "h1"], ["r1"])
+            estimate_synergy_matrix(group_executions(well_posed), stats)
             assert not [m for m in caplog.messages if "damped" in m]
-            estimate_synergy_matrix(group_executions(traces), stats, ["h0", "h1"], ["r1"])
+            estimate_synergy_matrix(group_executions(traces), stats)
         damped = [m for m in caplog.messages if "damped" in m]
         assert damped == ["ill-conditioned regression for r1/robot; damped columns: h0, h1"]
 
@@ -418,7 +420,7 @@ class TestEstimateSynergyMatrix:
         traces.append(_trace("bad", _rec("r1", R, 0.0, 500.0)))
         stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 31)])
         kept, _ = cli._kept_executions(traces, "iqr")
-        clean = estimate_synergy_matrix(kept, stats, ["h0", "h1"], ["r1"])
+        clean = estimate_synergy_matrix(kept, stats)
         for j in range(2):
             assert clean.get(R, "r1", f"h{j}").coefficient == pytest.approx(1.0, abs=1e-6)
 
@@ -529,10 +531,13 @@ class TestSinglePassMatchesFilterTwice:
     @pytest.mark.parametrize("config_path", [None, FLEXIBLE_WORKCELL], ids=["default", "flexible"])
     def test_same_stats_and_matrix(self, config_path):
         cfg = load_world_config(config_path)
-        human = [t.id for t in cfg.tasks.values() if H in t.eligible_agents]
-        robot = [t.id for t in cfg.tasks.values() if R in t.eligible_agents]
         for seed in (3, 11):
             traces = _campaign(cfg, seed, 40)
+            # The task lists in order of first execution.
+            human, robot = (
+                list(dict.fromkeys(rec.task_id for t in traces for rec in t.records if rec.agent is a))
+                for a in (H, R)
+            )
             # One corrupted run: far outside anything the simulator produces.
             traces.append(_trace("bad", _rec(robot[0], R, 0.0, 500.0)))
             counts = {}
@@ -540,9 +545,9 @@ class TestSinglePassMatchesFilterTwice:
                 kept, stats = cli._kept_executions(traces, strategy)
                 want = _reference_duration_stats(traces, strategy)
                 assert stats == want
-                assert estimate_synergy_matrix(
-                    kept, stats_table(stats), human, robot
-                ) == _reference_synergy_matrix(traces, stats_table(want), human, robot, strategy)
+                assert estimate_synergy_matrix(kept, stats_table(stats)) == _reference_synergy_matrix(
+                    traces, stats_table(want), human, robot, strategy
+                )
                 counts[strategy] = {(s.task_id, s.agent): s.count for s in stats}
             # The fence drops the planted run and the strategies differ.
             assert 500.0 not in [duration for duration, _ in kept[(robot[0], R)]]

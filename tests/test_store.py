@@ -40,9 +40,6 @@ def _record_doc(doc_id="p1:0000"):
 
 # One valid document per collection, and an edit that breaks its schema.
 VALID = {
-    "task_properties": {
-        "id": "pick_white", "action": "pick", "agents": ["human"], "region": "table", "description": "",
-    },
     "task_results": _record_doc(),
     "task_duration": _duration_doc(),
     "task_synergy": {
@@ -52,7 +49,6 @@ VALID = {
     "plans": {"id": "plan-0000", "assignment": {}, "order": {}, "makespan": 8.0, "kind": "simulated"},
 }
 INVALID = {
-    "task_properties": ({"agents": "human"}, "field 'agents' has invalid type str"),
     "task_results": ({"start": True}, "field 'start' has invalid type bool"),
     "task_duration": ({"count": 12.0}, "field 'count' has invalid type float"),
     "task_synergy": ({"coefficient": None}, "field 'coefficient' has invalid type NoneType"),
