@@ -57,7 +57,7 @@ from .model import (
 )
 from .planner import CandidatePlan, optimize_plan, random_plan
 from .simulator import program_from_plan, simulate_plan
-from .store import Store
+from .store import AGENT_VALUES, Store
 
 ENV_STORE = "TANDEM_STORE"
 DEFAULT_STORE = "tandem_store"
@@ -79,8 +79,8 @@ def _store_root(args: argparse.Namespace) -> Path:
 def _plan_doc(plan_id: str, plan: CandidatePlan, makespan: float, kind: str) -> dict:
     return {
         "id": plan_id,
-        "assignment": {uid: agent.value for uid, agent in plan.assignment.items()},
-        "order": {agent.value: list(plan.order[agent]) for agent in AgentId},
+        "assignment": {uid: AGENT_VALUES[agent] for uid, agent in plan.assignment.items()},
+        "order": {value: list(plan.order[agent]) for agent, value in AGENT_VALUES.items()},
         "makespan": makespan,
         "kind": kind,
     }
@@ -155,9 +155,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "task_duration",
         [
             {
-                "id": f"{s.task_id}:{s.agent.value}",
+                "id": f"{s.task_id}:{AGENT_VALUES[s.agent]}",
                 "task_id": s.task_id,
-                "agent": s.agent.value,
+                "agent": AGENT_VALUES[s.agent],
                 "mean": s.mean,
                 "std": s.std,
                 "count": s.count,
@@ -169,8 +169,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     matrix = estimate_synergy_matrix(executions, stats_table(stats))
     synergy_docs = [
         {
-            "id": f"{agent.value}:{own}:{other}",
-            "agent": agent.value,
+            "id": f"{AGENT_VALUES[agent]}:{own}:{other}",
+            "agent": AGENT_VALUES[agent],
             "task_id": own,
             "other_task_id": other,
             "coefficient": entry.coefficient,

@@ -303,6 +303,9 @@ def _validate(raw: dict) -> WorldConfig:
         str(k): _number(v, f"objects.{k}", integer=True)
         for k, v in _mapping(raw["objects"], "objects").items()
     }
+    for color, n in objects.items():
+        if n < 0:
+            raise ConfigError(f"objects.{color} must be non-negative, got {n}")
     seed = _number(raw["seed"], "seed", integer=True)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
@@ -324,7 +327,7 @@ def _validate(raw: dict) -> WorldConfig:
         except KeyError as exc:
             raise ConfigError(f"process[{i}] is missing field {exc.args[0]!r}") from None
         if step.count < 0:
-            raise ConfigError(f"process step for {step.pick!r} has negative count")
+            raise ConfigError(f"process[{i}].count must be non-negative, got {step.count}")
         for field, task_id in (("pick", step.pick), ("place", step.place)):
             if task_id not in tasks:
                 raise ConfigError(f"process references unknown task {task_id!r}")

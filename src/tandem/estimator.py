@@ -17,7 +17,8 @@ slow each other down when run concurrently.
 
 The overlap fractions come from the grouping scan: it runs one sweep per
 trace and direction (`model.overlap_pairs`) over the trace's two start-sorted
-lanes and pairs each execution with its (counterpart task, fraction) list;
+lanes, whose starts and ends each trace keeps, and pairs each execution with
+its (counterpart task, fraction) list;
 each regression row then adds those pairs into the columns.
 """
 
@@ -72,33 +73,39 @@ class ExecutionTrace:
     """All execution records of one plan run, both agents.
 
     Records of the same agent must not overlap.  Each agent's lane, the
-    positions of its successful records sorted by start, is computed once
-    per trace and kept on it.
+    positions of its successful records sorted by (start, end) with their
+    starts and ends in that order, is computed once per trace and kept on it.
     """
 
     plan_id: str
     records: tuple[ExecutionRecord, ...]
 
     def __post_init__(self) -> None:
-        for agent, lane in self._lanes.items():
-            for k, j in zip(lane, lane[1:]):
-                prev, cur = self.records[k], self.records[j]
-                if cur.interval.start < prev.interval.end - TIME_EPS:
+        for agent, (positions, starts, ends) in self._lanes.items():
+            for i in range(1, len(positions)):
+                if starts[i] < ends[i - 1] - TIME_EPS:
+                    prev, cur = self.records[positions[i - 1]], self.records[positions[i]]
                     raise OverlappingRecords(
                         f"records of {agent.value} overlap in plan {self.plan_id!r}: "
                         f"{prev.task_id!r} and {cur.task_id!r}",
-                        j,
+                        positions[i],
                     )
 
     @cached_property
-    def _lanes(self) -> dict[AgentId, list[int]]:
-        records = self.records
-        lanes: dict[AgentId, list[int]] = {agent: [] for agent in AgentId}
-        for k, rec in enumerate(records):
+    def _lanes(self) -> dict[AgentId, tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]]:
+        """Per agent, (positions, starts, ends) of its successful records in lane order."""
+        entries: dict[AgentId, list[tuple[float, float, int]]] = {agent: [] for agent in AgentId}
+        for k, rec in enumerate(self.records):
             if rec.success:
-                lanes[rec.agent].append(k)
-        for lane in lanes.values():
-            lane.sort(key=lambda k: (records[k].interval.start, records[k].interval.end))
+                interval = rec.interval
+                entries[rec.agent].append((interval.start, interval.end, k))
+        lanes = {}
+        for agent, lane in entries.items():
+            # Finite bounds and distinct positions: the order of a stable
+            # sort on (start, end).
+            lane.sort()
+            starts, ends, positions = zip(*lane) if lane else ((), (), ())
+            lanes[agent] = (positions, starts, ends)
         return lanes
 
 
@@ -188,8 +195,9 @@ def group_executions(
     Each execution is (duration, pairs): the record's measured duration and
     the (counterpart task id, overlap fraction) of every counterpart record
     that overlaps it, in start order, from one `model.overlap_pairs` sweep per
-    trace and direction.  Groups come in order of first appearance; a group
-    keeps trace then record order.  A record of non-positive duration can be
+    trace and direction over the starts and ends that the trace's lanes keep;
+    only the counterpart task ids are read from the records.  Groups come in
+    order of first appearance; a group keeps trace then record order.  A record of non-positive duration can be
     neither a duration sample nor a regression row: it is skipped, and one
     warning counts the skips.
     """
@@ -198,31 +206,27 @@ def group_executions(
     for trace in traces:
         records = trace.records
         lanes = trace._lanes
-        # Each lane's starts, ends and task ids, in lane order.
-        spans = {}
-        for agent, lane in lanes.items():
-            starts, ends, task_ids = [], [], []
-            for k in lane:
-                rec = records[k]
-                starts.append(rec.interval.start)
-                ends.append(rec.interval.end)
-                task_ids.append(rec.task_id)
-            spans[agent] = (starts, ends, task_ids)
-        # Each successful record's pairs, by its position in the trace.
-        overlaps: list[list[tuple[str, float]] | None] = [None] * len(records)
-        for agent, lane in lanes.items():
-            starts, ends, _ = spans[agent]
-            other_starts, other_ends, other_ids = spans[agent.counterpart]
-            for k, pairs in zip(lane, overlap_pairs(starts, ends, other_starts, other_ends)):
-                overlaps[k] = [(other_ids[j], delta) for j, delta in pairs]
-        for rec, pairs in zip(records, overlaps):
-            if not rec.success:
+        # Each successful record's execution, by its position in the trace.
+        executions: list[Execution | None] = [None] * len(records)
+        for agent, (positions, starts, ends) in lanes.items():
+            other_positions, other_starts, other_ends = lanes[agent.counterpart]
+            other_ids = [records[j].task_id for j in other_positions]
+            for k, start, end, pairs in zip(
+                positions, starts, ends, overlap_pairs(starts, ends, other_starts, other_ends)
+            ):
+                executions[k] = (end - start, [(other_ids[j], delta) for j, delta in pairs])
+        for rec, execution in zip(records, executions):
+            if execution is None:
                 continue
-            duration = rec.interval.end - rec.interval.start
-            if duration <= 0.0:
+            if execution[0] <= 0.0:
                 skipped += 1
                 continue
-            groups.setdefault((rec.task_id, rec.agent), []).append((duration, pairs))
+            key = (rec.task_id, rec.agent)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [execution]
+            else:
+                group.append(execution)
     if skipped:
         logger.warning("skipped %d successful records of non-positive duration", skipped)
     return groups
@@ -260,9 +264,8 @@ def build_regression(
             j = columns.get(task_id)
             if j is not None:
                 deltas[j] += delta
-        covered = math.fsum(deltas)
-        rows.append([d_hat * d for d in deltas])
-        response.append(duration - d_hat * (1.0 - covered))
+        rows.append(deltas)
+        response.append(duration - d_hat * (1.0 - math.fsum(deltas)))
 
     if not rows:
         raise NoSamples(own_task_id)
@@ -270,7 +273,8 @@ def build_regression(
         own_task_id=own_task_id,
         own_agent=own_agent,
         response=np.asarray(response, dtype=float),
-        design=np.asarray(rows, dtype=float).reshape(len(rows), m),
+        # One scale of the whole matrix: the same multiply per entry as row by row.
+        design=d_hat * np.asarray(rows, dtype=float).reshape(len(rows), m),
         column_labels=tuple(counterpart_tasks),
     )
 

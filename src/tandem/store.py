@@ -25,16 +25,20 @@ document.  Concurrent writers must be serialized by the caller.
 
 One module-level JSON encoder writes every document (sorted keys, no
 spaces, UTF-8 text) and one decoder reads every line, after the
-byte-order-mark check that json.loads makes.  `_SCHEMAS` is the one table of
-each collection's fields and their types: every write and every read checks
-each document against it.  `Store.read` turns documents into values through
-a caller's decoder; `export_traces` turns task_results documents straight into
-execution records, with a value-to-member table for the agent, and groups them
-into traces by the plan_id that `record_traces` writes from each trace: a
-record has no plan id of its own.  A line that
-does not parse, breaks the schema or is rejected by either decoder raises
-CorruptStore naming its line, as the read's one parse numbered it: no error
-reads the file again.
+byte-order-mark check that json.loads makes: its `raw_decode` first, one C
+scan, and its full `decode` only for a line whose document does not end it
+(whitespace around it, extra data or no document), so every line returns or
+raises what json.loads would.  `_SCHEMAS` is the one table of each
+collection's fields and their types: every write and every read checks each
+document against it.  `Store.read` turns documents into values through a
+caller's decoder; `export_traces` turns task_results documents straight into
+execution records, and groups them into traces by the plan_id that
+`record_traces` writes from each trace: a record has no plan id of its own.
+`_AGENTS` maps each stored agent value to its agent for `export_traces`, and
+`AGENT_VALUES` each agent to its stored value for every document writer.  A
+line that does not parse, breaks the schema or is rejected by either decoder
+raises CorruptStore naming its line, as the read's one parse numbered it: no
+error reads the file again.
 
 Durability is per upsert, so a caller that batches sets its own unit:
 `record_traces` writes any number of traces as one upsert, and `tandem
@@ -105,9 +109,21 @@ _DECODER = json.JSONDecoder()
 
 
 def _loads(line: str):
-    """One document line, decoded as json.loads would, byte-order-mark check included."""
+    """One document line, decoded as json.loads would, byte-order-mark check included.
+
+    A line that is exactly one document takes one C scan; any other line
+    (whitespace around the document, extra data or no document) goes through
+    the full decode, which returns or raises what json.loads would.
+    """
     if line.startswith("\ufeff"):
         raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+    try:
+        doc, end = _DECODER.raw_decode(line)
+    except json.JSONDecodeError:
+        pass
+    else:
+        if end == len(line):
+            return doc
     return _DECODER.decode(line)
 
 
@@ -309,7 +325,7 @@ class Store:
                     "id": f"{trace.plan_id}:{k:04d}",
                     "plan_id": trace.plan_id,
                     "task_id": rec.task_id,
-                    "agent": rec.agent.value,
+                    "agent": AGENT_VALUES[rec.agent],
                     "start": rec.interval.start,
                     "end": rec.interval.end,
                     "success": rec.success,
@@ -335,9 +351,11 @@ class Store:
                 rec = _record(doc)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise self._corrupt("task_results", lines, doc_id, exc) from exc
-            records, ids = by_plan.setdefault(doc["plan_id"], ([], []))
-            records.append(rec)
-            ids.append(doc_id)
+            plan = by_plan.get(doc["plan_id"])
+            if plan is None:
+                plan = by_plan[doc["plan_id"]] = ([], [])
+            plan[0].append(rec)
+            plan[1].append(doc_id)
         traces = []
         for pid, (records, ids) in by_plan.items():
             try:
@@ -347,8 +365,10 @@ class Store:
         return traces
 
 
-# Agents by stored value: a lookup in place of the enum's constructor.
+# Agents by stored value, and stored values by agent: lookups in place of
+# the enum's constructor and its value property, which cost a Python call each.
 _AGENTS = {agent.value: agent for agent in AgentId}
+AGENT_VALUES = {agent: agent.value for agent in AgentId}
 
 
 def _record(doc: dict) -> ExecutionRecord:

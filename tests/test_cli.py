@@ -194,6 +194,10 @@ class TestSimulate:
              "tasks.pick_blue_h.region names no region in regions, got 'sharde'"),
             ("process:\n  - {pick: place_white, place: pick_white, count: 1, color: white}\n",
              "process[0].pick must name a pick task, got 'place_white', a place task"),
+            ("objects: {white: -3}\n", "objects.white must be non-negative, got -3"),
+            ("objects: {purple: -1}\n", "objects.purple must be non-negative, got -1"),
+            ("process:\n  - {pick: pick_white, place: place_white, count: -1, color: white}\n",
+             "process[0].count must be non-negative, got -1"),
         ],
         ids=[
             "base_duration_nan", "base_duration_inf", "cv_inf", "cv_nan", "red_nan", "free_inf",
@@ -203,7 +207,8 @@ class TestSimulate:
             "seed_fraction", "base_duration_null", "zone_fraction_bool", "cv_too_large",
             "task_field_typo", "section_typo", "process_field_typo", "region_zone_typo",
             "unknown_speed_zone", "region_list", "description_mapping", "color_list", "agent_mapping",
-            "agent_number", "region_typo", "step_actions_swapped",
+            "agent_number", "region_typo", "step_actions_swapped", "objects_negative",
+            "object_unused_negative", "process_count_negative",
         ],
     )
     def test_non_finite_config_value_is_rejected(self, tmp_path, capsys, text, reason):

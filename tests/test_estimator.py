@@ -18,6 +18,7 @@ from tandem.errors import (
     MissingDuration,
     NonPositiveSample,
     NoSamples,
+    OverlappingRecords,
 )
 from tandem.estimator import (
     ExecutionRecord,
@@ -144,6 +145,62 @@ class TestTraceTypes:
         assert groups[("h2", H)] == [(6.0, [("r1", 4.0 / 6.0)])]
         assert groups[("h0", H)] == [(2.0, [("r1", 1.0)])]
         assert groups[("h4", H)] == [(1.0, [])]
+
+    def test_lanes_and_overlaps_with_ties(self):
+        # Equal starts, two zero-length robot records at one instant, and
+        # records stored out of start order.
+        records = (
+            _rec("r2", R, 5, 9),
+            _rec("h1", H, 0, 3),
+            _rec("r0", R, 5, 5),
+            _rec("r1", R, 0, 5),
+            _rec("r0", R, 5, 5),
+            _rec("h2", H, 3, 7),
+            _rec("h0", H, 0, 0),
+            _rec("h3", H, 7, 12, success=False),
+            _rec("r3", R, 9, 12),
+        )
+        trace = _trace("p", *records)
+        for agent in AgentId:
+            mine = [k for k, rec in enumerate(records) if rec.agent is agent and rec.success]
+            order = sorted(mine, key=lambda k: (records[k].interval.start, records[k].interval.end))
+            positions, starts, ends = trace._lanes[agent]
+            assert list(positions) == order
+            assert list(starts) == [records[k].interval.start for k in order]
+            assert list(ends) == [records[k].interval.end for k in order]
+        assert trace._lanes[R][0] == (3, 2, 4, 0, 8)
+        assert trace._lanes[H][0] == (6, 1, 5)
+        # The same groups recomputed from each record's interval, pairwise.
+        want = {}
+        for rec in records:
+            duration = rec.interval.end - rec.interval.start
+            if not rec.success or duration <= 0.0:
+                continue
+            others = [o for o in records if o.agent is rec.agent.counterpart and o.success]
+            others.sort(key=lambda o: (o.interval.start, o.interval.end))
+            ratios = [(o.task_id, overlap_ratio(rec.interval, o.interval)) for o in others]
+            pairs = [(task_id, delta) for task_id, delta in ratios if delta > 0.0]
+            want.setdefault((rec.task_id, rec.agent), []).append((duration, pairs))
+        assert group_executions([trace]) == want
+        assert list(group_executions([trace])) == list(want)
+
+    @pytest.mark.parametrize(
+        "records, index, names",
+        [
+            # Stored out of start order: the later one in the lane is stored first.
+            ((_rec("b", R, 2, 6), _rec("a", R, 0, 4)), 0, "'a' and 'b'"),
+            # Equal starts, a zero-length record first in the lane.
+            ((_rec("a", R, 3, 3), _rec("b", R, 3, 8), _rec("c", R, 3, 5)), 1, "'c' and 'b'"),
+            # A zero-length record inside another.
+            ((_rec("h", H, 0, 1), _rec("a", R, 0, 4), _rec("z", R, 2, 2)), 2, "'a' and 'z'"),
+        ],
+        ids=["out_of_order", "equal_starts", "zero_length_inside"],
+    )
+    def test_overlap_names_the_later_record(self, records, index, names):
+        with pytest.raises(OverlappingRecords) as err:
+            _trace("p", *records)
+        assert err.value.index == index
+        assert str(err.value) == f"records of robot overlap in plan 'p': {names}"
 
     def test_group_keeps_trace_then_record_order(self):
         # Records of one type stored last-first keep their stored order.

@@ -396,6 +396,40 @@ class TestReadErrors:
         assert Store(tmp_path).query("task_duration") == [doc]
 
 
+_GOOD = _dumps(_record_doc())
+_PLAN = _dumps(
+    {
+        "id": "p1",
+        "assignment": {"pick_white#1": "human", "pick_orange#1": "robot"},
+        "order": {"human": ["pick_white#1"], "robot": ["pick_orange#1"]},
+        "makespan": 14.5,
+        "kind": "simulated",
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        _GOOD, " " + _GOOD, _GOOD + "\r", _GOOD + "\t", _GOOD + " ", _GOOD + _GOOD, _GOOD + "x",
+        _GOOD[:-3], "\ufeff" + _GOOD, "[1, 2]", '"text"', "null", _PLAN,
+    ],
+    ids=[
+        "compact", "leading_space", "trailing_cr", "trailing_tab", "trailing_space",
+        "two_documents", "garbage_after", "truncated", "bom", "list", "string", "null", "plan",
+    ],
+)
+def test_line_decode_matches_json_loads(line):
+    try:
+        want = json.loads(line)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(json.JSONDecodeError) as err:
+            store_mod._loads(line)
+        assert (err.value.msg, err.value.pos) == (exc.msg, exc.pos)
+    else:
+        assert store_mod._loads(line) == want
+
+
 def _small_trace(plan_id="p1"):
     return ExecutionTrace(
         plan_id,
