@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from math import inf, isfinite
 
 # Absolute tolerance for time comparisons, in seconds.
@@ -89,6 +90,10 @@ class SynergyMatrix:
 
     Unobserved pairs default to the neutral entry (coefficient 1.0,
     sample_count 0), so an empty matrix models fully decoupled agents.
+    ``lower_factors``, computed once per matrix and kept on it, holds for
+    each agent and own task a factor that no coupled duration of that task
+    falls below, as a fraction of its mean; the planner prices a plan's
+    lower bound with it.
     """
 
     entries: Mapping[AgentId, Mapping[tuple[str, str], SynergyEntry]] = field(
@@ -97,6 +102,41 @@ class SynergyMatrix:
 
     def get(self, agent: AgentId, own_task: str, counterpart_task: str) -> SynergyEntry:
         return self.entries.get(agent, {}).get((own_task, counterpart_task), NEUTRAL_SYNERGY)
+
+    @cached_property
+    def lower_factors(self) -> dict[AgentId, dict[str, float]]:
+        """Per agent and own task, a factor at most every coupled_lane_durations factor of the task.
+
+        A task whose stored coefficients are all at least 1 reads 1.0, and
+        exactly so: c * delta >= delta rounds to no less than delta, and
+        both sums add their terms in the same order, so every coupled
+        duration is at least its mean, bit for bit.  Otherwise the factor is
+        the smallest stored coefficient c_min less a margin, floored at 0:
+        the overlap fractions of one task sum to at most 1, so
+        1 + sum (c - 1) * delta >= c_min, and 1e-9 * (2 + the largest
+        coefficient in the matrix) covers the rounding of the fractions, of
+        their sums and of 1 + (coupled - covered) for up to millions of
+        overlaps per task.  An unstored pair's neutral 1.0 lowers neither
+        case, and a task with no stored coefficient has no key and reads
+        1.0.  Only min and max combine the entries, so the table follows no
+        iteration order.  Like the entries, the table is keyed by agent,
+        then by own task id.
+        """
+        smallest: dict[AgentId, dict[str, float]] = {}
+        largest = 0.0
+        for agent, table in self.entries.items():
+            low = smallest[agent] = {}
+            for (own, _), entry in table.items():
+                c = entry.coefficient
+                if c < low.get(own, inf):
+                    low[own] = c
+                if c > largest:
+                    largest = c
+        margin = 1e-9 * (2.0 + largest)
+        return {
+            agent: {own: 1.0 if c >= 1.0 else max(0.0, c - margin) for own, c in low.items()}
+            for agent, low in smallest.items()
+        }
 
 
 @dataclass(frozen=True)

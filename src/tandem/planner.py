@@ -25,6 +25,18 @@ the merge needs; ends then grow along each lane, so a round's makespan is
 the later of the two lanes' last ends.  The result equals, bit for bit, an
 all-pairs O(n_h * n_r) scan of the same formula; the tests keep that scan
 as their reference.
+
+Search prices each candidate against the best cost so far, an exact
+branch-and-bound (Land & Doig, 1960).  ``SynergyMatrix.lower_factors``
+gives, per agent and own task, a factor that no coupled duration of the task
+falls below, as a fraction of its mean: 1.0 when every stored coefficient of
+the task is at least 1, else its smallest coefficient less a rounding
+margin.  When a candidate's first round already costs more than the best,
+one more replay with each mean times its factor bounds every round from
+below, since dispatch only takes maxima and sums; a bound strictly above the
+best skips the fixed point.  Only plans that cost strictly more are skipped,
+so ties are still priced and the chosen plan and its cost are the ones
+found without the bound.
 """
 
 from __future__ import annotations
@@ -226,23 +238,56 @@ def _dispatch_order(
     return at, slot_of, n_human, steps
 
 
+def _replay(
+    steps: list[tuple[int, int, int]],
+    durations: list[float],
+    starts: list[float],
+    ends: list[float],
+    n_human: int,
+) -> float:
+    """One serial dispatch of the steps under the durations; returns its makespan.
+
+    Fills starts and ends per slot; ends[len(durations)] is the sentinel, 0.0,
+    and stays so.  The makespan is the later of the two lanes' last ends,
+    since ends grow along a lane; an empty lane reads the sentinel's.
+    """
+    for k, prev, dep in steps:
+        start = ends[prev]
+        if ends[dep] > start:
+            start = ends[dep]
+        starts[k] = start
+        ends[k] = start + durations[k]
+    makespan = ends[n_human - 1]
+    last = ends[len(durations) - 1]
+    return last if last > makespan else makespan
+
+
 def predict_makespan(
     domain: PlanningDomain,
     plan: CandidatePlan,
     stats: StatsMap,
     synergy: SynergyMatrix,
+    cutoff: float = math.inf,
 ) -> float:
     """Predicted plan cost: the slower agent's finish time at the fixed point.
 
     Durations start at each task's expected value; the serial dispatch they
     induce determines overlap fractions, which rescale the durations, until
     the makespan moves by less than MAKESPAN_TOL between rounds.  The
-    dispatch order is found once and every round replays it.  A round's
-    makespan is the later of the two lanes' last ends, since ends grow along
-    a lane; an empty lane reads the 0.0 of the end sentinel.  The empty plan
-    costs 0.0.  Raises InvalidProgram for a plan that validate_plan rejects,
-    MissingDuration for a task on an agent without duration statistics, and
-    NonConvergence after MAX_FIXED_POINT_ITERATIONS rounds.
+    dispatch order is found once and every round replays it.  The empty
+    plan costs 0.0.
+
+    A plan that provably costs more than ``cutoff`` returns math.inf
+    unpriced: when the first round's makespan exceeds the cutoff, the steps
+    are replayed once more with each mean times its task's
+    ``synergy.lower_factors`` entry.  No round's duration falls below that
+    and the replay is monotone, so this lower bound is at most every
+    round's makespan; when it is strictly above the cutoff, every outcome
+    of the fixed point is too.  Any other plan returns what it returns
+    without a cutoff.  Raises InvalidProgram for a plan that validate_plan
+    rejects, MissingDuration for a task on an agent without duration
+    statistics, and NonConvergence after MAX_FIXED_POINT_ITERATIONS rounds;
+    a bounded plan never raises NonConvergence.
     """
     at, slot_of, n_human, steps = _dispatch_order(domain, plan)
     n = len(at)
@@ -271,24 +316,25 @@ def predict_makespan(
                 by_spec[spec] = [entries.get((spec, o), NEUTRAL_SYNERGY).coefficient for o in other]
             rows.append(by_spec[spec])
 
-    durations = means
     starts = [0.0] * n
-    ends = [0.0] * (n + 1)  # ends[n] stays 0.0: when a lane's first task may start
-    previous = None
-    for _ in range(MAX_FIXED_POINT_ITERATIONS):
-        for k, prev, dep in steps:
-            start = ends[prev]
-            if ends[dep] > start:
-                start = ends[dep]
-            starts[k] = start
-            ends[k] = start + durations[k]
-        makespan = ends[n_human - 1]
-        if ends[n - 1] > makespan:
-            makespan = ends[n - 1]
-        if previous is not None and abs(makespan - previous) < MAKESPAN_TOL:
-            return makespan
+    ends = [0.0] * (n + 1)
+    makespan = _replay(steps, means, starts, ends, n_human)
+    if makespan > cutoff:
+        factors = synergy.lower_factors
+        human = factors.get(AgentId.HUMAN, {})
+        robot = factors.get(AgentId.ROBOT, {})
+        floors = [mean * human.get(spec, 1.0) for mean, spec in zip(means[:n_human], specs)]
+        floors += [
+            mean * robot.get(spec, 1.0) for mean, spec in zip(means[n_human:], specs[n_human:])
+        ]
+        if _replay(steps, floors, [0.0] * n, [0.0] * (n + 1), n_human) > cutoff:
+            return math.inf
+    for _ in range(MAX_FIXED_POINT_ITERATIONS - 1):
         previous = makespan
         durations = coupled_lane_durations(means, rows, starts, ends, n_human)
+        makespan = _replay(steps, durations, starts, ends, n_human)
+        if abs(makespan - previous) < MAKESPAN_TOL:
+            return makespan
     raise NonConvergence(
         f"makespan did not settle within {MAX_FIXED_POINT_ITERATIONS} iterations"
     )
@@ -348,10 +394,16 @@ def optimize_plan(
     differ only across lanes are one) is evaluated once, otherwise `budget`
     seeded random plans are.  Ties break on the lexicographic assignment
     vector, then the orderings, so the result is independent of evaluation
-    order.  Candidates whose fixed point fails to converge, or that put a
-    task on an agent without duration statistics, are skipped with one
-    logged warning that counts both among the evaluated plans; MissingDuration
-    is raised only when no candidate could be evaluated and one lacked them.
+    order.  Each candidate is priced with the best cost so far as its
+    cutoff, so a plan that provably costs more comes back as math.inf
+    without its fixed point; only a plan that could win or tie is priced in
+    full, and the result is the one a search without cutoffs finds.
+    Candidates whose fixed point fails to converge, or that put a task on an
+    agent without duration statistics, are skipped with one logged warning
+    that counts both among the evaluated plans and names how many more were
+    bounded out: non-convergence is counted only among the plans priced in
+    full.  MissingDuration is raised only when no candidate could be
+    evaluated and one lacked them.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -371,11 +423,12 @@ def optimize_plan(
     evaluated = 0
     non_converged = 0
     lacking = 0
+    bounded = 0
     missing: MissingDuration | None = None
     for plan in candidates:
         evaluated += 1
         try:
-            cost = predict_makespan(domain, plan, stats, synergy)
+            cost = predict_makespan(domain, plan, stats, synergy, best_cost)
         except NonConvergence:
             non_converged += 1
             continue
@@ -383,7 +436,9 @@ def optimize_plan(
             lacking += 1
             missing = missing or exc
             continue
-        if cost < best_cost:
+        if cost == math.inf:
+            bounded += 1
+        elif cost < best_cost:
             best, best_cost, best_key = plan, cost, None
         elif cost == best_cost:
             # A tie: compare keys, the best plan's computed once per best.
@@ -395,8 +450,9 @@ def optimize_plan(
     skipped = non_converged + lacking
     if skipped:
         logger.warning(
-            "skipped %d of %d candidates: %d did not converge, %d lack duration statistics",
-            skipped, evaluated, non_converged, lacking,
+            "skipped %d of %d candidates: %d did not converge, %d lack duration statistics; "
+            "%d more were bounded out unpriced",
+            skipped, evaluated, non_converged, lacking, bounded,
         )
     if best is None:
         if missing is not None:

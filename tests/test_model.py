@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tandem.model import (
+    COEFFICIENT_FLOOR,
     AgentId,
     DurationStats,
     SynergyEntry,
@@ -387,6 +388,78 @@ def test_overlap_pairs_is_the_window_coupled_durations_prices():
                 for k, (s, e) in enumerate(zip(other_start, other_end))
             ]
             assert own_pairs == [(k, r) for k, r in ratios if r > 0.0]
+
+
+def test_lower_factors_per_own_task():
+    matrix = SynergyMatrix({
+        H: {
+            ("a", "x"): SynergyEntry(0.5),
+            ("a", "y"): SynergyEntry(2.0),
+            ("b", "x"): SynergyEntry(1.0),
+            ("b", "y"): SynergyEntry(3.0),
+        },
+        R: {("x", "a"): SynergyEntry(COEFFICIENT_FLOOR)},
+    })
+    margin = 1e-9 * (2.0 + 3.0)
+    assert matrix.lower_factors == {
+        H: {"a": 0.5 - margin, "b": 1.0},
+        R: {"x": COEFFICIENT_FLOOR - margin},
+    }
+    # A margin above the smallest coefficient floors its factor at 0.
+    wide = SynergyMatrix(
+        {R: {("x", "a"): SynergyEntry(COEFFICIENT_FLOOR), ("x", "b"): SynergyEntry(5000.0)}}
+    )
+    assert wide.lower_factors == {R: {"x": 0.0}}
+    assert SynergyMatrix().lower_factors == {}
+
+
+def test_lower_factors_bound_every_coupled_duration():
+    """No task's coupled duration falls below its mean times its matrix factor.
+
+    A factor of 1.0 holds bit for bit; a smaller one is close to tight when
+    a task is covered by counterparts of its smallest coefficient.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng(2026)
+    levels = (COEFFICIENT_FLOOR, 0.05, 0.4, 0.9, 1.0, 1.3, 3.0, 50.0)
+    specs = ("s0", "s1", "s2")
+    slack = {"exact": math.inf, "below one": math.inf}
+    for case in range(1500):
+        chosen = rng.choice(levels, size=int(rng.integers(1, 4)), replace=False)
+        matrix = SynergyMatrix({
+            agent: {
+                (own, other): SynergyEntry(float(rng.choice(chosen)))
+                for own in specs
+                for other in specs
+                if rng.random() < 0.7
+            }
+            for agent in AgentId
+        })
+        n_human, n_robot = (int(x) for x in rng.integers(0, 9, size=2))
+        human_start, human_end = _random_lane(rng, n_human)
+        robot_start, robot_end = _random_lane(rng, n_robot)
+        starts, ends = human_start + robot_start, human_end + robot_end
+        if case % 3 == 0:  # late clock readings round every fraction
+            starts = [t + 1e5 for t in starts]
+            ends = [t + 1e5 for t in ends]
+        own_specs = [specs[int(x)] for x in rng.integers(0, 3, size=n_human + n_robot)]
+        agents = [H] * n_human + [R] * n_robot
+        rows = [
+            [
+                matrix.get(agent, spec, other).coefficient
+                for other in (own_specs[n_human:] if agent is H else own_specs[:n_human])
+            ]
+            for agent, spec in zip(agents, own_specs)
+        ]
+        means = [float(x) for x in rng.uniform(1.0, 20.0, size=len(agents))]
+        durations = coupled_lane_durations(means, rows, starts, ends, n_human)
+        for agent, spec, mean, duration in zip(agents, own_specs, means, durations):
+            factor = matrix.lower_factors[agent].get(spec, 1.0)
+            assert duration >= mean * factor
+            kind = "exact" if factor == 1.0 else "below one"
+            slack[kind] = min(slack[kind], duration / mean - factor)
+    assert slack == {"exact": 0.0, "below one": pytest.approx(0.0, abs=1e-6)}
 
 
 def test_reimport_releases_the_previous_copy():

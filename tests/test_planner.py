@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import tandem.planner as planner_mod
+from tandem import cli
 from tandem.config import build_domain, load_world_config, make_world_config
 from tandem.errors import (
     InfeasibleDomain,
@@ -39,6 +40,7 @@ from tandem.planner import (
     validate_plan,
 )
 from tandem.simulator import program_from_plan
+from tandem.store import Store
 
 H, R = AgentId.HUMAN, AgentId.ROBOT
 BOTH = frozenset({H, R})
@@ -537,6 +539,64 @@ class TestKernelMatchesReference:
         assert smallest[0] < 1e-5  # some round priced a task close to the floor
 
 
+# Coefficient levels for the cutoff tests: the floor, below 1, neutral,
+# above 1 and large.
+COEFFICIENT_LEVELS = (COEFFICIENT_FLOOR, 0.05, 0.4, 0.9, 1.0, 1.3, 3.0, 50.0)
+
+
+def _leveled_synergy(rng, specs):
+    """A matrix whose coefficients come from a random subset of COEFFICIENT_LEVELS.
+
+    Some subsets hold no level below 1, so both kinds of lower factor occur.
+    """
+    levels = rng.choice(COEFFICIENT_LEVELS, size=int(rng.integers(1, 4)), replace=False)
+    return SynergyMatrix({
+        agent: {
+            (own, other): SynergyEntry(float(rng.choice(levels)))
+            for own in specs
+            for other in specs
+            if rng.random() < 0.7
+        }
+        for agent in AgentId
+    })
+
+
+class TestCutoff:
+    def test_bounds_only_plans_that_cost_strictly_more(self, monkeypatch):
+        """Against the uncut outcome of each plan, for cutoffs at, just below and under its cost.
+
+        Bounds are counted apart for matrices whose lower factors are all
+        1.0 and for those with one below 1.
+        """
+        rng = np.random.default_rng(7)
+        bounded = {"exact": 0, "below one": 0}
+        for i in range(150):
+            domain, stats, _ = _random_problem(rng)
+            synergy = _leveled_synergy(rng, sorted({inst.spec_id for inst in domain.instances}))
+            # A low round cap on every fourth problem makes NonConvergence common.
+            cap = int(rng.integers(2, 8)) if i % 4 == 0 else 100
+            monkeypatch.setattr(planner_mod, "MAX_FIXED_POINT_ITERATIONS", cap)
+            plans = [random_plan(domain, seed=[i, k]) for k in range(4)]
+            uncut = [_outcome(predict_makespan, domain, plan, stats, synergy) for plan in plans]
+            costs = [cost for cost in uncut if cost != "NonConvergence"]
+            for plan, cost in zip(plans, uncut):
+                cutoffs = [math.inf, *costs]
+                if cost != "NonConvergence":
+                    cutoffs += [math.nextafter(cost, -math.inf), cost / 2]
+                for cutoff in cutoffs:
+                    got = _outcome(predict_makespan, domain, plan, stats, synergy, cutoff)
+                    if got != math.inf:
+                        assert got == cost
+                        assert got == "NonConvergence" or got.hex() == cost.hex()
+                        continue
+                    # Only a plan that costs strictly more, or that would not
+                    # converge, is bounded out; cutoff == cost never is.
+                    assert cost == "NonConvergence" or cost > cutoff
+                    factors = [f for table in synergy.lower_factors.values() for f in table.values()]
+                    bounded["below one" if min(factors, default=1.0) < 1.0 else "exact"] += 1
+        assert min(bounded.values()) > 20
+
+
 def _brute_force_plans(domain):
     """Independent exhaustive enumeration of assignments and interleavings."""
     uids = [inst.uid for inst in domain.instances]
@@ -786,12 +846,18 @@ class TestOptimizePlan:
         del stats[("pick1", R)]
         predict = planner_mod.predict_makespan
         calls = []
+        bounded = []
 
         def every_third_fails(*args):
+            # The cutoff comes positionally, after the four arguments.
+            assert len(args) == 5
             calls.append(1)
             if len(calls) % 3 == 0:
                 raise NonConvergence("forced")
-            return predict(*args)
+            cost = predict(*args)
+            if cost == math.inf:
+                bounded.append(1)
+            return cost
 
         monkeypatch.setattr(planner_mod, "predict_makespan", every_third_fails)
         with caplog.at_level(logging.WARNING, logger="tandem.planner"):
@@ -801,12 +867,13 @@ class TestOptimizePlan:
             for i in range(30)
             if (i + 1) % 3
         )
-        assert lacking > 0
+        assert lacking > 0 and bounded
         (record,) = caplog.records
         assert record.levelno == logging.WARNING
         assert record.getMessage() == (
             f"skipped {10 + lacking} of 30 candidates: "
-            f"10 did not converge, {lacking} lack duration statistics"
+            f"10 did not converge, {lacking} lack duration statistics; "
+            f"{len(bounded)} more were bounded out unpriced"
         )
 
     def test_no_warning_when_nothing_is_skipped(self, caplog):
@@ -872,3 +939,72 @@ def test_predictions_match_the_recorded_golden_hash():
             digest.update(("NC" if outcome == "NonConvergence" else outcome.hex()).encode() + b"\n")
     assert "NonConvergence" in outcomes and len(set(outcomes)) > 300
     assert digest.hexdigest() == GOLDEN_PREDICTIONS_SHA256
+
+
+THREE_PAIRS_WORKCELL = """\
+tasks:
+  pick_blue_h: {agent: [human, robot]}
+process:
+  - {pick: pick_orange, place: place_orange, count: 1, color: orange}
+  - {pick: pick_white, place: place_white, count: 1, color: white}
+  - {pick: pick_blue_h, place: place_blue_h, count: 1, color: blue}
+"""
+
+
+@pytest.mark.parametrize(
+    "workcell, budget",
+    [("default", 500), ("flexible", 500), ("three_pairs", 300)],
+)
+def test_search_with_cutoffs_chooses_the_plan_of_a_search_without_them(
+    tmp_path, monkeypatch, capsys, workcell, budget
+):
+    """Estimates from a real campaign; the bounded search against a cutoff-free loop.
+
+    The loop prices the candidates optimize_plan saw, skips those it cannot
+    price, and keeps the smallest (cost, plan key): the same tie rule.
+    """
+    config = {
+        "default": None,
+        "flexible": FLEXIBLE_WORKCELL,
+        "three_pairs": tmp_path / "three_pairs.yaml",
+    }[workcell]
+    if workcell == "three_pairs":
+        config.write_text(THREE_PAIRS_WORKCELL)
+    config_args = [] if config is None else ["--config", str(config)]
+    store = tmp_path / "store"
+    seed = 7000001
+    common = ["--store", str(store), "--seed", str(seed), *config_args]
+    assert cli.main(["simulate", "--plans", "30", *common]) == 0
+    assert cli.main(["estimate", "--store", str(store)]) == 0
+    capsys.readouterr()
+    stats, synergy = cli._load_estimates(Store(store))
+    domain = build_domain(load_world_config(config))
+
+    predict = planner_mod.predict_makespan
+    seen, returns = [], []
+
+    def recording(*args):
+        seen.append(args[1])
+        returns.append(predict(*args))
+        return returns[-1]
+
+    monkeypatch.setattr(planner_mod, "predict_makespan", recording)
+    best = optimize_plan(domain, stats, synergy, budget=budget, seed=seed)
+    monkeypatch.undo()
+
+    if workcell == "three_pairs":
+        assert len(seen) == 15  # the exhaustive path
+    else:
+        assert seen == [random_plan(domain, seed=[seed, i]) for i in range(budget)]
+    if workcell == "flexible":
+        assert math.inf in returns  # the bound skipped some fixed points
+    priced = []
+    for plan in seen:
+        try:
+            cost = predict_makespan(domain, plan, stats, synergy)
+        except (NonConvergence, MissingDuration):
+            continue
+        priced.append((cost, planner_mod._plan_key(domain, plan)))
+    cost, key = min(priced)
+    assert best.predicted_makespan.hex() == cost.hex()
+    assert planner_mod._plan_key(domain, best) == key
