@@ -185,21 +185,29 @@ def coupled_lane_durations(
     added in the other lane's order.  Each lane must be in start order with
     no overlapping tasks, as serial dispatch leaves it while every duration
     is positive: a mean above 0 and every coefficient at least
-    COEFFICIENT_FLOOR keep it so.  One merge prices each overlapping pair
-    once for both its tasks: the robot pointer stops at the first task
-    starting at or after the human task's end, or at one reaching past that
-    end (it may overlap the next human task), and never moves back; an
-    infinite start after the robot lane stops it at the lane's end.  The
-    sums of the robot task under the pointer are carried in two locals and
-    priced when the pointer moves past it, or after the human lane for a
-    task still open then; a task the pointer never reaches keeps its mean,
-    which is what the formula gives with no overlap.
+    COEFFICIENT_FLOOR keep it so.  starts and ends are read only at slots
+    below len(means), so they may be longer, as the planner's ends are by
+    its sentinel, or exactly that long.
+
+    One merge prices each overlapping pair once for both its tasks: the
+    robot pointer walks slots n_human..n-1, stops at the first task starting
+    at or after the human task's end, or at one reaching past that end (it
+    may overlap the next human task), and never moves back.  When it moves
+    onto a task it reads that task's start, end and length once.  The sums
+    of the robot task under the pointer are carried in two locals and priced
+    when the pointer moves past it, or after the human lane for a task still
+    open then; a task the pointer never reaches keeps its mean, which is
+    what the formula gives with no overlap.
     """
     n = len(means)
     out = list(means)
-    other_starts = [*starts[n_human:n], inf]
-    j = 0
-    other_s = other_starts[0]
+    k = n_human  # the robot slot under the pointer; n once it has left the lane
+    if k < n:
+        other_s = starts[k]
+        other_e = ends[k]
+        other_len = other_e - other_s
+    else:
+        other_s = inf
     other_coupled = 0.0
     other_covered = 0.0
     for i, own_s, own_e, row, mean in zip(range(n_human), starts, ends, rows, means):
@@ -207,16 +215,14 @@ def coupled_lane_durations(
         own_coupled = 0.0
         own_covered = 0.0
         while other_s < own_e:
-            k = n_human + j
-            other_e = ends[k]
             lo = own_s if own_s > other_s else other_s
             hi = own_e if own_e < other_e else other_e
             if hi > lo:
                 span = hi - lo
                 delta = span / own_len
-                own_coupled += row[j] * delta
+                own_coupled += row[k - n_human] * delta
                 own_covered += delta
-                delta = span / (other_e - other_s)
+                delta = span / other_len
                 other_coupled += rows[k][i] * delta
                 other_covered += delta
             if other_e > own_e:
@@ -224,11 +230,15 @@ def coupled_lane_durations(
             out[k] = means[k] * (1.0 + (other_coupled - other_covered))
             other_coupled = 0.0
             other_covered = 0.0
-            j += 1
-            other_s = other_starts[j]
+            k += 1
+            if k < n:
+                other_s = starts[k]
+                other_e = ends[k]
+                other_len = other_e - other_s
+            else:
+                other_s = inf
         out[i] = mean * (1.0 + (own_coupled - own_covered))
-    if other_s < inf:
-        k = n_human + j
+    if k < n:
         out[k] = means[k] * (1.0 + (other_coupled - other_covered))
     return out
 

@@ -111,6 +111,11 @@ class PlanningDomain:
         return tuple(tuple(sorted(inst.eligible, key=lambda a: a.value)) for inst in self.instances)
 
     @functools.cached_property
+    def _flexible_positions(self) -> tuple[int, ...]:
+        """Domain positions of the instances that both agents may run."""
+        return tuple(i for i, choices in enumerate(self._eligible_by_value) if len(choices) > 1)
+
+    @functools.cached_property
     def _prereq_positions(self) -> tuple[int, ...]:
         """Domain position of each instance's prerequisite, -1 for none."""
         prereq = [-1] * len(self.instances)
@@ -148,7 +153,7 @@ def _random_linearization(domain: PlanningDomain, rng: np.random.Generator) -> l
     linearizations.
     """
     uids = domain._uids
-    order = [uids[i] for i in rng.permutation(len(uids))]
+    order = [uids[i] for i in rng.permutation(len(uids)).tolist()]
     position = {uid: i for i, uid in enumerate(order)}
     for before, after in domain.precedence:
         i, j = position[before], position[after]
@@ -161,21 +166,27 @@ def _random_linearization(domain: PlanningDomain, rng: np.random.Generator) -> l
 def random_plan(domain: PlanningDomain, seed) -> CandidatePlan:
     """Sample a valid plan: eligible agent per task, random interleaving.
 
-    Deterministic per seed.
+    Deterministic per seed.  The m tasks that both agents may run take their
+    agents from one ``rng.integers(2, size=m)`` call, in domain order; a
+    single-agent task takes no draw.  A bounded draw of this size takes one
+    32-bit word of the stream whether it comes alone or in an array, so the
+    stream, and with it every plan, is the one that m scalar draws give.
     """
     eligible = domain._eligible_by_value
     rng = np.random.default_rng(seed)
-    assignment: dict[str, AgentId] = {}
-    for uid, choices in zip(domain._uids, eligible):
-        if len(choices) == 1:  # rng.integers(1) is 0 and leaves the stream as it was
-            assignment[uid] = choices[0]
-        else:
-            assignment[uid] = choices[int(rng.integers(len(choices)))]
-    linear = _random_linearization(domain, rng)
-    order = {
-        agent: tuple(uid for uid in linear if assignment[uid] is agent) for agent in AgentId
-    }
-    return CandidatePlan(assignment=assignment, order=order)
+    agents = [choices[0] for choices in eligible]
+    flexible = domain._flexible_positions
+    if flexible:  # an empty draw leaves the stream as it is but costs a numpy call
+        for pos, draw in zip(flexible, rng.integers(2, size=len(flexible)).tolist()):
+            agents[pos] = eligible[pos][draw]
+    assignment = dict(zip(domain._uids, agents))
+    human: list[str] = []
+    robot: list[str] = []
+    for uid in _random_linearization(domain, rng):
+        (human if assignment[uid] is AgentId.HUMAN else robot).append(uid)
+    return CandidatePlan(
+        assignment=assignment, order={AgentId.HUMAN: tuple(human), AgentId.ROBOT: tuple(robot)}
+    )
 
 
 def _dispatch_order(
@@ -275,7 +286,9 @@ def predict_makespan(
     induce determines overlap fractions, which rescale the durations, until
     the makespan moves by less than MAKESPAN_TOL between rounds.  The
     dispatch order is found once and every round replays it.  The empty
-    plan costs 0.0.
+    plan costs 0.0.  Means are looked up in domain order, so MissingDuration
+    names the first domain instance that lacks statistics, and the
+    coefficient rows are built only for a plan that reaches the fixed point.
 
     A plan that provably costs more than ``cutoff`` returns math.inf
     unpriced: when the first round's makespan exceeds the cutoff, the steps
@@ -302,20 +315,7 @@ def predict_makespan(
             raise MissingDuration(inst.spec_id, agent)
         means[slot_of[pos]] = stats[key].mean
 
-    # Coefficient rows against the counterpart lane, one per own spec.
     specs = [domain.instances[pos].spec_id for pos in at]
-    rows: list[list[float]] = []
-    for agent, own, other in (
-        (AgentId.HUMAN, specs[:n_human], specs[n_human:]),
-        (AgentId.ROBOT, specs[n_human:], specs[:n_human]),
-    ):
-        entries = synergy.entries.get(agent, {})
-        by_spec: dict[str, list[float]] = {}
-        for spec in own:
-            if spec not in by_spec:
-                by_spec[spec] = [entries.get((spec, o), NEUTRAL_SYNERGY).coefficient for o in other]
-            rows.append(by_spec[spec])
-
     starts = [0.0] * n
     ends = [0.0] * (n + 1)
     makespan = _replay(steps, means, starts, ends, n_human)
@@ -329,6 +329,19 @@ def predict_makespan(
         ]
         if _replay(steps, floors, [0.0] * n, [0.0] * (n + 1), n_human) > cutoff:
             return math.inf
+
+    # Coefficient rows against the counterpart lane, one per own spec.
+    rows: list[list[float]] = []
+    for agent, own, other in (
+        (AgentId.HUMAN, specs[:n_human], specs[n_human:]),
+        (AgentId.ROBOT, specs[n_human:], specs[:n_human]),
+    ):
+        entries = synergy.entries.get(agent, {})
+        by_spec: dict[str, list[float]] = {}
+        for spec in own:
+            if spec not in by_spec:
+                by_spec[spec] = [entries.get((spec, o), NEUTRAL_SYNERGY).coefficient for o in other]
+            rows.append(by_spec[spec])
     for _ in range(MAX_FIXED_POINT_ITERATIONS - 1):
         previous = makespan
         durations = coupled_lane_durations(means, rows, starts, ends, n_human)

@@ -284,10 +284,13 @@ def test_two_lane_kernel_equals_the_one_lane_sweep_each_way():
         ) + _coupled_durations(
             robot_means, robot_rows, robot_start, robot_end, human_start, human_end
         )
-        got = coupled_lane_durations(
-            human_means + robot_means, human_rows + robot_rows, starts, ends, n_human
-        )
-        assert got == want
+        # ends as long as means, and with the planner's sentinel after them:
+        # the kernel reads starts and ends only within the two lanes.
+        for lane_ends in (ends, [*ends, 0.0]):
+            got = coupled_lane_durations(
+                human_means + robot_means, human_rows + robot_rows, starts, lane_ends, n_human
+            )
+            assert got == want
         human = list(zip(human_start, human_end))
         robot = list(zip(robot_start, robot_end))
         cases = [
@@ -303,6 +306,7 @@ def test_two_lane_kernel_equals_the_one_lane_sweep_each_way():
             ("the last human task ends inside a robot task",
              bool(human) and any(r[0] < human[-1][1] < r[1] and _overlap(human[-1], r) > 0.0
                                  for r in robot)),
+            ("a robot task the pointer never reaches", _unreached(human, robot)),
         ]
         seen.update(name for name, hit in cases if hit)
     assert seen == {
@@ -315,6 +319,7 @@ def test_two_lane_kernel_equals_the_one_lane_sweep_each_way():
         "equal ends",
         "zero-length task at the pointer",
         "the last human task ends inside a robot task",
+        "a robot task the pointer never reaches",
     }
 
 
@@ -325,6 +330,17 @@ def _overlap(a, b):
 def _covers_several(lane, other):
     """Some task of `lane` shares more than an endpoint with two or more tasks of `other`."""
     return any(sum(_overlap(task, o) > 0.0 for o in other) >= 2 for task in lane)
+
+
+def _unreached(human, robot):
+    """Some robot task lies past the one the merge's pointer ends on.
+
+    The pointer passes every robot task that starts before the human lane's
+    last end and ends by then, and stops at the first other one.
+    """
+    last = human[-1][1] if human else -math.inf
+    stop = next((k for k, (s, e) in enumerate(robot) if s >= last or e > last), len(robot))
+    return stop < len(robot) - 1
 
 
 def _point_inside(lane, other):

@@ -247,6 +247,15 @@ class TestPredictMakespan:
             predict_makespan(domain, plan, {}, SynergyMatrix())
         assert str(err.value) == "no duration statistics for task 't' for agent robot"
 
+    def test_missing_duration_names_the_first_domain_instance(self):
+        # The human lane's slots come first, yet the error follows domain order.
+        domain = PlanningDomain(
+            (TaskInstance("a", "r_task", frozenset({R})), TaskInstance("b", "h_task", frozenset({H})))
+        )
+        plan = CandidatePlan(assignment={"a": R, "b": H}, order={H: ("b",), R: ("a",)})
+        with pytest.raises(MissingDuration, match="^no duration statistics for task 'r_task'"):
+            predict_makespan(domain, plan, {}, SynergyMatrix())
+
     def test_cross_agent_precedence_adds_wait(self):
         domain = PlanningDomain(
             (
@@ -939,6 +948,33 @@ def test_predictions_match_the_recorded_golden_hash():
             digest.update(("NC" if outcome == "NonConvergence" else outcome.hex()).encode() + b"\n")
     assert "NonConvergence" in outcomes and len(set(outcomes)) > 300
     assert digest.hexdigest() == GOLDEN_PREDICTIONS_SHA256
+
+
+# SHA-256 of the 2,000 plans below, recorded while random_plan drew one
+# scalar per task that both agents may run.
+GOLDEN_SAMPLES_SHA256 = "e2dccfb40bd26702267d911bcee092c8400d7b56539eaebbb1b3156c3c1be5e9"
+
+
+def test_sampled_plans_match_the_recorded_golden_hash():
+    """random_plan(domain, seed=[s, i]) for s < 5 and i < 200 on both workcells.
+
+    The sampled search draws its candidates with seeds of this form, and
+    simulate its plans with random_plan too, so any change to the sampling
+    stream shows here.  Each plan hashes as its agents in domain order,
+    then the human and robot lanes.
+    """
+    digest = hashlib.sha256()
+    for config in (load_world_config(), load_world_config(FLEXIBLE_WORKCELL)):
+        domain = build_domain(config)
+        for s in range(5):
+            for i in range(200):
+                plan = random_plan(domain, seed=[s, i])
+                fields = [
+                    " ".join(plan.assignment[inst.uid].value for inst in domain.instances),
+                    *(" ".join(plan.order[agent]) for agent in AgentId),
+                ]
+                digest.update(("|".join(fields) + "\n").encode())
+    assert digest.hexdigest() == GOLDEN_SAMPLES_SHA256
 
 
 THREE_PAIRS_WORKCELL = """\
