@@ -21,23 +21,6 @@ class EmptySampleSet(TandemError):
     """An operation that needs at least one sample received none."""
 
 
-class NonPositiveSample(TandemError):
-    """A duration sample was zero or negative."""
-
-    def __init__(self, index: int, value: float):
-        self.index = index
-        self.value = value
-        super().__init__(f"sample {index} is not positive: {value}")
-
-
-class NoSamples(TandemError):
-    """No executions of a task were found in the supplied traces."""
-
-    def __init__(self, task_id: str):
-        self.task_id = task_id
-        super().__init__(f"no executions of task {task_id!r} in the trace set")
-
-
 class EmptyProblem(TandemError):
     """A regression problem with zero rows cannot be solved."""
 

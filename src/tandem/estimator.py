@@ -5,15 +5,17 @@ success flag; the trace that holds it names the plan.  One scan over the
 traces groups the successful executions by (task type, agent), each as its
 measured duration and its overlap pairs, and the caller filters each group's
 outliers once; the kept executions feed both the duration statistics and the
-regressions.  For every task type executed by an agent, the measured
-durations of its kept executions form the samples of a least-squares
-regression: the regressors are the overlap fractions in the same run
-against each task type the other agent executed (scaled by the task's
-expected duration) and the response is the measured duration minus the idle
-term, i.e. the part of the task window with no concurrent counterpart work
-valued at the nominal rate.  Solving the normal equations per task yields one
-row of the synergy matrix; a coefficient above 1 marks a pair of tasks that
-slow each other down when run concurrently.
+regressions.  Each group's statistics come from the same groups, so every
+group has them; a group without them raises `MissingDuration`.  For every
+task type executed by an agent, the measured durations of its kept
+executions form the samples of a least-squares regression: the regressors
+are the overlap fractions in the same run against each task type the other
+agent executed (scaled by the task's expected duration) and the response is
+the measured duration minus the idle term, i.e. the part of the task window
+with no concurrent counterpart work valued at the nominal rate.  Solving the
+normal equations per task yields one row of the synergy matrix; a
+coefficient above 1 marks a pair of tasks that slow each other down when run
+concurrently.
 
 The overlap fractions come from the grouping scan: it runs one sweep per
 trace and direction (`model.overlap_pairs`) over the trace's two start-sorted
@@ -32,14 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    EmptyProblem,
-    EmptySampleSet,
-    MissingDuration,
-    NonPositiveSample,
-    NoSamples,
-    OverlappingRecords,
-)
+from .errors import EmptyProblem, EmptySampleSet, MissingDuration, OverlappingRecords
 from .model import (
     COEFFICIENT_FLOOR,
     SIDES,
@@ -122,16 +117,13 @@ class RegressionProblem:
     """Per-task regression: response and design matrix over counterpart types.
 
     Row k corresponds to the k-th given execution of the own task.  Column j
-    corresponds to ``column_labels[j]``; its entries are the expected own
-    duration times the overlap fraction against all instances of that
-    counterpart type in the execution's run.
+    corresponds to the j-th counterpart type given to ``build_regression``;
+    its entries are the expected own duration times the overlap fraction
+    against all instances of that counterpart type in the execution's run.
     """
 
-    own_task_id: str
-    own_agent: AgentId
     response: np.ndarray
     design: np.ndarray
-    column_labels: tuple[str, ...]
 
     @property
     def n_samples(self) -> int:
@@ -151,13 +143,11 @@ class SynergyFit:
 def expected_duration(samples: Sequence[float]) -> tuple[float, float, int]:
     """Mean, sample standard deviation (n-1 denominator), and count.
 
-    A single sample has std 0 by convention.
+    A single sample has std 0 by convention.  The samples are durations that
+    ``group_executions`` kept, so each is positive.
     """
     if len(samples) == 0:
         raise EmptySampleSet("cannot estimate a duration from zero samples")
-    for i, x in enumerate(samples):
-        if x <= 0.0:
-            raise NonPositiveSample(i, x)
     n = len(samples)
     mean = math.fsum(samples) / n
     if n == 1:
@@ -233,26 +223,21 @@ def group_executions(
 
 
 def build_regression(
-    executions: Executions,
-    own_task_id: str,
-    own_agent: AgentId,
-    stats: StatsMap,
-    counterpart_tasks: Sequence[str],
+    executions: Executions, d_hat: float, counterpart_tasks: Sequence[str]
 ) -> RegressionProblem:
     """Assemble the regression problem for one own task against counterpart types.
 
-    One row per given execution of the own task, in the given order.  Design
-    entry (k, j) is the expected own duration times the overlap fraction of
+    ``d_hat`` is the own task's expected duration, the mean of the duration
+    statistics built from the same group of executions.  One row per given
+    execution of the own task, in the given order; no executions give a
+    problem of zero rows, which ``solve_synergy`` rejects.  Design entry
+    (k, j) is the expected own duration times the overlap fraction of
     execution k against every instance of counterpart type j in execution k's
     own run; multiple instances of one type sum into the same column, in
     start order.  The fractions are the pairs each execution carries (see
     ``group_executions``).  The response is the measured duration minus the
     idle term: the uncovered fraction of the task valued at the expected rate.
     """
-    key = (own_task_id, own_agent)
-    if key not in stats:
-        raise MissingDuration(own_task_id, own_agent)
-    d_hat = stats[key].mean
     columns = {task_id: j for j, task_id in enumerate(counterpart_tasks)}
     m = len(counterpart_tasks)
 
@@ -267,15 +252,10 @@ def build_regression(
         rows.append(deltas)
         response.append(duration - d_hat * (1.0 - math.fsum(deltas)))
 
-    if not rows:
-        raise NoSamples(own_task_id)
     return RegressionProblem(
-        own_task_id=own_task_id,
-        own_agent=own_agent,
         response=np.asarray(response, dtype=float),
         # One scale of the whole matrix: the same multiply per entry as row by row.
         design=d_hat * np.asarray(rows, dtype=float).reshape(len(rows), m),
-        column_labels=tuple(counterpart_tasks),
     )
 
 
@@ -294,7 +274,7 @@ def solve_synergy(problem: RegressionProblem) -> SynergyFit:
     y = problem.response
     n, m = X.shape
     if n == 0:
-        raise EmptyProblem(f"regression for {problem.own_task_id!r} has no rows")
+        raise EmptyProblem("a regression with no rows cannot be solved")
 
     sample_counts = tuple(int(np.count_nonzero(X[:, j])) for j in range(m))
     coefficients = np.ones(m, dtype=float)
@@ -333,13 +313,13 @@ def estimate_synergy_matrix(
     """Estimate both agents' synergy matrices from grouped executions.
 
     ``executions`` maps (task type, agent) to the executions that survived
-    outlier filtering (see ``group_executions``), none of them empty.  Its
-    keys are the task lists: each agent's own tasks are its keys, in key
-    order, and the columns of every own row are the other agent's.  Per own
-    task the executions form the regression rows, and the solved coefficients
-    fill one matrix row.  A task with no statistics keeps the neutral defaults
-    for its whole row (sample_count 0 marks the entries as unobserved);
-    estimation never aborts because of a single task.
+    outlier filtering (see ``group_executions``), none of them empty, and
+    ``stats`` holds the duration statistics of those same groups.  The keys
+    of ``executions`` are the task lists: each agent's own tasks are its
+    keys, in key order, and the columns of every own row are the other
+    agent's.  Per own task the executions form the regression rows, and the
+    solved coefficients fill one matrix row.  A group without statistics
+    raises ``MissingDuration`` naming its task and agent.
     """
     task_ids: dict[AgentId, list[str]] = {a: [] for a in SIDES}
     for task_id, agent in executions:
@@ -348,39 +328,22 @@ def estimate_synergy_matrix(
     for own_agent in SIDES:
         counterpart_ids = task_ids[own_agent.counterpart]
         for own_id in task_ids[own_agent]:
-            row = _estimate_row(
-                executions[(own_id, own_agent)], own_id, own_agent, stats, counterpart_ids
-            )
-            for counterpart_id, entry in zip(counterpart_ids, row):
-                entries[own_agent][(own_id, counterpart_id)] = entry
+            key = (own_id, own_agent)
+            if key not in stats:
+                raise MissingDuration(own_id, own_agent)
+            fit = solve_synergy(build_regression(executions[key], stats[key].mean, counterpart_ids))
+            if fit.damped_columns:
+                logger.warning(
+                    "ill-conditioned regression for %s/%s; damped columns: %s",
+                    own_id,
+                    own_agent.value,
+                    ", ".join(counterpart_ids[j] for j in fit.damped_columns),
+                )
+            # A column never observed keeps coefficient 1.0 and std error 0.0: the neutral entry.
+            for j, counterpart_id in enumerate(counterpart_ids):
+                entries[own_agent][(own_id, counterpart_id)] = SynergyEntry(
+                    coefficient=max(float(fit.coefficients[j]), COEFFICIENT_FLOOR),
+                    std_error=float(fit.std_errors[j]),
+                    sample_count=fit.sample_counts[j],
+                )
     return SynergyMatrix(entries)
-
-
-def _estimate_row(
-    executions: Executions,
-    own_id: str,
-    own_agent: AgentId,
-    stats: StatsMap,
-    counterpart_ids: Sequence[str],
-) -> list[SynergyEntry]:
-    if (own_id, own_agent) not in stats:
-        logger.warning("no statistics for %s/%s; keeping neutral row", own_id, own_agent.value)
-        return [SynergyEntry() for _ in counterpart_ids]
-
-    fit = solve_synergy(build_regression(executions, own_id, own_agent, stats, counterpart_ids))
-    if fit.damped_columns:
-        logger.warning(
-            "ill-conditioned regression for %s/%s; damped columns: %s",
-            own_id,
-            own_agent.value,
-            ", ".join(counterpart_ids[j] for j in fit.damped_columns),
-        )
-    # A column never observed keeps coefficient 1.0 and std error 0.0: the neutral entry.
-    return [
-        SynergyEntry(
-            coefficient=max(float(fit.coefficients[j]), COEFFICIENT_FLOOR),
-            std_error=float(fit.std_errors[j]),
-            sample_count=fit.sample_counts[j],
-        )
-        for j in range(len(counterpart_ids))
-    ]

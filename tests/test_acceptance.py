@@ -33,7 +33,6 @@ from tandem.model import (
     TimeInterval,
     coupled_lane_durations,
     overlap_pairs,
-    stats_table,
 )
 from tandem.planner import (
     CandidatePlan,
@@ -90,9 +89,8 @@ def test_criterion_2_noise_free_synergy_recovery():
             offset += length
         traces.append(ExecutionTrace(f"p{k}", tuple(records)))
 
-    stats = stats_table([DurationStats("own", R, d_hat, 0.0, 40)])
     executions = group_executions(traces)[("own", R)]
-    problem = build_regression(executions, "own", R, stats, [f"h{j}" for j in range(4)])
+    problem = build_regression(executions, d_hat, [f"h{j}" for j in range(4)])
     fit = solve_synergy(problem)
     assert np.all(np.abs(fit.coefficients - s_true) <= 1e-9), fit.coefficients
     print("\nACCEPTANCE 2 (noise-free recovery of 0.8/1.0/1.5/2.0 within 1e-9): PASS")
@@ -109,7 +107,7 @@ def test_criterion_3_ols_matches_pseudo_inverse_oracle():
             if np.linalg.cond(X.T @ X) < 1e8:
                 break
         y = rng.uniform(0.0, 30.0, size=n)
-        problem = RegressionProblem("own", R, y, X, tuple(f"c{j}" for j in range(m)))
+        problem = RegressionProblem(y, X)
         fit = solve_synergy(problem)
         oracle = np.linalg.pinv(X) @ y
         assert np.all(np.abs(fit.coefficients - oracle) <= 1e-6)

@@ -12,14 +12,7 @@ import pytest
 
 from tandem import cli
 from tandem.config import build_domain, load_world_config
-from tandem.errors import (
-    EmptyProblem,
-    EmptySampleSet,
-    MissingDuration,
-    NonPositiveSample,
-    NoSamples,
-    OverlappingRecords,
-)
+from tandem.errors import EmptyProblem, EmptySampleSet, MissingDuration, OverlappingRecords
 from tandem.estimator import (
     ExecutionRecord,
     ExecutionTrace,
@@ -67,11 +60,6 @@ class TestExpectedDuration:
     def test_empty(self):
         with pytest.raises(EmptySampleSet):
             expected_duration([])
-
-    def test_non_positive_sample_names_index(self):
-        with pytest.raises(NonPositiveSample) as err:
-            expected_duration([3.0, 0.0, 4.0])
-        assert err.value.index == 1
 
 
 def _removed(samples):
@@ -212,11 +200,10 @@ class TestTraceTypes:
 
     def test_copy_rebuilds_the_overlaps(self):
         traces = _synthetic_traces([1.3, 0.7], n_rows=5, seed=2)
-        stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 5)])
-        want = build_regression(_rows(traces, "r1", R), "r1", R, stats, ["h0", "h1"])
+        want = build_regression(_rows(traces, "r1", R), 10.0, ["h0", "h1"])
         copied = copy.deepcopy(traces)
         assert copied == traces
-        got = build_regression(_rows(copied, "r1", R), "r1", R, stats, ["h0", "h1"])
+        got = build_regression(_rows(copied, "r1", R), 10.0, ["h0", "h1"])
         assert np.array_equal(got.design, want.design)
         assert np.array_equal(got.response, want.response)
 
@@ -225,18 +212,15 @@ class TestBuildRegression:
     def test_single_trace_row(self):
         # own robot task measured [0, 14]; human task h1 covers [0, 8].
         trace = _trace("p", _rec("r1", R, 0, 14), _rec("h1", H, 0, 8))
-        stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 4)])
-        problem = build_regression(_rows([trace], "r1", R), "r1", R, stats, ["h1"])
+        problem = build_regression(_rows([trace], "r1", R), 10.0, ["h1"])
         delta = 8.0 / 14.0
         assert problem.design.shape == (1, 1)
         assert problem.design[0, 0] == pytest.approx(10.0 * delta, rel=1e-12)
         assert problem.response[0] == pytest.approx(14.0 - 10.0 * (1.0 - delta), rel=1e-12)
-        assert problem.column_labels == ("h1",)
 
     def test_row_without_overlap(self):
         trace = _trace("p", _rec("r1", R, 0, 9), _rec("h1", H, 20, 25))
-        stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 4)])
-        problem = build_regression(_rows([trace], "r1", R), "r1", R, stats, ["h1"])
+        problem = build_regression(_rows([trace], "r1", R), 10.0, ["h1"])
         assert problem.design[0, 0] == 0.0
         assert problem.response[0] == pytest.approx(9.0 - 10.0)
 
@@ -247,8 +231,7 @@ class TestBuildRegression:
             _rec("h1", H, 0, 3),
             _rec("h1", H, 5, 9),
         )
-        stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 4)])
-        problem = build_regression(_rows([trace], "r1", R), "r1", R, stats, ["h1"])
+        problem = build_regression(_rows([trace], "r1", R), 10.0, ["h1"])
         assert problem.design[0, 0] == pytest.approx(10.0 * (0.3 + 0.4), rel=1e-12)
 
     def test_failed_records_are_skipped(self):
@@ -258,27 +241,14 @@ class TestBuildRegression:
             _rec("r1", R, 12, 20, success=False),
             _rec("h1", H, 0, 10),
         )
-        stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 4)])
-        problem = build_regression(_rows([trace], "r1", R), "r1", R, stats, ["h1"])
+        problem = build_regression(_rows([trace], "r1", R), 10.0, ["h1"])
         assert problem.n_samples == 1
 
     def test_design_rows_are_bounded_by_expected_duration(self):
         traces = _synthetic_traces([1.3, 0.7, 1.9], d_hat=12.0, n_rows=20, seed=17)
-        stats = stats_table([DurationStats("r1", R, 12.0, 0.0, 20)])
-        problem = build_regression(_rows(traces, "r1", R), "r1", R, stats, ["h0", "h1", "h2"])
+        problem = build_regression(_rows(traces, "r1", R), 12.0, ["h0", "h1", "h2"])
         assert np.all(problem.design >= 0.0)
         assert np.all(problem.design.sum(axis=1) <= 12.0 + 1e-9)
-
-    def test_missing_stats(self):
-        trace = _trace("p", _rec("r1", R, 0, 10))
-        with pytest.raises(MissingDuration):
-            build_regression(_rows([trace], "r1", R), "r1", R, {}, ["h1"])
-
-    def test_no_samples(self):
-        trace = _trace("p", _rec("other", R, 0, 10))
-        stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 4)])
-        with pytest.raises(NoSamples):
-            build_regression(_rows([trace], "r1", R), "r1", R, stats, ["h1"])
 
     def test_records_out_of_start_order(self):
         # Three h1 instances stored last-first.  The reference sums a column in
@@ -292,9 +262,8 @@ class TestBuildRegression:
             _rec("r1", R, 0, 7),
             *(_rec("h1", H, s, e) for s, e in reversed(spans)),
         )
-        stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 1)])
-        problem = build_regression(_rows([trace], "r1", R), "r1", R, stats, ["h1"])
-        reference = _reference_build_regression([trace], "r1", R, stats, ["h1"])
+        problem = build_regression(_rows([trace], "r1", R), 10.0, ["h1"])
+        reference = _reference_build_regression([trace], "r1", R, 10.0, ["h1"])
         in_start_order = 0.0
         for s, e in spans:
             in_start_order += (e - s) / 7.0
@@ -314,18 +283,16 @@ class TestBuildRegression:
             table = stats_table(stats)
             for (task_id, agent), executions in kept.items():
                 counterpart = human if agent is R else robot
-                got = build_regression(executions, task_id, agent, table, counterpart)
-                want = _reference_build_regression(traces, task_id, agent, table, counterpart)
-                assert got.column_labels == want.column_labels
+                d_hat = table[(task_id, agent)].mean
+                got = build_regression(executions, d_hat, counterpart)
+                want = _reference_build_regression(traces, task_id, agent, d_hat, counterpart)
                 assert got.n_samples == want.n_samples > 0
                 assert np.array_equal(got.design, want.design)
                 assert np.array_equal(got.response, want.response)
 
 
-def _problem(X, y, labels=None):
-    X = np.asarray(X, dtype=float)
-    labels = tuple(labels or (f"c{j}" for j in range(X.shape[1])))
-    return RegressionProblem("own", R, np.asarray(y, dtype=float), X, labels)
+def _problem(X, y):
+    return RegressionProblem(np.asarray(y, dtype=float), np.asarray(X, dtype=float))
 
 
 class TestSolveSynergy:
@@ -400,11 +367,17 @@ def _synthetic_traces(s_true, d_hat=10.0, n_rows=24, seed=0):
     return traces
 
 
+def _stats(traces, *planted):
+    """Statistics of every group as `tandem estimate` builds them, the planted ones in place."""
+    _, stats = cli._kept_executions(traces, "none")
+    return stats_table([*stats, *planted])
+
+
 class TestEstimateSynergyMatrix:
     def test_recovers_planted_coefficients(self):
         s_true = [2.0, 0.5, 1.0]
         traces = _synthetic_traces(s_true)
-        stats = stats_table([DurationStats("r1", R, 10.0, 0.0, len(traces))])
+        stats = _stats(traces, DurationStats("r1", R, 10.0, 0.0, len(traces)))
         matrix = estimate_synergy_matrix(group_executions(traces), stats)
         for j, expected in enumerate(s_true):
             entry = matrix.get(R, "r1", f"h{j}")
@@ -443,9 +416,18 @@ class TestEstimateSynergyMatrix:
         assert matrix.entries == {R: {}, H: {}}
         assert matrix.get(H, "h1", "r1").sample_count == 0
 
+    def test_missing_stats(self):
+        # Statistics for r1 only: the h1 group has none.
+        traces = [_trace("p", _rec("r1", R, 0, 10), _rec("h1", H, 2, 6))]
+        stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 1)])
+        with pytest.raises(MissingDuration) as err:
+            estimate_synergy_matrix(group_executions(traces), stats)
+        assert (err.value.task_id, err.value.agent) == ("h1", H)
+        assert str(err.value) == "no duration statistics for task 'h1' for agent human"
+
     def test_deterministic(self):
         traces = _synthetic_traces([1.4, 0.9], seed=7)
-        stats = stats_table([DurationStats("r1", R, 10.0, 0.0, len(traces))])
+        stats = _stats(traces, DurationStats("r1", R, 10.0, 0.0, len(traces)))
         first = estimate_synergy_matrix(group_executions(traces), stats)
         second = estimate_synergy_matrix(group_executions(traces), stats)
         assert first == second
@@ -463,11 +445,11 @@ class TestEstimateSynergyMatrix:
                 )
             )
         well_posed = _synthetic_traces([1.4, 0.9], seed=7)
-        stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 4)])
+        r1 = DurationStats("r1", R, 10.0, 0.0, 4)
         with caplog.at_level(logging.WARNING, logger="tandem.estimator"):
-            estimate_synergy_matrix(group_executions(well_posed), stats)
+            estimate_synergy_matrix(group_executions(well_posed), _stats(well_posed, r1))
             assert not [m for m in caplog.messages if "damped" in m]
-            estimate_synergy_matrix(group_executions(traces), stats)
+            estimate_synergy_matrix(group_executions(traces), _stats(traces, r1))
         damped = [m for m in caplog.messages if "damped" in m]
         assert damped == ["ill-conditioned regression for r1/robot; damped columns: h0, h1"]
 
@@ -475,9 +457,9 @@ class TestEstimateSynergyMatrix:
         traces = _synthetic_traces([1.0, 1.0], d_hat=10.0, n_rows=30, seed=1)
         # One corrupted run: duration far outside anything the model produces.
         traces.append(_trace("bad", _rec("r1", R, 0.0, 500.0)))
-        stats = stats_table([DurationStats("r1", R, 10.0, 0.0, 31)])
-        kept, _ = cli._kept_executions(traces, "iqr")
-        clean = estimate_synergy_matrix(kept, stats)
+        kept, stats = cli._kept_executions(traces, "iqr")
+        stats.append(DurationStats("r1", R, 10.0, 0.0, 31))
+        clean = estimate_synergy_matrix(kept, stats_table(stats))
         for j in range(2):
             assert clean.get(R, "r1", f"h{j}").coefficient == pytest.approx(1.0, abs=1e-6)
 
@@ -515,8 +497,7 @@ def _reference_own_executions(traces, task_id, agent):
     ]
 
 
-def _reference_build_regression(traces, own_task_id, own_agent, stats, counterpart_tasks):
-    d_hat = stats[(own_task_id, own_agent)].mean
+def _reference_build_regression(traces, own_task_id, own_agent, d_hat, counterpart_tasks):
     columns = {task_id: j for j, task_id in enumerate(counterpart_tasks)}
     m = len(counterpart_tasks)
     rows, response = [], []
@@ -532,11 +513,7 @@ def _reference_build_regression(traces, own_task_id, own_agent, stats, counterpa
         rows.append([d_hat * d for d in deltas])
         response.append(rec.interval.end - rec.interval.start - d_hat * (1.0 - covered))
     return RegressionProblem(
-        own_task_id,
-        own_agent,
-        np.asarray(response, dtype=float),
-        np.asarray(rows, dtype=float).reshape(len(rows), m),
-        tuple(counterpart_tasks),
+        np.asarray(response, dtype=float), np.asarray(rows, dtype=float).reshape(len(rows), m)
     )
 
 
@@ -564,8 +541,9 @@ def _reference_synergy_matrix(traces, stats, human_ids, robot_ids, strategy):
                 durations = [rec.interval.end - rec.interval.start for _, rec in executions]
                 kept = set(filter_outliers(durations, strategy))
                 filtered = _reference_drop_executions(traces, executions, kept)
+                d_hat = stats[(own_id, own_agent)].mean
                 fit = solve_synergy(
-                    _reference_build_regression(filtered, own_id, own_agent, stats, counterpart_ids)
+                    _reference_build_regression(filtered, own_id, own_agent, d_hat, counterpart_ids)
                 )
                 for j, count in enumerate(fit.sample_counts):
                     if count:
@@ -609,3 +587,15 @@ class TestSinglePassMatchesFilterTwice:
             # The fence drops the planted run and the strategies differ.
             assert 500.0 not in [duration for duration, _ in kept[(robot[0], R)]]
             assert counts["iqr"] != counts["none"]
+
+
+class TestKeptExecutions:
+    """The estimator's contract: each group's statistics come from the same groups."""
+
+    @pytest.mark.parametrize("strategy", ["none", "iqr"])
+    @pytest.mark.parametrize("config_path", [None, FLEXIBLE_WORKCELL], ids=["default", "flexible"])
+    def test_stats_match_the_kept_groups(self, config_path, strategy):
+        traces = _campaign(load_world_config(config_path), 3, 30)
+        kept, stats = cli._kept_executions(traces, strategy)
+        assert [(s.task_id, s.agent) for s in stats] == list(kept)
+        assert [s.count for s in stats] == [len(group) for group in kept.values()]
