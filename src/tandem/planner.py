@@ -432,7 +432,6 @@ def optimize_plan(
 
     best: CandidatePlan | None = None
     best_cost = math.inf
-    best_key: tuple | None = None
     evaluated = 0
     non_converged = 0
     lacking = 0
@@ -452,14 +451,9 @@ def optimize_plan(
         if cost == math.inf:
             bounded += 1
         elif cost < best_cost:
-            best, best_cost, best_key = plan, cost, None
-        elif cost == best_cost:
-            # A tie: compare keys, the best plan's computed once per best.
-            if best_key is None:
-                best_key = _plan_key(domain, best)
-            key = _plan_key(domain, plan)
-            if key < best_key:
-                best, best_key = plan, key
+            best, best_cost = plan, cost
+        elif cost == best_cost and _plan_key(domain, plan) < _plan_key(domain, best):
+            best = plan
     skipped = non_converged + lacking
     if skipped:
         logger.warning(

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import csv
 import html
-from dataclasses import dataclass
+from collections.abc import Iterable
 from pathlib import Path
-from typing import Iterable
 
-from .model import SIDES, AgentId, DurationStats, StatsMap, SynergyMatrix
+from .model import SIDES, StatsMap, SynergyMatrix
 
 CELL = 96
 LABEL_W = 150
@@ -27,58 +26,11 @@ HIGH_RGB = (178, 24, 43)  # penalty (coefficient above 1)
 LOW_RGB = (33, 102, 172)  # advantage (coefficient below 1)
 
 
-@dataclass(frozen=True)
-class HeatmapGrid:
-    """One agent's synergy heatmap: own task rows versus counterpart columns."""
-
-    agent: AgentId
-    row_labels: tuple[str, ...]
-    column_labels: tuple[str, ...]
-    coefficients: tuple[tuple[float, ...], ...]
-
-
-def heatmap_grid(matrix: SynergyMatrix, agent: AgentId) -> HeatmapGrid:
-    """One agent's grid, labelled by its entries' own and counterpart tasks in order."""
-    pairs = matrix.entries.get(agent, {})
-    own_ids = tuple(dict.fromkeys(own for own, _ in pairs))
-    counterpart_ids = tuple(dict.fromkeys(other for _, other in pairs))
-    return HeatmapGrid(
-        agent=agent,
-        row_labels=own_ids,
-        column_labels=counterpart_ids,
-        coefficients=tuple(
-            tuple(matrix.get(agent, own, other).coefficient for other in counterpart_ids)
-            for own in own_ids
-        ),
-    )
-
-
-def write_duration_csv(path: Path, durations: Iterable[DurationStats]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["task_id", "agent", "mean", "std", "count"])
-        for s in durations:
-            writer.writerow([s.task_id, s.agent.value, f"{s.mean:.6f}", f"{s.std:.6f}", s.count])
-
-
-def write_heatmap_csv(path: Path, grid: HeatmapGrid) -> None:
-    """Coefficient grid with a leading label row and column."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"{grid.agent.value}_task"] + list(grid.column_labels))
-        for label, row in zip(grid.row_labels, grid.coefficients):
-            writer.writerow([label] + [f"{v:.6f}" for v in row])
-
-
-def write_coefficient_csv(path: Path, matrix: SynergyMatrix) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["agent", "task_id", "other_task_id", "coefficient", "std_error", "sample_count"])
-        for agent in SIDES:
-            for (own, other), e in matrix.entries.get(agent, {}).items():
-                writer.writerow(
-                    [agent.value, own, other, f"{e.coefficient:.6f}", f"{e.std_error:.6f}", e.sample_count]
-                )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def diverging_color(value: float, span: float) -> str:
@@ -96,13 +48,20 @@ def diverging_color(value: float, span: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def write_heatmap_svg(path: Path, grid: HeatmapGrid, title: str) -> None:
-    n_rows = len(grid.row_labels)
-    n_cols = len(grid.column_labels)
+def write_heatmap_svg(
+    path: Path,
+    rows: tuple[str, ...],
+    columns: tuple[str, ...],
+    grid: list[list[float]],
+    title: str,
+) -> None:
+    """Own task `rows` versus counterpart `columns`, one coefficient cell each."""
+    n_rows = len(rows)
+    n_cols = len(columns)
     width = LABEL_W + n_cols * CELL
     height = LABEL_H + n_rows * CELL + 28
     span = max(
-        (abs(v - 1.0) for row in grid.coefficients for v in row),
+        (abs(v - 1.0) for row in grid for v in row),
         default=0.0,
     )
     parts = [
@@ -110,18 +69,18 @@ def write_heatmap_svg(path: Path, grid: HeatmapGrid, title: str) -> None:
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
         f'<text x="{LABEL_W}" y="18" font-size="15" font-weight="bold">{title}</text>',
     ]
-    for j, label in enumerate(grid.column_labels):
+    for j, label in enumerate(columns):
         x = LABEL_W + j * CELL + CELL / 2
         label = html.escape(label, quote=False)
         parts.append(f'<text x="{x:g}" y="{LABEL_H - 10}" text-anchor="middle">{label}</text>')
-    for i, label in enumerate(grid.row_labels):
+    for i, label in enumerate(rows):
         y = LABEL_H + i * CELL + CELL / 2
         label = html.escape(label, quote=False)
         parts.append(
             f'<text x="{LABEL_W - 8}" y="{y + 4:g}" text-anchor="end">{label}</text>'
         )
         for j in range(n_cols):
-            value = grid.coefficients[i][j]
+            value = grid[i][j]
             x = LABEL_W + j * CELL
             cy = LABEL_H + i * CELL
             fill = diverging_color(value, span)
@@ -151,14 +110,33 @@ def write_report(out_dir: str | Path, stats: StatsMap, matrix: SynergyMatrix) ->
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = [out / "durations.csv", out / "coefficients.csv"]
-    write_duration_csv(written[0], stats.values())
-    write_coefficient_csv(written[1], matrix)
+    _write_csv(
+        written[0],
+        ["task_id", "agent", "mean", "std", "count"],
+        ([s.task_id, s.agent.value, f"{s.mean:.6f}", f"{s.std:.6f}", s.count] for s in stats.values()),
+    )
+    _write_csv(
+        written[1],
+        ["agent", "task_id", "other_task_id", "coefficient", "std_error", "sample_count"],
+        (
+            [agent.value, own, other, f"{e.coefficient:.6f}", f"{e.std_error:.6f}", e.sample_count]
+            for agent in SIDES
+            for (own, other), e in matrix.entries.get(agent, {}).items()
+        ),
+    )
     for agent in SIDES:
-        grid = heatmap_grid(matrix, agent)
-        if not grid.row_labels:
+        pairs = matrix.entries.get(agent, {})
+        if not pairs:
             continue
+        rows = tuple(dict.fromkeys(own for own, _ in pairs))
+        columns = tuple(dict.fromkeys(other for _, other in pairs))
+        grid = [[matrix.get(agent, own, other).coefficient for other in columns] for own in rows]
         csv_path, svg_path = (out / f"synergy_{agent.value}.{ext}" for ext in ("csv", "svg"))
-        write_heatmap_csv(csv_path, grid)
-        write_heatmap_svg(svg_path, grid, f"{agent.value} task synergy")
+        _write_csv(
+            csv_path,
+            [f"{agent.value}_task", *columns],
+            ([label] + [f"{v:.6f}" for v in row] for label, row in zip(rows, grid)),
+        )
+        write_heatmap_svg(svg_path, rows, columns, grid, f"{agent.value} task synergy")
         written += [csv_path, svg_path]
     return written

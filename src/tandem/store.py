@@ -60,8 +60,6 @@ from .model import AgentId, TimeInterval
 
 T = TypeVar("T")
 
-COLLECTIONS = ("task_results", "task_duration", "task_synergy", "plans")
-
 _NUMBER = (int, float)
 
 # Required fields and accepted types per collection.
@@ -100,6 +98,8 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "kind": (str,),
     },
 }
+
+COLLECTIONS = tuple(_SCHEMAS)
 
 
 # The one codec of every collection file.  json.dumps with non-default

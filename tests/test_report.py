@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 from tandem.model import AgentId, DurationStats, SynergyEntry, SynergyMatrix, stats_table
-from tandem.report import HeatmapGrid, diverging_color, heatmap_grid, write_report
+from tandem.report import diverging_color, write_report
 
 H, R = AgentId.HUMAN, AgentId.ROBOT
 
@@ -67,13 +68,11 @@ def test_duration_table_contents(tmp_path):
     assert lines[1] == "pick_orange,robot,8.000000,0.500000,10"
 
 
-def test_grid_is_own_rows_by_counterpart_columns():
-    grid = heatmap_grid(_matrix(1.1), R)
-    assert isinstance(grid, HeatmapGrid)
-    assert grid.row_labels == tuple(ROBOT_IDS)
-    assert grid.column_labels == tuple(HUMAN_IDS)
-    assert len(grid.coefficients) == 4
-    assert all(len(row) == 4 for row in grid.coefficients)
+def test_grid_is_own_rows_by_counterpart_columns(tmp_path):
+    write_report(tmp_path, STATS, _matrix(1.1))
+    lines = (tmp_path / "synergy_robot.csv").read_text().splitlines()
+    assert lines[0].split(",")[1:] == HUMAN_IDS
+    assert [line.split(",")[0] for line in lines[1:]] == ROBOT_IDS
 
 
 def test_svg_labels_are_escaped(tmp_path):
@@ -89,3 +88,43 @@ def test_svg_labels_are_escaped(tmp_path):
         root = ET.parse(tmp_path / f"synergy_{agent}.svg").getroot()
         texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
         assert label in texts
+
+
+def test_report_bytes_match_golden_hash(tmp_path):
+    """Both agents, a label SVG must escape, and a pair the entries lack.
+
+    ("place_orange", label) is absent from the robot's entries, so its cell
+    is the neutral 1.0.  The hash covers each written file's name and bytes,
+    in the order write_report returns them.
+    """
+    label = "pick<blue>&h"
+    stats = stats_table(
+        [
+            DurationStats("pick_orange", R, mean=8.0, std=0.5, count=10),
+            DurationStats(label, H, mean=6.25, std=1.125, count=7),
+        ]
+    )
+    matrix = SynergyMatrix(
+        {
+            R: {
+                ("pick_orange", "pick_white"): SynergyEntry(1.3, 0.02, 5),
+                ("pick_orange", label): SynergyEntry(0.8, 0.01, 4),
+                ("place_orange", "pick_white"): SynergyEntry(1.05, 0.03, 6),
+            },
+            H: {(label, "pick_orange"): SynergyEntry(0.9, 0.01, 5)},
+        }
+    )
+    paths = write_report(tmp_path, stats, matrix)
+    assert [p.name for p in paths] == [
+        "durations.csv",
+        "coefficients.csv",
+        "synergy_robot.csv",
+        "synergy_robot.svg",
+        "synergy_human.csv",
+        "synergy_human.svg",
+    ]
+    assert (tmp_path / "synergy_robot.csv").read_text().splitlines()[2] == "place_orange,1.050000,1.000000"
+    digest = hashlib.sha256()
+    for p in paths:
+        digest.update(p.name.encode() + b"\0" + p.read_bytes())
+    assert digest.hexdigest() == "86f9fe981237a1d2050e39e73cb8c26b04555637b52a56c2da892fd6e59f7746"
