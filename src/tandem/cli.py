@@ -16,7 +16,8 @@ collection.
 ``plan`` and ``report`` read each estimate collection once, into duration
 statistics and a synergy matrix; ``report`` renders those alone and reads no
 other collection.  The store keeps no copy between calls, and each command
-reads each collection it needs once.
+reads each collection it needs once; ``simulate`` reads task_results ids once
+more, before its upsert.
 
 Commands turn stored documents into values through `Store.read`, and
 task_results documents into traces through `Store.export_traces`, after the
@@ -89,9 +90,12 @@ def _plan_doc(plan_id: str, plan: CandidatePlan, makespan: float, kind: str) -> 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Simulate `--plans` random plans and store their records and plan documents.
 
-    The campaign's task_results and its plans are each written with one
-    upsert, in that order, after every plan has been simulated: a fresh store
-    is appended to once per collection, and a rerun rewrites each file once.
+    A store may hold only task results that the campaign overwrites, ids
+    ``plan-NNNN:MMMM`` below its plan and task counts; any other id, left by a
+    larger campaign, is a ValueError raised before anything is written.  The
+    campaign's task_results and its plans are each written with one upsert,
+    in that order, after every plan has been simulated: a fresh store is
+    appended to once per collection, and a rerun rewrites each file once.
     The campaign is durable as a unit when the command returns, and a plan's
     line is printed only once it is on disk.  A run that dies part-way leaves
     no plan documents; the same seed reproduces it.
@@ -102,6 +106,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(f"plan count must be at least 1, got {args.plans}")
     domain = worldcfg.build_domain(cfg)
     store = Store(_store_root(args))
+    n_tasks = len(domain.instances)
+    plan_ids = {f"plan-{k:04d}" for k in range(args.plans)}
+    positions = {f"{j:04d}" for j in range(n_tasks)}
+    for doc_id in store.read("task_results", lambda doc: doc["id"]):
+        stored_plan, _, position = doc_id.rpartition(":")
+        if stored_plan not in plan_ids or position not in positions:
+            raise ValueError(
+                f"store {store.root} holds task result {doc_id!r}, which a campaign of "
+                f"{args.plans} plans of {n_tasks} tasks would not overwrite; use a fresh store"
+            )
 
     traces = []
     plan_docs = []
@@ -234,10 +248,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
     domain = worldcfg.build_domain(cfg)
     seed = cfg.seed if args.seed is None else args.seed
 
-    plan = optimize_plan(domain, stats, synergy, budget=args.budget, seed=seed)
-    store.upsert("plans", _plan_doc("optimized", plan, plan.predicted_makespan, "optimized"))
-    print(f"best plan (budget {args.budget}, seed {seed}): "
-          f"predicted makespan {plan.predicted_makespan:.3f} s")
+    plan, cost = optimize_plan(domain, stats, synergy, budget=args.budget, seed=seed)
+    store.upsert_many("plans", [_plan_doc("optimized", plan, cost, "optimized")])
+    print(f"best plan (budget {args.budget}, seed {seed}): predicted makespan {cost:.3f} s")
     for agent in AgentId:
         lane = " -> ".join(plan.order[agent]) or "(idle)"
         print(f"  {agent.value}: {lane}")

@@ -278,8 +278,6 @@ def _validate(raw: dict) -> WorldConfig:
     _known_fields(speed, ZONES, "zones.speed_factors.")
     factors = {str(k): _number(v, f"zones.speed_factors.{k}") for k, v in speed.items()}
     for zone in ZONES:
-        if zone not in factors:
-            raise ConfigError(f"zones.speed_factors is missing zone {zone!r}")
         if not 0.0 <= factors[zone] <= 1.0:
             raise ConfigError(f"speed factor for {zone!r} must be in [0, 1]")
     if factors["red"] != 0.0:
@@ -354,9 +352,7 @@ def _validate(raw: dict) -> WorldConfig:
 
 def make_world_config(overrides: Mapping | None = None) -> WorldConfig:
     """Build a configuration from the defaults plus in-memory overrides."""
-    raw = copy.deepcopy(DEFAULT_CONFIG)
-    if overrides:
-        raw = _deep_merge(raw, dict(overrides))
+    raw = _deep_merge(DEFAULT_CONFIG, dict(overrides or {}))
     try:
         return _validate(raw)
     except (KeyError, TypeError, ValueError) as exc:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .model import AgentId
+
 
 class TandemError(Exception):
     """Base class for every error raised by this package."""
@@ -10,15 +12,10 @@ class TandemError(Exception):
 class MissingDuration(TandemError):
     """No duration statistics exist for a (task, agent) pair."""
 
-    def __init__(self, task_id: str, agent: object | None = None):
+    def __init__(self, task_id: str, agent: AgentId):
         self.task_id = task_id
         self.agent = agent
-        where = f" for agent {getattr(agent, 'value', agent)}" if agent is not None else ""
-        super().__init__(f"no duration statistics for task {task_id!r}{where}")
-
-
-class EmptySampleSet(TandemError):
-    """An operation that needs at least one sample received none."""
+        super().__init__(f"no duration statistics for task {task_id!r} for agent {agent.value}")
 
 
 class EmptyProblem(TandemError):

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyProblem, EmptySampleSet, MissingDuration, OverlappingRecords
+from .errors import EmptyProblem, MissingDuration, OverlappingRecords
 from .model import (
     COEFFICIENT_FLOOR,
     SIDES,
@@ -146,8 +146,6 @@ def expected_duration(samples: Sequence[float]) -> tuple[float, float, int]:
     A single sample has std 0 by convention.  The samples are durations that
     ``group_executions`` kept, so each is positive.
     """
-    if len(samples) == 0:
-        raise EmptySampleSet("cannot estimate a duration from zero samples")
     n = len(samples)
     mean = math.fsum(samples) / n
     if n == 1:
@@ -163,8 +161,6 @@ def filter_outliers(samples: Sequence[float], strategy: str = "iqr") -> tuple[in
     [Q1 - 1.5 IQR, Q3 + 1.5 IQR]; "none" keeps everything.  Which values are
     kept depends only on the multiset of values, not their order.
     """
-    if len(samples) == 0:
-        raise EmptySampleSet("cannot filter zero samples")
     name = strategy.lower()
     if name == "none":
         return tuple(range(len(samples)))

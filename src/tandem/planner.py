@@ -45,7 +45,7 @@ import functools
 import itertools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -130,7 +130,6 @@ class CandidatePlan:
 
     assignment: Mapping[str, AgentId]
     order: Mapping[AgentId, tuple[str, ...]]
-    predicted_makespan: float | None = None
 
 
 def validate_plan(domain: PlanningDomain, plan: CandidatePlan) -> None:
@@ -398,8 +397,8 @@ def optimize_plan(
     synergy: SynergyMatrix,
     budget: int,
     seed: int = 0,
-) -> CandidatePlan:
-    """Minimum-predicted-makespan plan by exhaustive or sampled search.
+) -> tuple[CandidatePlan, float]:
+    """The minimum-predicted-makespan plan and its cost, by exhaustive or sampled search.
 
     prod |eligible| assignments times n! / 2^p interleavings, for n
     instances and p disjoint precedence pairs, bound the plan space; when
@@ -468,4 +467,4 @@ def optimize_plan(
             f"all {skipped} evaluated candidates failed to converge; "
             "check the synergy estimates for pathological values"
         )
-    return replace(best, predicted_makespan=best_cost)
+    return best, best_cost

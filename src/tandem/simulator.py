@@ -64,11 +64,10 @@ def program_from_plan(domain: PlanningDomain, plan: CandidatePlan) -> AgentProgr
 
 
 def sample_task_duration(base: float, cv: float, rng: np.random.Generator) -> float:
-    """Draw a realized duration: normal around `base`, truncated at 0.2 * base."""
-    if base <= 0.0:
-        raise ValueError(f"base duration must be positive, got {base}")
-    if cv < 0.0:
-        raise ValueError(f"coefficient of variation must be non-negative, got {cv}")
+    """Draw a realized duration: normal around `base`, truncated at 0.2 * base.
+
+    `config.TaskConfig` checked at load that `base` > 0 and `cv` >= 0, both finite.
+    """
     if cv == 0.0:
         return base
     draw = float(rng.normal(base, cv * base))

@@ -240,10 +240,6 @@ class Store:
             lines[doc_id] = lineno
         return docs, lines, len(data) if data.endswith(b"\n") or not data else None
 
-    def upsert(self, collection: str, doc: Mapping) -> str:
-        """Insert or replace a document by id; durable when this returns."""
-        return self.upsert_many(collection, [doc])[0]
-
     def upsert_many(self, collection: str, documents: Iterable[Mapping]) -> list[str]:
         """Upsert a batch, preserving insertion order; durable when this returns.
 

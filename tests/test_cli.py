@@ -43,7 +43,7 @@ def _simulate_per_plan(store_dir, plans, seed, config=None):
         store.record_traces([trace])
         makespan = max(rec.interval.end for rec in trace.records)
         makespans.append(makespan)
-        store.upsert("plans", cli._plan_doc(plan_id, plan, makespan, "simulated"))
+        store.upsert_many("plans", [cli._plan_doc(plan_id, plan, makespan, "simulated")])
         print(f"{plan_id}: makespan {makespan:.3f} s")
     print(
         f"simulated {plans} plans (seed {seed}) into {store.root}; "
@@ -147,6 +147,10 @@ class TestSimulate:
              "task 'pick_blue_h': cv must be non-negative and finite, got inf"),
             ("tasks:\n  pick_blue_h: {cv: .nan}\n",
              "task 'pick_blue_h': cv must be non-negative and finite, got nan"),
+            ("tasks:\n  pick_white: {base_duration: 0}\n",
+             "task 'pick_white': base duration must be positive and finite, got 0.0"),
+            ("tasks:\n  pick_white: {cv: -0.5}\n",
+             "task 'pick_white': cv must be non-negative and finite, got -0.5"),
             ("regions:\n  shared: {red: .nan}\n",
              "region 'shared': zone fraction red must be non-negative and finite, got nan"),
             ("regions:\n  shared: {free: .inf}\n",
@@ -200,7 +204,8 @@ class TestSimulate:
              "process[0].count must be non-negative, got -1"),
         ],
         ids=[
-            "base_duration_nan", "base_duration_inf", "cv_inf", "cv_nan", "red_nan", "free_inf",
+            "base_duration_nan", "base_duration_inf", "cv_inf", "cv_nan", "base_duration_zero",
+            "cv_negative", "red_nan", "free_inf",
             "regions_null", "objects_null", "region_null", "seed_negative", "task_null",
             "process_null", "process_step_null", "object_count_null", "speed_factor_text",
             "process_step_no_color", "process_count_fraction", "process_count_bool",
@@ -277,6 +282,43 @@ class TestSimulate:
         assert _run(*simulate) == 0
         assert _files(store_dir) == before
         assert len(fsyncs) == 2  # one rewrite per collection
+
+    @pytest.mark.parametrize(
+        "first_plans, config_text, stale",
+        [
+            (3, "process:\n"
+                "  - {pick: pick_orange, place: place_orange, count: 1, color: orange}\n"
+                "  - {pick: pick_white, place: place_white, count: 1, color: white}\n",
+             "'plan-0000:0004', which a campaign of 2 plans of 4 tasks"),
+            (4, None, "'plan-0002:0000', which a campaign of 2 plans of 24 tasks"),
+        ],
+        ids=["fewer_tasks", "fewer_plans"],
+    )
+    def test_smaller_campaign_into_a_used_store_is_an_error(
+        self, tmp_path, capsys, first_plans, config_text, stale
+    ):
+        store_dir = tmp_path / "s"
+        assert _run("simulate", "--store", store_dir, "--plans", first_plans, "--seed", 1) == 0
+        before = _files(store_dir)
+        flags = ()
+        if config_text is not None:
+            config = tmp_path / "world.yaml"
+            config.write_text(config_text)
+            flags = ("--config", config)
+        capsys.readouterr()
+        assert _run("simulate", "--store", store_dir, "--plans", 2, "--seed", 2, *flags) == 1
+        assert capsys.readouterr().err == (
+            f"error: store {store_dir} holds task result {stale} would not overwrite; "
+            "use a fresh store\n"
+        )
+        assert _files(store_dir) == before
+
+    def test_larger_campaign_overwrites_a_smaller_one(self, tmp_path):
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        assert _run("simulate", "--store", used, "--plans", 2, "--seed", 1) == 0
+        for store_dir in (used, fresh):
+            assert _run("simulate", "--store", store_dir, "--plans", 4, "--seed", 2) == 0
+        assert _files(used) == _files(fresh)
 
     @pytest.mark.parametrize("plans", [1, 5, 20])
     def test_fsyncs_once_per_collection(self, tmp_path, monkeypatch, plans):
@@ -686,8 +728,10 @@ class TestPipeline:
             return load(store, collection)
 
         monkeypatch.setattr(Store, "_load", recording_load)
+        # simulate reads task_results once for the ids of an earlier campaign,
+        # and its upsert reads it once more.
         for command, flags, collections in [
-            ("simulate", ("--plans", 2), ["task_results", "plans"]),
+            ("simulate", ("--plans", 2), ["task_results", "task_results", "plans"]),
             ("estimate", (), ["task_results"]),
             ("plan", ("--budget", 5), ["task_duration", "task_synergy", "plans"]),
             ("report", (), ["task_duration", "task_synergy"]),

@@ -12,7 +12,7 @@ import pytest
 
 from tandem import cli
 from tandem.config import build_domain, load_world_config
-from tandem.errors import EmptyProblem, EmptySampleSet, MissingDuration, OverlappingRecords
+from tandem.errors import EmptyProblem, MissingDuration, OverlappingRecords
 from tandem.estimator import (
     ExecutionRecord,
     ExecutionTrace,
@@ -57,10 +57,6 @@ class TestExpectedDuration:
     def test_singleton_convention(self):
         assert expected_duration([5.0]) == (5.0, 0.0, 1)
 
-    def test_empty(self):
-        with pytest.raises(EmptySampleSet):
-            expected_duration([])
-
 
 def _removed(samples):
     """Indices the IQR fence drops: those it does not keep."""
@@ -80,10 +76,6 @@ class TestFilterOutliers:
 
     def test_none_strategy_passes_through(self):
         assert filter_outliers([1.0, 500.0, 2.0], "none") == (0, 1, 2)
-
-    def test_empty(self):
-        with pytest.raises(EmptySampleSet):
-            filter_outliers([], "iqr")
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):

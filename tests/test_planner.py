@@ -657,7 +657,7 @@ class TestOptimizePlan:
             (("a", "b"),),
         )
         stats = _uniform_stats(domain)
-        plan = optimize_plan(domain, stats, SynergyMatrix(), budget=10)
+        plan, _ = optimize_plan(domain, stats, SynergyMatrix(), budget=10)
         assert plan.assignment == {"a": R, "b": H}
 
     def test_exhaustive_matches_brute_force(self):
@@ -669,16 +669,16 @@ class TestOptimizePlan:
                 H: {("pick1", "pick0"): SynergyEntry(3.0, 0.0, 5)},
             }
         )
-        best = optimize_plan(domain, stats, synergy, budget=50_000)
+        _, cost = optimize_plan(domain, stats, synergy, budget=50_000)
         oracle = _brute_force_optimum(domain, stats, synergy)
-        assert best.predicted_makespan == pytest.approx(oracle, abs=1e-9)
+        assert cost == pytest.approx(oracle, abs=1e-9)
 
     def test_budget_one_returns_a_valid_plan(self):
         domain = _pair_domain(3)
         stats = _uniform_stats(domain)
-        plan = optimize_plan(domain, stats, SynergyMatrix(), budget=1)
+        plan, cost = optimize_plan(domain, stats, SynergyMatrix(), budget=1)
         validate_plan(domain, plan)
-        assert plan.predicted_makespan is not None
+        assert cost == predict_makespan(domain, plan, stats, SynergyMatrix())
 
     def test_never_worse_than_its_own_candidates(self):
         domain = _pair_domain(3)
@@ -687,11 +687,11 @@ class TestOptimizePlan:
             {R: {("pick0", "pick2"): SynergyEntry(2.5, 0.0, 5)}}
         )
         budget, seed = 40, 11
-        best = optimize_plan(domain, stats, synergy, budget=budget, seed=seed)
+        _, best_cost = optimize_plan(domain, stats, synergy, budget=budget, seed=seed)
         for i in range(budget):
             candidate = random_plan(domain, seed=[seed, i])
             cost = predict_makespan(domain, candidate, stats, synergy)
-            assert best.predicted_makespan <= cost + 1e-12
+            assert best_cost <= cost + 1e-12
 
     def test_beats_separate_random_search(self):
         # A bad coupling that one assignment avoids entirely: the optimizer
@@ -710,12 +710,12 @@ class TestOptimizePlan:
                 H: {("ty", "tx"): SynergyEntry(4.0, 0.0, 9)},
             }
         )
-        best = optimize_plan(domain, stats, synergy, budget=10_000, seed=0)
+        _, cost = optimize_plan(domain, stats, synergy, budget=10_000, seed=0)
         oracle = min(
             predict_makespan(domain, random_plan(domain, seed=[99, i]), stats, synergy)
             for i in range(1000)
         )
-        assert best.predicted_makespan <= oracle + 1e-12
+        assert cost <= oracle + 1e-12
 
     @pytest.mark.parametrize("budget", [1000, 30], ids=["exhaustive", "sampled"])
     def test_ties_break_on_the_smallest_key(self, budget):
@@ -736,9 +736,9 @@ class TestOptimizePlan:
             return assignment, tuple(plan.order[agent] for agent in AgentId)
 
         expected = min(tied, key=key)
-        best = optimize_plan(domain, stats, SynergyMatrix(), budget=budget, seed=seed)
+        best, best_cost = optimize_plan(domain, stats, SynergyMatrix(), budget=budget, seed=seed)
         assert (best.assignment, best.order) == (expected.assignment, expected.order)
-        assert best.predicted_makespan == min(costs)
+        assert best_cost == min(costs)
 
     @pytest.mark.parametrize("budget", [96, 95], ids=["enumerates", "samples"])
     def test_exhaustive_at_exactly_the_plan_count(self, monkeypatch, budget):
@@ -794,8 +794,8 @@ class TestOptimizePlan:
                     optimize_plan(domain, stats, synergy, budget=100_000)
                 continue
             converged += 1
-            best = optimize_plan(domain, stats, synergy, budget=100_000)
-            assert (best.predicted_makespan, planner_mod._plan_key(domain, best)) == min(priced)
+            best, cost = optimize_plan(domain, stats, synergy, budget=100_000)
+            assert (cost, planner_mod._plan_key(domain, best)) == min(priced)
         assert converged > 20
 
     def test_three_pair_workcell_prices_15_distinct_plans(self, monkeypatch):
@@ -834,9 +834,9 @@ class TestOptimizePlan:
         stats = _uniform_stats(domain)
         del stats[("pick1", R)]
         for budget in (4, 50_000):  # random search, then exhaustive
-            plan = optimize_plan(domain, stats, SynergyMatrix(), budget=budget, seed=3)
+            plan, cost = optimize_plan(domain, stats, SynergyMatrix(), budget=budget, seed=3)
             assert plan.assignment["pick1"] is H
-            assert plan.predicted_makespan is not None
+            assert cost == predict_makespan(domain, plan, stats, SynergyMatrix())
 
     def test_missing_duration_when_no_candidate_has_durations(self):
         domain = _pair_domain(1, eligible=frozenset({R}))
@@ -846,8 +846,8 @@ class TestOptimizePlan:
             optimize_plan(domain, stats, SynergyMatrix(), budget=5)
 
     def test_empty_domain(self):
-        plan = optimize_plan(PlanningDomain((), ()), {}, SynergyMatrix(), budget=1)
-        assert plan == CandidatePlan(assignment={}, order={H: (), R: ()}, predicted_makespan=0.0)
+        result = optimize_plan(PlanningDomain((), ()), {}, SynergyMatrix(), budget=1)
+        assert result == (CandidatePlan(assignment={}, order={H: (), R: ()}), 0.0)
 
     def test_warns_once_with_skip_counts(self, monkeypatch, caplog):
         domain = _pair_domain(2)
@@ -1025,7 +1025,7 @@ def test_search_with_cutoffs_chooses_the_plan_of_a_search_without_them(
         return returns[-1]
 
     monkeypatch.setattr(planner_mod, "predict_makespan", recording)
-    best = optimize_plan(domain, stats, synergy, budget=budget, seed=seed)
+    best, best_cost = optimize_plan(domain, stats, synergy, budget=budget, seed=seed)
     monkeypatch.undo()
 
     if workcell == "three_pairs":
@@ -1042,5 +1042,5 @@ def test_search_with_cutoffs_chooses_the_plan_of_a_search_without_them(
             continue
         priced.append((cost, planner_mod._plan_key(domain, plan)))
     cost, key = min(priced)
-    assert best.predicted_makespan.hex() == cost.hex()
+    assert best_cost.hex() == cost.hex()
     assert planner_mod._plan_key(domain, best) == key

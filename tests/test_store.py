@@ -60,14 +60,14 @@ class TestUpsertAndQuery:
     def test_roundtrip(self, tmp_path):
         store = Store(tmp_path)
         doc = _duration_doc()
-        store.upsert("task_duration", doc)
+        store.upsert_many("task_duration", [doc])
         assert store.get("task_duration", doc["id"]) == doc
 
     def test_replace_keeps_count_and_position(self, tmp_path):
         store = Store(tmp_path)
-        store.upsert("task_duration", _duration_doc("a"))
-        store.upsert("task_duration", _duration_doc("b"))
-        store.upsert("task_duration", _duration_doc("a", mean=9.0))
+        store.upsert_many("task_duration", [_duration_doc("a")])
+        store.upsert_many("task_duration", [_duration_doc("b")])
+        store.upsert_many("task_duration", [_duration_doc("a", mean=9.0)])
         assert len(store.query("task_duration")) == 2
         docs = store.query("task_duration")
         assert [d["task_id"] for d in docs] == ["a", "b"]
@@ -87,10 +87,10 @@ class TestUpsertAndQuery:
 
     def test_stores_on_one_root_see_each_others_writes(self, tmp_path):
         first, second = Store(tmp_path), Store(tmp_path)
-        first.upsert("task_duration", _duration_doc("a"))
-        second.upsert("task_duration", _duration_doc("x"))
+        first.upsert_many("task_duration", [_duration_doc("a")])
+        second.upsert_many("task_duration", [_duration_doc("x")])
         assert first.get("task_duration", "x:human") == _duration_doc("x")
-        first.upsert("task_duration", _duration_doc("y"))
+        first.upsert_many("task_duration", [_duration_doc("y")])
         assert Store(tmp_path).query("task_duration") == [
             _duration_doc("a"), _duration_doc("x"), _duration_doc("y")
         ]
@@ -100,25 +100,25 @@ class TestUpsertAndQuery:
         store = Store(root)
         assert store.query("task_duration") == [] and store.query("plans") == []
         # A batch that fails its schema check writes nothing, the root included.
-        for write in (store.upsert, lambda c, doc: store.replace(c, [doc])):
+        for write in (store.upsert_many, store.replace):
             with pytest.raises(SchemaViolation, match="^task_duration: field 'task_id' is required$"):
-                write("task_duration", {"id": "x"})
+                write("task_duration", [{"id": "x"}])
         assert not (tmp_path / "a").exists()
-        store.upsert("task_duration", _duration_doc())
+        store.upsert_many("task_duration", [_duration_doc()])
         assert Store(root).query("task_duration") == [_duration_doc()]
 
     def test_root_that_cannot_be_created(self, tmp_path):
         (tmp_path / "file").write_text("")
         root = tmp_path / "file" / "s"
         with pytest.raises(IoFailure) as err:
-            Store(root).upsert("task_duration", _duration_doc())
+            Store(root).upsert_many("task_duration", [_duration_doc()])
         assert str(err.value).startswith(f"cannot create store root {root}: ")
 
     def test_missing_field_names_it(self, tmp_path):
         doc = _duration_doc()
         del doc["mean"]
         with pytest.raises(SchemaViolation) as err:
-            Store(tmp_path).upsert("task_duration", doc)
+            Store(tmp_path).upsert_many("task_duration", [doc])
         assert err.value.field == "mean"
 
     def test_wrong_type_names_field(self):
@@ -139,7 +139,7 @@ class TestUpsertAndQuery:
         with pytest.raises(UnknownCollection):
             store.query("recipes")
         with pytest.raises(UnknownCollection):
-            store.upsert("recipes", {"id": "x"})
+            store.upsert_many("recipes", [{"id": "x"}])
 
     def test_filter_equality(self, tmp_path):
         store = Store(tmp_path)
@@ -151,7 +151,7 @@ class TestUpsertAndQuery:
 
     def test_filter_on_absent_field(self, tmp_path):
         store = Store(tmp_path)
-        store.upsert("task_duration", _duration_doc())
+        store.upsert_many("task_duration", [_duration_doc()])
         assert store.query("task_duration", {"nonexistent": 1}) == []
 
     def test_empty_collection(self, tmp_path):
@@ -161,7 +161,7 @@ class TestUpsertAndQuery:
 class TestFileFormat:
     def test_no_temp_files_left_behind(self, tmp_path):
         store = Store(tmp_path)
-        store.upsert("task_duration", _duration_doc())
+        store.upsert_many("task_duration", [_duration_doc()])
         assert [p.name for p in tmp_path.iterdir()] == ["task_duration.jsonl"]
 
     def test_one_json_document_per_line(self, tmp_path):
@@ -179,7 +179,7 @@ class TestFileFormat:
 
         one_at_a_time = Store(tmp_path / "single")
         for doc in docs:
-            one_at_a_time.upsert("task_duration", doc)  # three appends
+            one_at_a_time.upsert_many("task_duration", [doc])  # three appends
         assert (tmp_path / "single" / "task_duration.jsonl").read_bytes() == before
 
         reread = Store(clean).query("task_duration")
@@ -213,12 +213,12 @@ class TestFileFormat:
         monkeypatch.setattr(store_mod, "_dumps", recording_dumps)
         store.upsert_many("task_duration", [_duration_doc("c")])
         assert encoded == ["c:human"]
-        store.upsert("task_duration", _duration_doc("a", mean=9.0))
+        store.upsert_many("task_duration", [_duration_doc("a", mean=9.0)])
         assert encoded == ["c:human", "a:human", "b:human", "c:human"]
 
     def test_invalid_batch_changes_nothing(self, tmp_path):
         store = Store(tmp_path)
-        store.upsert("task_duration", _duration_doc("a"))
+        store.upsert_many("task_duration", [_duration_doc("a")])
         bad = _duration_doc("c")
         del bad["mean"]
         with pytest.raises(SchemaViolation):
@@ -229,14 +229,14 @@ class TestFileFormat:
     @pytest.mark.parametrize("new_id", [True, False], ids=["append", "rewrite"])
     def test_failed_write_leaves_reads_matching_the_file(self, tmp_path, monkeypatch, new_id):
         store = Store(tmp_path)
-        store.upsert("task_duration", _duration_doc("a"))
+        store.upsert_many("task_duration", [_duration_doc("a")])
 
         def failing_fsync(fd):
             raise OSError("disk full")
 
         monkeypatch.setattr(store_mod.os, "fsync", failing_fsync)
         with pytest.raises(IoFailure):
-            store.upsert("task_duration", _duration_doc("b" if new_id else "a", mean=9.0))
+            store.upsert_many("task_duration", [_duration_doc("b" if new_id else "a", mean=9.0)])
         monkeypatch.undo()
         assert store.query("task_duration") == Store(tmp_path).query("task_duration")
         assert [path.name for path in tmp_path.iterdir()] == ["task_duration.jsonl"]
@@ -323,7 +323,7 @@ class TestReadErrors:
 
     @pytest.mark.parametrize("collection", COLLECTIONS)
     def test_schema_violation_names_file_and_line(self, tmp_path, collection):
-        Store(tmp_path / "written").upsert(collection, VALID[collection])  # the valid one writes
+        Store(tmp_path / "written").upsert_many(collection, [VALID[collection]])  # the valid one writes
         edit, reason = INVALID[collection]
         bad = {**VALID[collection], "id": "b", **edit}
         path = self._write(tmp_path, _dumps(VALID[collection]), _dumps(bad), collection=collection)
@@ -392,7 +392,7 @@ class TestReadErrors:
 
     def test_line_separator_inside_a_string_round_trips(self, tmp_path):
         doc = {**_duration_doc(), "id": "a\u2028b\x85c"}
-        Store(tmp_path).upsert("task_duration", doc)
+        Store(tmp_path).upsert_many("task_duration", [doc])
         assert Store(tmp_path).query("task_duration") == [doc]
 
 
