@@ -165,21 +165,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if not traces:
         raise EmptyStore(f"no task results in {store.root}; run `tandem simulate` first")
     executions, stats = _kept_executions(traces, args.outliers)
-    store.replace(
-        "task_duration",
-        [
-            {
-                "id": f"{s.task_id}:{AGENT_VALUES[s.agent]}",
-                "task_id": s.task_id,
-                "agent": AGENT_VALUES[s.agent],
-                "mean": s.mean,
-                "std": s.std,
-                "count": s.count,
-            }
-            for s in stats
-        ],
-    )
-
+    # Fit before writing, and write the synergy first: its ids repeat when
+    # task ids hold ':', the durations' cannot, so a failed fit or a rejected
+    # batch leaves both estimate collections as they were.
     matrix = estimate_synergy_matrix(executions, stats_table(stats))
     synergy_docs = [
         {
@@ -195,6 +183,20 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         for (own, other), entry in matrix.entries[agent].items()
     ]
     store.replace("task_synergy", synergy_docs)
+    store.replace(
+        "task_duration",
+        [
+            {
+                "id": f"{s.task_id}:{AGENT_VALUES[s.agent]}",
+                "task_id": s.task_id,
+                "agent": AGENT_VALUES[s.agent],
+                "mean": s.mean,
+                "std": s.std,
+                "count": s.count,
+            }
+            for s in stats
+        ],
+    )
 
     print(f"estimated {len(stats)} task durations and {len(synergy_docs)} synergy entries")
     for s in sorted(stats, key=lambda s: (s.agent.value, s.task_id)):

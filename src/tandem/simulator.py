@@ -11,9 +11,13 @@ orange, nominal in free and while the human is idle.  Identical
 
 The event loop keeps its state in locals: one cursor per lane, the running
 human task's start and phase bounds, and the running robot task's start and
-remaining work.  Each event advances to the earliest of the human's next phase
-bound and the robot task's completion at the speed factor of the human's
-zone, and each completed task becomes its record at once.
+remaining work.  Each event advances to the earlier of the human's next phase
+bound and the running robot task's completion event, ``t + work / factor`` at
+the speed factor of the human's zone.  Each task ends at its own event, with
+no tolerance on residual work, so no task stalls however far the clock has
+run, and each completed task becomes its record at once.  A task shorter than
+one step of the clock where it runs ends where it starts; ``tandem estimate``
+skips such a zero-length record with its warning.
 
 ``program_from_plan`` runs the planner's plan check (``planner._dispatch_order``)
 and builds the program from what it returns, so the simulator executes exactly
@@ -32,9 +36,6 @@ from .errors import InvalidProgram
 from .estimator import ExecutionRecord, ExecutionTrace
 from .model import AgentId, TimeInterval
 from .planner import CandidatePlan, PlanningDomain, TaskInstance, _dispatch_order
-
-# Residual work below this threshold counts as task completion (seconds of work).
-WORK_EPS = 1e-12
 
 # Lower truncation of noisy task durations, as a fraction of the base duration.
 MIN_DURATION_FRACTION = 0.2
@@ -142,30 +143,30 @@ def simulate_plan(
         elif t < h_orange:
             factor, h_next = in_orange, h_orange
         else:
-            factor, h_next = in_free, (h_end if h_end > t else None)
-        if work is not None and factor > 0.0:
-            t_next = t + work / factor
-            if h_next is not None and h_next < t_next:
-                t_next = h_next
+            factor, h_next = in_free, h_end
+        # A running robot that is not stopped ends at its own completion event.
+        r_end = t + work / factor if work is not None and factor > 0.0 else None
+        if r_end is not None and (h_next is None or r_end <= h_next):
+            t_next = r_end
         elif h_next is not None:
             t_next = h_next
         else:
-            raise InvalidProgram(
-                "simulation deadlocked: agents are waiting on each other's tasks"
-            )
+            raise InvalidProgram("simulation deadlocked: agents are waiting on each other's tasks")
 
-        if work is not None:
-            # Work below WORK_EPS completes the task, so it needs no floor at 0.
-            work -= factor * (t_next - t)
-        t = t_next
-
-        if work is not None and work <= WORK_EPS:
+        if t_next == r_end:
             records.append(
-                ExecutionRecord(tasks[rk].spec_id, AgentId.ROBOT, TimeInterval(r_start, t))
+                ExecutionRecord(tasks[rk].spec_id, AgentId.ROBOT, TimeInterval(r_start, t_next))
             )
             done[rk] = True
             rk += 1
             work = None
+        elif work is not None:
+            # A human bound within rounding of the completion may leave the
+            # work a hair below 0; the floor keeps the clock from moving back.
+            work -= factor * (t_next - t)
+            if work < 0.0:
+                work = 0.0
+        t = t_next
         if h_end is not None and t >= h_end:
             records.append(
                 ExecutionRecord(tasks[hk].spec_id, AgentId.HUMAN, TimeInterval(h_start, t))

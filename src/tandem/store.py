@@ -5,8 +5,10 @@ Four collections, one newline-delimited JSON file each: task_results
 document per coefficient), and plans.  Any other file under the root, such as
 an older store's task_properties.jsonl, is ignored.
 Documents are keyed by their "id" field; an upsert replaces in place so
-insertion order is stable.  Every upsert is durable when it returns and takes
-one of two paths, chosen by its input:
+insertion order is stable.  A batch names each id once: a repeated id is a
+SchemaViolation naming the collection and the id, raised before anything is
+written.  Every upsert is durable when it returns and takes one of two paths,
+chosen by its input:
 
 - a batch of ids that are all new is appended: only the new lines are encoded
   and written, then flushed and fsynced;
@@ -243,8 +245,10 @@ class Store:
     def upsert_many(self, collection: str, documents: Iterable[Mapping]) -> list[str]:
         """Upsert a batch, preserving insertion order; durable when this returns.
 
-        A batch of new ids is appended; one that replaces an id, or meets a
-        file that changed since this call read it, is one atomic rewrite.
+        A batch names each id once; a repeated id raises SchemaViolation
+        before anything is written.  A batch of new ids is appended; one that
+        replaces an id, or meets a file that changed since this call read it,
+        is one atomic rewrite.
         """
         batch = self._batch(collection, documents)
         docs, _, append_at = self._load(collection)
@@ -264,10 +268,16 @@ class Store:
         _rewrite(self.path(collection), self._batch(collection, documents).values())
 
     def _batch(self, collection: str, documents: Iterable[Mapping]) -> dict[str, dict]:
-        """Checked copies of `documents` by id, the last of a repeated id winning."""
+        """Checked copies of `documents` by id.
+
+        A batch names each id once: a repeated id raises SchemaViolation
+        naming the collection and the id, before anything is written.
+        """
         batch: dict[str, dict] = {}
         for doc in documents:
             validate_document(collection, doc)
+            if doc["id"] in batch:
+                raise SchemaViolation(collection, "id", f"names {doc['id']!r} twice in one batch")
             batch[doc["id"]] = dict(doc)
         # The first write that passes its checks creates the root, so a read
         # or a rejected batch leaves no directory behind.

@@ -13,7 +13,7 @@ import pytest
 import tandem.store as store_mod
 from tandem import cli
 from tandem.config import build_domain, load_world_config
-from tandem.errors import ConfigError
+from tandem.errors import ConfigError, EmptyProblem
 from tandem.model import AgentId
 from tandem.planner import random_plan
 from tandem.simulator import program_from_plan, simulate_plan
@@ -455,6 +455,51 @@ class TestEstimate:
         assert after[edited]["count"] == before[edited]["count"] - 1
         del before[edited], after[edited]
         assert after == before
+
+
+    def test_synergy_pairs_that_share_an_id_are_an_error(self, tmp_path, capsys):
+        # Robot pairs (a:b, c) and (a, b:c) both take the id robot:a:b:c.
+        config = tmp_path / "colons.yaml"
+        config.write_text(
+            "tasks:\n"
+            '  "a:b": {agent: robot, action: pick, region: robot_table, base_duration: 8.0}\n'
+            "  a: {agent: robot, action: place, region: robot_release, base_duration: 6.0}\n"
+            "  c: {agent: human, action: pick, region: shared, base_duration: 8.0, cv: 0.1}\n"
+            '  "b:c": {agent: human, action: place, region: shared, base_duration: 6.0, cv: 0.1}\n'
+            "process:\n"
+            '  - {pick: "a:b", place: a, count: 2, color: orange}\n'
+            '  - {pick: c, place: "b:c", count: 2, color: white}\n'
+        )
+        store_dir = tmp_path / "s"
+        assert _run("simulate", "--store", store_dir, "--plans", 5, "--config", config) == 0
+        capsys.readouterr()
+        assert _run("estimate", "--store", store_dir) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: task_synergy: field 'id' names 'robot:a:b:c' twice in one batch\n"
+        )
+        assert sorted(path.name for path in store_dir.iterdir()) == [
+            "plans.jsonl",
+            "task_results.jsonl",
+        ]
+
+    def test_failed_fit_leaves_both_estimate_files_as_they_were(self, tmp_path, monkeypatch):
+        store_dir = tmp_path / "s"
+        assert _run("simulate", "--store", store_dir, "--plans", 3, "--seed", 2) == 0
+        assert _run("estimate", "--store", store_dir) == 0
+        before = _files(store_dir)
+        # A larger campaign changes every duration the next estimate computes.
+        assert _run("simulate", "--store", store_dir, "--plans", 6, "--seed", 2) == 0
+
+        def failing_fit(executions, stats):
+            raise EmptyProblem("the fit failed")
+
+        monkeypatch.setattr(cli, "estimate_synergy_matrix", failing_fit)
+        assert _run("estimate", "--store", store_dir) == 1
+        after = _files(store_dir)
+        for name in ("task_duration.jsonl", "task_synergy.jsonl"):
+            assert after[name] == before[name]
 
 
 class TestCorruptStore:

@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import math
+import signal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tandem.config import ZoneExposureProfile, build_domain, load_world_config, make_world_config
+from tandem.config import (
+    DEFAULT_CONFIG,
+    ZoneExposureProfile,
+    build_domain,
+    load_world_config,
+    make_world_config,
+)
 from tandem.errors import InvalidProgram
 from tandem.estimator import ExecutionRecord, ExecutionTrace
 from tandem.model import AgentId, TimeInterval
 from tandem.planner import CandidatePlan, PlanningDomain, TaskInstance, random_plan
 from tandem.simulator import (
-    WORK_EPS,
     AgentProgram,
     program_from_plan,
     sample_task_duration,
@@ -75,6 +84,22 @@ def _program(human_specs=(), robot_specs=(), precedence=()):
 
 def _by_agent(trace, agent):
     return [r for r in trace.records if r.agent is agent]
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError inside the block after `seconds`, so a loop that stalls fails."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSpeedFactor:
@@ -205,6 +230,75 @@ class TestSimulatePlan:
         (human_rec,) = _by_agent(trace, H)
         assert human_rec.interval.start == pytest.approx(10.0, abs=1e-9)
 
+    def test_bound_one_step_before_a_completion_never_moves_the_clock_back(self):
+        # The human stays in orange at factor 0.37.  Its first task ends one
+        # float step before the robot's second task would complete, and at
+        # that bound 3.3 - 0.37 * (bound - start) is a hair below 0.
+        r_a, r_b = 2.1, 3.3
+        bound = math.nextafter(r_a / 0.37 + r_b / 0.37, 0.0)
+        assert r_b - 0.37 * (bound - r_a / 0.37) < 0.0
+        robot = {"agent": "robot", "action": "goto", "region": "robot_table"}
+        human = {"agent": "human", "action": "goto", "region": "test_zone"}
+        cfg = make_world_config(
+            {
+                "zones": {"speed_factors": {"orange": 0.37}},
+                "regions": {"test_zone": {"red": 0.0, "orange": 1.0, "free": 0.0}},
+                "tasks": {
+                    "r_a": {**robot, "base_duration": r_a},
+                    "r_b": {**robot, "base_duration": r_b},
+                    "h_job": {**human, "base_duration": bound, "cv": 0.0},
+                },
+            }
+        )
+        program = _program(human_specs=["h_job", "h_job"], robot_specs=["r_a", "r_b"])
+        trace = simulate_plan(program, cfg, seed=0)
+        ends = [rec.interval.end for rec in trace.records]
+        assert ends == sorted(ends)
+        assert [rec.interval.end for rec in _by_agent(trace, R)] == [r_a / 0.37, bound]
+
+    def test_robot_lane_past_two_to_the_fourteen_seconds_finishes(self):
+        # Past 2^14 s one clock step exceeds 1e-12, so a completion cannot
+        # hinge on the residual work falling below such a tolerance.
+        cfg = make_world_config(
+            {
+                "tasks": {
+                    "pick_blue_r": {"base_duration": 16400.7},
+                    "pick_orange": {"base_duration": 6.3},
+                    "place_orange": {"base_duration": 5.1},
+                },
+                "process": [
+                    {"pick": "pick_blue_r", "place": "place_blue_r", "count": 1, "color": "blue"},
+                    {"pick": "pick_orange", "place": "place_orange", "count": 6, "color": "orange"},
+                ],
+            }
+        )
+        domain = build_domain(cfg)
+        for seed in (1, 2, 3):
+            program = program_from_plan(domain, random_plan(domain, seed=[seed, 0]))
+            with _deadline(20):
+                trace = simulate_plan(program, cfg, seed=[seed, 1])
+            assert len(trace.records) == 14
+            assert max(r.interval.end for r in trace.records) == pytest.approx(16475.1, abs=1e-6)
+
+    def test_human_task_shorter_than_one_clock_step_ends_where_it_starts(self):
+        # Each white box's pick takes about 1e7 s, where one clock step is
+        # about 2e-9 s; its place takes about 1e-12 s.
+        cfg = make_world_config(
+            {
+                "tasks": {
+                    "pick_white": {"base_duration": 1e7},
+                    "place_white": {"base_duration": 1e-12},
+                }
+            }
+        )
+        domain = build_domain(cfg)
+        program = program_from_plan(domain, random_plan(domain, seed=[1, 0]))
+        with _deadline(20):
+            trace = simulate_plan(program, cfg, seed=[1, 1])
+        places = [r for r in trace.records if r.task_id == "place_white"]
+        assert len(places) == 4
+        assert all(r.interval.start == r.interval.end for r in places)
+
 
 class TestProgramValidation:
     # The domain lets the agent run the task; only the workcell's catalog forbids it.
@@ -266,8 +360,9 @@ class TestProgramValidation:
 # -- reference event loop ------------------------------------------------------
 #
 # The loop simulate_plan ran before it kept its state in locals: one object per
-# running task and a zone lookup at every event.  simulate_plan must give the
-# same trace, record for record and bit for bit.
+# running task and a zone lookup at every event, with each task ending at its
+# own event.  simulate_plan must give the same trace, record for record and bit
+# for bit.
 
 
 class _HumanTask:
@@ -338,18 +433,21 @@ def _reference_simulate(program, config, seed, plan_id="plan"):
         factor = config.speed_factors[human.zone_at(t)] if human else 1.0
         events = []
         if human is not None:
-            events.extend(b for b in (human.red_end, human.orange_end, human.end) if b > t)
+            events.extend(b for b in (human.red_end, human.orange_end) if b > t)
+            events.append(human.end)
+        robot_end = None
         if robot is not None and factor > 0.0:
-            events.append(t + robot.work_left / factor)
+            robot_end = t + robot.work_left / factor
+            events.append(robot_end)
         if not events:
             raise InvalidProgram("simulation deadlocked: agents are waiting on each other's tasks")
         t_next = min(events)
 
-        if robot is not None:
+        if robot is not None and t_next != robot_end:
             robot.work_left = max(0.0, robot.work_left - factor * (t_next - t))
         t = t_next
 
-        if robot is not None and robot.work_left <= WORK_EPS:
+        if robot is not None and t == robot_end:
             completed.append((robot.instance, R, robot.start, t))
             done[cursor[R]] = True
             cursor[R] += 1
@@ -389,6 +487,17 @@ _WORKCELLS = {
     "orange_past_the_end": lambda: make_world_config(
         {"regions": {"shared": {"red": 0.3, "orange": 0.7000000005, "free": 0.0}}}
     ),
+    # Every duration 211.7 times the default and a non-dyadic orange factor:
+    # each plan's clock passes 2^14 s, where one clock step exceeds 1e-12.
+    "long_clock": lambda: make_world_config(
+        {
+            "zones": {"speed_factors": {"orange": 0.37}},
+            "tasks": {
+                t: {"base_duration": c["base_duration"] * 211.7}
+                for t, c in DEFAULT_CONFIG["tasks"].items()
+            },
+        }
+    ),
 }
 
 
@@ -397,12 +506,13 @@ class TestEventLoopMatchesReference:
     def test_equal_traces_on_random_plans(self, workcell):
         config = _WORKCELLS[workcell]()
         domain = build_domain(config)
-        for i in range(300):
-            program = program_from_plan(domain, random_plan(domain, seed=[i, 0]))
-            seed = [i, 1]
-            assert simulate_plan(program, config, seed, "p") == _reference_simulate(
-                program, config, seed, "p"
-            )
+        with _deadline(30):
+            for i in range(300):
+                program = program_from_plan(domain, random_plan(domain, seed=[i, 0]))
+                seed = [i, 1]
+                assert simulate_plan(program, config, seed, "p") == _reference_simulate(
+                    program, config, seed, "p"
+                )
 
     def test_equal_deadlock_on_a_hand_built_program(self):
         program = AgentProgram(
@@ -413,3 +523,27 @@ class TestEventLoopMatchesReference:
         for simulate in (simulate_plan, _reference_simulate):
             with pytest.raises(InvalidProgram, match="simulation deadlocked"):
                 simulate(program, _workbench(), 0)
+
+
+# SHA-256 of the traces below, recorded while a robot task ended once its
+# residual work fell below a tolerance.
+GOLDEN_TRACES_SHA256 = "f372c0a36da5c490bb6f1252c93224cef9d0df308e7e4259c13f4959a80f2b60"
+
+
+def test_simulated_traces_match_the_recorded_golden_hash():
+    """simulate_plan on 300 random plans per workcell: plan seed [i, 0], simulation seed [i, 1].
+
+    Each record hashes as its task, its agent and float.hex of its start and
+    end, so any change of a single bit in any trace shows.
+    """
+    digest = hashlib.sha256()
+    for workcell in ("default", "flexible", "all_orange", "orange_past_the_end"):
+        config = _WORKCELLS[workcell]()
+        domain = build_domain(config)
+        for i in range(300):
+            program = program_from_plan(domain, random_plan(domain, seed=[i, 0]))
+            for rec in simulate_plan(program, config, [i, 1]).records:
+                start, end = rec.interval.start.hex(), rec.interval.end.hex()
+                digest.update(f"{rec.task_id} {rec.agent.value} {start} {end}\n".encode())
+            digest.update(b"\n")
+    assert digest.hexdigest() == GOLDEN_TRACES_SHA256

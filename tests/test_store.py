@@ -191,9 +191,7 @@ class TestFileFormat:
     def test_replacing_batch_with_new_ids_matches_a_clean_write(self, tmp_path):
         store = Store(tmp_path / "s")
         store.upsert_many("task_duration", [_duration_doc("a"), _duration_doc("b")])
-        store.upsert_many(
-            "task_duration", [_duration_doc("c"), _duration_doc("a", mean=9.0), _duration_doc("c")]
-        )
+        store.upsert_many("task_duration", [_duration_doc("c"), _duration_doc("a", mean=9.0)])
         Store(tmp_path / "clean").upsert_many(
             "task_duration", [_duration_doc("a", mean=9.0), _duration_doc("b"), _duration_doc("c")]
         )
@@ -225,6 +223,18 @@ class TestFileFormat:
             store.upsert_many("task_duration", [_duration_doc("b"), bad])
         assert len(store.query("task_duration")) == 1
         assert len(Store(tmp_path).query("task_duration")) == 1
+
+    @pytest.mark.parametrize("write", ["upsert_many", "replace"])
+    def test_batch_that_names_an_id_twice_changes_nothing(self, tmp_path, write):
+        store = Store(tmp_path / "s")
+        with pytest.raises(SchemaViolation, match="task_duration: field 'id' names 'b:human' twice"):
+            getattr(store, write)("task_duration", [_duration_doc("b"), _duration_doc("b", mean=9.0)])
+        assert not store.root.exists()
+        store.upsert_many("task_duration", [_duration_doc("a")])
+        before = store.path("task_duration").read_bytes()
+        with pytest.raises(SchemaViolation, match="'a:human' twice"):
+            getattr(store, write)("task_duration", [_duration_doc("a"), _duration_doc("a", mean=9.0)])
+        assert store.path("task_duration").read_bytes() == before
 
     @pytest.mark.parametrize("new_id", [True, False], ids=["append", "rewrite"])
     def test_failed_write_leaves_reads_matching_the_file(self, tmp_path, monkeypatch, new_id):
