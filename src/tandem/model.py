@@ -90,10 +90,12 @@ class SynergyMatrix:
 
     Unobserved pairs default to the neutral entry (coefficient 1.0,
     sample_count 0), so an empty matrix models fully decoupled agents.
-    ``lower_factors``, computed once per matrix and kept on it, holds for
-    each agent and own task a factor that no coupled duration of that task
-    falls below, as a fraction of its mean; the planner prices a plan's
-    lower bound with it.
+    Two tables are computed once per matrix and kept on it.
+    ``coefficients`` maps each agent and own task to {counterpart task:
+    coefficient} over the stored entries; the planner builds a plan's
+    coefficient rows from it.  ``lower_factors`` holds for each agent and own
+    task a factor that no coupled duration of that task falls below, as a
+    fraction of its mean; the planner prices a plan's lower bound with it.
     """
 
     entries: Mapping[AgentId, Mapping[tuple[str, str], SynergyEntry]] = field(
@@ -102,6 +104,19 @@ class SynergyMatrix:
 
     def get(self, agent: AgentId, own_task: str, counterpart_task: str) -> SynergyEntry:
         return self.entries.get(agent, {}).get((own_task, counterpart_task), NEUTRAL_SYNERGY)
+
+    @cached_property
+    def coefficients(self) -> dict[AgentId, dict[str, dict[str, float]]]:
+        """Per agent and own task id, each stored counterpart's coefficient.
+
+        An unstored pair has no key; it reads NEUTRAL_SYNERGY's 1.0.
+        """
+        table: dict[AgentId, dict[str, dict[str, float]]] = {}
+        for agent, entries in self.entries.items():
+            rows = table[agent] = {}
+            for (own, other), entry in entries.items():
+                rows.setdefault(own, {})[other] = entry.coefficient
+        return table
 
     @cached_property
     def lower_factors(self) -> dict[AgentId, dict[str, float]]:

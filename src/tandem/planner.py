@@ -26,6 +26,13 @@ the later of the two lanes' last ends.  The result equals, bit for bit, an
 all-pairs O(n_h * n_r) scan of the same formula; the tests keep that scan
 as their reference.
 
+Inside the search each task is addressed by its domain position.  The
+domain keeps, per position, each task's first eligible agent and spec id,
+and the precedence pairs as position pairs, so ``random_plan`` samples a
+plan by position and ``predict_makespan`` reads each mean with one lookup
+in domain order and builds the coefficient rows from
+``SynergyMatrix.coefficients``, a table kept on the matrix.
+
 Search prices each candidate against the best cost so far, an exact
 branch-and-bound (Land & Doig, 1960).  ``SynergyMatrix.lower_factors``
 gives, per agent and own task, a factor that no coupled duration of the task
@@ -51,7 +58,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import InfeasibleDomain, InvalidProgram, MissingDuration, NonConvergence
-from .model import NEUTRAL_SYNERGY, AgentId, StatsMap, SynergyMatrix, coupled_lane_durations
+from .model import AgentId, StatsMap, SynergyMatrix, coupled_lane_durations
 
 logger = logging.getLogger(__name__)
 
@@ -111,6 +118,21 @@ class PlanningDomain:
         return tuple(tuple(sorted(inst.eligible, key=lambda a: a.value)) for inst in self.instances)
 
     @functools.cached_property
+    def _first_agents(self) -> tuple[AgentId, ...]:
+        """Each instance's first eligible agent by value: its agent unless it is flexible."""
+        return tuple(choices[0] for choices in self._eligible_by_value)
+
+    @functools.cached_property
+    def _spec_ids(self) -> tuple[str, ...]:
+        return tuple(inst.spec_id for inst in self.instances)
+
+    @functools.cached_property
+    def _precedence_positions(self) -> tuple[tuple[int, int], ...]:
+        """The precedence pairs as (before, after) domain positions."""
+        position = self._position
+        return tuple((position[before], position[after]) for before, after in self.precedence)
+
+    @functools.cached_property
     def _flexible_positions(self) -> tuple[int, ...]:
         """Domain positions of the instances that both agents may run."""
         return tuple(i for i, choices in enumerate(self._eligible_by_value) if len(choices) > 1)
@@ -119,8 +141,8 @@ class PlanningDomain:
     def _prereq_positions(self) -> tuple[int, ...]:
         """Domain position of each instance's prerequisite, -1 for none."""
         prereq = [-1] * len(self.instances)
-        for before, after in self.precedence:
-            prereq[self._position[after]] = self._position[before]
+        for before, after in self._precedence_positions:
+            prereq[after] = before
         return tuple(prereq)
 
 
@@ -144,21 +166,22 @@ def validate_plan(domain: PlanningDomain, plan: CandidatePlan) -> None:
     _dispatch_order(domain, plan)
 
 
-def _random_linearization(domain: PlanningDomain, rng: np.random.Generator) -> list[str]:
-    """Uniformly random topological order of the domain's instances.
+def _random_linearization(domain: PlanningDomain, rng: np.random.Generator) -> list[int]:
+    """Uniformly random topological order of the domain's instances, as domain positions.
 
     The precedence pairs are disjoint, so a uniform permutation with each
     inverted pair swapped in place is exactly uniform over valid
     linearizations.
     """
-    uids = domain._uids
-    order = [uids[i] for i in rng.permutation(len(uids)).tolist()]
-    position = {uid: i for i, uid in enumerate(order)}
-    for before, after in domain.precedence:
-        i, j = position[before], position[after]
+    order = rng.permutation(len(domain.instances)).tolist()
+    where = [0] * len(order)
+    for i, pos in enumerate(order):
+        where[pos] = i
+    for before, after in domain._precedence_positions:
+        i, j = where[before], where[after]
         if i > j:
-            order[i], order[j] = order[j], order[i]
-            position[before], position[after] = j, i
+            order[i], order[j] = after, before
+            where[before], where[after] = j, i
     return order
 
 
@@ -170,21 +193,24 @@ def random_plan(domain: PlanningDomain, seed) -> CandidatePlan:
     single-agent task takes no draw.  A bounded draw of this size takes one
     32-bit word of the stream whether it comes alone or in an array, so the
     stream, and with it every plan, is the one that m scalar draws give.
+    The interleaving is drawn as domain positions, and each position goes
+    to the lane of its agent in the per-position agent list.
     """
     eligible = domain._eligible_by_value
     rng = np.random.default_rng(seed)
-    agents = [choices[0] for choices in eligible]
+    agents = list(domain._first_agents)
     flexible = domain._flexible_positions
     if flexible:  # an empty draw leaves the stream as it is but costs a numpy call
         for pos, draw in zip(flexible, rng.integers(2, size=len(flexible)).tolist()):
             agents[pos] = eligible[pos][draw]
-    assignment = dict(zip(domain._uids, agents))
+    uids = domain._uids
     human: list[str] = []
     robot: list[str] = []
-    for uid in _random_linearization(domain, rng):
-        (human if assignment[uid] is AgentId.HUMAN else robot).append(uid)
+    for pos in _random_linearization(domain, rng):
+        (human if agents[pos] is AgentId.HUMAN else robot).append(uids[pos])
     return CandidatePlan(
-        assignment=assignment, order={AgentId.HUMAN: tuple(human), AgentId.ROBOT: tuple(robot)}
+        assignment=dict(zip(uids, agents)),
+        order={AgentId.HUMAN: tuple(human), AgentId.ROBOT: tuple(robot)},
     )
 
 
@@ -306,15 +332,17 @@ def predict_makespan(
     if not n:
         return 0.0
 
+    spec_ids = domain._spec_ids
+    assignment = plan.assignment
     means = [0.0] * n
-    for pos, inst in enumerate(domain.instances):
-        agent = plan.assignment[inst.uid]
-        key = (inst.spec_id, agent)
-        if key not in stats:
-            raise MissingDuration(inst.spec_id, agent)
-        means[slot_of[pos]] = stats[key].mean
+    for uid, spec, slot in zip(domain._uids, spec_ids, slot_of):
+        key = (spec, assignment[uid])
+        entry = stats.get(key)
+        if entry is None:
+            raise MissingDuration(*key)
+        means[slot] = entry.mean
 
-    specs = [domain.instances[pos].spec_id for pos in at]
+    specs = [spec_ids[pos] for pos in at]
     starts = [0.0] * n
     ends = [0.0] * (n + 1)
     makespan = _replay(steps, means, starts, ends, n_human)
@@ -329,17 +357,19 @@ def predict_makespan(
         if _replay(steps, floors, [0.0] * n, [0.0] * (n + 1), n_human) > cutoff:
             return math.inf
 
-    # Coefficient rows against the counterpart lane, one per own spec.
+    # Coefficient rows against the counterpart lane, one per own spec; an
+    # unstored pair reads NEUTRAL_SYNERGY's 1.0.
     rows: list[list[float]] = []
     for agent, own, other in (
         (AgentId.HUMAN, specs[:n_human], specs[n_human:]),
         (AgentId.ROBOT, specs[n_human:], specs[:n_human]),
     ):
-        entries = synergy.entries.get(agent, {})
+        table = synergy.coefficients.get(agent, {})
         by_spec: dict[str, list[float]] = {}
         for spec in own:
             if spec not in by_spec:
-                by_spec[spec] = [entries.get((spec, o), NEUTRAL_SYNERGY).coefficient for o in other]
+                counterparts = table.get(spec, {})
+                by_spec[spec] = [counterparts.get(o, 1.0) for o in other]
             rows.append(by_spec[spec])
     for _ in range(MAX_FIXED_POINT_ITERATIONS - 1):
         previous = makespan

@@ -429,6 +429,21 @@ def test_lower_factors_per_own_task():
     assert SynergyMatrix().lower_factors == {}
 
 
+def test_coefficient_table_reads_every_pair_as_get_does():
+    matrix = SynergyMatrix({
+        H: {("a", "x"): SynergyEntry(0.5), ("a", "y"): SynergyEntry(2.0), ("b", "y"): SynergyEntry(3.0)},
+        R: {("x", "a"): SynergyEntry(COEFFICIENT_FLOOR)},
+    })
+    table = matrix.coefficients
+    assert table == {H: {"a": {"x": 0.5, "y": 2.0}, "b": {"y": 3.0}}, R: {"x": {"a": COEFFICIENT_FLOOR}}}
+    assert matrix.coefficients is table  # computed once and kept
+    for agent, own, other in [(a, o, c) for a in AgentId for o in "abxy" for c in "abxy"]:
+        # An unstored pair, or an agent or own task with none, reads the neutral 1.0.
+        read = table.get(agent, {}).get(own, {}).get(other, 1.0)
+        assert read == matrix.get(agent, own, other).coefficient
+    assert SynergyMatrix().coefficients == {}
+
+
 def test_lower_factors_bound_every_coupled_duration():
     """No task's coupled duration falls below its mean times its matrix factor.
 

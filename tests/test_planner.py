@@ -169,7 +169,7 @@ def _drawing_random_plan(domain, seed):
         inst.uid: choices[int(rng.integers(len(choices)))]
         for inst, choices in zip(domain.instances, domain._eligible_by_value)
     }
-    linear = planner_mod._random_linearization(domain, rng)
+    linear = [domain.instances[pos].uid for pos in planner_mod._random_linearization(domain, rng)]
     order = {agent: tuple(u for u in linear if assignment[u] is agent) for agent in AgentId}
     return CandidatePlan(assignment=assignment, order=order)
 
@@ -1044,3 +1044,42 @@ def test_search_with_cutoffs_chooses_the_plan_of_a_search_without_them(
     cost, key = min(priced)
     assert best_cost.hex() == cost.hex()
     assert planner_mod._plan_key(domain, best) == key
+
+
+# SHA-256 of the ten searches below, recorded while each candidate's
+# sampling, means and coefficient rows were looked up by task uid.
+GOLDEN_SEARCHES_SHA256 = "5780cffbeb14f2bc5dd9581b5d530e2804f15354d9d097b9a490b5faba0ca84c"
+
+
+def test_searches_on_campaign_estimates_match_the_recorded_golden_hash(tmp_path, capsys, caplog):
+    """optimize_plan on the estimates of perfbench's first five fixed campaigns, per workcell.
+
+    The default workcell runs 100 plans and searches with budget 100, the
+    flexible one 30 plans with budget 500; the search takes the campaign's
+    seed.  Each search hashes as the chosen plan (its agents in domain order,
+    then the human and robot lanes), float.hex of its cost and the skip
+    warning's text, or "none".
+    """
+    digest = hashlib.sha256()
+    for config, plans, budget in ((None, 100, 100), (FLEXIBLE_WORKCELL, 30, 500)):
+        config_args = [] if config is None else ["--config", str(config)]
+        domain = build_domain(load_world_config(config))
+        for seed in range(7000000, 7000005):
+            store = tmp_path / f"{plans}-{seed}"
+            common = ["--store", str(store), "--seed", str(seed), *config_args]
+            assert cli.main(["simulate", "--plans", str(plans), *common]) == 0
+            assert cli.main(["estimate", "--store", str(store)]) == 0
+            stats, synergy = cli._load_estimates(Store(store))
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="tandem.planner"):
+                plan, cost = optimize_plan(domain, stats, synergy, budget=budget, seed=seed)
+            warnings = [r.getMessage() for r in caplog.records if r.name == "tandem.planner"]
+            fields = [
+                " ".join(plan.assignment[inst.uid].value for inst in domain.instances),
+                *(" ".join(plan.order[agent]) for agent in AgentId),
+                cost.hex(),
+                " / ".join(warnings) or "none",
+            ]
+            digest.update(("|".join(fields) + "\n").encode())
+    capsys.readouterr()
+    assert digest.hexdigest() == GOLDEN_SEARCHES_SHA256
