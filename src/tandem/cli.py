@@ -7,17 +7,16 @@ A campaign run composes the whole pipeline against one store directory::
     tandem plan     --store runs/demo --budget 2000
     tandem report   --store runs/demo --out runs/demo/report
 
-``simulate`` writes the campaign's task_results and plans.  ``estimate``
-reads the traces once, groups the successful executions by (task type,
-agent) and filters each group's outliers once; the kept executions give the
-duration statistics, the synergy regressions and the task lists of both, and
-they replace both estimate collections whole.  ``estimate`` reads no other
-collection.
+``simulate`` replaces task_results and plans with the campaign's, and reads
+no collection.  ``estimate`` reads the traces once, groups the successful
+executions by (task type, agent) and filters each group's outliers once; the
+kept executions give the duration statistics, the synergy regressions and the
+task lists of both, and they replace both estimate collections whole.
+``estimate`` reads no other collection.
 ``plan`` and ``report`` read each estimate collection once, into duration
 statistics and a synergy matrix; ``report`` renders those alone and reads no
 other collection.  The store keeps no copy between calls, and each command
-reads each collection it needs once; ``simulate`` reads task_results ids once
-more, before its upsert.
+reads each collection it needs once.
 
 Commands turn stored documents into values through `Store.read`, and
 task_results documents into traces through `Store.export_traces`, after the
@@ -90,15 +89,14 @@ def _plan_doc(plan_id: str, plan: CandidatePlan, makespan: float, kind: str) -> 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Simulate `--plans` random plans and store their records and plan documents.
 
-    A store may hold only task results that the campaign overwrites, ids
-    ``plan-NNNN:MMMM`` below its plan and task counts; any other id, left by a
-    larger campaign, is a ValueError raised before anything is written.  The
-    campaign's task_results and its plans are each written with one upsert,
-    in that order, after every plan has been simulated: a fresh store is
-    appended to once per collection, and a rerun rewrites each file once.
-    The campaign is durable as a unit when the command returns, and a plan's
-    line is printed only once it is on disk.  A run that dies part-way leaves
-    no plan documents; the same seed reproduces it.
+    The campaign's task_results and its plans each replace their collection
+    with one atomic rewrite, in that order, after every plan has been
+    simulated, so a campaign into a used store leaves both files as a fresh
+    store would, an earlier ``plan``'s optimized plan dropped.  The estimate
+    collections are left as they are.  The campaign is durable as a unit
+    when the command returns, and a plan's line is printed only once it is
+    on disk.  A run that dies part-way leaves each collection whole, as it
+    was or as the campaign wrote it; the same seed reproduces it.
     """
     cfg = worldcfg.load_world_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
@@ -106,17 +104,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(f"plan count must be at least 1, got {args.plans}")
     domain = worldcfg.build_domain(cfg)
     store = Store(_store_root(args))
-    n_tasks = len(domain.instances)
-    plan_ids = {f"plan-{k:04d}" for k in range(args.plans)}
-    positions = {f"{j:04d}" for j in range(n_tasks)}
-    for doc_id in store.read("task_results", lambda doc: doc["id"]):
-        stored_plan, _, position = doc_id.rpartition(":")
-        if stored_plan not in plan_ids or position not in positions:
-            raise ValueError(
-                f"store {store.root} holds task result {doc_id!r}, which a campaign of "
-                f"{args.plans} plans of {n_tasks} tasks would not overwrite; use a fresh store"
-            )
-
     traces = []
     plan_docs = []
     for k in range(args.plans):
@@ -128,7 +115,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         makespan = max((rec.interval.end for rec in trace.records), default=0.0)
         plan_docs.append(_plan_doc(plan_id, plan, makespan, "simulated"))
     store.record_traces(traces)
-    store.upsert_many("plans", plan_docs)
+    store.replace("plans", plan_docs)
     for doc in plan_docs:
         print(f"{doc['id']}: makespan {doc['makespan']:.3f} s")
     makespans = [doc["makespan"] for doc in plan_docs]

@@ -352,11 +352,7 @@ def _validate(raw: dict) -> WorldConfig:
 
 def make_world_config(overrides: Mapping | None = None) -> WorldConfig:
     """Build a configuration from the defaults plus in-memory overrides."""
-    raw = _deep_merge(DEFAULT_CONFIG, dict(overrides or {}))
-    try:
-        return _validate(raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid world config: {exc}") from exc
+    return _validate(_deep_merge(DEFAULT_CONFIG, dict(overrides or {})))
 
 
 def _position(head: str) -> str:

@@ -7,23 +7,18 @@ an older store's task_properties.jsonl, is ignored.
 Documents are keyed by their "id" field; an upsert replaces in place so
 insertion order is stable.  A batch names each id once: a repeated id is a
 SchemaViolation naming the collection and the id, raised before anything is
-written.  Every upsert is durable when it returns and takes one of two paths,
-chosen by its input:
+written.  Every write is one call of `upsert_many`, so a wrapper of it sees
+every write, and one atomic rewrite, durable when it returns: the whole
+collection is written to a temp file, fsynced and renamed over the original.
+It rewrites a collection as its documents updated by the batch or, as
+`replace`, as exactly the batch, dropping every other document.
 
-- a batch of ids that are all new is appended: only the new lines are encoded
-  and written, then flushed and fsynced;
-- a batch that replaces an existing id rewrites the whole file to a temp file,
-  fsyncs it and renames it over the original.
-
-`replace` rewrites a collection as exactly its batch, dropping every other document.
-
-A Store holds nothing but its root: each read and each upsert reads the file
-once, so it sees every document written before it, by any Store on the root.
-An upsert appends only while the file is still the size it read and ends in
-a newline; anything else is rewritten.  An unterminated final line that does
-not parse is a torn append (a crash, or a writer still at work): reads skip it
-and the next upsert's rewrite drops it, so a reader never sees a half-written
-document.  Concurrent writers must be serialized by the caller.
+A Store holds nothing but its root: each read, and each upsert that keeps the
+other documents, reads the file once, so it sees every document written
+before it, by any Store on the root.
+Since every write is a rename, a reader sees a file whole, before or after a
+write, and a line that does not parse is corrupt wherever it is, the last
+one included.  Concurrent writers must be serialized by the caller.
 
 One module-level JSON encoder writes every document (sorted keys, no
 spaces, UTF-8 text) and one decoder reads every line, after the
@@ -42,9 +37,9 @@ line that does not parse, breaks the schema or is rejected by either decoder
 raises CorruptStore naming its line, as the read's one parse numbered it: no
 error reads the file again.
 
-Durability is per upsert, so a caller that batches sets its own unit:
-`record_traces` writes any number of traces as one upsert, and `tandem
-simulate` appends each collection once, so its campaign is durable as a unit
+Durability is per write, so a caller that batches sets its own unit:
+`record_traces` writes any number of traces as one replace, and `tandem
+simulate` writes each collection once, so its campaign is durable as a unit
 when the command returns.
 """
 
@@ -142,41 +137,6 @@ def validate_document(collection: str, doc: Mapping) -> None:
             raise SchemaViolation(collection, field, f"has invalid type {type(value).__name__}")
 
 
-def _whole_lines(data: bytes) -> bytes:
-    """A collection file's bytes without a torn append, if it ends in one.
-
-    A torn append is an unterminated final line that does not parse.
-    """
-    end = data.rfind(b"\n") + 1
-    tail = data[end:]
-    if tail.strip():
-        try:
-            _loads(tail.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return data[:end]
-    return data
-
-
-def _file_size(path: Path) -> int:
-    try:
-        return path.stat().st_size
-    except FileNotFoundError:
-        return 0
-    except OSError as exc:
-        raise IoFailure(f"cannot stat {path}: {exc}") from exc
-
-
-def _append(path: Path, docs: Iterable[dict]) -> None:
-    data = "".join(_dumps(doc) + "\n" for doc in docs).encode("utf-8")
-    try:
-        with open(path, "ab") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-    except OSError as exc:
-        raise IoFailure(f"cannot append to {path}: {exc}") from exc
-
-
 def _rewrite(path: Path, docs: Iterable[dict]) -> None:
     tmp = path.with_name(path.name + ".tmp")
     data = "".join(_dumps(doc) + "\n" for doc in docs).encode("utf-8")
@@ -203,12 +163,11 @@ class Store:
             raise UnknownCollection(f"unknown collection {collection!r}")
         return self.root / f"{collection}.jsonl"
 
-    def _load(self, collection: str) -> tuple[dict[str, dict], dict[str, int], int | None]:
-        """A collection's documents by id, in file order, each one's line, and its append size.
+    def _load(self, collection: str) -> tuple[dict[str, dict], dict[str, int]]:
+        """A collection's documents by id, in file order, and each one's line.
 
         A repeated id keeps its first position and its last document and
-        line.  The size the file may be appended at is None when it does not
-        end in a newline.
+        line.  A final line without a newline reads like any other.
         """
         path = self.path(collection)
         try:
@@ -217,11 +176,10 @@ class Store:
             data = b""
         except OSError as exc:
             raise IoFailure(f"cannot read {path}: {exc}") from exc
-        whole = _whole_lines(data)
         try:
-            text = whole.decode("utf-8")
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise CorruptStore(path, whole.count(b"\n", 0, exc.start) + 1, "invalid UTF-8") from exc
+            raise CorruptStore(path, data.count(b"\n", 0, exc.start) + 1, "invalid UTF-8") from exc
         docs: dict[str, dict] = {}
         lines: dict[str, int] = {}
         for lineno, line in enumerate(text.split("\n"), 1):
@@ -240,38 +198,18 @@ class Store:
                 raise CorruptStore(path, lineno, f"document {doc_id}: {exc.reason}") from exc
             docs[doc_id] = doc
             lines[doc_id] = lineno
-        return docs, lines, len(data) if data.endswith(b"\n") or not data else None
+        return docs, lines
 
-    def upsert_many(self, collection: str, documents: Iterable[Mapping]) -> list[str]:
-        """Upsert a batch, preserving insertion order; durable when this returns.
+    def upsert_many(self, collection: str, documents: Iterable[Mapping], *, keep: bool = True) -> None:
+        """Write a batch by one atomic rewrite; every store write goes through here.
 
-        A batch names each id once; a repeated id raises SchemaViolation
-        before anything is written.  A batch of new ids is appended; one that
-        replaces an id, or meets a file that changed since this call read it,
-        is one atomic rewrite.
-        """
-        batch = self._batch(collection, documents)
-        docs, _, append_at = self._load(collection)
-        path = self.path(collection)
-        if batch.keys().isdisjoint(docs) and append_at == _file_size(path):
-            _append(path, batch.values())
-        else:
-            docs.update(batch)
-            _rewrite(path, docs.values())
-        return list(batch)
-
-    def replace(self, collection: str, documents: Iterable[Mapping]) -> None:
-        """Make a collection hold exactly `documents`, in their order, by one atomic rewrite.
-
-        The current content is not read, so a corrupt file is replaced too.
-        """
-        _rewrite(self.path(collection), self._batch(collection, documents).values())
-
-    def _batch(self, collection: str, documents: Iterable[Mapping]) -> dict[str, dict]:
-        """Checked copies of `documents` by id.
-
-        A batch names each id once: a repeated id raises SchemaViolation
-        naming the collection and the id, before anything is written.
+        With `keep`, the batch updates the collection's documents: a replaced
+        document keeps its position and a new one goes last, and a corrupt
+        file raises CorruptStore before anything is written.  Without it the
+        collection holds exactly the batch, in its order, and the file is not
+        read, so a corrupt file is replaced too.  A batch names each id once:
+        a repeated id raises SchemaViolation naming the collection and the
+        id, before anything is written.
         """
         batch: dict[str, dict] = {}
         for doc in documents:
@@ -285,11 +223,19 @@ class Store:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise IoFailure(f"cannot create store root {self.root}: {exc}") from exc
-        return batch
+        if keep:
+            docs, _ = self._load(collection)
+            docs.update(batch)
+            batch = docs
+        _rewrite(self.path(collection), batch.values())
+
+    def replace(self, collection: str, documents: Iterable[Mapping]) -> None:
+        """Make a collection hold exactly `documents`: `upsert_many` keeping nothing."""
+        self.upsert_many(collection, documents, keep=False)
 
     def query(self, collection: str, filter: Mapping | None = None) -> list[dict]:
         """All documents matching the field-equality filter, in insertion order."""
-        docs, _, _ = self._load(collection)
+        docs, _ = self._load(collection)
         return [
             doc for doc in docs.values() if not filter or all(doc.get(k) == v for k, v in filter.items())
         ]
@@ -305,7 +251,7 @@ class Store:
         OverflowError raises CorruptStore naming its file and the line this
         read parsed it from.
         """
-        docs, lines, _ = self._load(collection)
+        docs, lines = self._load(collection)
         out = []
         for doc_id, doc in docs.items():
             try:
@@ -323,8 +269,8 @@ class Store:
     # -- execution trace bridge ------------------------------------------
 
     def record_traces(self, traces: Iterable[ExecutionTrace]) -> None:
-        """Persist the traces' records as one upsert, ids derived from plan and position."""
-        self.upsert_many(
+        """Make task_results hold exactly the traces' records, ids derived from plan and position."""
+        self.replace(
             "task_results",
             (
                 {
@@ -349,7 +295,7 @@ class Store:
         documents exactly.  A record that cannot be read, or that overlaps an
         earlier record of its agent, raises CorruptStore naming its line.
         """
-        docs, lines, _ = self._load("task_results")
+        docs, lines = self._load("task_results")
         # Per plan, its records and their document ids.
         by_plan: dict[str, tuple[list[ExecutionRecord], list[str]]] = {}
         for doc_id, doc in docs.items():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import filecmp
 import json
 import logging
@@ -9,10 +10,11 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tandem.store as store_mod
 from tandem import cli
-from tandem.config import build_domain, load_world_config
+from tandem.config import DEFAULT_CONFIG, build_domain, load_world_config, make_world_config
 from tandem.errors import ConfigError, EmptyProblem
 from tandem.model import AgentId
 from tandem.planner import random_plan
@@ -31,7 +33,11 @@ def _run(*args):
 
 
 def _simulate_per_plan(store_dir, plans, seed, config=None):
-    """`tandem simulate` as one upsert per plan and collection, each plan printed once stored."""
+    """`tandem simulate` as one upsert per plan and collection, each plan printed once stored.
+
+    The task_results documents are built here from each trace, so no store
+    method that `simulate` calls writes them.
+    """
     cfg = load_world_config(config)
     domain = build_domain(cfg)
     store = Store(store_dir)
@@ -40,7 +46,21 @@ def _simulate_per_plan(store_dir, plans, seed, config=None):
         plan = random_plan(domain, seed=[seed, k, 0])
         plan_id = f"plan-{k:04d}"
         trace = simulate_plan(program_from_plan(domain, plan), cfg, seed=[seed, k, 1], plan_id=plan_id)
-        store.record_traces([trace])
+        store.upsert_many(
+            "task_results",
+            [
+                {
+                    "id": f"{plan_id}:{j:04d}",
+                    "plan_id": plan_id,
+                    "task_id": rec.task_id,
+                    "agent": rec.agent.value,
+                    "start": rec.interval.start,
+                    "end": rec.interval.end,
+                    "success": rec.success,
+                }
+                for j, rec in enumerate(trace.records)
+            ],
+        )
         makespan = max(rec.interval.end for rec in trace.records)
         makespans.append(makespan)
         store.upsert_many("plans", [cli._plan_doc(plan_id, plan, makespan, "simulated")])
@@ -284,41 +304,34 @@ class TestSimulate:
         assert len(fsyncs) == 2  # one rewrite per collection
 
     @pytest.mark.parametrize(
-        "first_plans, config_text, stale",
+        "first_plans, plans, config_text, plan_first",
         [
-            (3, "process:\n"
-                "  - {pick: pick_orange, place: place_orange, count: 1, color: orange}\n"
-                "  - {pick: pick_white, place: place_white, count: 1, color: white}\n",
-             "'plan-0000:0004', which a campaign of 2 plans of 4 tasks"),
-            (4, None, "'plan-0002:0000', which a campaign of 2 plans of 24 tasks"),
+            (3, 3, "process:\n"
+                   "  - {pick: pick_orange, place: place_orange, count: 1, color: orange}\n"
+                   "  - {pick: pick_white, place: place_white, count: 1, color: white}\n", False),
+            (4, 2, None, False),
+            (2, 4, None, False),
+            (3, 3, None, True),
         ],
-        ids=["fewer_tasks", "fewer_plans"],
+        ids=["fewer_tasks", "fewer_plans", "more_plans", "after_plan"],
     )
-    def test_smaller_campaign_into_a_used_store_is_an_error(
-        self, tmp_path, capsys, first_plans, config_text, stale
+    def test_campaign_into_a_used_store_holds_what_a_fresh_store_holds(
+        self, tmp_path, first_plans, plans, config_text, plan_first
     ):
-        store_dir = tmp_path / "s"
-        assert _run("simulate", "--store", store_dir, "--plans", first_plans, "--seed", 1) == 0
-        before = _files(store_dir)
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        assert _run("simulate", "--store", used, "--plans", first_plans, "--seed", 1) == 0
+        if plan_first:
+            assert _run("estimate", "--store", used) == 0
+            assert _run("plan", "--store", used, "--budget", 5) == 0
         flags = ()
         if config_text is not None:
             config = tmp_path / "world.yaml"
             config.write_text(config_text)
             flags = ("--config", config)
-        capsys.readouterr()
-        assert _run("simulate", "--store", store_dir, "--plans", 2, "--seed", 2, *flags) == 1
-        assert capsys.readouterr().err == (
-            f"error: store {store_dir} holds task result {stale} would not overwrite; "
-            "use a fresh store\n"
-        )
-        assert _files(store_dir) == before
-
-    def test_larger_campaign_overwrites_a_smaller_one(self, tmp_path):
-        used, fresh = tmp_path / "used", tmp_path / "fresh"
-        assert _run("simulate", "--store", used, "--plans", 2, "--seed", 1) == 0
         for store_dir in (used, fresh):
-            assert _run("simulate", "--store", store_dir, "--plans", 4, "--seed", 2) == 0
-        assert _files(used) == _files(fresh)
+            assert _run("simulate", "--store", store_dir, "--plans", plans, "--seed", 2, *flags) == 0
+        for name in ("task_results.jsonl", "plans.jsonl"):
+            assert (used / name).read_bytes() == (fresh / name).read_bytes(), name
 
     @pytest.mark.parametrize("plans", [1, 5, 20])
     def test_fsyncs_once_per_collection(self, tmp_path, monkeypatch, plans):
@@ -339,6 +352,63 @@ class TestSimulate:
         monkeypatch.setattr(store_mod, "_dumps", counting_dumps)
         assert _run("simulate", "--store", tmp_path / "s", "--plans", plans, "--seed", 2) == 0
         assert encoded == (24 + 1) * plans
+
+
+def _config_paths(node, prefix=()):
+    """The key path of every section and leaf under `node`; an int selects a list item."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _config_paths(child, prefix + (key,))
+
+
+# A key's text has two characters at least, so that an error naming it is
+# told apart from one whose other text merely contains it.
+_ODD_KEYS = st.one_of(
+    st.none(), st.booleans(), st.integers(-99, -10) | st.integers(10, 99), st.dates(),
+    st.sampled_from(["xy", "red", "agent", "count", "white"]),
+)
+_ODD_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.sampled_from([10**400, -(10**400)]), st.floats(),
+        st.dates(), st.text(max_size=6),
+        st.sampled_from(["human", "robot", "pick", "place", "shared", "white", "pick_white"]),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_ODD_KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from(list(_config_paths(DEFAULT_CONFIG))), st.none() | _ODD_KEYS, _ODD_VALUES),
+    min_size=1, max_size=3,
+))
+def test_every_override_loads_or_names_a_field_it_sets(edits):
+    """Each edit sets the value at a path of the defaults, or at a new key beside it.
+
+    The error names, as a whole word, the key some edit set, the section or
+    task that key sits in (an item's is its list's, as in `process[2]`), or a
+    key inside the value it set.  Only a key of two characters or more
+    counts, so a list index does not.
+    """
+    raw = copy.deepcopy(DEFAULT_CONFIG)
+    named = set()
+    # Deepest first, so each path still leads through the defaults.
+    for path, new_key, value in sorted(edits, key=lambda edit: -len(edit[0])):
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        key = path[-1] if new_key is None or not isinstance(node, dict) else new_key
+        node[key] = value
+        section = [k for k in path[:-1] if not isinstance(k, int)][-1:]
+        keys = [key, *section, *(sub[-1] for sub in _config_paths(value))]
+        named.update(text for k in keys if len(str(k)) >= 2 for text in (str(k), repr(k)))
+    try:
+        make_world_config(raw)
+    except ConfigError as exc:
+        message = str(exc)
+        assert any(re.search(rf"(?<!\w){re.escape(text)}(?!\w)", message) for text in named), message
 
 
 class TestEstimate:
@@ -773,10 +843,9 @@ class TestPipeline:
             return load(store, collection)
 
         monkeypatch.setattr(Store, "_load", recording_load)
-        # simulate reads task_results once for the ids of an earlier campaign,
-        # and its upsert reads it once more.
+        # simulate replaces both of its collections without reading them.
         for command, flags, collections in [
-            ("simulate", ("--plans", 2), ["task_results", "task_results", "plans"]),
+            ("simulate", ("--plans", 2), []),
             ("estimate", (), ["task_results"]),
             ("plan", ("--budget", 5), ["task_duration", "task_synergy", "plans"]),
             ("report", (), ["task_duration", "task_synergy"]),
@@ -784,6 +853,34 @@ class TestPipeline:
             parsed.clear()
             assert _run(command, "--store", store_dir, *flags) == 0
             assert parsed == collections, command
+
+    def test_every_write_goes_through_upsert_many(self, tmp_path, monkeypatch):
+        store_dir = tmp_path / "s"
+        upserts, rewrites = [], []
+        upsert_many, rewrite = Store.upsert_many, store_mod._rewrite
+
+        def recording_upsert(store, collection, documents, **kwargs):
+            upserts.append((collection, kwargs.get("keep", True)))
+            upsert_many(store, collection, documents, **kwargs)
+
+        def recording_rewrite(path, docs):
+            rewrites.append(path.stem)
+            rewrite(path, docs)
+
+        monkeypatch.setattr(Store, "upsert_many", recording_upsert)
+        monkeypatch.setattr(store_mod, "_rewrite", recording_rewrite)
+        # Only plan keeps a collection's other documents.
+        for command, flags, writes in [
+            ("simulate", ("--plans", 2), [("task_results", False), ("plans", False)]),
+            ("estimate", (), [("task_synergy", False), ("task_duration", False)]),
+            ("plan", ("--budget", 5), [("plans", True)]),
+            ("report", (), []),
+        ]:
+            upserts.clear()
+            rewrites.clear()
+            assert _run(command, "--store", store_dir, *flags) == 0
+            assert upserts == writes, command
+            assert rewrites == [collection for collection, _ in writes], command
 
     @pytest.mark.parametrize("command", ["estimate", "plan", "report"])
     def test_reading_a_missing_store_leaves_it_absent(self, tmp_path, capsys, command):

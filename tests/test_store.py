@@ -174,18 +174,18 @@ class TestFileFormat:
     def test_rewrite_is_byte_stable(self, tmp_path):
         docs = [_duration_doc("a"), _duration_doc("b"), _duration_doc("c")]
         clean = tmp_path / "batch"
-        Store(clean).upsert_many("task_duration", docs)  # one append
+        Store(clean).upsert_many("task_duration", docs)
         before = (clean / "task_duration.jsonl").read_bytes()
 
         one_at_a_time = Store(tmp_path / "single")
         for doc in docs:
-            one_at_a_time.upsert_many("task_duration", [doc])  # three appends
+            one_at_a_time.upsert_many("task_duration", [doc])
         assert (tmp_path / "single" / "task_duration.jsonl").read_bytes() == before
 
         reread = Store(clean).query("task_duration")
         Store(tmp_path / "copy").upsert_many("task_duration", reread)
         assert (tmp_path / "copy" / "task_duration.jsonl").read_bytes() == before
-        Store(clean).upsert_many("task_duration", reread)  # every id exists: a rewrite
+        Store(clean).upsert_many("task_duration", reread)  # every id exists
         assert (clean / "task_duration.jsonl").read_bytes() == before
 
     def test_replacing_batch_with_new_ids_matches_a_clean_write(self, tmp_path):
@@ -198,21 +198,6 @@ class TestFileFormat:
         assert (tmp_path / "s" / "task_duration.jsonl").read_bytes() == (
             tmp_path / "clean" / "task_duration.jsonl"
         ).read_bytes()
-
-    def test_append_encodes_only_new_documents(self, tmp_path, monkeypatch):
-        store = Store(tmp_path)
-        store.upsert_many("task_duration", [_duration_doc("a"), _duration_doc("b")])
-        encoded = []
-
-        def recording_dumps(doc):
-            encoded.append(doc["id"])
-            return _dumps(doc)
-
-        monkeypatch.setattr(store_mod, "_dumps", recording_dumps)
-        store.upsert_many("task_duration", [_duration_doc("c")])
-        assert encoded == ["c:human"]
-        store.upsert_many("task_duration", [_duration_doc("a", mean=9.0)])
-        assert encoded == ["c:human", "a:human", "b:human", "c:human"]
 
     def test_invalid_batch_changes_nothing(self, tmp_path):
         store = Store(tmp_path)
@@ -236,8 +221,8 @@ class TestFileFormat:
             getattr(store, write)("task_duration", [_duration_doc("a"), _duration_doc("a", mean=9.0)])
         assert store.path("task_duration").read_bytes() == before
 
-    @pytest.mark.parametrize("new_id", [True, False], ids=["append", "rewrite"])
-    def test_failed_write_leaves_reads_matching_the_file(self, tmp_path, monkeypatch, new_id):
+    @pytest.mark.parametrize("write", ["upsert_many", "replace"])
+    def test_failed_write_leaves_reads_matching_the_file(self, tmp_path, monkeypatch, write):
         store = Store(tmp_path)
         store.upsert_many("task_duration", [_duration_doc("a")])
 
@@ -246,52 +231,48 @@ class TestFileFormat:
 
         monkeypatch.setattr(store_mod.os, "fsync", failing_fsync)
         with pytest.raises(IoFailure):
-            store.upsert_many("task_duration", [_duration_doc("b" if new_id else "a", mean=9.0)])
+            getattr(store, write)("task_duration", [_duration_doc("a", mean=9.0)])
         monkeypatch.undo()
         assert store.query("task_duration") == Store(tmp_path).query("task_duration")
         assert [path.name for path in tmp_path.iterdir()] == ["task_duration.jsonl"]
 
 
-class TestTornTail:
-    """A crash mid-append leaves an unterminated final line."""
+class TestUnterminatedLastLine:
+    """Every write is a rename, so a final line without a newline is read like any other."""
 
-    def _torn(self, tmp_path):
+    @pytest.mark.parametrize("cut", [False, True], ids=["complete", "cut"])
+    def test_reads_and_upserts(self, tmp_path, cut):
         store = Store(tmp_path / "s")
         store.record_traces([_small_trace("p1")])
-        path = tmp_path / "s" / "task_results.jsonl"
-        line = path.read_bytes().splitlines(keepends=True)[0].replace(b"p1", b"p2")
-        with open(path, "ab") as fh:
-            fh.write(line[: len(line) // 2])
-        return store
-
-    def _clean(self, tmp_path):
-        clean = Store(tmp_path / "clean")
-        clean.record_traces([_small_trace("p1"), _small_trace("p3")])
-        return (tmp_path / "clean" / "task_results.jsonl").read_bytes()
-
-    def test_reads_skip_the_torn_line(self, tmp_path):
-        self._torn(tmp_path)
-        (trace,) = Store(tmp_path / "s").export_traces()
-        assert trace == _small_trace("p1")
-
-    @pytest.mark.parametrize("reopen", [True, False], ids=["fresh_store", "same_store"])
-    def test_next_upsert_rewrites_it_away(self, tmp_path, reopen):
-        store = self._torn(tmp_path)
-        if reopen:
-            store = Store(tmp_path / "s")
-        store.record_traces([_small_trace("p3")])
-        assert (tmp_path / "s" / "task_results.jsonl").read_bytes() == self._clean(tmp_path)
-        assert sorted(p.name for p in (tmp_path / "s").iterdir()) == ["task_results.jsonl"]
-
-    def test_complete_final_line_without_newline_is_kept(self, tmp_path):
-        store = Store(tmp_path / "s")
-        store.record_traces([_small_trace("p1")])
-        path = tmp_path / "s" / "task_results.jsonl"
-        path.write_bytes(path.read_bytes().rstrip(b"\n"))
-        store = Store(tmp_path / "s")
-        assert len(store.query("task_results")) == 3
-        store.record_traces([_small_trace("p3")])
-        assert path.read_bytes() == self._clean(tmp_path)
+        path = store.path("task_results")
+        data = path.read_bytes()
+        if cut:  # half of a fourth line
+            line = data.splitlines()[0].replace(b"p1", b"p2")
+            data += line[: len(line) // 2]
+        else:  # the third line, whole
+            data = data.rstrip(b"\n")
+        path.write_bytes(data)
+        extra = {**_record_doc("p9:0000"), "plan_id": "p9"}
+        if cut:
+            for call in (
+                lambda: store.read("task_results", dict),
+                store.export_traces,
+                lambda: store.upsert_many("task_results", [extra]),
+            ):
+                with pytest.raises(CorruptStore) as err:
+                    call()
+                assert (err.value.path, err.value.line) == (path, 4)
+                assert str(err.value).startswith(f"{path}:4: bad JSON: ")
+            assert path.read_bytes() == data
+            assert [p.name for p in store.root.iterdir()] == ["task_results.jsonl"]
+        else:
+            assert store.read("task_results", lambda doc: doc["id"]) == ["p1:0000", "p1:0001", "p1:0002"]
+            assert store.export_traces() == [_small_trace("p1")]
+            store.upsert_many("task_results", [extra])
+            clean = Store(tmp_path / "clean")
+            clean.record_traces([_small_trace("p1")])
+            clean.upsert_many("task_results", [extra])
+            assert path.read_bytes() == clean.path("task_results").read_bytes()
 
 
 class TestReadErrors:
@@ -482,10 +463,8 @@ class TestTraceBridge:
         ]
         assert [trace.plan_id for trace in store.export_traces()] == ["a", "b"]
 
-    def test_one_call_writes_what_one_call_per_trace_writes(self, tmp_path, monkeypatch):
+    def test_one_call_is_one_fsync(self, tmp_path, monkeypatch):
         traces = [_small_trace("p1"), _small_trace("p2"), _small_trace("p3")]
-        for trace in traces:
-            Store(tmp_path / "a").record_traces([trace])
         fsyncs = []
         fsync = store_mod.os.fsync
 
@@ -494,12 +473,10 @@ class TestTraceBridge:
             fsync(fd)
 
         monkeypatch.setattr(store_mod.os, "fsync", counting_fsync)
-        Store(tmp_path / "b").record_traces(traces)
+        store = Store(tmp_path)
+        store.record_traces(traces)
         assert len(fsyncs) == 1
-        assert (
-            (tmp_path / "a" / "task_results.jsonl").read_bytes()
-            == (tmp_path / "b" / "task_results.jsonl").read_bytes()
-        )
+        assert store.export_traces() == traces
 
     def test_reimport_reproduces_bytes(self, tmp_path):
         first = Store(tmp_path / "a")
