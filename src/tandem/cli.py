@@ -7,8 +7,9 @@ A campaign run composes the whole pipeline against one store directory::
     tandem plan     --store runs/demo --budget 2000
     tandem report   --store runs/demo --out runs/demo/report
 
-``simulate`` replaces task_results and plans with the campaign's, and reads
-no collection.  ``estimate`` reads the traces once, groups the successful
+``simulate`` replaces task_results and plans with the campaign's, drops the
+estimate collections, which came from another campaign, and reads no
+collection.  ``estimate`` reads the traces once, groups the successful
 executions by (task type, agent) and filters each group's outliers once; the
 kept executions give the duration statistics, the synergy regressions and the
 task lists of both, and they replace both estimate collections whole.
@@ -89,14 +90,16 @@ def _plan_doc(plan_id: str, plan: CandidatePlan, makespan: float, kind: str) -> 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Simulate `--plans` random plans and store their records and plan documents.
 
-    The campaign's task_results and its plans each replace their collection
-    with one atomic rewrite, in that order, after every plan has been
-    simulated, so a campaign into a used store leaves both files as a fresh
-    store would, an earlier ``plan``'s optimized plan dropped.  The estimate
-    collections are left as they are.  The campaign is durable as a unit
-    when the command returns, and a plan's line is printed only once it is
-    on disk.  A run that dies part-way leaves each collection whole, as it
-    was or as the campaign wrote it; the same seed reproduces it.
+    After every plan has been simulated, the estimate collections are
+    dropped, since they came from another campaign, and then the campaign's
+    task_results and its plans each replace their collection with one atomic
+    rewrite, in that order.  So a campaign into a used store leaves the files
+    a fresh store would, an earlier ``plan``'s optimized plan dropped, and
+    ``plan`` and ``report`` ask for ``tandem estimate`` until it has run.
+    The campaign is durable as a unit when the command returns, and a plan's
+    line is printed only once it is on disk.  A run that dies part-way
+    leaves each collection whole, as it was or as the campaign wrote it, or
+    an estimate collection dropped; the same seed reproduces it.
     """
     cfg = worldcfg.load_world_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
@@ -114,6 +117,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         traces.append(trace)
         makespan = max((rec.interval.end for rec in trace.records), default=0.0)
         plan_docs.append(_plan_doc(plan_id, plan, makespan, "simulated"))
+    store.drop("task_synergy")
+    store.drop("task_duration")
     store.record_traces(traces)
     store.replace("plans", plan_docs)
     for doc in plan_docs:

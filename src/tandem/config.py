@@ -7,17 +7,20 @@ the human handles white and blue boxes, the robot handles orange and blue
 boxes, and the blue boxes live in a shared region whose safety zones slow the
 robot down whenever the human works there.
 
-Names are resolved at load: each task's region must name an entry of
-``regions``, whose zone exposure profile the task's ``TaskConfig`` then holds,
-and each process step must name a catalog pick task and a catalog place task.
-A name that resolves to nothing, or to a task of the other action, raises
-ConfigError with the path of the field.  A task's description is checked to
-be text and not kept.
+The load checks each field once, in one pass over the merged mapping, and
+keeps only what the simulator and the planner read.  Names are resolved at
+load: each task's region must name an entry of ``regions``, whose zone
+exposure profile (red and orange fractions) the task's ``TaskConfig`` then
+holds, and each process step must name a catalog pick task and a catalog
+place task.  A name that resolves to nothing, or to a task of the other
+action, raises ConfigError with the path of the field.  A task's action
+(pick, place or goto) and description, a region's free fraction and a
+step's object color are checked and not kept.  A file nested too deeply
+for the YAML parser is a ConfigError naming the file.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
@@ -26,10 +29,11 @@ from typing import Container, Mapping
 import yaml
 
 from .errors import ConfigError
-from .model import ActionKind, AgentId
+from .model import AgentId
 from .planner import PlanningDomain, TaskInstance
 
 ZONES = ("red", "orange", "free")
+_ACTIONS = ("pick", "place", "goto")
 _TASK_FIELDS = ("agent", "action", "region", "base_duration", "cv", "description")
 _STEP_FIELDS = ("pick", "place", "count", "color")
 
@@ -123,61 +127,36 @@ DEFAULT_CONFIG: dict = {
 
 @dataclass(frozen=True)
 class ZoneExposureProfile:
-    """Fraction of a human task spent in each safety zone, in red-orange-free order."""
+    """Fraction of a human task spent in the red and the orange zone, in that order.
 
-    red: float = 0.0
-    orange: float = 0.0
-    free: float = 1.0
+    The rest of the task, 1 - red - orange, is spent in the free zone.
+    """
 
-    def __post_init__(self) -> None:
-        for zone, frac in (("red", self.red), ("orange", self.orange), ("free", self.free)):
-            if not (isfinite(frac) and frac >= 0.0):
-                raise ConfigError(
-                    f"zone fraction {zone} must be non-negative and finite, got {frac}"
-                )
-        if abs(self.red + self.orange + self.free - 1.0) > 1e-9:
-            raise ConfigError(
-                f"zone fractions must sum to 1, got {self.red + self.orange + self.free}"
-            )
+    red: float
+    orange: float
 
 
 @dataclass(frozen=True)
 class TaskConfig:
-    """A catalog task: its action, who may perform it, its zone exposure and durations.
+    """A catalog task: who may perform it, its zone exposure and durations.
 
     The exposure is the profile of the task's region, looked up when the
     config is loaded, so every reader indexes it directly.
     """
 
-    id: str
-    action: ActionKind
     eligible_agents: frozenset[AgentId]
     profile: ZoneExposureProfile
     base_duration: float
     cv: float
 
-    def __post_init__(self) -> None:
-        if not self.eligible_agents:
-            raise ConfigError(f"task {self.id!r} has no eligible agents")
-        if not (isfinite(self.base_duration) and self.base_duration > 0.0):
-            raise ConfigError(
-                f"task {self.id!r}: base duration must be positive and finite, "
-                f"got {self.base_duration}"
-            )
-        if not (isfinite(self.cv) and self.cv >= 0.0):
-            raise ConfigError(
-                f"task {self.id!r}: cv must be non-negative and finite, got {self.cv}"
-            )
-
 
 @dataclass(frozen=True)
 class ProcessStep:
-    """A batch of identical pick/place pairs over one object color."""
+    """A batch of identical pick/place pairs; its object color is checked at load."""
 
     pick: str
     place: str
     count: int
-    color: str
 
 
 @dataclass(frozen=True)
@@ -190,13 +169,18 @@ class WorldConfig:
     seed: int
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    merged = copy.deepcopy(base)
+def _deep_merge(base: dict, override: Mapping) -> dict:
+    """`base` with `override` merged in, one new dict per merged level.
+
+    Unmerged values are shared with both inputs, not copied: the load only
+    reads the result, and builds every value it keeps anew.
+    """
+    merged = dict(base)
     for key, value in override.items():
         if isinstance(value, dict) and isinstance(merged.get(key), dict):
             merged[key] = _deep_merge(merged[key], value)
         else:
-            merged[key] = copy.deepcopy(value)
+            merged[key] = value
     return merged
 
 
@@ -236,7 +220,8 @@ def _text(value: object, path: str) -> str:
 
 def _parse_task(
     task_id: str, raw: object, regions: Mapping[str, ZoneExposureProfile]
-) -> TaskConfig:
+) -> tuple[str, TaskConfig]:
+    """A task's action, checked to be one of _ACTIONS, and its catalog entry."""
     raw = _mapping(raw, f"task {task_id!r}")
     path = f"tasks.{task_id}."
     _known_fields(raw, _TASK_FIELDS, path)
@@ -254,20 +239,20 @@ def _parse_task(
         raise ConfigError(f"{path}agent must be a string or a list of strings, got {raw['agent']!r}")
     try:
         eligible = frozenset(AgentId(a) for a in agents)
-        kind = ActionKind(action)
     except ValueError as exc:
         raise ConfigError(f"task {task_id!r}: {exc}") from None
+    if action not in _ACTIONS:
+        raise ConfigError(f"{path}action must be pick, place or goto, got {action!r}")
     if region not in regions:
         raise ConfigError(f"{path}region names no region in regions, got {region!r}")
     _text(raw.get("description", ""), path + "description")
-    return TaskConfig(
-        id=task_id,
-        action=kind,
-        eligible_agents=eligible,
-        profile=regions[region],
-        base_duration=base,
-        cv=cv,
-    )
+    if not eligible:
+        raise ConfigError(f"task {task_id!r} has no eligible agents")
+    if not (isfinite(base) and base > 0.0):
+        raise ConfigError(f"task {task_id!r}: base duration must be positive and finite, got {base}")
+    if not (isfinite(cv) and cv >= 0.0):
+        raise ConfigError(f"task {task_id!r}: cv must be non-negative and finite, got {cv}")
+    return action, TaskConfig(eligible, regions[region], base, cv)
 
 
 def _validate(raw: dict) -> WorldConfig:
@@ -289,14 +274,20 @@ def _validate(raw: dict) -> WorldConfig:
     for name, prof in _mapping(raw["regions"], "regions").items():
         prof = _mapping(prof, f"region {name!r}")
         _known_fields(prof, ZONES, f"regions.{name}.")
-        fractions = {z: _number(prof.get(z, 0.0), f"regions.{name}.{z}") for z in ZONES}
-        try:
-            regions[name] = ZoneExposureProfile(**fractions)
-        except ConfigError as exc:
-            raise ConfigError(f"region {name!r}: {exc}") from None
-    tasks = {
-        t: _parse_task(t, task, regions) for t, task in _mapping(raw["tasks"], "tasks").items()
-    }
+        fractions = [_number(prof.get(z, 0.0), f"regions.{name}.{z}") for z in ZONES]
+        for zone, frac in zip(ZONES, fractions):
+            if not (isfinite(frac) and frac >= 0.0):
+                raise ConfigError(
+                    f"region {name!r}: zone fraction {zone} must be non-negative and finite, got {frac}"
+                )
+        red, orange, free = fractions
+        if abs(red + orange + free - 1.0) > 1e-9:
+            raise ConfigError(f"region {name!r}: zone fractions must sum to 1, got {red + orange + free}")
+        regions[name] = ZoneExposureProfile(red, orange)
+    actions = {}
+    tasks = {}
+    for t, task in _mapping(raw["tasks"], "tasks").items():
+        actions[t], tasks[t] = _parse_task(t, task, regions)
     objects = {
         str(k): _number(v, f"objects.{k}", integer=True)
         for k, v in _mapping(raw["objects"], "objects").items()
@@ -320,8 +311,8 @@ def _validate(raw: dict) -> WorldConfig:
                 pick=_text(entry["pick"], f"process[{i}].pick"),
                 place=_text(entry["place"], f"process[{i}].place"),
                 count=_number(entry["count"], f"process[{i}].count", integer=True),
-                color=_text(entry["color"], f"process[{i}].color"),
             )
+            color = _text(entry["color"], f"process[{i}].color")
         except KeyError as exc:
             raise ConfigError(f"process[{i}] is missing field {exc.args[0]!r}") from None
         if step.count < 0:
@@ -329,12 +320,12 @@ def _validate(raw: dict) -> WorldConfig:
         for field, task_id in (("pick", step.pick), ("place", step.place)):
             if task_id not in tasks:
                 raise ConfigError(f"process references unknown task {task_id!r}")
-            action = tasks[task_id].action.value
+            action = actions[task_id]
             if action != field:
                 raise ConfigError(
                     f"process[{i}].{field} must name a {field} task, got {task_id!r}, a {action} task"
                 )
-        used[step.color] = used.get(step.color, 0) + step.count
+        used[color] = used.get(color, 0) + step.count
         steps.append(step)
     for color, n in used.items():
         if n > objects.get(color, 0):
@@ -352,7 +343,7 @@ def _validate(raw: dict) -> WorldConfig:
 
 def make_world_config(overrides: Mapping | None = None) -> WorldConfig:
     """Build a configuration from the defaults plus in-memory overrides."""
-    return _validate(_deep_merge(DEFAULT_CONFIG, dict(overrides or {})))
+    return _validate(_deep_merge(DEFAULT_CONFIG, overrides or {}))
 
 
 def _position(head: str) -> str:
@@ -374,6 +365,8 @@ def load_world_config(path: str | Path | None = None) -> WorldConfig:
             raise ConfigError(f"config {path} is not UTF-8 at {where}: {exc.reason}") from exc
         try:
             loaded = yaml.safe_load(text)
+        except RecursionError:
+            raise ConfigError(f"config {path} is not valid YAML: nested too deeply") from None
         except yaml.YAMLError as exc:
             # The scanner, parser and constructor mark the problem; the reader,
             # which rejects a character YAML does not allow, gives its offset.

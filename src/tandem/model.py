@@ -39,12 +39,6 @@ class AgentId(str, Enum):
 SIDES = (AgentId.ROBOT, AgentId.HUMAN)
 
 
-class ActionKind(str, Enum):
-    PICK = "pick"
-    PLACE = "place"
-    GOTO = "goto"
-
-
 @dataclass(frozen=True)
 class TimeInterval:
     """Closed interval [start, end] in non-negative seconds; end >= start."""

@@ -67,7 +67,7 @@ def program_from_plan(domain: PlanningDomain, plan: CandidatePlan) -> AgentProgr
 def sample_task_duration(base: float, cv: float, rng: np.random.Generator) -> float:
     """Draw a realized duration: normal around `base`, truncated at 0.2 * base.
 
-    `config.TaskConfig` checked at load that `base` > 0 and `cv` >= 0, both finite.
+    The config load (`config._parse_task`) checked that `base` > 0 and `cv` >= 0, both finite.
     """
     if cv == 0.0:
         return base

@@ -7,11 +7,12 @@ an older store's task_properties.jsonl, is ignored.
 Documents are keyed by their "id" field; an upsert replaces in place so
 insertion order is stable.  A batch names each id once: a repeated id is a
 SchemaViolation naming the collection and the id, raised before anything is
-written.  Every write is one call of `upsert_many`, so a wrapper of it sees
-every write, and one atomic rewrite, durable when it returns: the whole
-collection is written to a temp file, fsynced and renamed over the original.
-It rewrites a collection as its documents updated by the batch or, as
-`replace`, as exactly the batch, dropping every other document.
+written.  Every write of documents is one call of `upsert_many`, so a wrapper
+of it sees every such write, and one atomic rewrite, durable when it returns:
+the whole collection is written to a temp file, fsynced and renamed over the
+original.  It rewrites a collection as its documents updated by the batch
+or, as `replace`, as exactly the batch, dropping every other document.
+`drop` deletes a collection's file, so the collection reads empty.
 
 A Store holds nothing but its root: each read, and each upsert that keeps the
 other documents, reads the file once, so it sees every document written
@@ -33,8 +34,9 @@ execution records, and groups them into traces by the plan_id that
 `record_traces` writes from each trace: a record has no plan id of its own.
 `_AGENTS` maps each stored agent value to its agent for `export_traces`, and
 `AGENT_VALUES` each agent to its stored value for every document writer.  A
-line that does not parse, breaks the schema or is rejected by either decoder
-raises CorruptStore naming its line, as the read's one parse numbered it: no
+line that does not parse (a document nested too deeply for the decoder
+included), breaks the schema or is rejected by either decoder raises
+CorruptStore naming its line, as the read's one parse numbered it: no
 error reads the file again.
 
 Durability is per write, so a caller that batches sets its own unit:
@@ -189,6 +191,8 @@ class Store:
                 doc = _loads(line)
             except json.JSONDecodeError as exc:
                 raise CorruptStore(path, lineno, f"bad JSON: {exc.msg} (column {exc.colno})") from exc
+            except RecursionError:
+                raise CorruptStore(path, lineno, "bad JSON: nested too deeply") from None
             doc_id = doc.get("id") if isinstance(doc, dict) else None
             if not isinstance(doc_id, str):
                 raise CorruptStore(path, lineno, "document has no string 'id'")
@@ -232,6 +236,14 @@ class Store:
     def replace(self, collection: str, documents: Iterable[Mapping]) -> None:
         """Make a collection hold exactly `documents`: `upsert_many` keeping nothing."""
         self.upsert_many(collection, documents, keep=False)
+
+    def drop(self, collection: str) -> None:
+        """Delete a collection's file, if it has one, so the collection reads empty."""
+        path = self.path(collection)
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise IoFailure(f"cannot delete {path}: {exc}") from exc
 
     def query(self, collection: str, filter: Mapping | None = None) -> list[dict]:
         """All documents matching the field-equality filter, in insertion order."""

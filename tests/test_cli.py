@@ -222,6 +222,8 @@ class TestSimulate:
             ("objects: {purple: -1}\n", "objects.purple must be non-negative, got -1"),
             ("process:\n  - {pick: pick_white, place: place_white, count: -1, color: white}\n",
              "process[0].count must be non-negative, got -1"),
+            ("tasks:\n  pick_white: {action: jump}\n",
+             "tasks.pick_white.action must be pick, place or goto, got 'jump'"),
         ],
         ids=[
             "base_duration_nan", "base_duration_inf", "cv_inf", "cv_nan", "base_duration_zero",
@@ -233,7 +235,7 @@ class TestSimulate:
             "task_field_typo", "section_typo", "process_field_typo", "region_zone_typo",
             "unknown_speed_zone", "region_list", "description_mapping", "color_list", "agent_mapping",
             "agent_number", "region_typo", "step_actions_swapped", "objects_negative",
-            "object_unused_negative", "process_count_negative",
+            "object_unused_negative", "process_count_negative", "action_unknown",
         ],
     )
     def test_non_finite_config_value_is_rejected(self, tmp_path, capsys, text, reason):
@@ -255,8 +257,11 @@ class TestSimulate:
             (b"seed: 1\nobjects: \x01\n",
              "is not valid YAML at line 2, column 10: unacceptable character #x0001: "
              "special characters are not allowed"),
+            (b"tasks: " + b"[" * 1000 + b"]" * 1000 + b"\n", "is not valid YAML: nested too deeply"),
+            (b"".join(b" " * i + b"k%d:\n" % i for i in range(1000)) + b" " * 1000 + b"v\n",
+             "is not valid YAML: nested too deeply"),
         ],
-        ids=["unclosed_sequence", "latin1_byte", "control_character"],
+        ids=["unclosed_sequence", "latin1_byte", "control_character", "deep_flow", "deep_block"],
     )
     def test_unreadable_config_text_is_rejected(self, tmp_path, capsys, data, reason):
         config = tmp_path / "world.yaml"
@@ -330,8 +335,29 @@ class TestSimulate:
             flags = ("--config", config)
         for store_dir in (used, fresh):
             assert _run("simulate", "--store", store_dir, "--plans", plans, "--seed", 2, *flags) == 0
-        for name in ("task_results.jsonl", "plans.jsonl"):
-            assert (used / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert _files(used) == _files(fresh)
+
+    def test_drops_the_estimates_of_an_earlier_campaign(self, tmp_path, capsys):
+        store_dir = tmp_path / "s"
+        config = tmp_path / "world.yaml"
+        config.write_text(
+            "process:\n"
+            "  - {pick: pick_orange, place: place_orange, count: 1, color: orange}\n"
+            "  - {pick: pick_white, place: place_white, count: 1, color: white}\n"
+        )
+        assert _run("simulate", "--store", store_dir, "--plans", 3) == 0
+        assert _run("estimate", "--store", store_dir) == 0
+        assert _run("simulate", "--store", store_dir, "--plans", 2, "--config", config) == 0
+        assert sorted(path.name for path in store_dir.iterdir()) == ["plans.jsonl", "task_results.jsonl"]
+        capsys.readouterr()
+        for command in (("plan", "--config", config), ("report",)):
+            assert _run(command[0], "--store", store_dir, *command[1:]) == 1
+            assert capsys.readouterr().err == (
+                f"error: store {store_dir} lacks duration or synergy estimates; run `tandem estimate`\n"
+            )
+        assert _run("estimate", "--store", store_dir) == 0
+        assert len(Store(store_dir).query("task_duration")) == 4
+        assert _run("plan", "--store", store_dir, "--config", config, "--budget", 5) == 0
 
     @pytest.mark.parametrize("plans", [1, 5, 20])
     def test_fsyncs_once_per_collection(self, tmp_path, monkeypatch, plans):
@@ -390,7 +416,8 @@ def test_every_override_loads_or_names_a_field_it_sets(edits):
     The error names, as a whole word, the key some edit set, the section or
     task that key sits in (an item's is its list's, as in `process[2]`), or a
     key inside the value it set.  Only a key of two characters or more
-    counts, so a list index does not.
+    counts, so a list index does not.  Either way the call leaves the
+    defaults and the override mapping as they were.
     """
     raw = copy.deepcopy(DEFAULT_CONFIG)
     named = set()
@@ -404,11 +431,14 @@ def test_every_override_loads_or_names_a_field_it_sets(edits):
         section = [k for k in path[:-1] if not isinstance(k, int)][-1:]
         keys = [key, *section, *(sub[-1] for sub in _config_paths(value))]
         named.update(text for k in keys if len(str(k)) >= 2 for text in (str(k), repr(k)))
+    defaults, overrides = copy.deepcopy(DEFAULT_CONFIG), copy.deepcopy(raw)
     try:
         make_world_config(raw)
     except ConfigError as exc:
         message = str(exc)
         assert any(re.search(rf"(?<!\w){re.escape(text)}(?!\w)", message) for text in named), message
+    assert DEFAULT_CONFIG == defaults
+    assert raw == overrides
 
 
 class TestEstimate:
@@ -560,7 +590,10 @@ class TestEstimate:
         assert _run("estimate", "--store", store_dir) == 0
         before = _files(store_dir)
         # A larger campaign changes every duration the next estimate computes.
+        # It drops the estimates, so the earlier campaign's are written back.
         assert _run("simulate", "--store", store_dir, "--plans", 6, "--seed", 2) == 0
+        for name in ("task_duration.jsonl", "task_synergy.jsonl"):
+            (store_dir / name).write_bytes(before[name])
 
         def failing_fit(executions, stats):
             raise EmptyProblem("the fit failed")

@@ -267,8 +267,8 @@ class TestBuildRegression:
     @pytest.mark.parametrize("config_path", [None, FLEXIBLE_WORKCELL], ids=["default", "flexible"])
     def test_matches_reference_on_simulated_campaigns(self, config_path):
         cfg = load_world_config(config_path)
-        human = [t.id for t in cfg.tasks.values() if H in t.eligible_agents]
-        robot = [t.id for t in cfg.tasks.values() if R in t.eligible_agents]
+        human = [t for t, task in cfg.tasks.items() if H in task.eligible_agents]
+        robot = [t for t, task in cfg.tasks.items() if R in task.eligible_agents]
         for seed in (3, 11):
             traces = _campaign(cfg, seed, 30)
             kept, stats = cli._kept_executions(traces, "none")

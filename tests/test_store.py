@@ -114,6 +114,27 @@ class TestUpsertAndQuery:
             Store(root).upsert_many("task_duration", [_duration_doc()])
         assert str(err.value).startswith(f"cannot create store root {root}: ")
 
+    def test_drop_deletes_only_its_collection(self, tmp_path):
+        store = Store(tmp_path / "s")
+        store.drop("task_duration")  # no root yet: nothing to delete, nothing made
+        assert not store.root.exists()
+        store.upsert_many("task_duration", [_duration_doc()])
+        store.record_traces([_small_trace()])
+        store.drop("task_duration")
+        store.drop("task_duration")  # already gone
+        assert [path.name for path in store.root.iterdir()] == ["task_results.jsonl"]
+        assert store.query("task_duration") == []
+        assert store.export_traces() == [_small_trace()]
+
+    def test_drop_that_fails_names_the_file(self, tmp_path):
+        store = Store(tmp_path)
+        path = store.path("task_synergy")
+        path.mkdir()  # a directory is no file to unlink
+        with pytest.raises(IoFailure) as err:
+            store.drop("task_synergy")
+        assert str(err.value).startswith(f"cannot delete {path}: ")
+        assert path.is_dir()
+
     def test_missing_field_names_it(self, tmp_path):
         doc = _duration_doc()
         del doc["mean"]
@@ -273,6 +294,29 @@ class TestUnterminatedLastLine:
             clean.record_traces([_small_trace("p1")])
             clean.upsert_many("task_results", [extra])
             assert path.read_bytes() == clean.path("task_results").read_bytes()
+
+
+class TestDeeplyNestedLine:
+    """A line nested past the decoder's depth is corrupt, like a line that does not parse."""
+
+    def test_reads_and_upserts(self, tmp_path):
+        store = Store(tmp_path / "s")
+        store.record_traces([_small_trace("p1")])
+        path = store.path("task_results")
+        data = path.read_bytes() + b"[" * 100_000 + b"]" * 100_000 + b"\n"
+        path.write_bytes(data)
+        extra = {**_record_doc("p9:0000"), "plan_id": "p9"}
+        for call in (
+            lambda: store.read("task_results", dict),
+            store.export_traces,
+            lambda: store.upsert_many("task_results", [extra]),
+        ):
+            with pytest.raises(CorruptStore) as err:
+                call()
+            assert (err.value.path, err.value.line) == (path, 4)
+            assert str(err.value) == f"{path}:4: bad JSON: nested too deeply"
+        assert path.read_bytes() == data
+        assert [p.name for p in store.root.iterdir()] == ["task_results.jsonl"]
 
 
 class TestReadErrors:
