@@ -19,11 +19,12 @@ statistics and a synergy matrix; ``report`` renders those alone and reads no
 other collection.  The store keeps no copy between calls, and each command
 reads each collection it needs once.
 
-Commands turn stored documents into values through `Store.read`, and
-task_results documents into traces through `Store.export_traces`, after the
-store has checked their fields and types; a document that breaks the schema,
-or that the decoder rejects, ends the command with CorruptStore naming its
-file and the line that one read parsed it from.
+Commands hand the store values and get values back: `Store.record_campaign`,
+`Store.record_estimates`, `Store.estimates`, `Store.export_traces` and
+`Store.record_optimized` build and decode every document, so this module
+names no collection and no document field.  A stored document that breaks
+the schema, or that its decoder rejects, ends the command with CorruptStore
+naming its file and line.
 
 Every command is deterministic given its flags, config, and seed.  The store
 root defaults to the TANDEM_STORE environment variable, then ./tandem_store.
@@ -38,7 +39,7 @@ from pathlib import Path
 
 from . import config as worldcfg
 from . import report as reporting
-from .errors import EmptyStore, MissingEstimates, TandemError
+from .errors import EmptyStore, TandemError
 from .estimator import (
     ExecutionTrace,
     Executions,
@@ -47,24 +48,17 @@ from .estimator import (
     filter_outliers,
     group_executions,
 )
-from .model import (
-    SIDES,
-    AgentId,
-    DurationStats,
-    StatsMap,
-    SynergyEntry,
-    SynergyMatrix,
-    stats_table,
-)
-from .planner import CandidatePlan, optimize_plan, random_plan
+from .model import AgentId, DurationStats, stats_table
+from .planner import optimize_plan, random_plan
 from .simulator import program_from_plan, simulate_plan
-from .store import AGENT_VALUES, Store
+from .store import Store
 
 ENV_STORE = "TANDEM_STORE"
 DEFAULT_STORE = "tandem_store"
 
 
-def _seed(text: str) -> int:
+def seed(text: str) -> int:
+    """A ``--seed`` value: argparse names this function in its error, "invalid seed value: 'x'"."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("seed must be non-negative")
@@ -77,25 +71,16 @@ def _store_root(args: argparse.Namespace) -> Path:
     return Path(os.environ.get(ENV_STORE, DEFAULT_STORE))
 
 
-def _plan_doc(plan_id: str, plan: CandidatePlan, makespan: float, kind: str) -> dict:
-    return {
-        "id": plan_id,
-        "assignment": {uid: AGENT_VALUES[agent] for uid, agent in plan.assignment.items()},
-        "order": {value: list(plan.order[agent]) for agent, value in AGENT_VALUES.items()},
-        "makespan": makespan,
-        "kind": kind,
-    }
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    """Simulate `--plans` random plans and store their records and plan documents.
+    """Simulate `--plans` random plans and store each one's trace, plan and makespan.
 
-    After every plan has been simulated, the estimate collections are
-    dropped, since they came from another campaign, and then the campaign's
-    task_results and its plans each replace their collection with one atomic
-    rewrite, in that order.  So a campaign into a used store leaves the files
-    a fresh store would, an earlier ``plan``'s optimized plan dropped, and
-    ``plan`` and ``report`` ask for ``tandem estimate`` until it has run.
+    After every plan has been simulated, `Store.record_campaign` drops the
+    estimate collections, since they came from another campaign, and then
+    the campaign's task_results and its plans each replace their collection
+    with one atomic rewrite, in that order.  So a campaign into a used store
+    leaves the files a fresh store would, an earlier ``plan``'s optimized
+    plan dropped, and ``plan`` and ``report`` ask for ``tandem estimate``
+    until it has run.
     The campaign is durable as a unit when the command returns, and a plan's
     line is printed only once it is on disk.  A run that dies part-way
     leaves each collection whole, as it was or as the campaign wrote it, or
@@ -107,23 +92,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(f"plan count must be at least 1, got {args.plans}")
     domain = worldcfg.build_domain(cfg)
     store = Store(_store_root(args))
-    traces = []
-    plan_docs = []
+    traces, plans, makespans = [], [], []
     for k in range(args.plans):
         plan = random_plan(domain, seed=[seed, k, 0])
         program = program_from_plan(domain, plan)
-        plan_id = f"plan-{k:04d}"
-        trace = simulate_plan(program, cfg, seed=[seed, k, 1], plan_id=plan_id)
+        trace = simulate_plan(program, cfg, seed=[seed, k, 1], plan_id=f"plan-{k:04d}")
         traces.append(trace)
-        makespan = max((rec.interval.end for rec in trace.records), default=0.0)
-        plan_docs.append(_plan_doc(plan_id, plan, makespan, "simulated"))
-    store.drop("task_synergy")
-    store.drop("task_duration")
-    store.record_traces(traces)
-    store.replace("plans", plan_docs)
-    for doc in plan_docs:
-        print(f"{doc['id']}: makespan {doc['makespan']:.3f} s")
-    makespans = [doc["makespan"] for doc in plan_docs]
+        plans.append(plan)
+        makespans.append(max((rec.interval.end for rec in trace.records), default=0.0))
+    store.record_campaign(traces, plans, makespans)
+    for trace, makespan in zip(traces, makespans):
+        print(f"{trace.plan_id}: makespan {makespan:.3f} s")
     print(
         f"simulated {args.plans} plans (seed {seed}) into {store.root}; "
         f"makespan min {min(makespans):.3f} / max {max(makespans):.3f} s"
@@ -157,93 +136,24 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if not traces:
         raise EmptyStore(f"no task results in {store.root}; run `tandem simulate` first")
     executions, stats = _kept_executions(traces, args.outliers)
-    # Fit before writing, and write the synergy first: its ids repeat when
-    # task ids hold ':', the durations' cannot, so a failed fit or a rejected
-    # batch leaves both estimate collections as they were.
+    # Fit before writing, so a failed fit leaves both estimate collections as they were.
     matrix = estimate_synergy_matrix(executions, stats_table(stats))
-    synergy_docs = [
-        {
-            "id": f"{AGENT_VALUES[agent]}:{own}:{other}",
-            "agent": AGENT_VALUES[agent],
-            "task_id": own,
-            "other_task_id": other,
-            "coefficient": entry.coefficient,
-            "std_error": entry.std_error,
-            "sample_count": entry.sample_count,
-        }
-        for agent in SIDES
-        for (own, other), entry in matrix.entries[agent].items()
-    ]
-    store.replace("task_synergy", synergy_docs)
-    store.replace(
-        "task_duration",
-        [
-            {
-                "id": f"{s.task_id}:{AGENT_VALUES[s.agent]}",
-                "task_id": s.task_id,
-                "agent": AGENT_VALUES[s.agent],
-                "mean": s.mean,
-                "std": s.std,
-                "count": s.count,
-            }
-            for s in stats
-        ],
-    )
-
-    print(f"estimated {len(stats)} task durations and {len(synergy_docs)} synergy entries")
+    entries = store.record_estimates(stats, matrix)
+    print(f"estimated {len(stats)} task durations and {entries} synergy entries")
     for s in sorted(stats, key=lambda s: (s.agent.value, s.task_id)):
         print(f"  {s.agent.value:<6} {s.task_id:<14} mean {s.mean:7.3f} s  std {s.std:6.3f}  n {s.count}")
     return 0
 
 
-def _duration_from_doc(doc: dict) -> DurationStats:
-    return DurationStats(
-        task_id=doc["task_id"],
-        agent=AgentId(doc["agent"]),
-        mean=float(doc["mean"]),
-        std=float(doc["std"]),
-        count=doc["count"],
-    )
-
-
-def _synergy_from_doc(doc: dict) -> tuple[AgentId, tuple[str, str], SynergyEntry]:
-    entry = SynergyEntry(
-        coefficient=float(doc["coefficient"]),
-        std_error=float(doc["std_error"]),
-        sample_count=doc["sample_count"],
-    )
-    return AgentId(doc["agent"]), (doc["task_id"], doc["other_task_id"]), entry
-
-
-def _load_estimates(store: Store) -> tuple[StatsMap, SynergyMatrix]:
-    """The stored duration statistics and synergy matrix, each entry in stored order.
-
-    A document with an unknown agent or an invalid value raises CorruptStore.
-    Statistics of one agent alone need no synergy entries: the other agent
-    executed nothing to pair with.
-    """
-    stats = stats_table(store.read("task_duration", _duration_from_doc))
-    synergy = store.read("task_synergy", _synergy_from_doc)
-    agents = {agent for _, agent in stats}
-    if not agents or (not synergy and len(agents) > 1):
-        raise MissingEstimates(
-            f"store {store.root} lacks duration or synergy estimates; run `tandem estimate`"
-        )
-    entries: dict[AgentId, dict[tuple[str, str], SynergyEntry]] = {a: {} for a in SIDES}
-    for agent, key, entry in synergy:
-        entries[agent][key] = entry
-    return stats, SynergyMatrix(entries)
-
-
 def cmd_plan(args: argparse.Namespace) -> int:
     store = Store(_store_root(args))
-    stats, synergy = _load_estimates(store)
+    stats, synergy = store.estimates()
     cfg = worldcfg.load_world_config(args.config)
     domain = worldcfg.build_domain(cfg)
     seed = cfg.seed if args.seed is None else args.seed
 
     plan, cost = optimize_plan(domain, stats, synergy, budget=args.budget, seed=seed)
-    store.upsert_many("plans", [_plan_doc("optimized", plan, cost, "optimized")])
+    store.record_optimized(plan, cost)
     print(f"best plan (budget {args.budget}, seed {seed}): predicted makespan {cost:.3f} s")
     for agent in AgentId:
         lane = " -> ".join(plan.order[agent]) or "(idle)"
@@ -253,7 +163,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     store = Store(_store_root(args))
-    stats, matrix = _load_estimates(store)
+    stats, matrix = store.estimates()
     out_dir = Path(args.out) if args.out else store.root / "report"
     for path in reporting.write_report(out_dir, stats, matrix):
         print(f"wrote {path}")
@@ -274,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sim)
     p_sim.add_argument("--config", help="world config YAML (defaults are built in)")
     p_sim.add_argument("--plans", type=int, default=50, help="number of random plans (default 50)")
-    p_sim.add_argument("--seed", type=_seed, default=None, help="campaign seed (default: config seed)")
+    p_sim.add_argument("--seed", type=seed, default=None, help="campaign seed (default: config seed)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_est = sub.add_parser("estimate", help="estimate durations and synergy from stored results")
@@ -290,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_plan)
     p_plan.add_argument("--config", help="world config YAML (defaults are built in)")
     p_plan.add_argument("--budget", type=int, default=2000, help="candidate evaluations (default 2000)")
-    p_plan.add_argument("--seed", type=_seed, default=None, help="search seed (default: config seed)")
+    p_plan.add_argument("--seed", type=seed, default=None, help="search seed (default: config seed)")
     p_plan.set_defaults(func=cmd_plan)
 
     p_rep = sub.add_parser("report", help="write duration and synergy tables and heatmaps")

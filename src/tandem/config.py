@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
-from typing import Container, Mapping
+from typing import Container, Iterator, Mapping
 
 import yaml
 
@@ -184,9 +184,45 @@ def _deep_merge(base: dict, override: Mapping) -> dict:
     return merged
 
 
+# The most characters of a loaded value that an error message shows.  PyYAML
+# builds an alias as one object shared by every place that names it, so a
+# file of a few hundred bytes can load a value whose full repr is gigabytes.
+_SHOWN_CHARS = 200
+
+
+def _repr_pieces(value: object) -> Iterator[str]:
+    """repr(value) in pieces, lists and mappings item by item."""
+    if isinstance(value, list):
+        yield "["
+        for i, item in enumerate(value):
+            yield ", " if i else ""
+            yield from _repr_pieces(item)
+        yield "]"
+    elif isinstance(value, dict):
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            yield ", " if i else ""
+            yield from _repr_pieces(key)
+            yield ": "
+            yield from _repr_pieces(item)
+        yield "}"
+    else:
+        yield repr(value)
+
+
+def _shown(value: object) -> str:
+    """repr(value) for an error message, cut after _SHOWN_CHARS characters without building the rest."""
+    text = ""
+    for piece in _repr_pieces(value):
+        text += piece
+        if len(text) > _SHOWN_CHARS:
+            return text[:_SHOWN_CHARS] + "..."
+    return text
+
+
 def _mapping(value: object, what: str) -> Mapping:
     if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be a mapping, got {value!r}")
+        raise ConfigError(f"{what} must be a mapping, got {_shown(value)}")
     return value
 
 
@@ -204,7 +240,7 @@ def _number(value: object, path: str, integer: bool = False) -> int | float:
     """
     integral = type(value) is int or (type(value) is float and value.is_integer())
     if type(value) not in (int, float) or (integer and not integral):
-        raise ConfigError(f"{path} must be {'an integer' if integer else 'a number'}, got {value!r}")
+        raise ConfigError(f"{path} must be {'an integer' if integer else 'a number'}, got {_shown(value)}")
     try:
         return int(value) if integer else float(value)
     except OverflowError:
@@ -214,7 +250,7 @@ def _number(value: object, path: str, integer: bool = False) -> int | float:
 def _text(value: object, path: str) -> str:
     """A text leaf at `path`: a string, never a number, a list or a mapping."""
     if not isinstance(value, str):
-        raise ConfigError(f"{path} must be a string, got {value!r}")
+        raise ConfigError(f"{path} must be a string, got {_shown(value)}")
     return value
 
 
@@ -236,15 +272,15 @@ def _parse_task(
     if isinstance(agents, str):
         agents = [agents]
     if not isinstance(agents, list) or not all(isinstance(a, str) for a in agents):
-        raise ConfigError(f"{path}agent must be a string or a list of strings, got {raw['agent']!r}")
+        raise ConfigError(f"{path}agent must be a string or a list of strings, got {_shown(raw['agent'])}")
     try:
         eligible = frozenset(AgentId(a) for a in agents)
     except ValueError as exc:
         raise ConfigError(f"task {task_id!r}: {exc}") from None
     if action not in _ACTIONS:
-        raise ConfigError(f"{path}action must be pick, place or goto, got {action!r}")
+        raise ConfigError(f"{path}action must be pick, place or goto, got {_shown(action)}")
     if region not in regions:
-        raise ConfigError(f"{path}region names no region in regions, got {region!r}")
+        raise ConfigError(f"{path}region names no region in regions, got {_shown(region)}")
     _text(raw.get("description", ""), path + "description")
     if not eligible:
         raise ConfigError(f"task {task_id!r} has no eligible agents")
@@ -302,7 +338,7 @@ def _validate(raw: dict) -> WorldConfig:
     steps = []
     used: dict[str, int] = {}
     if not isinstance(raw["process"], list):
-        raise ConfigError(f"process must be a list of steps, got {raw['process']!r}")
+        raise ConfigError(f"process must be a list of steps, got {_shown(raw['process'])}")
     for i, entry in enumerate(raw["process"]):
         entry = _mapping(entry, "a process step")
         _known_fields(entry, _STEP_FIELDS, f"process[{i}].")
@@ -319,11 +355,11 @@ def _validate(raw: dict) -> WorldConfig:
             raise ConfigError(f"process[{i}].count must be non-negative, got {step.count}")
         for field, task_id in (("pick", step.pick), ("place", step.place)):
             if task_id not in tasks:
-                raise ConfigError(f"process references unknown task {task_id!r}")
+                raise ConfigError(f"process references unknown task {_shown(task_id)}")
             action = actions[task_id]
             if action != field:
                 raise ConfigError(
-                    f"process[{i}].{field} must name a {field} task, got {task_id!r}, a {action} task"
+                    f"process[{i}].{field} must name a {field} task, got {_shown(task_id)}, a {action} task"
                 )
         used[color] = used.get(color, 0) + step.count
         steps.append(step)

@@ -28,21 +28,27 @@ scan, and its full `decode` only for a line whose document does not end it
 (whitespace around it, extra data or no document), so every line returns or
 raises what json.loads would.  `_SCHEMAS` is the one table of each
 collection's fields and their types: every write and every read checks each
-document against it.  `Store.read` turns documents into values through a
-caller's decoder; `export_traces` turns task_results documents straight into
-execution records, and groups them into traces by the plan_id that
-`record_traces` writes from each trace: a record has no plan id of its own.
-`_AGENTS` maps each stored agent value to its agent for `export_traces`, and
-`AGENT_VALUES` each agent to its stored value for every document writer.  A
-line that does not parse (a document nested too deeply for the decoder
-included), breaks the schema or is rejected by either decoder raises
-CorruptStore naming its line, as the read's one parse numbered it: no
-error reads the file again.
+document against it.
+
+This module is the one codec of every stored document: the methods below
+take and return values, so only this module knows a collection's fields, its
+id scheme and how an agent is stored, and the cli builds and reads none.  An agent is written as its AgentId
+member, which the encoder writes as its value, since AgentId is a str enum.
+`record_campaign` stores a simulated campaign's traces and plans,
+`record_optimized` the plan search's choice, and `record_estimates` the
+duration statistics and the synergy matrix, which `estimates` reads back.
+`export_traces` turns task_results documents into execution records and
+groups them into traces by the plan_id that `record_traces` writes from
+each trace: a record has no plan id of its own.  Each read decodes every
+document in its one parse loop, so a line that does not parse (a document
+nested too deeply for the decoder included), breaks the schema or is
+rejected by its decoder raises CorruptStore naming its own line: no error
+reads the file again.
 
 Durability is per write, so a caller that batches sets its own unit:
-`record_traces` writes any number of traces as one replace, and `tandem
-simulate` writes each collection once, so its campaign is durable as a unit
-when the command returns.
+`record_traces` writes any number of traces as one replace, and
+`record_campaign` writes each of its collections once, so a campaign is
+durable as a unit when it returns.
 """
 
 from __future__ import annotations
@@ -50,12 +56,30 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .errors import CorruptStore, IoFailure, OverlappingRecords, SchemaViolation, UnknownCollection
+from .errors import (
+    CorruptStore,
+    IoFailure,
+    MissingEstimates,
+    OverlappingRecords,
+    SchemaViolation,
+    UnknownCollection,
+)
 from .estimator import ExecutionRecord, ExecutionTrace
-from .model import AgentId, TimeInterval
+from .model import (
+    SIDES,
+    AgentId,
+    DurationStats,
+    StatsMap,
+    SynergyEntry,
+    SynergyMatrix,
+    TimeInterval,
+    stats_table,
+)
+from .planner import CandidatePlan
 
 T = TypeVar("T")
 
@@ -165,11 +189,14 @@ class Store:
             raise UnknownCollection(f"unknown collection {collection!r}")
         return self.root / f"{collection}.jsonl"
 
-    def _load(self, collection: str) -> tuple[dict[str, dict], dict[str, int]]:
-        """A collection's documents by id, in file order, and each one's line.
+    def _load(self, collection: str, decode: Callable[[dict, int], T] | None = None) -> dict[str, T]:
+        """A collection's documents by id, in file order, each as `decode(doc, line)` makes it.
 
-        A repeated id keeps its first position and its last document and
-        line.  A final line without a newline reads like any other.
+        Without `decode` each document is kept as parsed.  A repeated id keeps
+        its first position and its last document, and each copy is decoded,
+        so a copy that `decode` rejects with ValueError, TypeError or
+        OverflowError raises CorruptStore at its own line.  A final line
+        without a newline reads like any other.
         """
         path = self.path(collection)
         try:
@@ -182,8 +209,7 @@ class Store:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorruptStore(path, data.count(b"\n", 0, exc.start) + 1, "invalid UTF-8") from exc
-        docs: dict[str, dict] = {}
-        lines: dict[str, int] = {}
+        docs = {}
         for lineno, line in enumerate(text.split("\n"), 1):
             if not line.strip():
                 continue
@@ -198,11 +224,14 @@ class Store:
                 raise CorruptStore(path, lineno, "document has no string 'id'")
             try:
                 validate_document(collection, doc)
+                if decode is not None:
+                    doc = decode(doc, lineno)
             except SchemaViolation as exc:
                 raise CorruptStore(path, lineno, f"document {doc_id}: {exc.reason}") from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise CorruptStore(path, lineno, f"document {doc_id}: {exc}") from exc
             docs[doc_id] = doc
-            lines[doc_id] = lineno
-        return docs, lines
+        return docs
 
     def upsert_many(self, collection: str, documents: Iterable[Mapping], *, keep: bool = True) -> None:
         """Write a batch by one atomic rewrite; every store write goes through here.
@@ -228,7 +257,7 @@ class Store:
         except OSError as exc:
             raise IoFailure(f"cannot create store root {self.root}: {exc}") from exc
         if keep:
-            docs, _ = self._load(collection)
+            docs = self._load(collection)
             docs.update(batch)
             batch = docs
         _rewrite(self.path(collection), batch.values())
@@ -247,36 +276,73 @@ class Store:
 
     def query(self, collection: str, filter: Mapping | None = None) -> list[dict]:
         """All documents matching the field-equality filter, in insertion order."""
-        docs, _ = self._load(collection)
+        docs = self._load(collection)
         return [
             doc for doc in docs.values() if not filter or all(doc.get(k) == v for k, v in filter.items())
         ]
 
     def get(self, collection: str, doc_id: str) -> dict | None:
-        return self._load(collection)[0].get(doc_id)
+        return self._load(collection).get(doc_id)
 
-    def read(self, collection: str, decode: Callable[[dict], T]) -> list[T]:
-        """`decode` applied to every document, in insertion order.
+    # -- the documents of each collection, as values ---------------------
 
-        Each document has passed its schema check; `decode` must not modify
-        it.  A document that `decode` rejects with ValueError, TypeError or
-        OverflowError raises CorruptStore naming its file and the line this
-        read parsed it from.
+    def record_campaign(
+        self, traces: Sequence[ExecutionTrace], plans: Sequence[CandidatePlan], makespans: Sequence[float]
+    ) -> None:
+        """Store a simulated campaign: each trace, the plan it ran and that run's makespan.
+
+        Both estimate collections are dropped first, since they came from
+        another campaign; then task_results and plans each become exactly the
+        campaign's, by one replace each, in that order.
         """
-        docs, lines = self._load(collection)
-        out = []
-        for doc_id, doc in docs.items():
-            try:
-                out.append(decode(doc))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise self._corrupt(collection, lines, doc_id, exc) from exc
-        return out
+        self.drop("task_synergy")
+        self.drop("task_duration")
+        self.record_traces(traces)
+        self.replace(
+            "plans", (_plan_doc(t.plan_id, p, m, "simulated") for t, p, m in zip(traces, plans, makespans))
+        )
 
-    def _corrupt(
-        self, collection: str, lines: Mapping[str, int], doc_id: str, exc: Exception
-    ) -> CorruptStore:
-        """The error for a document its reader rejects, at the line its read parsed it from."""
-        return CorruptStore(self.path(collection), lines[doc_id], f"document {doc_id}: {exc}")
+    def record_optimized(self, plan: CandidatePlan, makespan: float) -> None:
+        """Upsert the plan search's choice as the plans document "optimized", keeping the others."""
+        self.upsert_many("plans", [_plan_doc("optimized", plan, makespan, "optimized")])
+
+    def record_estimates(self, stats: Sequence[DurationStats], matrix: SynergyMatrix) -> int:
+        """Make the estimate collections hold exactly `stats` and `matrix`; the count of synergy entries.
+
+        The synergy goes first, in the agent order `SIDES`: its ids
+        (<agent>:<own>:<other>) repeat when task ids hold ':', the durations'
+        (<task>:<agent>) cannot, so a rejected batch leaves both collections
+        as they were.
+        """
+        synergy = [
+            {"id": f"{agent.value}:{own}:{other}", "agent": agent, "task_id": own, "other_task_id": other}
+            | asdict(entry)
+            for agent in SIDES
+            for (own, other), entry in matrix.entries[agent].items()
+        ]
+        self.replace("task_synergy", synergy)
+        self.replace("task_duration", ({"id": f"{s.task_id}:{s.agent.value}"} | asdict(s) for s in stats))
+        return len(synergy)
+
+    def estimates(self) -> tuple[StatsMap, SynergyMatrix]:
+        """The stored duration statistics and synergy matrix, each entry in stored order.
+
+        Each collection is parsed once, duration statistics first.  Statistics
+        of one agent alone need no synergy entries: the other agent executed
+        nothing to pair with.  Otherwise a store without both raises
+        MissingEstimates.
+        """
+        stats = stats_table(self._load("task_duration", _duration).values())
+        synergy = self._load("task_synergy", _synergy).values()
+        agents = {agent for _, agent in stats}
+        if not agents or (not synergy and len(agents) > 1):
+            raise MissingEstimates(
+                f"store {self.root} lacks duration or synergy estimates; run `tandem estimate`"
+            )
+        entries: dict[AgentId, dict[tuple[str, str], SynergyEntry]] = {agent: {} for agent in SIDES}
+        for agent, key, entry in synergy:
+            entries[agent][key] = entry
+        return stats, SynergyMatrix(entries)
 
     # -- execution trace bridge ------------------------------------------
 
@@ -289,7 +355,7 @@ class Store:
                     "id": f"{trace.plan_id}:{k:04d}",
                     "plan_id": trace.plan_id,
                     "task_id": rec.task_id,
-                    "agent": AGENT_VALUES[rec.agent],
+                    "agent": rec.agent,
                     "start": rec.interval.start,
                     "end": rec.interval.end,
                     "success": rec.success,
@@ -307,39 +373,59 @@ class Store:
         documents exactly.  A record that cannot be read, or that overlaps an
         earlier record of its agent, raises CorruptStore naming its line.
         """
-        docs, lines = self._load("task_results")
-        # Per plan, its records and their document ids.
-        by_plan: dict[str, tuple[list[ExecutionRecord], list[str]]] = {}
-        for doc_id, doc in docs.items():
-            try:
-                rec = _record(doc)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise self._corrupt("task_results", lines, doc_id, exc) from exc
-            plan = by_plan.get(doc["plan_id"])
+        # Per plan, its records and each one's document id and line.
+        by_plan: dict[str, tuple[list[ExecutionRecord], list[tuple[str, int]]]] = {}
+        for doc_id, (plan_id, rec, line) in self._load("task_results", _record).items():
+            plan = by_plan.get(plan_id)
             if plan is None:
-                plan = by_plan[doc["plan_id"]] = ([], [])
+                plan = by_plan[plan_id] = ([], [])
             plan[0].append(rec)
-            plan[1].append(doc_id)
+            plan[1].append((doc_id, line))
         traces = []
-        for pid, (records, ids) in by_plan.items():
+        for pid, (records, where) in by_plan.items():
             try:
                 traces.append(ExecutionTrace(plan_id=pid, records=tuple(records)))
             except OverlappingRecords as exc:
-                raise self._corrupt("task_results", lines, ids[exc.index], exc) from exc
+                doc_id, line = where[exc.index]
+                raise CorruptStore(self.path("task_results"), line, f"document {doc_id}: {exc}") from exc
         return traces
 
 
-# Agents by stored value, and stored values by agent: lookups in place of
-# the enum's constructor and its value property, which cost a Python call each.
+# Agents by stored value: a lookup in place of the enum's constructor, which
+# costs a Python call.  The encoder writes an agent as its value, since
+# AgentId is a str enum.
 _AGENTS = {agent.value: agent for agent in AgentId}
-AGENT_VALUES = {agent: agent.value for agent in AgentId}
 
 
-def _record(doc: dict) -> ExecutionRecord:
-    return ExecutionRecord(
-        task_id=doc["task_id"],
-        # AgentId raises the error that names a value of no agent.
-        agent=_AGENTS.get(doc["agent"]) or AgentId(doc["agent"]),
-        interval=TimeInterval(float(doc["start"]), float(doc["end"])),
-        success=doc["success"],
+def _agent(value: str) -> AgentId:
+    # AgentId raises the error that names a value of no agent.
+    return _AGENTS.get(value) or AgentId(value)
+
+
+def _plan_doc(plan_id: str, plan: CandidatePlan, makespan: float, kind: str) -> dict:
+    return {
+        "id": plan_id,
+        "assignment": dict(plan.assignment),
+        "order": {agent: list(plan.order[agent]) for agent in AgentId},
+        "makespan": makespan,
+        "kind": kind,
+    }
+
+
+# The decoders that `_load` calls with each document and its line; only
+# `_record` keeps the line, for the overlap error of `export_traces`.
+def _record(doc: dict, line: int) -> tuple[str, ExecutionRecord, int]:
+    agent = _agent(doc["agent"])
+    interval = TimeInterval(float(doc["start"]), float(doc["end"]))
+    return doc["plan_id"], ExecutionRecord(doc["task_id"], agent, interval, doc["success"]), line
+
+
+def _duration(doc: dict, line: int) -> DurationStats:
+    return DurationStats(
+        doc["task_id"], _agent(doc["agent"]), float(doc["mean"]), float(doc["std"]), doc["count"]
     )
+
+
+def _synergy(doc: dict, line: int) -> tuple[AgentId, tuple[str, str], SynergyEntry]:
+    entry = SynergyEntry(float(doc["coefficient"]), float(doc["std_error"]), doc["sample_count"])
+    return _agent(doc["agent"]), (doc["task_id"], doc["other_task_id"]), entry

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import copy
 import filecmp
+import hashlib
 import json
 import logging
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,8 +37,8 @@ def _run(*args):
 def _simulate_per_plan(store_dir, plans, seed, config=None):
     """`tandem simulate` as one upsert per plan and collection, each plan printed once stored.
 
-    The task_results documents are built here from each trace, so no store
-    method that `simulate` calls writes them.
+    The task_results and plans documents are built here from each trace and
+    plan, so no store method that `simulate` calls writes them.
     """
     cfg = load_world_config(config)
     domain = build_domain(cfg)
@@ -63,7 +65,14 @@ def _simulate_per_plan(store_dir, plans, seed, config=None):
         )
         makespan = max(rec.interval.end for rec in trace.records)
         makespans.append(makespan)
-        store.upsert_many("plans", [cli._plan_doc(plan_id, plan, makespan, "simulated")])
+        plan_doc = {
+            "id": plan_id,
+            "assignment": {uid: agent.value for uid, agent in plan.assignment.items()},
+            "order": {agent.value: list(plan.order[agent]) for agent in AgentId},
+            "makespan": makespan,
+            "kind": "simulated",
+        }
+        store.upsert_many("plans", [plan_doc])
         print(f"{plan_id}: makespan {makespan:.3f} s")
     print(
         f"simulated {plans} plans (seed {seed}) into {store.root}; "
@@ -271,6 +280,24 @@ class TestSimulate:
             load_world_config(config)
         assert _run("simulate", "--store", tmp_path / "s", "--config", config) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "s").exists()
+
+    def test_alias_chain_shows_a_bounded_value(self, tmp_path, capsys):
+        # Each anchor lists the one before ten times, and PyYAML loads an alias
+        # as the anchor's own object, so the full repr of the agent value would
+        # run to about 5 * 10**9 characters.
+        levels = ["&l0 [" + ", ".join(["x"] * 10) + "]"] + [
+            f"&l{k} [" + ", ".join([f"*l{k - 1}"] * 10) + "]" for k in range(1, 9)
+        ]
+        config = tmp_path / "world.yaml"
+        config.write_text("tasks:\n  pick_white:\n    agent: [" + ", ".join(levels) + "]\n")
+        l0 = ["x"] * 10
+        shown = repr([l0, [l0] * 10])[:200] + "..."
+        reason = f"tasks.pick_white.agent must be a string or a list of strings, got {shown}"
+        with pytest.raises(ConfigError, match=re.escape(reason)):
+            load_world_config(config)
+        assert _run("simulate", "--store", tmp_path / "s", "--config", config) == 1
+        assert capsys.readouterr().err == f"error: {reason}\n"
         assert not (tmp_path / "s").exists()
 
     def test_zero_plans_is_rejected(self, tmp_path, capsys):
@@ -484,7 +511,7 @@ class TestEstimate:
         # The human executed nothing, so no row of either agent has a column.
         assert [doc["id"] for doc in Store(store_dir).query("task_duration")] == ["r_task:robot"]
         assert Store(store_dir).query("task_synergy") == []
-        stats, matrix = cli._load_estimates(Store(store_dir))
+        stats, matrix = Store(store_dir).estimates()
         assert list(stats) == [("r_task", AgentId.ROBOT)]
         for agent, own, other in ((AgentId.HUMAN, "h_task", "r_task"), (AgentId.ROBOT, "r_task", "h_task")):
             entry = matrix.get(agent, own, other)
@@ -858,6 +885,33 @@ class TestReportCommand:
         assert [row[0] for row in rows[1:]] == robot
 
 
+# SHA-256 of the four store files of the two pipelines below, recorded while
+# the cli built and decoded the estimate and plan documents.
+GOLDEN_STORES_SHA256 = "f7ce587da389568cdbd1c4d83d8111a034dd10d3cf3dfa43c83df8101006ba98"
+
+
+def test_store_bytes_match_the_recorded_golden_hash(tmp_path, capsys):
+    """simulate, estimate and plan at seed 7000000 on perfbench's two workcells.
+
+    The default workcell runs 100 plans and plans with budget 100, the
+    flexible one 30 plans with budget 500.  Each store hashes as its four
+    files in collection order, each as its name and its bytes, so any change
+    to a document's fields, ids, agent values or number text shows here.
+    """
+    flexible = Path(__file__).resolve().parents[1] / "perfbench" / "flexible.yaml"
+    digest = hashlib.sha256()
+    for flags, plans, budget in (((), 100, 100), (("--config", flexible), 30, 500)):
+        store_dir = tmp_path / f"{plans}"
+        common = ("--store", store_dir, "--seed", 7000000, *flags)
+        assert _run("simulate", "--plans", plans, *common) == 0
+        assert _run("estimate", "--store", store_dir) == 0
+        assert _run("plan", "--budget", budget, *common) == 0
+        for collection in COLLECTIONS:
+            digest.update(collection.encode() + b"\n" + (store_dir / f"{collection}.jsonl").read_bytes())
+    capsys.readouterr()
+    assert digest.hexdigest() == GOLDEN_STORES_SHA256
+
+
 class TestPipeline:
     def test_simulate_estimate_report_compose(self, tmp_path):
         store_dir = tmp_path / "s"
@@ -866,16 +920,8 @@ class TestPipeline:
         assert _run("report", "--store", store_dir) == 0
         assert (store_dir / "report" / "synergy_robot.svg").exists()
 
-    def test_each_command_parses_each_collection_once(self, tmp_path, monkeypatch):
+    def test_each_command_parses_each_collection_once(self, tmp_path, file_reads):
         store_dir = tmp_path / "s"
-        parsed = []
-        load = Store._load
-
-        def recording_load(store, collection):
-            parsed.append(collection)
-            return load(store, collection)
-
-        monkeypatch.setattr(Store, "_load", recording_load)
         # simulate replaces both of its collections without reading them.
         for command, flags, collections in [
             ("simulate", ("--plans", 2), []),
@@ -883,9 +929,9 @@ class TestPipeline:
             ("plan", ("--budget", 5), ["task_duration", "task_synergy", "plans"]),
             ("report", (), ["task_duration", "task_synergy"]),
         ]:
-            parsed.clear()
+            file_reads.clear()
             assert _run(command, "--store", store_dir, *flags) == 0
-            assert parsed == collections, command
+            assert [path.stem for path in file_reads if path.parent == store_dir] == collections, command
 
     def test_every_write_goes_through_upsert_many(self, tmp_path, monkeypatch):
         store_dir = tmp_path / "s"
@@ -926,6 +972,17 @@ class TestPipeline:
         monkeypatch.setenv(cli.ENV_STORE, str(tmp_path / "env_store"))
         assert _run("simulate", "--plans", 1) == 0
         assert (tmp_path / "env_store" / "task_results.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "plan"])
+    @pytest.mark.parametrize(
+        "value, reason", [("x", "invalid seed value: 'x'"), ("-1", "seed must be non-negative")]
+    )
+    def test_bad_seed_is_a_usage_error_naming_the_seed(self, tmp_path, capsys, command, value, reason):
+        with pytest.raises(SystemExit) as exit_:
+            _run(command, "--store", tmp_path / "s", "--seed", value)
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.endswith(f"tandem {command}: error: argument --seed: {reason}\n")
+        assert not (tmp_path / "s").exists()
 
     def test_all_collections_known(self):
         assert set(COLLECTIONS) == {

@@ -1013,7 +1013,7 @@ def test_search_with_cutoffs_chooses_the_plan_of_a_search_without_them(
     assert cli.main(["simulate", "--plans", "30", *common]) == 0
     assert cli.main(["estimate", "--store", str(store)]) == 0
     capsys.readouterr()
-    stats, synergy = cli._load_estimates(Store(store))
+    stats, synergy = Store(store).estimates()
     domain = build_domain(load_world_config(config))
 
     predict = planner_mod.predict_makespan
@@ -1069,7 +1069,7 @@ def test_searches_on_campaign_estimates_match_the_recorded_golden_hash(tmp_path,
             common = ["--store", str(store), "--seed", str(seed), *config_args]
             assert cli.main(["simulate", "--plans", str(plans), *common]) == 0
             assert cli.main(["estimate", "--store", str(store)]) == 0
-            stats, synergy = cli._load_estimates(Store(store))
+            stats, synergy = Store(store).estimates()
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="tandem.planner"):
                 plan, cost = optimize_plan(domain, stats, synergy, budget=budget, seed=seed)

@@ -5,11 +5,21 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tandem.store as store_mod
 from tandem.errors import CorruptStore, IoFailure, SchemaViolation, UnknownCollection
 from tandem.estimator import ExecutionRecord, ExecutionTrace
-from tandem.model import AgentId, TimeInterval
+from tandem.model import (
+    COEFFICIENT_FLOOR,
+    SIDES,
+    AgentId,
+    DurationStats,
+    SynergyEntry,
+    SynergyMatrix,
+    TimeInterval,
+    stats_table,
+)
 from tandem.store import COLLECTIONS, Store, _dumps, validate_document
 
 H, R = AgentId.HUMAN, AgentId.ROBOT
@@ -47,6 +57,12 @@ VALID = {
         "other_task_id": "pick_white", "coefficient": 1.2, "std_error": 0.1, "sample_count": 5,
     },
     "plans": {"id": "plan-0000", "assignment": {}, "order": {}, "makespan": 8.0, "kind": "simulated"},
+}
+# The reader that turns each collection's documents into values; plans has none.
+VALUE_READERS = {
+    "task_results": Store.export_traces,
+    "task_duration": Store.estimates,
+    "task_synergy": Store.estimates,
 }
 INVALID = {
     "task_results": ({"start": True}, "field 'start' has invalid type bool"),
@@ -276,7 +292,7 @@ class TestUnterminatedLastLine:
         extra = {**_record_doc("p9:0000"), "plan_id": "p9"}
         if cut:
             for call in (
-                lambda: store.read("task_results", dict),
+                lambda: store.query("task_results"),
                 store.export_traces,
                 lambda: store.upsert_many("task_results", [extra]),
             ):
@@ -287,7 +303,7 @@ class TestUnterminatedLastLine:
             assert path.read_bytes() == data
             assert [p.name for p in store.root.iterdir()] == ["task_results.jsonl"]
         else:
-            assert store.read("task_results", lambda doc: doc["id"]) == ["p1:0000", "p1:0001", "p1:0002"]
+            assert [doc["id"] for doc in store.query("task_results")] == ["p1:0000", "p1:0001", "p1:0002"]
             assert store.export_traces() == [_small_trace("p1")]
             store.upsert_many("task_results", [extra])
             clean = Store(tmp_path / "clean")
@@ -307,7 +323,7 @@ class TestDeeplyNestedLine:
         path.write_bytes(data)
         extra = {**_record_doc("p9:0000"), "plan_id": "p9"}
         for call in (
-            lambda: store.read("task_results", dict),
+            lambda: store.query("task_results"),
             store.export_traces,
             lambda: store.upsert_many("task_results", [extra]),
         ):
@@ -362,11 +378,10 @@ class TestReadErrors:
         edit, reason = INVALID[collection]
         bad = {**VALID[collection], "id": "b", **edit}
         path = self._write(tmp_path, _dumps(VALID[collection]), _dumps(bad), collection=collection)
-        for read in (
-            lambda s: s.query(collection),
-            lambda s: s.get(collection, "b"),
-            lambda s: s.read(collection, dict),
-        ):
+        reads = [lambda s: s.query(collection), lambda s: s.get(collection, "b")]
+        if collection in VALUE_READERS:
+            reads.append(VALUE_READERS[collection])
+        for read in reads:
             with pytest.raises(CorruptStore) as err:
                 read(Store(tmp_path))
             assert (err.value.path, err.value.line) == (path, 2)
@@ -394,34 +409,50 @@ class TestReadErrors:
 
     def test_rejected_decode_names_file_and_line(self, tmp_path, file_reads):
         drone = {**_record_doc("p1:0001"), "agent": "drone"}
-        # A repeated id is named at its last line, the document a read keeps.
-        for docs, line in [([_record_doc(), drone], 2), ([drone, _record_doc(), drone], 3)]:
+        # A repeated id whose last copy is rejected is named at that copy's line.
+        earlier = _record_doc("p1:0001")
+        for docs, line in [([_record_doc(), drone], 2), ([earlier, _record_doc(), drone], 3)]:
             path = self._write(tmp_path, *map(_dumps, docs))
-            for read in (
-                lambda s: s.read("task_results", lambda doc: AgentId(doc["agent"])),
-                lambda s: s.export_traces(),
-            ):
-                file_reads.clear()
-                with pytest.raises(CorruptStore) as err:
-                    read(Store(tmp_path))
-                assert (err.value.path, err.value.line) == (path, line)
-                reason = "document p1:0001: 'drone' is not a valid AgentId"
-                assert str(err.value) == f"{path}:{line}: {reason}"
-                assert file_reads == [path]  # the line comes from the one parse
+            file_reads.clear()
+            with pytest.raises(CorruptStore) as err:
+                Store(tmp_path).export_traces()
+            assert (err.value.path, err.value.line) == (path, line)
+            reason = "document p1:0001: 'drone' is not a valid AgentId"
+            assert str(err.value) == f"{path}:{line}: {reason}"
+            assert file_reads == [path]  # the line comes from the one parse
 
-    def test_error_line_survives_a_rewrite_during_the_read(self, tmp_path):
+    def test_each_copy_of_a_repeated_id_is_decoded(self, tmp_path):
+        """An earlier copy that its decoder rejects raises at its own line, though reads keep the last."""
+        later = {**_record_doc("p1:0001"), "start": 9.0, "end": 10.0}
+        docs = [{**later, "agent": "drone"}, _record_doc(), later]
+        path = self._write(tmp_path, *map(_dumps, docs))
+        with pytest.raises(CorruptStore) as err:
+            Store(tmp_path).export_traces()
+        assert str(err.value) == f"{path}:1: document p1:0001: 'drone' is not a valid AgentId"
+        assert [doc["agent"] for doc in Store(tmp_path).query("task_results")] == ["human", "human"]
+        bad = {**_duration_doc(), "mean": 0.0}
+        path = self._write(tmp_path, _dumps(bad), _dumps(_duration_doc()), collection="task_duration")
+        with pytest.raises(CorruptStore) as err:
+            Store(tmp_path).estimates()
+        assert str(err.value) == (
+            f"{path}:1: document pick_white:human: mean duration must be positive and finite, got 0.0"
+        )
+
+    def test_error_line_survives_a_rewrite_during_the_read(self, tmp_path, monkeypatch):
         docs = [_duration_doc("a"), _duration_doc("b")]
         path = self._write(tmp_path, *map(_dumps, docs), collection="task_duration")
+        duration = store_mod._duration
 
-        def decode(doc):
+        def decode(doc, line):
             if doc["id"] == docs[1]["id"]:
                 # Another writer drops the document before this read names it.
                 Store(tmp_path).replace("task_duration", docs[:1])
                 raise ValueError("bad")
-            return doc
+            return duration(doc, line)
 
+        monkeypatch.setattr(store_mod, "_duration", decode)
         with pytest.raises(CorruptStore) as err:
-            Store(tmp_path).read("task_duration", decode)
+            Store(tmp_path).estimates()
         assert (err.value.path, err.value.line) == (path, 2)
         assert str(err.value) == f"{path}:2: document {docs[1]['id']}: bad"
 
@@ -531,3 +562,36 @@ class TestTraceBridge:
             (tmp_path / "a" / "task_results.jsonl").read_bytes()
             == (tmp_path / "b" / "task_results.jsonl").read_bytes()
         )
+
+
+# Task ids without ':', so no two synergy ids are equal.
+_TASK_IDS = st.text("ab_", min_size=1, max_size=3)
+
+
+@st.composite
+def _estimates(draw):
+    """Duration statistics, each (task, agent) once, and a matrix with entries for both agents."""
+    stats = []
+    keys = st.lists(st.tuples(_TASK_IDS, st.sampled_from(AgentId)), min_size=1, unique=True)
+    for task_id, agent in draw(keys):
+        count = draw(st.integers(1, 10**6))
+        std = 0.0 if count == 1 else draw(st.floats(0.0, 1e6))
+        stats.append(DurationStats(task_id, agent, draw(st.floats(1e-9, 1e9)), std, count))
+    entry = st.builds(
+        SynergyEntry, st.floats(COEFFICIENT_FLOOR, 1e6), st.floats(0.0, 1e6), st.integers(0, 10**6)
+    )
+    pairs = st.dictionaries(st.tuples(_TASK_IDS, _TASK_IDS), entry, min_size=1)
+    return stats, SynergyMatrix({agent: draw(pairs) for agent in SIDES})
+
+
+@settings(max_examples=100, deadline=None)
+@given(_estimates())
+def test_recorded_estimates_read_back_equal_in_order(tmp_path_factory, estimates):
+    stats, matrix = estimates
+    store = Store(tmp_path_factory.mktemp("estimates"))
+    assert store.record_estimates(stats, matrix) == sum(len(matrix.entries[agent]) for agent in SIDES)
+    read_stats, read_matrix = store.estimates()
+    assert list(read_stats.items()) == list(stats_table(stats).items())
+    assert {agent: list(read_matrix.entries[agent].items()) for agent in SIDES} == {
+        agent: list(matrix.entries[agent].items()) for agent in SIDES
+    }
